@@ -11,7 +11,7 @@ odd differentials and homology.
 from .cyclotomic import Cyc, Rational, cyclotomic_polynomial, euler_phi
 from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      DegreeCapExceeded, DimensionMismatch,
-                     FieldExtensionNeeded, MissingEis,
+                     FieldExtensionNeeded, InvalidElement, MissingEis,
                      NegativeExponentPresent, NotCommutative,
                      NotFactorizable, NotRegularDetected, NotSimpleHead,
                      SideMismatch, TieDetected, UnsupportedGroup,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotRegularDetected, SideMismatch
-from .linalg import ONE, ZERO, kernel_basis
+from .linalg import ONE, ZERO, rank
 from .polys import monomials_of_degree
 
 CONORMAL = "conormal"
@@ -347,7 +347,8 @@ def _piece_basis(model, j, d):
 
 
 def _delta_matrix(model, side, j, d):
-    """Matrix of delta from piece (j, d) to its target piece."""
+    """Columns of delta from piece (j, d) to its target piece, one per
+    source basis element."""
     src = _piece_basis(model, j, d)
     if side == CONORMAL:
         tj, td = j - 1, d - 1
@@ -365,8 +366,7 @@ def _delta_matrix(model, side, j, d):
         for k, c in img.terms.items():
             col[tindex[k]] = c
         cols.append(col)
-    rows = [[cols[j2][i] for j2 in range(len(src))] for i in range(len(tgt))]
-    return rows, src, tgt
+    return cols, src, tgt
 
 
 def virtual_homology(model, side):
@@ -381,18 +381,18 @@ def virtual_homology(model, side):
     ker_dim = {}
     for j in range(n + 1):
         for d in range(D + 1):
-            rows, src, _tgt = _delta_matrix(model, side, j, d)
+            cols, src, tgt = _delta_matrix(model, side, j, d)
             if not src:
                 ker_dim[(j, d)] = 0
                 out_rank[(j, d)] = 0
                 continue
-            if not rows:
+            if not tgt:
                 ker_dim[(j, d)] = len(src)
                 out_rank[(j, d)] = 0
                 continue
-            kb = kernel_basis(rows, len(src))
-            ker_dim[(j, d)] = len(kb)
-            out_rank[(j, d)] = len(src) - len(kb)
+            r = rank(cols, len(tgt))    # rank of the transpose
+            ker_dim[(j, d)] = len(src) - r
+            out_rank[(j, d)] = r
     by_degree = {}
     for j in range(n + 1):
         total = 0
@@ -453,7 +453,7 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
 
     # chain spaces per (homological degree r, total degree t)
     hom_dims = {r: {} for r in range(k + 1)}
-    rank = {}
+    out_rank = {}
     kerd = {}
     basis_cache = {}
 
@@ -475,12 +475,12 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
             src = basis(r, t)
             if not src:
                 kerd[(r, t)] = 0
-                rank[(r, t)] = 0
+                out_rank[(r, t)] = 0
                 continue
             tgt = basis(r - 1, t) if r >= 1 else []
             if not tgt:
                 kerd[(r, t)] = len(src)
-                rank[(r, t)] = 0
+                out_rank[(r, t)] = 0
                 continue
             tindex = {b: i for i, b in enumerate(tgt)}
             cols = []
@@ -494,17 +494,15 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
                         if key2 in tindex:
                             col[tindex[key2]] = col[tindex[key2]] + sign * c
                 cols.append(col)
-            rows = [[cols[jj][i] for jj in range(len(src))]
-                    for i in range(len(tgt))]
-            kb = kernel_basis(rows, len(src))
-            kerd[(r, t)] = len(kb)
-            rank[(r, t)] = len(src) - len(kb)
+            rk = rank(cols, len(tgt))    # rank of the transpose
+            kerd[(r, t)] = len(src) - rk
+            out_rank[(r, t)] = rk
 
     chain_dims = {r: sum(len(basis(r, t)) for t in range(trunc + 1))
                   for r in range(k + 1)}
     for t in range(trunc + 1):
         for r in range(k + 1):
-            incoming = rank.get((r + 1, t), 0)
+            incoming = out_rank.get((r + 1, t), 0)
             h = kerd[(r, t)] - incoming
             if h:
                 hom_dims[r][t] = h

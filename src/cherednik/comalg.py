@@ -19,7 +19,8 @@ import sympy
 
 from .cyclotomic import Cyc, euler_phi, _poly_divmod, _poly_mul, _poly_trim
 from .errors import FieldExtensionNeeded, NotCommutative
-from .linalg import ZERO, ONE, kernel_basis, rref, row_space_contains
+from .linalg import (ZERO, ONE, Echelon, echelon, identity, kernel_basis,
+                     rref, solve_unique)
 
 _T = sympy.Symbol("T")
 
@@ -129,21 +130,14 @@ class CommutativeAlgebra:
 def _minimal_polynomial(mul, unit, u):
     """Monic minimal polynomial (ascending Fractions/Cyc) of u, unit given."""
     dim = len(unit)
-    rows, pivots = [], []
+    span = Echelon(dim)
     powers = [list(unit)]
-    while True:
-        vec = powers[-1]
-        residual, _ = row_space_contains(rows, pivots, vec)
-        if not any(residual):
-            break
-        red, piv = rref(rows + [vec], dim) if rows else rref([vec], dim)
-        rows, pivots = red, piv
-        powers.append(mul(vec, u))
+    while span.add(powers[-1]):
+        powers.append(mul(powers[-1], u))
     # express the last power over the previous ones
     m = len(powers) - 1
     mat = [[powers[i][k] for i in range(m)] for k in range(dim)]
     rhs = [powers[m][k] for k in range(dim)]
-    from .linalg import solve_unique
     coeffs = solve_unique(mat, rhs)
     poly = [-c for c in coeffs] + [ONE]
     return poly
@@ -185,13 +179,13 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
     rad = alg.radical_basis()
 
     # Semisimple quotient: complement coordinates of the radical row space.
-    rad_red, rad_piv = rref(rad, alg.dim) if rad else ([], [])
-    comp = [c for c in range(alg.dim) if c not in set(rad_piv)]
+    rad_ech = echelon(rad, alg.dim)
+    comp = [c for c in range(alg.dim) if c not in rad_ech.rows]
     k = len(comp)
 
     def project(vec):
-        residual, _ = row_space_contains(rad_red, rad_piv, vec)
-        return [residual[c] for c in comp]
+        residual, _ = rad_ech.reduce(vec)
+        return [residual.get(c, ZERO) for c in comp]
 
     def embed(qvec):
         out = [ZERO] * alg.dim
@@ -199,8 +193,8 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
             out[c] = qvec[idx]
         return out
 
-    q_prods = [[project(alg.mul(embed(_unit_vec(k, i)), embed(_unit_vec(k, j))))
-                for j in range(k)] for i in range(k)]
+    units = [embed(e) for e in identity(k)]
+    q_prods = [[project(alg.mul(ei, ej)) for ej in units] for ei in units]
     q_unit = project(alg.unit)
     quo = CommutativeAlgebra(q_prods, q_unit, conductor, check=False)
 
@@ -274,15 +268,7 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
                               f"{max_retries} seeded attempts")
 
     # The Q-span of the quotient: zeta^t e_c for all t, c.
-    all_rows = []
-    for c in range(k):
-        for t in range(phi):
-            qv = [ZERO] * dim_q
-            qv[c * phi + t] = ONE
-            all_rows.append(qv)
-    basis_rows, _ = rref(all_rows, dim_q)
-
-    split(basis_rows, q_unit_vec)
+    split(identity(dim_q), q_unit_vec)
 
     # Check splitting is complete over Q(zeta_N).
     for vec, d, mp in results:
@@ -313,12 +299,6 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
 
     idems.sort(key=_vec_sort_key)
     return idems
-
-
-def _unit_vec(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 def _vec_sort_key(vec):

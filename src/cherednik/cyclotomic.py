@@ -10,6 +10,7 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 # Exact rational scalar used throughout the package.
@@ -85,6 +86,25 @@ def _reduction(n):
                 table[k] = {e: c for e, c in nxt.items() if c}
         _REDUCTION_CACHE[n] = (deg, table)
     return _REDUCTION_CACHE[n]
+
+
+@cache
+def _trace_weights(n):
+    """Tr(zeta_n^e) / phi(n) for each reduced exponent e < phi(n)."""
+    return [_mean_primitive_root(n // gcd(n, e))
+            for e in range(_reduction(n)[0])]
+
+
+def _mean_primitive_root(d):
+    """mu(d) / phi(d): the mean of the primitive d-th roots of unity."""
+    out = _ONE
+    for p in range(2, d + 1):
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return _ZERO
+            out /= 1 - p
+    return out
 
 
 class Cyc:
@@ -292,7 +312,10 @@ class Cyc:
     def __hash__(self):
         if self.is_rational():
             return hash(self.rational_value())
-        return hash((self.n, frozenset(self.c.items())))
+        # Tr/phi(n) is the same in every cyclotomic field containing the
+        # value, so values equal across conductors hash alike.
+        weights = _trace_weights(self.n)
+        return hash(sum(v * weights[e] for e, v in self.c.items()))
 
     # ---- formatting ----------------------------------------------------
     def __repr__(self):

@@ -55,6 +55,11 @@ class TieDetected(CherednikError):
         self.labels = tuple(labels)
 
 
+class InvalidElement(CherednikError, ValueError):
+    """Element text that does not parse, or an undefined operation on an
+    element such as a negative power."""
+
+
 class DimensionMismatch(CherednikError):
     """An element was applied to a module of incompatible dimension."""
 

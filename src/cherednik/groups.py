@@ -22,7 +22,7 @@ from math import factorial, gcd
 
 from .cyclotomic import Cyc
 from .errors import CapExceeded, CherednikError, UnsupportedGroup
-from .linalg import ONE, ZERO, rank, transpose
+from .linalg import ONE, ZERO, identity, mat_mul, rank, transpose
 
 ORDER_CAP = 720
 
@@ -147,21 +147,6 @@ def kron(a, b):
                     for l in range(cb):
                         if b[k][l]:
                             out[i * rb + k][j * cb + l] = v * b[k][l]
-    return out
-
-
-def mat_mul_generic(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            v = a[i][t]
-            if v:
-                for j in range(m):
-                    if b[t][j]:
-                        out[i][j] = out[i][j] + v * b[t][j]
     return out
 
 
@@ -565,10 +550,9 @@ class ReflectionGroup:
                               for k in range(len(block) - 1)],
                     }
                 data = gens_cache[key]
-                mat = [[ONE if i == j else ZERO for j in range(data["dim"])]
-                       for i in range(data["dim"])]
+                mat = identity(data["dim"])
                 for k in word:
-                    mat = mat_mul_generic(mat, data["s"][k])
+                    mat = mat_mul(mat, data["s"][k])
                 return mat
 
             def fn(meta):

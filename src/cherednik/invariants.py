@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .errors import NotFactorizable
-from .linalg import ONE, ZERO, rref, row_space_contains
+from .linalg import ONE, ZERO, echelon, rref, trace
 from .polys import (monomials_of_degree, padd, pconst, pmul, pscale,
                     psub_linear)
 from .series import GradedCharacter
@@ -213,12 +213,10 @@ class InvariantTheory:
                     for _ in range(k):
                         prod = pmul(prod, p)
                 old_rows.append([prod.get(mm, ZERO) for mm in monos])
-            red, piv = rref(old_rows, len(monos)) if old_rows else ([], [])
+            span = echelon(old_rows, len(monos))
             new = []
             for row in inv_basis:
-                residual, _c = row_space_contains(red, piv, row)
-                if any(residual):
-                    red, piv = rref(red + [residual], len(monos))
+                if span.add(row):
                     poly = {m: row[mono_index[m]] for m in monos
                             if row[mono_index[m]]}
                     new.append(poly)
@@ -255,9 +253,8 @@ class InvariantTheory:
                 for m in monomials_of_degree(self.n, d - fd):
                     prod = pmul(f, {m: ONE})
                     rows.append([prod.get(mm, ZERO) for mm in monos])
-            red, piv = rref(rows, len(monos)) if rows else ([], [])
-            pivset = set(piv)
-            layer = [monos[i] for i in range(len(monos)) if i not in pivset]
+            pivots = echelon(rows, len(monos)).rows
+            layer = [monos[i] for i in range(len(monos)) if i not in pivots]
             basis.append(layer)
             total += len(layer)
         if total != self.group.order:
@@ -372,10 +369,7 @@ class InvariantTheory:
                 continue
             total = ZERO
             for ci, cls in enumerate(self.group.conjugacy_classes):
-                tr = ZERO
-                mat = self.coinv_action_matrix(cls[0], d)
-                for i in range(len(layer)):
-                    tr = tr + mat[i][i]
+                tr = trace(self.coinv_action_matrix(cls[0], d))
                 inv_cls = self.group.class_of_inverse(ci)
                 rep_char = rep.char(self.group.conjugacy_classes[inv_cls][0])
                 total = total + len(cls) * tr * rep_char

@@ -1,8 +1,10 @@
-"""Dense exact linear algebra over Q and Q(zeta_N).
+"""Exact linear algebra over Q and Q(zeta_N).
 
 Entries are Fractions or Cyc values; the two interoperate, and Fraction(0)/
-Fraction(1) serve as universal zero/one.  Everything is exact Gauss-Jordan;
-results satisfy A.x = b on re-substitution, exactly.
+Fraction(1) serve as universal zero/one.  All elimination goes through one
+kernel, ``Echelon``: a sparse reduced row echelon form built one vector at a
+time.  ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are thin wrappers
+over it; results satisfy A.x = b on re-substitution, exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def mat_mul(a, b):
                     if bt[j]:
                         oi[j] = oi[j] + v * bt[j]
     return out
+
+
 def mat_vec(a, v):
     out = []
     for row in a:
@@ -49,69 +53,133 @@ def mat_vec(a, v):
     return out
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def trace(a):
+    t = ZERO
+    for i in range(len(a)):
+        t = t + a[i][i]
+    return t
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+class Echelon:
+    """Reduced row echelon form of the span of the vectors added so far.
+
+    ``rows`` maps each pivot column to its row, stored sparse as
+    {column: value}: 1 at its own pivot and absent at every other pivot.
+    Pivots fall only in the first ``ncols`` columns; entries beyond them are
+    augmented columns, carried along by every row operation.  Vectors are
+    dense lists or sparse {column: value} dicts.
+    """
+
+    __slots__ = ("ncols", "rows")
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def pivots(self):
+        return sorted(self.rows)
+
+    def reduce(self, vec):
+        """``(residual, coeffs)`` with vec = residual + sum of
+        coeffs[p] * rows[p]; the residual is sparse and vanishes at every
+        pivot, and coeffs maps the pivots that vec touches to their
+        coefficients."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        res = {j: c for j, c in items if c}
+        rows = self.rows
+        coeffs = {p: c for p, c in res.items() if p in rows}
+        for p, c in coeffs.items():
+            for j, x in rows[p].items():
+                v = res.get(j, ZERO) - c * x
+                if v:
+                    res[j] = v
+                else:
+                    del res[j]
+        return res, coeffs
+
+    def add(self, vec):
+        """Extend the span by vec; True when it gave a new pivot."""
+        res, _ = self.reduce(vec)
+        p = min((j for j in res if j < self.ncols), default=None)
+        if p is None:
+            return False
+        inv = ONE / res[p]
+        new = {j: x * inv for j, x in res.items()}
+        for row in self.rows.values():
+            c = row.get(p)
+            if c:
+                for j, x in new.items():
+                    v = row.get(j, ZERO) - c * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        self.rows[p] = new
+        return True
+
+
+def echelon(rows, ncols):
+    """The Echelon of a list of rows."""
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
 def rref(rows, ncols=None):
     """Reduced row echelon form. Returns (new rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    width = len(rows[0]) if rows else 0
+    ech = echelon(rows, width if ncols is None else ncols)
+    pivots = ech.pivots()
+    red = []
+    for p in pivots:
+        dense = [ZERO] * width
+        for j, x in ech.rows[p].items():
+            dense[j] = x
+        red.append(dense)
+    return red, pivots
 
 
 def rank(rows, ncols=None):
-    return len(rref(rows, ncols)[1])
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return len(echelon(rows, ncols))
 
 
 def kernel_basis(rows, ncols):
     """Basis of {v : A v = 0}; empty list for full column rank."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
+    ech = echelon(rows, ncols)
+    free = [c for c in range(ncols) if c not in ech.rows]
+    basis = {f: [ZERO] * ncols for f in free}
     for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            if red[r][f]:
-                v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+        basis[f][f] = ONE
+    for p, row in ech.rows.items():
+        for j, x in row.items():
+            if j in basis:
+                basis[j][p] = -x
+    return list(basis.values())
 
 
 def solve(rows, rhs):
     """One exact solution of A x = b, or None if inconsistent."""
     ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
+    ech = echelon([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in ech.rows:
         return None
     x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
+    for p, row in ech.rows.items():
+        x[p] = row.get(ncols, ZERO)
     return x
 
 
@@ -120,19 +188,6 @@ def solve_unique(rows, rhs):
     if x is None:
         raise ArithmeticError("inconsistent linear system")
     return x
-
-
-def row_space_contains(red, pivots, vec):
-    """Given rref rows, reduce vec against them; returns (residual, coeffs)."""
-    v = list(vec)
-    coeffs = []
-    for r, p in enumerate(pivots):
-        c = v[p]
-        coeffs.append(c)
-        if c:
-            row = red[r]
-            v = [a - c * b for a, b in zip(v, row)]
-    return v, coeffs
 
 
 class ExactMatrix:

@@ -21,7 +21,8 @@ import random
 import re
 from fractions import Fraction
 
-from .errors import DegreeCapExceeded
+from .cyclotomic import Cyc
+from .errors import DegreeCapExceeded, InvalidElement
 from .linalg import ONE, ZERO
 from .polys import pmul
 
@@ -175,6 +176,8 @@ class PBWElement:
                           {k: scalar * v for k, v in self.terms.items()})
 
     def __pow__(self, k):
+        if k < 0:
+            raise InvalidElement(f"negative power {k} of an algebra element")
         out = self.algebra.one()
         for _ in range(k):
             out = out * self
@@ -544,7 +547,8 @@ def multiply(u, v):
 
 
 # --------------------------------------------------------------------------
-# Element text syntax: e.g. "y1*x1^2 + 2*s12 - 1/2*w3"
+# Element text syntax: e.g. "y1*x1^2 + 2*s12 - 1/2*w3"; z is zeta_N, the
+# root of unity of the group's conductor N, as Cyc values print it.
 # --------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z]\w*)"
@@ -557,7 +561,8 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot tokenize element text at {text[pos:]!r}")
+            raise InvalidElement(
+                f"cannot tokenize element text at {text[pos:]!r}")
         pos = m.end()
         if m.group("num"):
             if "/" in m.group("num"):
@@ -580,7 +585,7 @@ def _parse_element(algebra, text):
         return tokens[pos[0]] if pos[0] < len(tokens) else (None, None)
 
     def advance():
-        t = tokens[pos[0]]
+        t = peek()
         pos[0] += 1
         return t
 
@@ -597,9 +602,11 @@ def _parse_element(algebra, text):
             e = expression()
             kind, val = advance()
             if val != ")":
-                raise ValueError("unbalanced parentheses in element text")
+                raise InvalidElement("unbalanced parentheses in element text")
             return e
-        raise ValueError(f"unexpected token {val!r} in element text")
+        if kind is None:
+            raise InvalidElement("element text ends too early")
+        raise InvalidElement(f"unexpected token {val!r} in element text")
 
     def factor():
         base = atom()
@@ -608,7 +615,7 @@ def _parse_element(algebra, text):
             advance()
             kind, k = advance()
             if kind != "num" or k.denominator != 1:
-                raise ValueError("exponent must be a nonnegative integer")
+                raise InvalidElement("exponent must be a nonnegative integer")
             return base ** int(k)
         return base
 
@@ -636,12 +643,12 @@ def _parse_element(algebra, text):
                 nxt = term()
                 out = out + (nxt if val == "+" else -nxt)
             else:
-                break
-        if pos[0] != len(tokens):
-            raise ValueError("trailing tokens in element text")
-        return out
+                return out
 
-    return expression()
+    out = expression()
+    if pos[0] != len(tokens):
+        raise InvalidElement("trailing tokens in element text")
+    return out
 
 
 def _resolve_name(algebra, name):
@@ -660,6 +667,8 @@ def _resolve_name(algebra, name):
         return algebra.grp(idx)
     if name == "e":
         return algebra.symmetrizer()
+    if name == "z":
+        return algebra.scalar(Cyc.zeta(group.conductor))
     if name in group.generators:
         return algebra.grp(group.generators[name])
     raise ValueError(f"unknown generator {name!r} for group {group.name}")

@@ -21,20 +21,29 @@ from fractions import Fraction
 from .comalg import idempotents_of_commutative_algebra
 from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      DimensionMismatch, NotSimpleHead, TieDetected)
-from .linalg import ONE, ZERO, kernel_basis, mat_mul, rref, row_space_contains
+from .linalg import (ONE, ZERO, Echelon, echelon, identity, kernel_basis,
+                     mat_add, mat_mul, rank, trace, transpose)
 from .pbw import CherednikAlgebra, PBWElement
 
 RESTRICTED_CAP = 1000
 
 
 class FDModule:
-    """A module over a restricted algebra: explicit action matrices."""
+    """A module over a restricted algebra: explicit action matrices.
 
-    def __init__(self, parent, dim, weights=None, label=None):
+    ``w_action`` maps a group element index to its matrix; ``w_matrix``
+    calls it once per element.  ``rep`` is the irreducible of W that the
+    module is built from, or None.
+    """
+
+    def __init__(self, parent, dim, w_action, weights=None, label=None,
+                 rep=None):
         self.parent = parent          # RestrictedCherednikAlgebra
         self.dim = dim
         self.weights = weights        # grading weight per basis vector, or None
         self.label = label
+        self.rep = rep
+        self._w_action = w_action
         self._x = {}                  # i -> matrix
         self._y = {}
         self._w = {}                  # group element index -> matrix
@@ -52,10 +61,7 @@ class FDModule:
     def w_matrix(self, widx):
         mat = self._w.get(widx)
         if mat is None:
-            if hasattr(self, "_induced_w_fn"):
-                mat = self._induced_w_fn(widx)
-            else:
-                mat = self.parent._module_w_matrix(self, widx)
+            mat = self._w_action(widx)
             self._w[widx] = mat
         return mat
 
@@ -68,7 +74,7 @@ class FDModule:
     def _power(self, cache, mats, expo):
         mat = cache.get(expo)
         if mat is None:
-            mat = _identity(self.dim)
+            mat = identity(self.dim)
             for i, k in enumerate(expo):
                 for _ in range(k):
                     mat = mat_mul(mats[i], mat)
@@ -289,86 +295,39 @@ class RestrictedCherednikAlgebra:
         """
         if self._center is not None:
             return self._center
-        if not self.graded:
-            return self._center_ungraded()
-        gens = list(self.generator_elements.items())
-        gen_degree = {}
-        for (kind, idx), vec in gens:
-            gen_degree[(kind, idx)] = {"x": 1, "y": -1, "w": 0}[kind]
-        # adjoint columns per generator, per basis element (lazy by slice)
-        slices = self.degree_slices()
-        center_rows = []
+        if self.graded:
+            slices, shift = self.degree_slices(), {"x": 1, "y": -1, "w": 0}
+        else:
+            slices, shift = {0: list(range(self.dim))}, dict.fromkeys("xyw", 0)
+        center = Echelon(self.dim)
         for d, idxs in slices.items():
-            pos = {m: t for t, m in enumerate(idxs)}
-            rows = []      # constraint matrix rows (stacked over generators)
-            cols = len(idxs)
-            per_gen = []
-            for (gkey, gvec) in gens:
-                target = slices.get(d + gen_degree[gkey])
-                if target is None:
+            # constraint rows, sparse over the slice, keyed (generator, target)
+            rows = {}
+            for gkey, gvec in self.generator_elements.items():
+                if d + shift[gkey[0]] not in slices:
                     # adjoint lands in a zero space: no constraint
                     continue
-                tpos = {m: t for t, m in enumerate(target)}
-                block = [[ZERO] * cols for _ in range(len(target))]
                 for col, m in enumerate(idxs):
                     em = {m: ONE}
                     diff = _vec_sub(self.multiply_vec(em, gvec),
                                     self.multiply_vec(gvec, em))
                     for k, val in diff.items():
-                        block[tpos[k]][col] = val
-                per_gen.append(block)
-            for block in per_gen:
-                rows.extend(block)
-            if not rows:
-                for m in idxs:
-                    center_rows.append({m: ONE})
-                continue
-            for vec in kernel_basis(rows, cols):
-                center_rows.append({idxs[t]: c for t, c in enumerate(vec)
-                                    if c})
-        # canonicalize: RREF over the full coordinate space
-        dense = []
-        for row in center_rows:
-            v = [ZERO] * self.dim
-            for k, c in row.items():
-                v[k] = c
-            dense.append(v)
-        red, piv = rref(dense, self.dim)
-        self._center = [{i: c for i, c in enumerate(row) if c} for row in red]
-        self._center_red = red
-        self._center_piv = piv
-        return self._center
-
-    def _center_ungraded(self):
-        rows = []
-        for gvec in self.generator_elements.values():
-            cols = []
-            for m in range(self.dim):
-                em = {m: ONE}
-                diff = _vec_sub(self.multiply_vec(em, gvec),
-                                self.multiply_vec(gvec, em))
-                cols.append(diff)
-            for target in range(self.dim):
-                row = [cols[m].get(target, ZERO) for m in range(self.dim)]
-                if any(row):
-                    rows.append(row)
-        red, piv = rref(kernel_basis(rows, self.dim), self.dim)
-        self._center = [{i: c for i, c in enumerate(row) if c} for row in red]
-        self._center_red = red
-        self._center_piv = piv
+                        rows.setdefault((gkey, k), {})[col] = val
+            for vec in kernel_basis(list(rows.values()), len(idxs)):
+                center.add({idxs[t]: c for t, c in enumerate(vec) if c})
+        # the rows of the echelon, in pivot order, are the center basis
+        self._center_ech = center
+        self._center = [dict(sorted(center.rows[p].items()))
+                        for p in center.pivots()]
         return self._center
 
     def center_coordinates(self, vec):
         """Coordinates of a central vector over the center RREF basis."""
         self.center()
-        dense = [ZERO] * self.dim
-        for k, c in vec.items():
-            dense[k] = c
-        residual, coeffs = row_space_contains(self._center_red,
-                                              self._center_piv, dense)
-        if any(residual):
+        residual, coeffs = self._center_ech.reduce(vec)
+        if residual:
             raise CherednikError("vector is not in the computed center")
-        return coeffs
+        return [coeffs.get(p, ZERO) for p in self._center_ech.pivots()]
 
     def center_structure(self):
         """Structure constants of the center over its RREF basis."""
@@ -399,9 +358,10 @@ class RestrictedCherednikAlgebra:
         def slot(mi, t):
             return mi * rep.dim + t
 
-        mod = FDModule(self, dim, weights=weights if self.graded else None,
-                       label=rep.label)
-        mod.rep = rep
+        mod = FDModule(self, dim,
+                       lambda widx: self._module_w_matrix(rep, widx),
+                       weights=weights if self.graded else None,
+                       label=rep.label, rep=rep)
         # x_i action: multiply the coinvariant part
         for i in range(group.n):
             mat = [[ZERO] * dim for _ in range(dim)]
@@ -434,11 +394,10 @@ class RestrictedCherednikAlgebra:
         self._module_cache[key] = mod
         return mod
 
-    def _module_w_matrix(self, mod, widx):
-        rep = mod.rep
+    def _module_w_matrix(self, rep, widx):
         xb = self.x_basis
         xb_index = {m: i for i, m in enumerate(xb)}
-        dim = mod.dim
+        dim = len(xb) * rep.dim
 
         def slot(mi, t):
             return mi * rep.dim + t
@@ -476,15 +435,12 @@ class RestrictedCherednikAlgebra:
             gens.append((mod.w_matrix(widx), 0))
         dim = mod.dim
         basis = []      # (matrix, degree)
-        red, piv = [], []
-        queue = [(_identity(dim), 0)]
+        span = Echelon(dim * dim)
+        queue = [(identity(dim), 0)]
         while queue:
             mat, deg = queue.pop()
-            flat = [mat[i][j] for i in range(dim) for j in range(dim)]
-            residual, _ = row_space_contains(red, piv, flat)
-            if not any(residual):
+            if not span.add([v for row in mat for v in row]):
                 continue
-            red, piv = rref(red + [flat], dim * dim)
             basis.append((mat, deg))
             for g, gdeg in gens:
                 queue.append((mat_mul(g, mat), deg + gdeg))
@@ -506,14 +462,14 @@ class RestrictedCherednikAlgebra:
             for k in idxs:
                 row = []
                 for l in partners:
-                    row.append(_trace(mat_mul(basis[k][0], basis[l][0])))
+                    row.append(trace(mat_mul(basis[k][0], basis[l][0])))
                 gram.append(row)
-            for vec in kernel_basis(_transpose(gram), len(idxs)):
+            for vec in kernel_basis(transpose(gram), len(idxs)):
                 mat = None
                 for c, k in zip(vec, idxs):
                     if c:
                         term = [[c * v for v in row] for row in basis[k][0]]
-                        mat = term if mat is None else _mat_add(mat, term)
+                        mat = term if mat is None else mat_add(mat, term)
                 if mat is not None:
                     rad.append(mat)
         return rad
@@ -529,20 +485,13 @@ class RestrictedCherednikAlgebra:
                 vec = [j[i][col] for i in range(dim)]
                 if any(vec):
                     jm_rows.append(vec)
-        red, piv = rref(jm_rows, dim) if jm_rows else ([], [])
-        pivset = set(piv)
-        keep = [i for i in range(dim) if i not in pivset]
+        jm = echelon(jm_rows, dim)
+        keep = [i for i in range(dim) if i not in jm.rows]
         hdim = len(keep)
 
         def project(vec):
-            residual, _ = row_space_contains(red, piv, vec)
-            return [residual[i] for i in keep]
-
-        head = FDModule(self, hdim,
-                        weights=([mod.weights[i] for i in keep]
-                                 if mod.weights is not None else None),
-                        label=mod.label)
-        head.rep = getattr(mod, "rep", None)
+            residual, _ = jm.reduce(vec)
+            return [residual.get(i, ZERO) for i in keep]
 
         def induce(mat):
             cols = []
@@ -551,14 +500,13 @@ class RestrictedCherednikAlgebra:
                 cols.append(project(col))
             return [[cols[j][i] for j in range(hdim)] for i in range(hdim)]
 
+        head = FDModule(self, hdim, lambda widx: induce(mod.w_matrix(widx)),
+                        weights=([mod.weights[i] for i in keep]
+                                 if mod.weights is not None else None),
+                        label=mod.label, rep=mod.rep)
         for i in range(self.group.n):
             head.set_x(i, induce(mod.x_matrix(i)))
             head.set_y(i, induce(mod.y_matrix(i)))
-
-        def induced_w(widx):
-            return induce(mod.w_matrix(widx))
-
-        head._induced_w_fn = induced_w
         if expect_simple:
             if not self.is_simple(head):
                 raise NotSimpleHead(
@@ -579,14 +527,16 @@ class RestrictedCherednikAlgebra:
             # constraint: phi g - g phi = 0, phi unknown dim x dim
             for i in range(dim):
                 for j in range(dim):
-                    row = [ZERO] * (dim * dim)
+                    row = {}
                     for k in range(dim):
                         if g[k][j]:
-                            row[i * dim + k] = row[i * dim + k] + g[k][j]
+                            row[i * dim + k] = (row.get(i * dim + k, ZERO)
+                                                + g[k][j])
                         if g[i][k]:
-                            row[k * dim + j] = row[k * dim + j] - g[i][k]
+                            row[k * dim + j] = (row.get(k * dim + j, ZERO)
+                                                - g[i][k])
                     rows.append(row)
-        return len(kernel_basis(rows, dim * dim))
+        return dim * dim - rank(rows, dim * dim)
 
     def simple_module(self, rep):
         key = rep.label
@@ -599,7 +549,7 @@ class RestrictedCherednikAlgebra:
         """Rank of the averaging idempotent on the simple head L(rep)."""
         head = self.simple_module(rep)
         mat = head.symmetrizer_matrix()
-        return len(rref(mat, head.dim)[1])
+        return rank(mat, head.dim)
 
     # ---- blocks -----------------------------------------------------------------
     def central_characters(self):
@@ -610,11 +560,7 @@ class RestrictedCherednikAlgebra:
             mod = self.baby_verma(rep)
             values = []
             for z in zbasis:
-                mat = mod.act_vector(z)
-                tr = ZERO
-                for i in range(mod.dim):
-                    tr = tr + mat[i][i]
-                values.append(tr * Fraction(1, mod.dim))
+                values.append(trace(mod.act_vector(z)) * Fraction(1, mod.dim))
             out[rep.label] = tuple(values)
         return out
 
@@ -659,7 +605,7 @@ class RestrictedCherednikAlgebra:
                 mat = mod.act_vector(evec)
                 if _is_zero_matrix(mat):
                     continue
-                if _is_identity_matrix(mat):
+                if mat == identity(mod.dim):
                     if home is not None:
                         raise AssignmentAmbiguous(
                             f"two idempotents act as 1 on {rep.label!r}")
@@ -721,33 +667,13 @@ class RestrictedCherednikAlgebra:
             mat = mod.act_vector(z)
             rows.append([mat[i][j] for i in range(mod.dim)
                          for j in range(mod.dim)])
-        red, piv = rref(rows, mod.dim * mod.dim)
-        dim_image = len(piv)
+        dim_image = rank(rows, mod.dim * mod.dim)
         return {"dim_end": dim_end, "dim_center_image": dim_image,
                 "surjective": dim_image == dim_end}
 
     def __repr__(self):
         return (f"RestrictedCherednikAlgebra({self.group.name}, dim={self.dim},"
                 f" b={'0' if self.graded else self.b_point})")
-
-
-def _identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def _trace(mat):
-    t = ZERO
-    for i in range(len(mat)):
-        t = t + mat[i][i]
-    return t
-
-
-def _transpose(mat):
-    return [list(r) for r in zip(*mat)] if mat else []
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _vec_sub(u, v):
@@ -763,17 +689,6 @@ def _vec_sub(u, v):
 
 def _is_zero_matrix(mat):
     return all(not v for row in mat for v in row)
-
-
-def _is_identity_matrix(mat):
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            if i == j:
-                if v != 1:
-                    return False
-            elif v:
-                return False
-    return True
 
 
 def distinguished_rep(labels, b_invariants):

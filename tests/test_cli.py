@@ -87,6 +87,19 @@ def test_element_command(tmp_path):
     assert report["round_trip_ok"] is True
 
 
+def test_element_command_cyclotomic_round_trip(tmp_path):
+    rc, report = run_json(tmp_path, "element", "--group", "I2:5",
+                          "--c", "1", "--expr", "y1*x2")
+    assert rc == 0
+    assert "z" in report["normal_form"]
+    assert report["round_trip_ok"] is True
+
+
+def test_element_command_syntax_error_exits_2(capsys):
+    assert main(["element", "--group", "Zm:2", "--expr", "x1^"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_element_command_bad_generator():
     with pytest.raises(ValueError):
         main(["element", "--group", "Zm:2", "--c", "1", "--expr", "s12"])

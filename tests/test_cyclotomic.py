@@ -52,6 +52,16 @@ def test_field_axioms(data, n):
         assert (1 / a) * a == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([3, 4, 5, 6, 9]), st.sampled_from([2, 3, 4]))
+def test_hash_agrees_with_eq_across_conductors(data, n, k):
+    a = _rand_cyc(data.draw, n)
+    b = Cyc.of(a, n * k)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_division_and_powers(n):
     a = Cyc(n, {0: Fraction(3, 2), 1: Fraction(-1, 3)})

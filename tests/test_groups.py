@@ -5,8 +5,8 @@ import pytest
 
 from cherednik.errors import CapExceeded, NotFactorizable, UnsupportedGroup
 from cherednik.groups import (build_from_generators, build_i2, build_sn,
-                              build_zm, dual_rep, mat_mul_generic)
-from cherednik.linalg import ONE, ZERO, rank
+                              build_zm, dual_rep)
+from cherednik.linalg import ONE, ZERO, mat_mul, rank
 from cherednik.series import GradedCharacter, b_invariant
 from conftest import group
 
@@ -98,8 +98,8 @@ def test_irreps_sum_of_squares_and_homomorphism(spec):
             a = rng.randrange(g.order)
             b = rng.randrange(g.order)
             lhs = [list(r) for r in rep.matrix(g.mult(a, b))]
-            rhs = mat_mul_generic([list(r) for r in rep.matrix(a)],
-                                  [list(r) for r in rep.matrix(b)])
+            rhs = mat_mul([list(r) for r in rep.matrix(a)],
+                          [list(r) for r in rep.matrix(b)])
             assert lhs == rhs
 
 

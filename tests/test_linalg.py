@@ -1,11 +1,43 @@
-import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from cherednik.cyclotomic import Cyc
-from cherednik.linalg import (ONE, ZERO, ExactMatrix, kernel_basis, mat_vec,
-                              matrix_kernel, rank, rref, solve)
+from cherednik.linalg import (ONE, ZERO, Echelon, ExactMatrix, echelon,
+                              kernel_basis, mat_vec, matrix_kernel, rank,
+                              rref, solve)
 
 F = Fraction
+
+
+def _scalar(draw, n):
+    """A small exact scalar of Q (n = 1) or Q(zeta_5) (n = 5); often 0."""
+    if draw(st.booleans()):
+        return ZERO
+    if n == 1:
+        return F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    exps = draw(st.sets(st.integers(0, 3), min_size=1, max_size=2))
+    return Cyc(5, {e: F(draw(st.integers(-2, 2))) for e in exps})
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5):
+    """(rows, ncols) over Q or Q(zeta_5), sometimes with a dependent row."""
+    n = draw(st.sampled_from([1, 5]))
+    ncols = draw(st.integers(1, max_cols))
+    rows = [[_scalar(draw, n) for _ in range(ncols)]
+            for _ in range(draw(st.integers(0, max_rows)))]
+    if rows and draw(st.booleans()):
+        c = _scalar(draw, n)
+        rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+    return rows, ncols
+
+
+def _combination(coeffs, rows, ncols):
+    out = [ZERO] * ncols
+    for c, row in zip(coeffs, rows):
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
 
 
 def test_kernel_identity_is_trivial():
@@ -25,24 +57,67 @@ def test_kernel_rank_one():
     assert all(a + b == 0 for a, b in [(v[0], v[1])])
 
 
-def test_kernel_count_matches_rank():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    r = rank(rows, 3)
-    ker = kernel_basis(rows, 3)
-    assert r + len(ker) == 3
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+@example(([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]], 3))
+def test_kernel_count_matches_rank(mat):
+    rows, ncols = mat
+    r = rank(rows, ncols)
+    ker = kernel_basis(rows, ncols)
+    assert r + len(ker) == ncols
     for v in ker:
         assert all(not x for x in mat_vec(rows, v))
 
 
-def test_solve_resubstitutes_exactly():
-    rng = random.Random(5)
-    for _ in range(10):
-        a = [[F(rng.randrange(-5, 6)) for _ in range(4)] for _ in range(4)]
-        x = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(4)]
-        b = mat_vec(a, x)
-        sol = solve(a, b)
-        assert sol is not None
-        assert mat_vec(a, sol) == b
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_rref_does_not_depend_on_row_order(mat, data):
+    rows, ncols = mat
+    order = data.draw(st.permutations(range(len(rows))))
+    shuffled = [rows[i] for i in order]
+    assert rref(shuffled, ncols) == rref(rows, ncols)
+    ech = Echelon(ncols)
+    gained = sum(ech.add(row) for row in shuffled)
+    assert gained == len(ech) == rank(rows, ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_reduce_rebuilds_span_vectors(mat, data):
+    rows, ncols = mat
+    ech = echelon(rows, ncols)
+    coeffs = [_scalar(data.draw, 1) for _ in rows]
+    vec = _combination(coeffs, rows, ncols)
+    residual, found = ech.reduce(vec)
+    assert residual == {}
+    pivots = ech.pivots()
+    dense_rows = [[ech.rows[p].get(j, ZERO) for j in range(ncols)]
+                  for p in pivots]
+    assert _combination([found.get(p, ZERO) for p in pivots], dense_rows,
+                        ncols) == vec
+    # a unit vector at a free column is not in the span
+    for f in range(ncols):
+        if f not in ech.rows:
+            residual, _ = ech.reduce({f: ONE})
+            assert residual.get(f) == ONE
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_solve_resubstitutes_exactly(mat, data):
+    a, ncols = mat
+    x = [_scalar(data.draw, 1) for _ in range(ncols)]
+    b = mat_vec(a, x)
+    sol = solve(a, b)
+    assert sol is not None
+    assert mat_vec(a, sol) == b
+    # pivots only among the first ncols columns; b is carried along
+    red, piv = rref([row + [v] for row, v in zip(a, b)], ncols)
+    assert all(p < ncols for p in piv)
+    carried = [ZERO] * ncols
+    for row, p in zip(red, piv):
+        carried[p] = row[ncols]
+    assert mat_vec(a, carried) == b
 
 
 def test_solve_inconsistent_returns_none():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import DegreeCapExceeded
+from cherednik.errors import DegreeCapExceeded, InvalidElement
 from cherednik.groups import build_zm
 from cherednik.pbw import CherednikAlgebra, Parameter, grading_degree
 from conftest import algebra
@@ -168,6 +168,10 @@ def test_parse_examples():
     el = H.parse("y1*x1^2 + 2*s12")
     assert el == H.y(0) * H.x(0) * H.x(0) + 2 * H.grp(H.group.generators["s12"])
     assert H.parse("1/2*x1 - x1") == H.x(0) * F(-1, 2)
+    # parentheses, also around a whole expression and under a power
+    assert H.parse("(x1)") == H.x(0)
+    d = H.x(0) - H.y(0)
+    assert H.parse("2*(x1 - y1)^2") == 2 * d * d
 
 
 def test_parse_round_trip():
@@ -176,6 +180,11 @@ def test_parse_round_trip():
     for _ in range(10):
         el = random_element(H, rng)
         assert H.parse(str(el)) == el
+    # products at a cyclotomic parameter print zeta_N as z
+    H = algebra("I2:5", "1")
+    el = H.y(0) * H.x(1)
+    assert "z" in str(el)
+    assert H.parse(str(el)) == el
 
 
 def test_parse_errors():
@@ -184,6 +193,11 @@ def test_parse_errors():
         H.parse("q1 + 2")
     with pytest.raises(ValueError):
         H.parse("x1 +")
+    for text in ("x1^", "(x1", "x1)", "x1 $"):
+        with pytest.raises(InvalidElement):
+            H.parse(text)
+    with pytest.raises(InvalidElement):
+        H.x(0) ** -1
 
 
 def test_symmetrizer_is_idempotent():
