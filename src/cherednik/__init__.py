@@ -11,8 +11,8 @@ odd differentials and homology.
 from .cyclotomic import Cyc, Rational, cyclotomic_polynomial, euler_phi
 from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      DegreeCapExceeded, DimensionMismatch,
-                     FieldExtensionNeeded, InvalidElement, MissingEis,
-                     NegativeExponentPresent, NotCommutative,
+                     FieldExtensionNeeded, InvalidElement, InvalidInput,
+                     MissingEis, NegativeExponentPresent, NotCommutative,
                      NotFactorizable, NotRegularDetected, NotSimpleHead,
                      SideMismatch, TieDetected, UnsupportedGroup,
                      ZeroPolynomial)

@@ -335,6 +335,25 @@ def check_bracket_axioms(model, a, b, c):
     return ok
 
 
+def sample_identity_failures(model, rng, samples):
+    """Failure counts (square-zero, seven-term, bracket axioms) over
+    ``samples`` seeded random homogeneous triples, on the conormal side for
+    even and the normal side for odd sample indices."""
+    square = seven = bracket = 0
+    for i in range(samples):
+        side = CONORMAL if i % 2 == 0 else NORMAL
+        a, b, c = (model.random_element(
+            side, rng, exterior_degree=rng.randrange(0, model.n + 1))
+            for _ in range(3))
+        if bv_delta(model, bv_delta(model, a)):
+            square += 1
+        if not check_bv_seven_term(model, a, b, c):
+            seven += 1
+        if not check_bracket_axioms(model, a, b, c):
+            bracket += 1
+    return square, seven, bracket
+
+
 # --------------------------------------------------------------------------
 # Homology
 # --------------------------------------------------------------------------
@@ -413,6 +432,14 @@ def virtual_homology(model, side):
         "total": total,
         "observed_degree": concentration,
     }
+
+
+def coordinate_sequence(n):
+    """The coordinates y_1..y_n as polynomials in the 2n variables
+    (x_1..x_n first): the Koszul sequence of the transverse coordinate
+    Lagrangian y = 0."""
+    return [{tuple(int(k == n + i) for k in range(2 * n)): ONE}
+            for i in range(n)]
 
 
 def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):

@@ -1,35 +1,36 @@
-"""Command-line surface: group inspection, block partitions, character
-tables, parabolic reduction, exterior-model checks, and the consolidated
-verification suite.
+"""Command-line surface: argument parsing, input loading and report output
+for group inspection, block partitions, character tables, parabolic
+reduction, exterior-model checks and ``verify`` (whose suites live in
+``cherednik.verify``).
 
 JSON is the single source of truth; csv and pretty tables are derived from
 it.  Reports are byte-identical for identical jobs (including the seed):
 keys are sorted, all numbers are exact integers or [num, den] pairs, and no
-environment data is embedded.  Exit code 0 means every verification passed.
+environment data is embedded.  Exit code 0 means every verification passed,
+1 that a check failed, 2 that the input was rejected (``error: ...`` on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
-from .bv import (CONORMAL, NORMAL, TruncatedPolyModel, bv_delta,
-                 check_bracket_axioms, check_bv_seven_term, koszul_homology,
-                 virtual_homology)
+from .bv import (CONORMAL, NORMAL, TruncatedPolyModel, coordinate_sequence,
+                 koszul_homology, sample_identity_failures, virtual_homology)
 from .cyclotomic import Cyc
-from .errors import CherednikError
+from .errors import CherednikError, InvalidInput
 from .groups import build_from_generators, build_group
 from .parabolic import make_context, reduced_endo_character
 from .pbw import CherednikAlgebra, Parameter
 from .restricted import build_restricted
-from .series import DEFAULT_TRUNCATION, product_of_geometric
-from .verma import (dual_verma_pairing_expected, endo_character,
-                    ext_character, hook_identity_check, solve_eis,
-                    solve_eis_from_character, tor_character, verma_character)
-
-import random
+from .series import DEFAULT_TRUNCATION
+from .verify import SUITES, run_verification
+from .verma import (endo_character, ext_character, hook_identity_check,
+                    solve_eis, tor_character, verma_character)
 
 
 # --------------------------------------------------------------------------
@@ -38,8 +39,12 @@ import random
 
 def _load_group(spec, cap=720):
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(spec[1:], encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidInput(f"cannot read group file {spec[1:]!r}: "
+                               f"{exc}") from None
         n = int(data["conductor"])
         gens = [[[Cyc.from_literals(n, entry) for entry in row]
                  for row in mat]
@@ -55,30 +60,33 @@ def _load_parameter(group, cspec, seed):
         return Parameter.zero(group)
     if cspec.startswith("generic"):
         parts = cspec.split(":")
-        s = int(parts[1]) if len(parts) > 1 else seed
+        try:
+            s = int(parts[1]) if len(parts) > 1 else seed
+        except ValueError:
+            raise InvalidInput(f"not an integer seed: {parts[1]!r}") from None
         return Parameter.generic(group, seed=s)
     if "=" in cspec:
         mapping = {}
         for item in cspec.split(","):
             key, _, val = item.partition("=")
             mapping[key.strip()] = _parse_rational(val)
-        return Parameter.from_map(group, mapping)
+        return Parameter(group, mapping)
     value = _parse_rational(cspec)
     return Parameter.constant(group, value)
 
 
 def _parse_rational(text):
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"not a rational number: {text!r}") from None
 
 
 def _parse_point(text, n):
     coords = [p.strip() for p in text.split(",")]
     if len(coords) != n:
-        raise ValueError(f"point needs {n} coordinates, got {len(coords)}")
+        raise InvalidInput(f"point needs {n} coordinates, got {len(coords)}")
     return tuple(_parse_rational(p) for p in coords)
 
 
@@ -209,16 +217,8 @@ def cmd_cm_partition(args):
     part = rest.cm_partition(seed=args.seed, verify=not args.no_verify)
     report = {"command": "cm-partition", "seed": args.seed}
     report.update(part.payload())
-    checks_pass = part.route_agreement
-    if part.verification:
-        for blk in part.blocks:
-            for lbl in blk.labels:
-                expected = 1 if lbl == blk.distinguished else 0
-                if part.verification["e_dims"][str(lbl)] != expected:
-                    checks_pass = False
-        for rpt in part.verification["center_surjectivity"].values():
-            if not rpt["surjective"]:
-                checks_pass = False
+    checks_pass = part.route_agreement and (not part.verification
+                                            or part.theorems_hold())
     report["checks_pass"] = checks_pass
     _emit(report, args)
     return 0 if checks_pass else 1
@@ -233,7 +233,10 @@ def cmd_characters(args):
     by_label = {str(r.label): r for r in group.irreps}
     table = []
     for lbl in labels:
-        rep = by_label[lbl]
+        rep = by_label.get(lbl)
+        if rep is None:
+            raise InvalidInput(f"no irreducible labeled {lbl!r} in "
+                               f"{group.name}")
         entry = {"label": lbl, "dim": rep.dim,
                  "b_invariant": group.b_invariant(rep)}
         endo = endo_character(group, rep, trunc)
@@ -310,37 +313,17 @@ def cmd_bv_check(args):
     rng = random.Random(args.seed)
     results = {"command": "bv-check", "n": args.n, "trunc": args.trunc,
                "samples": args.samples, "seed": args.seed}
-    square_fail = 0
-    seven_fail = 0
-    bracket_fail = 0
-    for i in range(args.samples):
-        side = CONORMAL if i % 2 == 0 else NORMAL
-        a = model.random_element(side, rng,
-                                 exterior_degree=rng.randrange(0, args.n + 1))
-        b = model.random_element(side, rng,
-                                 exterior_degree=rng.randrange(0, args.n + 1))
-        c = model.random_element(side, rng,
-                                 exterior_degree=rng.randrange(0, args.n + 1))
-        if bv_delta(model, bv_delta(model, a)):
-            square_fail += 1
-        if not check_bv_seven_term(model, a, b, c):
-            seven_fail += 1
-        if not check_bracket_axioms(model, a, b, c):
-            bracket_fail += 1
+    square_fail, seven_fail, bracket_fail = sample_identity_failures(
+        model, rng, args.samples)
     results["square_zero_failures"] = square_fail
     results["seven_term_failures"] = seven_fail
     results["bracket_axiom_failures"] = bracket_fail
     results["virtual_homology"] = {
         side: virtual_homology(model, side) for side in (CONORMAL, NORMAL)}
     # transverse coordinate Lagrangians: y-sequence on functions of y = 0 side
-    n = args.n
-    seq = []
-    for i in range(n):
-        e = [0] * (2 * n)
-        e[n + i] = 1
-        seq.append({tuple(e): Fraction(1)})
-    results["koszul"] = koszul_homology(n, args.trunc, seq,
-                                        vanishing_vars=list(range(n)))
+    results["koszul"] = koszul_homology(args.n, args.trunc,
+                                        coordinate_sequence(args.n),
+                                        vanishing_vars=list(range(args.n)))
     ok = (square_fail == 0 and seven_fail == 0 and bracket_fail == 0
           and results["virtual_homology"][CONORMAL]["total"] == 1
           and results["virtual_homology"][NORMAL]["total"] == 1
@@ -349,287 +332,6 @@ def cmd_bv_check(args):
     results["checks_pass"] = ok
     _emit(results, args)
     return 0 if ok else 1
-
-
-# --------------------------------------------------------------------------
-# the consolidated verification suite
-# --------------------------------------------------------------------------
-
-PBW_GRID = ("Zm:2", "Zm:3", "Sn:2:permutation", "Sn:3:reduced", "I2:3")
-DIM_GRID = ("Zm:2", "Zm:3", "Sn:3:reduced", "Sn:2:permutation", "I2:4")
-CM_GRID = ("Zm:2", "Zm:3", "Zm:4", "Sn:2:permutation", "Sn:3:reduced", "I2:3")
-
-
-def _random_pbw(algebra, rng, max_terms=3, max_deg=2):
-    out = algebra.zero()
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        a = tuple(rng.randrange(0, max_deg) for _ in range(algebra.n))
-        b = tuple(rng.randrange(0, max_deg) for _ in range(algebra.n))
-        w = rng.randrange(algebra.group.order)
-        coeff = Fraction(rng.randrange(-4, 5))
-        if coeff:
-            out = out + algebra.monomial(a, w, b, coeff)
-    return out
-
-
-def _suite_pbw(seed, fault=False):
-    checks = []
-    for spec in PBW_GRID:
-        group = build_group(spec)
-        for cname, param in (("zero", Parameter.zero(group)),
-                             ("generic", Parameter.generic(group, seed))):
-            algebra = CherednikAlgebra(group, param)
-            rng = random.Random(seed)
-            ok_assoc = True
-            ok_skew = True
-            for _ in range(100):
-                u, v, w = (_random_pbw(algebra, rng) for _ in range(3))
-                if (u * v) * w != u * (v * w):
-                    ok_assoc = False
-                    break
-                if param.is_zero():
-                    if u * v != algebra.skew_multiply(u, v):
-                        ok_skew = False
-                        break
-            ok_comm = True
-            for i in range(group.n):
-                for j in range(group.n):
-                    xi, xj = algebra.x(i), algebra.x(j)
-                    yi, yj = algebra.y(i), algebra.y(j)
-                    if xi * xj != xj * xi or yi * yj != yj * yi:
-                        ok_comm = False
-            ok = ok_assoc and ok_skew and ok_comm
-            if fault:
-                ok = False
-            checks.append({"name": f"pbw:{spec}:c={cname}", "pass": ok})
-    return checks
-
-
-def _suite_dimensions(seed, fault=False):
-    expected = {"Zm:2": 8, "Zm:3": 27, "Sn:3:reduced": 216,
-                "Sn:2:permutation": 8, "I2:4": 512}
-    checks = []
-    for spec in DIM_GRID:
-        group = build_group(spec)
-        rest = build_restricted(group, Parameter.generic(group, seed))
-        ok = rest.dim == expected[spec] == group.order ** 3
-        if fault:
-            ok = False
-        checks.append({"name": f"dimension:{spec}", "pass": ok,
-                       "dim": rest.dim})
-    return checks
-
-
-def _suite_cm(seed, deep=False, fault=False):
-    checks = []
-    grid = list(CM_GRID) + (["I2:4"] if deep else [])
-    for spec in grid:
-        group = build_group(spec)
-        for cname, param in (("generic", Parameter.generic(group, seed)),
-                             ("zero", Parameter.zero(group))):
-            rest = build_restricted(group, param)
-            part = rest.cm_partition(seed=seed, verify=True)
-            ok = part.route_agreement
-            detail = {"blocks": [list(map(str, b.labels))
-                                 for b in part.blocks]}
-            if cname == "generic":
-                ok = ok and part.all_singletons()
-            if cname == "zero" and spec in ("Zm:2", "Zm:3"):
-                ok = ok and len(part.blocks) == 1
-                ok = ok and str(part.blocks[0].distinguished) == "chi0"
-            if spec == "Sn:3:reduced" and cname == "generic":
-                ok = ok and len(part.blocks) == 3
-            # Theorem-level block checks: e-dims and center surjectivity
-            for blk in part.blocks:
-                for lbl in blk.labels:
-                    expect = 1 if lbl == blk.distinguished else 0
-                    if part.verification["e_dims"][str(lbl)] != expect:
-                        ok = False
-                if not part.verification["center_surjectivity"][
-                        str(blk.distinguished)]["surjective"]:
-                    ok = False
-            # c = 0 degeneration: the independent skew backend must agree
-            if param.is_zero():
-                skew = build_restricted(group, param, backend="skew")
-                part2 = skew.cm_partition(seed=seed, verify=False)
-                shape1 = sorted(sorted(map(str, b.labels))
-                                for b in part.blocks)
-                shape2 = sorted(sorted(map(str, b.labels))
-                                for b in part2.blocks)
-                ok = ok and shape1 == shape2
-            if fault:
-                ok = False
-            checks.append({"name": f"cm:{spec}:c={cname}", "pass": ok,
-                           **detail})
-    return checks
-
-
-def _suite_characters(seed, deep=False, fault=False):
-    checks = []
-    trunc = DEFAULT_TRUNCATION
-    # hook identities
-    for n in (2, 3) + ((4,) if deep else ()):
-        group = build_group(f"Sn:{n}:permutation")
-        ok = all(hook_identity_check(group, rep.label, trunc)
-                 for rep in group.irreps)
-        if fault:
-            ok = False
-        checks.append({"name": f"hook:Sn:{n}", "pass": ok})
-    # generator degrees
-    ok_eis = True
-    for m in (2, 3, 4):
-        group = build_group(f"Zm:{m}")
-        for rep in group.irreps:
-            eis = solve_eis(group, rep, trunc)
-            if eis.exponents != (m,):
-                ok_eis = False
-    s3 = build_group("Sn:3:permutation")
-    eis = solve_eis(s3, s3.irrep((2, 1)), trunc)
-    if eis.exponents != (1, 1, 3):
-        ok_eis = False
-    from .series import GradedCharacter
-    synthetic = GradedCharacter({0: Fraction(1), 1: Fraction(1)}, trunc)
-    if solve_eis_from_character(synthetic, 1, trunc).is_solution():
-        ok_eis = False
-    # reconstruction
-    for group, lbl in ((s3, (2, 1)), (build_group("Zm:3"), "chi1")):
-        rep = group.irrep(lbl)
-        eis = solve_eis(group, rep, trunc)
-        recon = product_of_geometric(eis.exponents, trunc)
-        if not recon.equals(endo_character(group, rep, trunc), up_to=trunc):
-            ok_eis = False
-    if fault:
-        ok_eis = False
-    checks.append({"name": "generator-degrees", "pass": ok_eis})
-    # tor/ext consistency
-    ok_te = True
-    for spec, lbl in (("Zm:2", "chi1"), ("Zm:3", "chi2"),
-                      ("Sn:3:permutation", (2, 1))):
-        group = build_group(spec)
-        rep = group.irrep(lbl)
-        eis = solve_eis(group, rep, trunc)
-        endo = endo_character(group, rep, trunc)
-        tor = tor_character(group, rep, eis, trunc)
-        ext = ext_character(group, rep, eis, trunc)
-        if not tor.t_slice(0).equals(endo, up_to=trunc):
-            ok_te = False
-        if not ext.t_slice(0).equals(endo, up_to=trunc):
-            ok_te = False
-        top = sum(eis.exponents)
-        if not ext.t_slice(group.n).equals(endo.shift(top), up_to=trunc):
-            ok_te = False
-        if not tor.t_slice(group.n).equals(endo.shift(-top), up_to=trunc):
-            ok_te = False
-    if fault:
-        ok_te = False
-    checks.append({"name": "tor-ext-slices", "pass": ok_te})
-    return checks
-
-
-def _suite_bv(seed, fault=False):
-    checks = []
-    for n in (1, 2, 3):
-        for trunc in (4, 6, 8):
-            model = TruncatedPolyModel(n, trunc)
-            rng = random.Random(seed)
-            ok = True
-            for i in range(50):
-                side = CONORMAL if i % 2 == 0 else NORMAL
-                a = model.random_element(side, rng,
-                                         exterior_degree=rng.randrange(0, n + 1))
-                b = model.random_element(side, rng,
-                                         exterior_degree=rng.randrange(0, n + 1))
-                c = model.random_element(side, rng,
-                                         exterior_degree=rng.randrange(0, n + 1))
-                if bv_delta(model, bv_delta(model, a)):
-                    ok = False
-                if not check_bv_seven_term(model, a, b, c):
-                    ok = False
-                if not check_bracket_axioms(model, a, b, c):
-                    ok = False
-            vh_c = virtual_homology(model, CONORMAL)
-            vh_n = virtual_homology(model, NORMAL)
-            ok = ok and vh_c["total"] == 1 and vh_n["total"] == 1
-            seq = []
-            for i in range(n):
-                e = [0] * (2 * n)
-                e[n + i] = 1
-                seq.append({tuple(e): Fraction(1)})
-            kz = koszul_homology(n, trunc, seq, vanishing_vars=list(range(n)))
-            expected = dual_verma_pairing_expected(n)
-            ok = ok and kz["regular"]
-            ok = ok and kz["homology"].get(0, 0) == expected["tor"][0][1]
-            ok = ok and kz["cohomology_reindexed"].get(n, 0) == \
-                expected["ext"][0][1]
-            if fault:
-                ok = False
-            checks.append({"name": f"bv:n={n}:D={trunc}", "pass": ok})
-    return checks
-
-
-def _suite_parabolic(seed, fault=False):
-    checks = []
-    grid = [
-        ("Sn:3:permutation", ("1,1,0", "1,2,3", "0,0,0")),
-        ("I2:4", ("1,1", "0,0")),
-        ("Zm:3", ("1", "0")),
-    ]
-    for spec, points in grid:
-        group = build_group(spec)
-        param = Parameter.generic(group, seed)
-        ok = True
-        for ptext in points:
-            point = _parse_point(ptext, group.n)
-            ctx = make_context(group, param, point)
-            if len(ctx.orbit) * ctx.stabilizer.order != group.order:
-                ok = False
-            if all(not v for v in point):
-                # reduction at 0 must be the identity
-                for rep in group.irreps:
-                    lbl = rep.label
-                    r2 = ctx.stabilizer.irrep(lbl)
-                    if not reduced_endo_character(ctx, r2, 12).equals(
-                            endo_character(group, rep, 12), up_to=12):
-                        ok = False
-            rng = random.Random(seed)
-            for _ in range(2):
-                widx = rng.randrange(group.order)
-                from .parabolic import verify_reduction_invariance
-                if not verify_reduction_invariance(group, param, point, widx,
-                                                   truncation=12):
-                    ok = False
-        if fault:
-            ok = False
-        checks.append({"name": f"parabolic:{spec}", "pass": ok})
-    return checks
-
-
-SUITES = {
-    "pbw": _suite_pbw,
-    "dimensions": _suite_dimensions,
-    "cm": _suite_cm,
-    "characters": _suite_characters,
-    "bv": _suite_bv,
-    "parabolic": _suite_parabolic,
-}
-
-
-def run_verification(seed=0, deep=False, inject_fault=None, suites=None):
-    report = {"command": "verify", "seed": seed, "deep": deep,
-              "suites": {}}
-    names = suites or list(SUITES)
-    all_pass = True
-    for name in names:
-        fn = SUITES[name]
-        kwargs = {"fault": inject_fault == name}
-        if name in ("cm", "characters"):
-            kwargs["deep"] = deep
-        checks = fn(seed, **kwargs)
-        ok = all(c["pass"] for c in checks)
-        all_pass = all_pass and ok
-        report["suites"][name] = {"pass": ok, "checks": checks}
-    report["all_pass"] = all_pass
-    return report
 
 
 def cmd_verify(args):

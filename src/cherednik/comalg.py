@@ -17,39 +17,13 @@ from fractions import Fraction
 
 import sympy
 
-from .cyclotomic import Cyc, euler_phi, _poly_divmod, _poly_mul, _poly_trim
+from .cyclotomic import (Cyc, euler_phi, _poly_divmod, _poly_mod, _poly_mul,
+                         _poly_xgcd)
 from .errors import FieldExtensionNeeded, NotCommutative
 from .linalg import (ZERO, ONE, Echelon, echelon, identity, kernel_basis,
                      rref, solve_unique)
 
 _T = sympy.Symbol("T")
-
-
-def _poly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g over Q, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [ONE], []
-    t0, t1 = [], [ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        t = _poly_sub(t0, _poly_mul(q, t1))
-        r0, r1, s0, s1, t0, t1 = r1, r, s1, s, t1, t
-    lead = r0[-1]
-    inv = 1 / lead
-    return ([c * inv for c in r0], [c * inv for c in s0], [c * inv for c in t0])
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else ZERO) - (b[i] if i < len(b) else ZERO)
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m):
-    _, r = _poly_divmod(a, m)
-    return r
 
 
 def _factor_over_q(coeffs):

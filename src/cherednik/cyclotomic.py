@@ -50,6 +50,32 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO)
+           for i in range(n)]
+    return _poly_trim(out)
+
+
+def _poly_mod(a, m):
+    _, r = _poly_divmod(a, m)
+    return r
+
+
+def _poly_xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g over Q, g monic."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [_ONE], []
+    t0, t1 = [], [_ONE]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        s = _poly_sub(s0, _poly_mul(q, s1))
+        t = _poly_sub(t0, _poly_mul(q, t1))
+        r0, r1, s0, s1, t0, t1 = r1, r, s1, s, t1, t
+    inv = 1 / r0[-1]
+    return [c * inv for c in r0], [c * inv for c in s0], [c * inv for c in t0]
+
+
 def cyclotomic_polynomial(n):
     """Coefficients (ascending, Fractions) of the n-th cyclotomic polynomial."""
     p = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
@@ -247,25 +273,11 @@ class Cyc:
             return Cyc.rational(1 / self.c[0], self.n)
         # extended Euclid in Q[x] against the cyclotomic polynomial
         phi = cyclotomic_polynomial(self.n)
-        deg = len(phi) - 1
-        a = [self.c.get(i, _ZERO) for i in range(deg)]
-        _poly_trim(a)
-        r0, r1 = phi, a
-        s0, s1 = [], [_ONE]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            s = [x for x in s0]
-            qs1 = _poly_mul(q, s1)
-            ln = max(len(s), len(qs1))
-            s = [(s[i] if i < len(s) else _ZERO) - (qs1[i] if i < len(qs1) else _ZERO)
-                 for i in range(ln)]
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
-        if len(r1) != 1:
+        a = _poly_trim([self.c.get(i, _ZERO) for i in range(len(phi) - 1)])
+        g, _, inv = _poly_xgcd(phi, a)
+        if len(g) != 1:
             raise ArithmeticError("element not invertible mod cyclotomic polynomial")
-        inv_lead = 1 / r1[0]
-        return Cyc(self.n, {i: v * inv_lead for i, v in enumerate(s1) if v})
+        return Cyc(self.n, {i: v for i, v in enumerate(inv) if v})
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -301,12 +313,8 @@ class Cyc:
         if isinstance(other, Cyc):
             if self.n == other.n:
                 return self.c == other.c
-            if self.is_rational() and other.is_rational():
-                return self.rational_value() == other.rational_value()
-            if self.n % other.n == 0 or other.n % self.n == 0:
-                m = self.n * other.n // gcd(self.n, other.n)
-                return Cyc.of(self, m).c == Cyc.of(other, m).c
-            return False
+            m = self.n * other.n // gcd(self.n, other.n)
+            return Cyc.of(self, m).c == Cyc.of(other, m).c
         return NotImplemented
 
     def __hash__(self):

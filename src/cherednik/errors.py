@@ -55,9 +55,14 @@ class TieDetected(CherednikError):
         self.labels = tuple(labels)
 
 
-class InvalidElement(CherednikError, ValueError):
-    """Element text that does not parse, or an undefined operation on an
-    element such as a negative power."""
+class InvalidInput(CherednikError, ValueError):
+    """Input that names nothing or does not parse: a group spec or group
+    file, a parameter, a point, a representation label."""
+
+
+class InvalidElement(InvalidInput):
+    """Element text that does not parse or names no generator, or an
+    undefined operation on an element such as a negative power."""
 
 
 class DimensionMismatch(CherednikError):

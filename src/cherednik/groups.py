@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .cyclotomic import Cyc
-from .errors import CapExceeded, CherednikError, UnsupportedGroup
+from .errors import (CapExceeded, CherednikError, InvalidInput,
+                     UnsupportedGroup)
 from .linalg import ONE, ZERO, identity, mat_mul, rank, transpose
 
 ORDER_CAP = 720
@@ -696,7 +697,7 @@ def _char_sort_key(chi):
 
 def build_zm(m, cap=ORDER_CAP):
     if m < 1:
-        raise ValueError("m >= 1 required")
+        raise InvalidInput("m >= 1 required")
     if m > cap:
         raise CapExceeded(f"|W| = {m} exceeds cap {cap}")
     N = m
@@ -721,11 +722,11 @@ def build_zm(m, cap=ORDER_CAP):
 
 def build_sn(n, rep="permutation", cap=ORDER_CAP):
     if not 1 <= n <= 6:
-        raise ValueError("1 <= n <= 6 required")
+        raise InvalidInput("1 <= n <= 6 required")
     if factorial(n) > cap:
         raise CapExceeded(f"|W| = {factorial(n)} exceeds cap {cap}")
     if rep not in ("permutation", "reduced"):
-        raise ValueError(f"unknown S_n representation {rep!r}")
+        raise InvalidInput(f"unknown S_n representation {rep!r}")
     metas = sorted(itertools.permutations(range(n)))
     N = 1
     for k in range(1, n + 1):
@@ -769,7 +770,7 @@ def build_sn(n, rep="permutation", cap=ORDER_CAP):
 
 def build_i2(m, cap=ORDER_CAP):
     if m < 1:
-        raise ValueError("m >= 1 required")
+        raise InvalidInput("m >= 1 required")
     if 2 * m > cap:
         raise CapExceeded(f"|W| = {2 * m} exceeds cap {cap}")
     lcm = 2 * m // gcd(2, m)
@@ -860,14 +861,15 @@ def build_group(spec, cap=ORDER_CAP):
     """Build from a shorthand string: "Zm:5", "Sn:4:permutation", "I2:6"."""
     parts = str(spec).split(":")
     fam = parts[0]
-    if fam == "Zm" and len(parts) == 2:
-        return build_zm(int(parts[1]), cap)
-    if fam == "Sn" and len(parts) in (2, 3):
-        rep = parts[2] if len(parts) == 3 else "permutation"
-        return build_sn(int(parts[1]), rep, cap)
-    if fam == "I2" and len(parts) == 2:
-        return build_i2(int(parts[1]), cap)
-    raise ValueError(f"unrecognized group spec {spec!r}")
+    if len(parts) >= 2 and parts[1].isdigit():
+        if fam == "Zm" and len(parts) == 2:
+            return build_zm(int(parts[1]), cap)
+        if fam == "Sn" and len(parts) in (2, 3):
+            rep = parts[2] if len(parts) == 3 else "permutation"
+            return build_sn(int(parts[1]), rep, cap)
+        if fam == "I2" and len(parts) == 2:
+            return build_i2(int(parts[1]), cap)
+    raise InvalidInput(f"unrecognized group spec {spec!r}")
 
 
 def dual_rep(rep):

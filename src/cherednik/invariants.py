@@ -149,6 +149,7 @@ class InvariantTheory:
         self.side = side
         self.n = group.n
         self._act_images = {}
+        self._act_monos = {}
         self._fundamental = None
         self._coinv_basis = None
         self._decomp = {}
@@ -177,6 +178,15 @@ class InvariantTheory:
 
     def act(self, widx, poly):
         return psub_linear(poly, self._images(widx), self.n)
+
+    def _act_monomial(self, widx, mono):
+        """w . (the monomial with exponents mono), cached; callers must not
+        mutate the returned polynomial."""
+        key = (widx, mono)
+        out = self._act_monos.get(key)
+        if out is None:
+            out = self._act_monos[key] = self.act(widx, {mono: ONE})
+        return out
 
     def reynolds(self, poly):
         total = {}
@@ -355,8 +365,7 @@ class InvariantTheory:
         layer = self.coinvariant_basis[degree]
         cols = []
         for m in layer:
-            img = self.act(widx, {m: ONE})
-            red = self.reduce(img)
+            red = self.reduce(self._act_monomial(widx, m))
             cols.append([red.get(mm, ZERO) for mm in layer])
         return [[cols[j][i] for j in range(len(layer))]
                 for i in range(len(layer))]

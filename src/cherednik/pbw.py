@@ -22,9 +22,8 @@ import re
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .errors import DegreeCapExceeded, InvalidElement
+from .errors import DegreeCapExceeded, InvalidElement, InvalidInput
 from .linalg import ONE, ZERO
-from .polys import pmul
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -38,7 +37,7 @@ class Parameter:
                      else [])
         got = set(values)
         if labels != got:
-            raise ValueError(
+            raise InvalidInput(
                 f"parameter must assign exactly the reflection classes "
                 f"{sorted(labels)}, got {sorted(got)}")
         self.values = dict(values)
@@ -67,10 +66,6 @@ class Parameter:
                     break
             values[lbl] = Fraction(num, 1)
         return cls(group, values, claimed_generic=True)
-
-    @classmethod
-    def from_map(cls, group, mapping):
-        return cls(group, {lbl: mapping[lbl] for lbl in _labels(group)})
 
     def value(self, class_label):
         return self.values[class_label]
@@ -270,8 +265,9 @@ class CherednikAlgebra:
                           for r in group.reflections]
         self._comm_cache = {}
         self._ybxc_cache = {}
-        self._xact_cache = {}
-        self._yact_cache = {}
+        # w . x^a and w . y^b, cached per group
+        self._act_x = group.invariant_theory("x")._act_monomial
+        self._act_y = group.invariant_theory("y")._act_monomial
 
     # ---- constructors ------------------------------------------------------
     def zero(self):
@@ -321,45 +317,6 @@ class CherednikAlgebra:
         for i, c in enumerate(coeffs):
             if c:
                 out = out + self.y(i) * c
-        return out
-
-    # ---- group action on monomials ------------------------------------------
-    def _act_x(self, widx, mono):
-        """w . x^mono as a polynomial in the x variables."""
-        key = (widx, mono)
-        out = self._xact_cache.get(key)
-        if out is None:
-            a = self.group.hstar_matrix(widx)
-            out = {self._zero_exp: ONE}
-            for j, k in enumerate(mono):
-                for _ in range(k):
-                    img = {}
-                    for i in range(self.n):
-                        if a[i][j]:
-                            e = [0] * self.n
-                            e[i] = 1
-                            img[tuple(e)] = a[i][j]
-                    out = pmul(out, img)
-            self._xact_cache[key] = out
-        return out
-
-    def _act_y(self, widx, mono):
-        """w . y^mono as a polynomial in the y variables."""
-        key = (widx, mono)
-        out = self._yact_cache.get(key)
-        if out is None:
-            a = self.group.matrix(widx)
-            out = {self._zero_exp: ONE}
-            for j, k in enumerate(mono):
-                for _ in range(k):
-                    img = {}
-                    for i in range(self.n):
-                        if a[i][j]:
-                            e = [0] * self.n
-                            e[i] = 1
-                            img[tuple(e)] = a[i][j]
-                    out = pmul(out, img)
-            self._yact_cache[key] = out
         return out
 
     # ---- the defining commutator -----------------------------------------------
@@ -657,13 +614,14 @@ def _resolve_name(algebra, name):
     if m:
         i = int(m.group(2)) - 1
         if not 0 <= i < algebra.n:
-            raise ValueError(f"variable index out of range in {name!r}")
+            raise InvalidElement(f"variable index out of range in {name!r}")
         return algebra.x(i) if m.group(1) == "x" else algebra.y(i)
     m = re.fullmatch(r"w(\d+)", name)
     if m:
         idx = int(m.group(1))
         if not 0 <= idx < group.order:
-            raise ValueError(f"group element index out of range in {name!r}")
+            raise InvalidElement(
+                f"group element index out of range in {name!r}")
         return algebra.grp(idx)
     if name == "e":
         return algebra.symmetrizer()
@@ -671,4 +629,4 @@ def _resolve_name(algebra, name):
         return algebra.scalar(Cyc.zeta(group.conductor))
     if name in group.generators:
         return algebra.grp(group.generators[name])
-    raise ValueError(f"unknown generator {name!r} for group {group.name}")
+    raise InvalidElement(f"unknown generator {name!r} for group {group.name}")

@@ -163,6 +163,18 @@ class BlockPartition:
     def all_singletons(self):
         return all(b.is_singleton() for b in self.blocks)
 
+    def theorems_hold(self):
+        """The block theorems on ``verification`` (a verified partition):
+        e.L(lambda) is one-dimensional exactly on the distinguished member of
+        each block and zero on the others, and the center surjects onto the
+        endomorphisms of each distinguished baby Verma."""
+        e_dims = self.verification["e_dims"]
+        surjectivity = self.verification["center_surjectivity"]
+        return all(
+            e_dims[str(lbl)] == (1 if lbl == blk.distinguished else 0)
+            and surjectivity[str(blk.distinguished)]["surjective"]
+            for blk in self.blocks for lbl in blk.labels)
+
     def payload(self):
         return {
             "group": self.group.name,
@@ -405,8 +417,8 @@ class RestrictedCherednikAlgebra:
         mat = [[ZERO] * dim for _ in range(dim)]
         rho = rep.matrix(widx)
         for mi, m in enumerate(xb):
-            acted = self.itx.act(widx, {m: ONE})
-            red = self.itx.reduce(acted, self.x_values)
+            red = self.itx.reduce(self.itx._act_monomial(widx, m),
+                                  self.x_values)
             for m2, c in red.items():
                 mj = xb_index[m2]
                 for t in range(rep.dim):

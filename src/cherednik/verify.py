@@ -1,0 +1,259 @@
+"""The consolidated verification suite behind ``cherednik verify``.
+
+Six suites (PBW associativity, restricted dimensions, block partitions,
+character formulas, exterior-model identities, parabolic reduction), each a
+function ``(seed, deep)`` returning a list of ``{"name", "pass", ...}``
+checks.  ``run_verification`` runs a selection of them into one report; the
+report is deterministic for a fixed seed.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from .bv import (CONORMAL, NORMAL, TruncatedPolyModel, coordinate_sequence,
+                 koszul_homology, sample_identity_failures, virtual_homology)
+from .groups import build_group
+from .parabolic import (make_context, reduced_endo_character,
+                        verify_reduction_invariance)
+from .pbw import CherednikAlgebra, Parameter
+from .restricted import build_restricted
+from .series import DEFAULT_TRUNCATION, GradedCharacter, product_of_geometric
+from .verma import (dual_verma_pairing_expected, endo_character,
+                    ext_character, hook_identity_check, solve_eis,
+                    solve_eis_from_character, tor_character)
+
+PBW_GRID = ("Zm:2", "Zm:3", "Sn:2:permutation", "Sn:3:reduced", "I2:3")
+DIM_GRID = ("Zm:2", "Zm:3", "Sn:3:reduced", "Sn:2:permutation", "I2:4")
+CM_GRID = ("Zm:2", "Zm:3", "Zm:4", "Sn:2:permutation", "Sn:3:reduced", "I2:3")
+
+
+def _random_pbw(algebra, rng, max_terms=3, max_deg=2):
+    out = algebra.zero()
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        a = tuple(rng.randrange(0, max_deg) for _ in range(algebra.n))
+        b = tuple(rng.randrange(0, max_deg) for _ in range(algebra.n))
+        w = rng.randrange(algebra.group.order)
+        coeff = Fraction(rng.randrange(-4, 5))
+        if coeff:
+            out = out + algebra.monomial(a, w, b, coeff)
+    return out
+
+
+def _suite_pbw(seed, deep):
+    checks = []
+    for spec in PBW_GRID:
+        group = build_group(spec)
+        for cname, param in (("zero", Parameter.zero(group)),
+                             ("generic", Parameter.generic(group, seed))):
+            algebra = CherednikAlgebra(group, param)
+            rng = random.Random(seed)
+            ok_assoc = True
+            ok_skew = True
+            for _ in range(100):
+                u, v, w = (_random_pbw(algebra, rng) for _ in range(3))
+                if (u * v) * w != u * (v * w):
+                    ok_assoc = False
+                    break
+                if param.is_zero():
+                    if u * v != algebra.skew_multiply(u, v):
+                        ok_skew = False
+                        break
+            ok_comm = True
+            for i in range(group.n):
+                for j in range(group.n):
+                    xi, xj = algebra.x(i), algebra.x(j)
+                    yi, yj = algebra.y(i), algebra.y(j)
+                    if xi * xj != xj * xi or yi * yj != yj * yi:
+                        ok_comm = False
+            checks.append({"name": f"pbw:{spec}:c={cname}",
+                           "pass": ok_assoc and ok_skew and ok_comm})
+    return checks
+
+
+def _suite_dimensions(seed, deep):
+    expected = {"Zm:2": 8, "Zm:3": 27, "Sn:3:reduced": 216,
+                "Sn:2:permutation": 8, "I2:4": 512}
+    checks = []
+    for spec in DIM_GRID:
+        group = build_group(spec)
+        rest = build_restricted(group, Parameter.generic(group, seed))
+        ok = rest.dim == expected[spec] == group.order ** 3
+        checks.append({"name": f"dimension:{spec}", "pass": ok,
+                       "dim": rest.dim})
+    return checks
+
+
+def _suite_cm(seed, deep):
+    checks = []
+    grid = list(CM_GRID) + (["I2:4"] if deep else [])
+    for spec in grid:
+        group = build_group(spec)
+        for cname, param in (("generic", Parameter.generic(group, seed)),
+                             ("zero", Parameter.zero(group))):
+            rest = build_restricted(group, param)
+            part = rest.cm_partition(seed=seed, verify=True)
+            ok = part.route_agreement and part.theorems_hold()
+            detail = {"blocks": [list(map(str, b.labels))
+                                 for b in part.blocks]}
+            if cname == "generic":
+                ok = ok and part.all_singletons()
+            if cname == "zero" and spec in ("Zm:2", "Zm:3"):
+                ok = ok and len(part.blocks) == 1
+                ok = ok and str(part.blocks[0].distinguished) == "chi0"
+            if spec == "Sn:3:reduced" and cname == "generic":
+                ok = ok and len(part.blocks) == 3
+            # c = 0 degeneration: the independent skew backend must agree
+            if param.is_zero():
+                skew = build_restricted(group, param, backend="skew")
+                part2 = skew.cm_partition(seed=seed, verify=False)
+                shape1 = sorted(sorted(map(str, b.labels))
+                                for b in part.blocks)
+                shape2 = sorted(sorted(map(str, b.labels))
+                                for b in part2.blocks)
+                ok = ok and shape1 == shape2
+            checks.append({"name": f"cm:{spec}:c={cname}", "pass": ok,
+                           **detail})
+    return checks
+
+
+def _suite_characters(seed, deep):
+    checks = []
+    trunc = DEFAULT_TRUNCATION
+    # hook identities
+    for n in (2, 3) + ((4,) if deep else ()):
+        group = build_group(f"Sn:{n}:permutation")
+        ok = all(hook_identity_check(group, rep.label, trunc)
+                 for rep in group.irreps)
+        checks.append({"name": f"hook:Sn:{n}", "pass": ok})
+    # generator degrees
+    ok_eis = True
+    for m in (2, 3, 4):
+        group = build_group(f"Zm:{m}")
+        for rep in group.irreps:
+            eis = solve_eis(group, rep, trunc)
+            if eis.exponents != (m,):
+                ok_eis = False
+    s3 = build_group("Sn:3:permutation")
+    eis = solve_eis(s3, s3.irrep((2, 1)), trunc)
+    if eis.exponents != (1, 1, 3):
+        ok_eis = False
+    synthetic = GradedCharacter({0: Fraction(1), 1: Fraction(1)}, trunc)
+    if solve_eis_from_character(synthetic, 1, trunc).is_solution():
+        ok_eis = False
+    # reconstruction
+    for group, lbl in ((s3, (2, 1)), (build_group("Zm:3"), "chi1")):
+        rep = group.irrep(lbl)
+        eis = solve_eis(group, rep, trunc)
+        recon = product_of_geometric(eis.exponents, trunc)
+        if not recon.equals(endo_character(group, rep, trunc), up_to=trunc):
+            ok_eis = False
+    checks.append({"name": "generator-degrees", "pass": ok_eis})
+    # tor/ext consistency
+    ok_te = True
+    for spec, lbl in (("Zm:2", "chi1"), ("Zm:3", "chi2"),
+                      ("Sn:3:permutation", (2, 1))):
+        group = build_group(spec)
+        rep = group.irrep(lbl)
+        eis = solve_eis(group, rep, trunc)
+        endo = endo_character(group, rep, trunc)
+        tor = tor_character(group, rep, eis, trunc)
+        ext = ext_character(group, rep, eis, trunc)
+        if not tor.t_slice(0).equals(endo, up_to=trunc):
+            ok_te = False
+        if not ext.t_slice(0).equals(endo, up_to=trunc):
+            ok_te = False
+        top = sum(eis.exponents)
+        if not ext.t_slice(group.n).equals(endo.shift(top), up_to=trunc):
+            ok_te = False
+        if not tor.t_slice(group.n).equals(endo.shift(-top), up_to=trunc):
+            ok_te = False
+    checks.append({"name": "tor-ext-slices", "pass": ok_te})
+    return checks
+
+
+def _suite_bv(seed, deep):
+    checks = []
+    for n in (1, 2, 3):
+        for trunc in (4, 6, 8):
+            model = TruncatedPolyModel(n, trunc)
+            failures = sample_identity_failures(model, random.Random(seed), 50)
+            ok = not any(failures)
+            vh_c = virtual_homology(model, CONORMAL)
+            vh_n = virtual_homology(model, NORMAL)
+            ok = ok and vh_c["total"] == 1 and vh_n["total"] == 1
+            kz = koszul_homology(n, trunc, coordinate_sequence(n),
+                                 vanishing_vars=list(range(n)))
+            expected = dual_verma_pairing_expected(n)
+            ok = ok and kz["regular"]
+            ok = ok and kz["homology"].get(0, 0) == expected["tor"][0][1]
+            ok = ok and kz["cohomology_reindexed"].get(n, 0) == \
+                expected["ext"][0][1]
+            checks.append({"name": f"bv:n={n}:D={trunc}", "pass": ok})
+    return checks
+
+
+def _suite_parabolic(seed, deep):
+    checks = []
+    grid = [
+        ("Sn:3:permutation", ((1, 1, 0), (1, 2, 3), (0, 0, 0))),
+        ("I2:4", ((1, 1), (0, 0))),
+        ("Zm:3", ((1,), (0,))),
+    ]
+    for spec, points in grid:
+        group = build_group(spec)
+        param = Parameter.generic(group, seed)
+        ok = True
+        for coords in points:
+            point = tuple(map(Fraction, coords))
+            ctx = make_context(group, param, point)
+            if len(ctx.orbit) * ctx.stabilizer.order != group.order:
+                ok = False
+            if all(not v for v in point):
+                # reduction at 0 must be the identity
+                for rep in group.irreps:
+                    lbl = rep.label
+                    r2 = ctx.stabilizer.irrep(lbl)
+                    if not reduced_endo_character(ctx, r2, 12).equals(
+                            endo_character(group, rep, 12), up_to=12):
+                        ok = False
+            rng = random.Random(seed)
+            for _ in range(2):
+                widx = rng.randrange(group.order)
+                if not verify_reduction_invariance(group, param, point, widx,
+                                                   truncation=12):
+                    ok = False
+        checks.append({"name": f"parabolic:{spec}", "pass": ok})
+    return checks
+
+
+SUITES = {
+    "pbw": _suite_pbw,
+    "dimensions": _suite_dimensions,
+    "cm": _suite_cm,
+    "characters": _suite_characters,
+    "bv": _suite_bv,
+    "parabolic": _suite_parabolic,
+}
+
+
+def run_verification(seed=0, deep=False, inject_fault=None, suites=None):
+    """Run the named suites (default all) into one report.
+
+    ``inject_fault`` names a suite whose every check is reported as failed,
+    to exercise the failure path of the report and the exit code.
+    """
+    report = {"command": "verify", "seed": seed, "deep": deep,
+              "suites": {}}
+    all_pass = True
+    for name in suites or list(SUITES):
+        checks = SUITES[name](seed, deep)
+        if name == inject_fault:
+            for check in checks:
+                check["pass"] = False
+        ok = all(c["pass"] for c in checks)
+        all_pass = all_pass and ok
+        report["suites"][name] = {"pass": ok, "checks": checks}
+    report["all_pass"] = all_pass
+    return report

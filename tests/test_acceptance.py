@@ -7,6 +7,7 @@ lines; the optional deep checks (n = 4 hook identities) are enabled with
 the environment variable CHEREDNIK_DEEP=1.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -23,6 +24,10 @@ from conftest import algebra, group, parameter, partition, restricted
 F = Fraction
 TRUNC = 24
 DEEP = os.environ.get("CHEREDNIK_DEEP") == "1"
+# SHA-256 of the json report of ``cherednik --seed 3 verify``: a refactor must
+# leave the report byte for byte the same.
+VERIFY_SEED_3_SHA256 = (
+    "64df8b486f499b721c936f610237606976cb5bcf64ca8a33dea3aa37104581ce")
 
 
 def report(num, ok, detail=""):
@@ -307,7 +312,9 @@ def test_criterion_10_determinism(tmp_path):
     rc1 = cli_main(["--seed", "3", "--out", str(out1), "verify"])
     rc2 = cli_main(["--seed", "3", "--out", str(out2), "verify"])
     same = out1.read_bytes() == out2.read_bytes()
+    pinned = (hashlib.sha256(out1.read_bytes()).hexdigest()
+              == VERIFY_SEED_3_SHA256)
     rep = json.loads(out1.read_text(encoding="utf-8"))
-    ok = rc1 == 0 and rc2 == 0 and same and rep["all_pass"]
-    report(10, ok, "verify runs are byte-identical at fixed seed and "
-           "all suites pass")
+    ok = rc1 == 0 and rc2 == 0 and same and pinned and rep["all_pass"]
+    report(10, ok, "verify runs are byte-identical at fixed seed, match the "
+           "pinned report, and all suites pass")

@@ -28,9 +28,16 @@ def test_group_trivial(tmp_path):
     assert report["reflection_count"] == 0
 
 
-def test_malformed_group_spec():
-    with pytest.raises(ValueError):
-        main(["group", "--group", "Xx:9"])
+def rejected(capsys, *argv):
+    """Exit status and the first stderr line of a run on bad input."""
+    rc = main(list(argv))
+    return rc, capsys.readouterr().err.splitlines()[0]
+
+
+def test_malformed_group_spec(capsys):
+    rc, err = rejected(capsys, "group", "--group", "Xx:9")
+    assert rc == 2
+    assert err.startswith("error: ") and "Xx:9" in err
 
 
 def test_cm_command(tmp_path):
@@ -100,9 +107,11 @@ def test_element_command_syntax_error_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_element_command_bad_generator():
-    with pytest.raises(ValueError):
-        main(["element", "--group", "Zm:2", "--c", "1", "--expr", "s12"])
+def test_element_command_bad_generator(capsys):
+    rc, err = rejected(capsys, "element", "--group", "Zm:2", "--c", "1",
+                       "--expr", "s12")
+    assert rc == 2
+    assert err.startswith("error: ") and "s12" in err
 
 
 def test_reduce_command(tmp_path):
@@ -115,9 +124,30 @@ def test_reduce_command(tmp_path):
     assert set(report["reduced_endo_characters"]) == {"(2,)", "(1, 1)"}
 
 
-def test_reduce_point_validation():
-    with pytest.raises(ValueError):
-        main(["reduce", "--group", "Zm:3", "--c", "zero", "--point", "1,2"])
+def test_reduce_point_validation(capsys):
+    rc, err = rejected(capsys, "reduce", "--group", "Zm:3", "--c", "zero",
+                       "--point", "1,2")
+    assert rc == 2
+    assert err.startswith("error: ") and "coordinates" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--group", "Zm:x"],
+    ["group", "--group", "Sn:3:bogus"],
+    ["group", "--group", "@/nonexistent/group.json"],
+    ["reduce", "--group", "Zm:3", "--point", "a"],
+    ["reduce", "--group", "Zm:3", "--point", "1/"],
+    ["cm", "--group", "Zm:2", "--c", "foo"],
+    ["cm", "--group", "Zm:2", "--c", "generic:x"],
+    ["cm", "--group", "Zm:2", "--c", "c0=1/0"],
+    ["cm", "--group", "Zm:2", "--c", "c9=1"],
+    ["characters", "--group", "Zm:2", "--rep", "bogus"],
+    ["element", "--group", "Zm:2", "--expr", "x2"],
+])
+def test_bad_input_exits_2_with_error_line(capsys, argv):
+    rc, err = rejected(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ")
 
 
 def test_bv_check_command(tmp_path):
@@ -159,12 +189,18 @@ def test_verify_subset_and_determinism(tmp_path):
 
 
 def test_verify_inject_fault(tmp_path):
-    rc, report = run_json(tmp_path, "--seed", "3", "verify",
-                          "--suites", "characters",
-                          "--inject-fault", "characters")
+    argv = ["--seed", "3", "verify", "--suites", "characters,dimensions"]
+    rc, report = run_json(tmp_path, *argv, "--inject-fault", "characters")
     assert rc == 1
     assert not report["all_pass"]
-    assert not report["suites"]["characters"]["pass"]
+    faulted = report["suites"]["characters"]
+    assert not faulted["pass"]
+    assert faulted["checks"] and not any(c["pass"] for c in faulted["checks"])
+    rc_clean, clean = run_json(tmp_path, *argv)
+    assert rc_clean == 0
+    assert report["suites"]["dimensions"] == clean["suites"]["dimensions"]
+    assert [c["name"] for c in faulted["checks"]] == [
+        c["name"] for c in clean["suites"]["characters"]["checks"]]
 
 
 def test_verify_unknown_suite():

@@ -57,9 +57,10 @@ def test_field_axioms(data, n):
 def test_hash_agrees_with_eq_across_conductors(data, n, k):
     a = _rand_cyc(data.draw, n)
     b = Cyc.of(a, n * k)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1
+    c = Cyc.of(a, n * (k + 1))   # neither of nk, n(k+1) divides the other
+    assert a == b and b == c and c == b
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,21 @@ def test_thm_block_checks_s3():
         rpt = part.verification["center_surjectivity"][str(blk.distinguished)]
         assert rpt["surjective"]
         assert rpt["dim_end"] == rpt["dim_center_image"]
+
+
+@pytest.mark.parametrize("flip", [
+    lambda v: v["e_dims"].update(chi0=0),
+    lambda v: v["e_dims"].update(chi1=1),
+    lambda v: v["center_surjectivity"]["chi0"].update(surjective=False),
+], ids=["distinguished-e-dim", "other-e-dim", "surjectivity"])
+def test_theorems_hold_sees_one_flipped_entry(flip):
+    # one block {chi0, chi1} with chi0 distinguished
+    part = partition("Zm:2", "zero")
+    assert part.theorems_hold()
+    broken = copy.copy(part)
+    broken.verification = copy.deepcopy(part.verification)
+    flip(broken.verification)
+    assert not broken.theorems_hold()
 
 
 def test_center_surjectivity_z2():
