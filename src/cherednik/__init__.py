@@ -8,7 +8,7 @@ reduction to stabilizer pairs, and exterior-algebra models with their
 odd differentials and homology.
 """
 
-from .cyclotomic import Cyc, Rational, cyclotomic_polynomial, euler_phi
+from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
 from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      DegreeCapExceeded, DimensionMismatch,
                      FieldExtensionNeeded, InvalidElement, InvalidInput,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .bv import (CONORMAL, NORMAL, TruncatedPolyModel, coordinate_sequence,
                  koszul_homology, sample_identity_failures, virtual_homology)
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, scalar_payload
 from .errors import CherednikError, InvalidInput
 from .groups import build_from_generators, build_group
 from .parabolic import make_context, reduced_endo_character
@@ -45,10 +45,22 @@ def _load_group(spec, cap=720):
         except (OSError, ValueError) as exc:
             raise InvalidInput(f"cannot read group file {spec[1:]!r}: "
                                f"{exc}") from None
-        n = int(data["conductor"])
-        gens = [[[Cyc.from_literals(n, entry) for entry in row]
-                 for row in mat]
-                for mat in data["generators"]]
+        try:
+            n = int(data["conductor"])
+            if n < 1:
+                raise ValueError(f"conductor {n} < 1")
+            gens = [[[Cyc.from_literals(n, entry) for entry in row]
+                     for row in mat]
+                    for mat in data["generators"]]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInput(f"malformed group file {spec[1:]!r}: "
+                               f"{type(exc).__name__}: {exc}") from None
+        size = len(gens[0]) if gens else 0
+        if not size or any(len(mat) != size or any(len(row) != size
+                                                   for row in mat)
+                           for mat in gens):
+            raise InvalidInput(f"group file {spec[1:]!r} needs at least one "
+                               "generator, all square matrices of one size")
         return build_from_generators(n, gens, name=data.get("name", "custom"),
                                      cap=cap)
     return build_group(spec, cap=cap)
@@ -91,10 +103,8 @@ def _parse_point(text, n):
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, Cyc):
-        return obj.literals()
+    if isinstance(obj, (Fraction, Cyc)):
+        return scalar_payload(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -339,7 +349,7 @@ def cmd_verify(args):
     if suites:
         unknown = [s for s in suites if s not in SUITES]
         if unknown:
-            raise SystemExit(f"unknown suites: {unknown}")
+            raise InvalidInput(f"unknown suites: {unknown}")
     report = run_verification(seed=args.seed, deep=args.deep,
                               inject_fault=args.inject_fault, suites=suites)
     _emit(report, args)

@@ -41,7 +41,7 @@ def _factor_over_q(coeffs):
     return out
 
 
-def _cyc_components(value, conductor, phi):
+def _cyc_components(value, phi):
     """Decompose a scalar into its phi rational coordinates over Q."""
     if isinstance(value, Cyc):
         return [value.c.get(t, ZERO) for t in range(phi)]
@@ -53,7 +53,8 @@ class CommutativeAlgebra:
     """A commutative algebra given by basis-pair products.
 
     ``prods[i][j]`` is the coordinate vector of e_i * e_j; ``unit`` the
-    coordinates of 1.  Scalars are Fractions or Cyc of the stated conductor.
+    coordinates of 1.  A scalar is a Fraction exactly when it is rational,
+    and a Cyc of the stated conductor only when it is not.
     """
 
     def __init__(self, prods, unit, conductor=1, check=True):
@@ -178,17 +179,15 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
     def to_q(vec):
         out = []
         for v in vec:
-            out.extend(_cyc_components(v, conductor, phi))
+            out.extend(_cyc_components(v, phi))
         return out
 
     def from_q(qv):
         out = []
         for c in range(k):
             comps = qv[c * phi:(c + 1) * phi]
-            if phi == 1:
-                out.append(comps[0])
-            else:
-                out.append(Cyc(conductor, dict(enumerate(comps))))
+            out.append(Cyc(conductor, {t: v for t, v in enumerate(comps) if v},
+                           _reduced=True))
         return out
 
     def q_mul(u, v):
@@ -276,12 +275,6 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
 
 
 def _vec_sort_key(vec):
-    key = []
-    for v in vec:
-        if isinstance(v, Cyc):
-            key.append(tuple((e, c.numerator, c.denominator)
-                             for e, c in sorted(v.c.items())))
-        else:
-            f = Fraction(v)
-            key.append(((0, f.numerator, f.denominator),))
-    return key
+    """Each entry as its sorted (k, num, den) terms in zeta^k."""
+    return [tuple(map(tuple, v.literals())) if isinstance(v, Cyc)
+            else ((0, v.numerator, v.denominator),) for v in vec]

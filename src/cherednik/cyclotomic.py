@@ -1,10 +1,11 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic numbers.
 
 The coefficient field of every computation is Q(zeta_N) for a conductor N
-fixed per reflection group (plain rationals when N <= 2).  A ``Cyc`` is a
-sparse polynomial in zeta_N, kept reduced modulo the N-th cyclotomic
-polynomial, so representation and arithmetic are canonical and exact.  No
-floating point is used anywhere.
+fixed per reflection group.  One representation per value: a scalar is a
+``Fraction`` exactly when it is rational, and a ``Cyc`` of the group's
+conductor only when it is not.  A ``Cyc`` is a sparse polynomial in zeta_N,
+kept reduced modulo the N-th cyclotomic polynomial, so representation and
+arithmetic are canonical and exact.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd
-
-# Exact rational scalar used throughout the package.
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -133,92 +131,77 @@ def _mean_primitive_root(d):
     return out
 
 
+def _reduce(n, coeffs):
+    """Coefficients of sum(v * zeta_n^e) over the basis zeta_n^e, e < phi(n)."""
+    deg, table = _reduction(n)
+    out = {}
+    for e, v in coeffs.items():
+        v = Fraction(v)
+        if not v:
+            continue
+        e %= n
+        if e < deg:
+            out[e] = out.get(e, _ZERO) + v
+        else:
+            for e2, c2 in table[e].items():
+                out[e2] = out.get(e2, _ZERO) + v * c2
+    return {e: v for e, v in out.items() if v}
+
+
 class Cyc:
-    """An element of Q(zeta_N), reduced mod the N-th cyclotomic polynomial."""
+    """An irrational element of Q(zeta_N), reduced mod the N-th cyclotomic
+    polynomial.
+
+    ``Cyc(n, coeffs)`` is the one constructor and it canonicalizes: when the
+    reduced coefficients hold no term but zeta^0, it returns that coefficient
+    as a Fraction (Fraction(0) when there is none).  Every operation returns
+    through it, so a scalar is a Fraction exactly when it is rational and a
+    Cyc is never rational, in particular never zero.
+    """
 
     __slots__ = ("n", "c")
 
-    def __init__(self, n, coeffs=None, _reduced=False):
+    def __new__(cls, n, coeffs, _reduced=False):
+        if not _reduced:
+            coeffs = _reduce(n, coeffs)
+        if not coeffs:
+            return _ZERO
+        if len(coeffs) == 1 and 0 in coeffs:
+            return coeffs[0]
+        self = object.__new__(cls)
         self.n = n
-        if coeffs is None:
-            self.c = {}
-        elif _reduced:
-            self.c = coeffs
-        else:
-            deg, table = _reduction(n)
-            out = {}
-            for e, v in coeffs.items():
-                v = Fraction(v)
-                if not v:
-                    continue
-                e %= n
-                if e < deg:
-                    out[e] = out.get(e, _ZERO) + v
-                else:
-                    for e2, c2 in table[e].items():
-                        out[e2] = out.get(e2, _ZERO) + v * c2
-            self.c = {e: v for e, v in out.items() if v}
+        self.c = coeffs
+        return self
 
     # ---- constructors -------------------------------------------------
     @classmethod
-    def rational(cls, value, n=1):
-        v = Fraction(value)
-        return cls(n, {0: v} if v else {}, _reduced=True)
-
-    @classmethod
     def zeta(cls, n, k=1):
-        return cls(n, {k % n: _ONE})
+        return cls(n, {k: _ONE})
 
     @classmethod
     def of(cls, value, n):
-        """Coerce an int/Fraction/Cyc into Q(zeta_n)."""
-        if isinstance(value, Cyc):
-            if value.n == n:
-                return value
-            if value.is_rational():
-                return cls.rational(value.rational_value(), n)
-            if n % value.n == 0:
-                k = n // value.n
-                return cls(n, {e * k: v for e, v in value.c.items()})
+        """An int/Fraction/Cyc read in Q(zeta_n)."""
+        if not isinstance(value, Cyc):
+            return Fraction(value)
+        if n % value.n:
             raise ValueError(f"cannot coerce Q(zeta_{value.n}) into Q(zeta_{n})")
-        return cls.rational(value, n)
-
-    # ---- predicates ----------------------------------------------------
-    def is_rational(self):
-        return not self.c or (len(self.c) == 1 and 0 in self.c)
-
-    def rational_value(self):
-        if not self.c:
-            return _ZERO
-        if len(self.c) == 1 and 0 in self.c:
-            return self.c[0]
-        raise ValueError(f"{self!r} is not rational")
-
-    def __bool__(self):
-        return bool(self.c)
+        k = n // value.n
+        return cls(n, {e * k: v for e, v in value.c.items()})
 
     # ---- arithmetic ----------------------------------------------------
-    def _coerce(self, other):
+    def _terms(self, other):
+        """Coefficients of a scalar in this field, None for anything else."""
         if isinstance(other, Cyc):
-            if other.n == self.n:
-                return other
-            if other.is_rational():
-                return Cyc.rational(other.rational_value(), self.n)
-            if self.is_rational():
-                return None  # handled by caller re-dispatch
-            raise ValueError("mixed conductors")
+            if other.n != self.n:
+                raise ValueError("mixed conductors")
+            return other.c
         if isinstance(other, (int, Fraction)):
-            return Cyc.rational(other, self.n)
+            return {0: other}
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, Cyc):
-                return other + self  # self rational, other's field wins
-            return NotImplemented
+    def _plus(self, terms):
         out = dict(self.c)
-        for e, v in o.c.items():
+        for e, v in terms.items():
             w = out.get(e, _ZERO) + v
             if w:
                 out[e] = w
@@ -226,40 +209,37 @@ class Cyc:
                 out.pop(e, None)
         return Cyc(self.n, out, _reduced=True)
 
+    def __add__(self, other):
+        o = self._terms(other)
+        return NotImplemented if o is None else self._plus(o)
+
     __radd__ = __add__
 
     def __neg__(self):
         return Cyc(self.n, {e: -v for e, v in self.c.items()}, _reduced=True)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._terms(other)
         if o is None:
-            if isinstance(other, Cyc):
-                return -(other - self)
             return NotImplemented
-        return self + (-o)
+        return self._plus({e: -v for e, v in o.items()})
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, Cyc):
-                return other * self
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return _ZERO
+            return Cyc(self.n, {e: v * other for e, v in self.c.items()},
+                       _reduced=True)
+        if not isinstance(other, Cyc):
             return NotImplemented
-        a, b = self.c, o.c
-        if not a or not b:
-            return Cyc(self.n, {}, _reduced=True)
-        if len(a) == 1 and 0 in a:
-            v = a[0]
-            return Cyc(self.n, {e: v * w for e, w in b.items()}, _reduced=True)
-        if len(b) == 1 and 0 in b:
-            v = b[0]
-            return Cyc(self.n, {e: v * w for e, w in a.items()}, _reduced=True)
+        if other.n != self.n:
+            raise ValueError("mixed conductors")
         out = {}
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
+        for e1, v1 in self.c.items():
+            for e2, v2 in other.c.items():
                 e = e1 + e2
                 out[e] = out.get(e, _ZERO) + v1 * v2
         return Cyc(self.n, out)
@@ -267,59 +247,52 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.c:
-            raise ZeroDivisionError("division by zero cyclotomic number")
-        if self.is_rational():
-            return Cyc.rational(1 / self.c[0], self.n)
         # extended Euclid in Q[x] against the cyclotomic polynomial
         phi = cyclotomic_polynomial(self.n)
         a = _poly_trim([self.c.get(i, _ZERO) for i in range(len(phi) - 1)])
         g, _, inv = _poly_xgcd(phi, a)
         if len(g) != 1:
             raise ArithmeticError("element not invertible mod cyclotomic polynomial")
-        return Cyc(self.n, {i: v for i, v in enumerate(inv) if v})
+        return Cyc(self.n, dict(enumerate(inv)))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, Cyc):
-                return Cyc.of(self, other.n) / other
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, Cyc):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return Cyc.rational(other, self.n) / self
+        return self.inverse() * other
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyc.rational(1, self.n)
+        out = _ONE
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base * out
             base = base * base
             k >>= 1
         return out
 
     def conjugate(self):
         """Complex conjugation zeta -> zeta^{-1}."""
-        return Cyc(self.n, {(-e) % self.n: v for e, v in self.c.items()})
+        return Cyc(self.n, {-e: v for e, v in self.c.items()})
 
     # ---- comparison / hashing -------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.rational_value() == other
         if isinstance(other, Cyc):
             if self.n == other.n:
                 return self.c == other.c
             m = self.n * other.n // gcd(self.n, other.n)
             return Cyc.of(self, m).c == Cyc.of(other, m).c
+        if isinstance(other, (int, Fraction)):
+            return False
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.rational_value())
         # Tr/phi(n) is the same in every cyclotomic field containing the
         # value, so values equal across conductors hash alike.
         weights = _trace_weights(self.n)
@@ -330,8 +303,6 @@ class Cyc:
         return f"Cyc({self.n}, {self})"
 
     def __str__(self):
-        if not self.c:
-            return "0"
         parts = []
         for e in sorted(self.c):
             v = self.c[e]
@@ -358,6 +329,14 @@ class Cyc:
     @classmethod
     def from_literals(cls, n, triples):
         return cls(n, {int(k): Fraction(int(num), int(den)) for k, num, den in triples})
+
+
+def scalar_payload(value):
+    """The one report form of a scalar: [num, den] for a rational, the
+    [[k, num, den], ...] triples of ``Cyc.literals`` otherwise."""
+    if isinstance(value, Cyc):
+        return value.literals()
+    return [value.numerator, value.denominator]
 
 
 def euler_phi(n):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc
 from .errors import NotFactorizable
 from .linalg import ONE, ZERO, echelon, rref, trace
 from .polys import (monomials_of_degree, padd, pconst, pmul, pscale,
@@ -121,10 +120,7 @@ def fake_polynomial(group, rep):
             coeffs[e] = total
     out = {}
     for e, v in coeffs.items():
-        if isinstance(v, Cyc):
-            v = v.rational_value()
-        v = Fraction(v)
-        if v.denominator != 1 or v < 0:
+        if not isinstance(v, Fraction) or v.denominator != 1 or v < 0:
             raise ArithmeticError(
                 f"fake polynomial has a bad coefficient {v} at q^{e}")
         out[e] = v
@@ -153,7 +149,7 @@ class InvariantTheory:
         self._fundamental = None
         self._coinv_basis = None
         self._decomp = {}
-        self._reduce_cache = {}
+        self._fibers = {}
 
     # ---- group action on polynomials -------------------------------------
     def _images(self, widx):
@@ -314,40 +310,25 @@ class InvariantTheory:
                                {m: i for i, m in enumerate(monos)})
         return self._decomp[d]
 
+    def fiber(self, values):
+        """The memo {monomial: image in C[vars]/(f_i - values_i) over the
+        coinvariant basis} of one fiber; index it by monomial."""
+        values = tuple(values)
+        fib = self._fibers.get(values)
+        if fib is None:
+            fib = self._fibers[values] = _Fiber(self, values)
+        return fib
+
     def reduce_monomial(self, mono, values):
         """Image of a monomial in C[vars]/(f_i - values_i), over coinv basis."""
-        key = (mono, tuple(values))
-        out = self._reduce_cache.get(key)
-        if out is None:
-            d = sum(mono)
-            inverse, col_info, monos, mono_index = self._decomposition(d)
-            col = mono_index[mono]
-            out = {}
-            for j, (m, combo) in enumerate(col_info):
-                c = inverse[j][col]
-                if not c:
-                    continue
-                v = c
-                for val, k in zip(values, combo):
-                    if k:
-                        if not val:
-                            v = ZERO
-                            break
-                        v = v * val ** k
-                if v:
-                    out[m] = out.get(m, ZERO) + v
-            out = {m: v for m, v in out.items() if v}
-            self._reduce_cache[key] = out
-        return out
+        return self.fiber(values)[mono]
 
     def reduce(self, poly, values=None):
         """Reduce a polynomial modulo the fiber ideal (f_i - values_i)."""
-        if values is None:
-            values = (ZERO,) * self.n
-        values = tuple(values)
+        fib = self.fiber((ZERO,) * self.n if values is None else values)
         total = {}
         for mono, c in poly.items():
-            for m, v in self.reduce_monomial(mono, values).items():
+            for m, v in fib[mono].items():
                 w = total.get(m, ZERO) + c * v
                 if w:
                     total[m] = w
@@ -384,10 +365,39 @@ class InvariantTheory:
                 total = total + len(cls) * tr * rep_char
             total = total * Fraction(1, self.group.order)
             if total:
-                if isinstance(total, Cyc):
-                    total = total.rational_value()
-                out[d] = Fraction(total)
+                out[d] = total
         return GradedCharacter(out)
+
+
+class _Fiber(dict):
+    """Monomial -> its image modulo one fiber ideal, computed on first use."""
+
+    def __init__(self, theory, values):
+        super().__init__()
+        self.theory = theory
+        self.values = values
+
+    def __missing__(self, mono):
+        inverse, col_info, _monos, mono_index = self.theory._decomposition(
+            sum(mono))
+        col = mono_index[mono]
+        out = {}
+        for j, (m, combo) in enumerate(col_info):
+            c = inverse[j][col]
+            if not c:
+                continue
+            v = c
+            for val, k in zip(self.values, combo):
+                if k:
+                    if not val:
+                        v = ZERO
+                        break
+                    v = v * val ** k
+            if v:
+                out[m] = out.get(m, ZERO) + v
+        out = {m: v for m, v in out.items() if v}
+        self[mono] = out
+        return out
 
 
 def degrees_of(polys):

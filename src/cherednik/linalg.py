@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and Q(zeta_N).
 
-Entries are Fractions or Cyc values; the two interoperate, and Fraction(0)/
-Fraction(1) serve as universal zero/one.  All elimination goes through one
+An entry is a Fraction exactly when it is rational and a Cyc only when it is
+not (``cyclotomic`` canonicalizes every result), so Fraction(0)/Fraction(1)
+are the only zero/one.  All elimination goes through one
 kernel, ``Echelon``: a sparse reduced row echelon form built one vector at a
 time.  ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are thin wrappers
 over it; results satisfy A.x = b on re-substitution, exactly.

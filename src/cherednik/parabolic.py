@@ -10,6 +10,7 @@ ambient space h (so the degrees multiset always has n = dim h entries).
 
 from __future__ import annotations
 
+from .cyclotomic import scalar_payload
 from .errors import CherednikError
 from .series import DEFAULT_TRUNCATION
 from .verma import endo_character
@@ -32,7 +33,7 @@ class ReductionContext:
 
     def payload(self):
         def pt(p):
-            return [_scalar_payload(v) for v in p]
+            return [scalar_payload(v) for v in p]
         return {
             "group": self.group.name,
             "parameter": self.param.payload(),
@@ -47,13 +48,6 @@ class ReductionContext:
     def __repr__(self):
         return (f"ReductionContext(point={self.point}, orbit={len(self.orbit)},"
                 f" |W_p|={self.stabilizer.order})")
-
-
-def _scalar_payload(v):
-    from fractions import Fraction
-    if isinstance(v, Fraction):
-        return [v.numerator, v.denominator]
-    return v.literals()
 
 
 def make_context(group, param, point):

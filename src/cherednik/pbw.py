@@ -21,7 +21,7 @@ import random
 import re
 from fractions import Fraction
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, scalar_payload
 from .errors import DegreeCapExceeded, InvalidElement, InvalidInput
 from .linalg import ONE, ZERO
 
@@ -86,18 +86,8 @@ class Parameter:
             out[r.class_label] = v
         return Parameter(subgroup, out, claimed_generic=self.claimed_generic)
 
-    def key(self):
-        return tuple(sorted((lbl, _scalar_key(v))
-                            for lbl, v in self.values.items()))
-
     def payload(self):
-        out = {}
-        for lbl, v in sorted(self.values.items()):
-            if isinstance(v, Fraction):
-                out[lbl] = [v.numerator, v.denominator]
-            else:
-                out[lbl] = v.literals()
-        return out
+        return {lbl: scalar_payload(v) for lbl, v in sorted(self.values.items())}
 
     def __repr__(self):
         vals = ", ".join(f"{k}={v}" for k, v in sorted(self.values.items()))
@@ -106,13 +96,6 @@ class Parameter:
 
 def _labels(group):
     return group.reflection_class_labels if group.reflections else []
-
-
-def _scalar_key(v):
-    if isinstance(v, Fraction):
-        return (0, v.numerator, v.denominator)
-    return tuple(sorted((e, c.numerator, c.denominator)
-                        for e, c in v.c.items()))
 
 
 class PBWElement:
@@ -186,8 +169,7 @@ class PBWElement:
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((k, _scalar_key(v) if not isinstance(v, Fraction)
-                               else v) for k, v in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

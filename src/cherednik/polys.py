@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials as {exponent tuple: coefficient} dicts.
 
-Coefficients are Fractions or Cyc values (they interoperate); the zero
-polynomial is the empty dict.  These are plain functions rather than a class:
+A coefficient is a Fraction exactly when it is rational and a Cyc only when
+it is not; the zero polynomial is the empty dict.  These are plain functions rather than a class:
 the dict representation is shared with the normal-form engine, where keys are
 unpacked constantly.
 """

@@ -214,6 +214,8 @@ class RestrictedCherednikAlgebra:
         self.b_point = tuple(b_point)
         self.x_values = self.itx.invariant_values_at(self.b_point)
         self.y_values = (ZERO,) * group.n
+        self._x_fiber = self.itx.fiber(self.x_values)
+        self._y_fiber = self.ity.fiber(self.y_values)
         self.graded = not any(self.x_values)
         self.x_basis = self.itx.coinv_monomials()
         self.y_basis = self.ity.coinv_monomials()
@@ -242,8 +244,8 @@ class RestrictedCherednikAlgebra:
         """Image of a PBW element: sparse {basis index: coeff}."""
         out = {}
         for (a, w, b), v in element.terms.items():
-            xred = self.itx.reduce_monomial(a, self.x_values)
-            yred = self.ity.reduce_monomial(b, self.y_values)
+            xred = self._x_fiber[a]
+            yred = self._y_fiber[b]
             for xm, cx in xred.items():
                 cvx = v * cx
                 for ym, cy in yred.items():
@@ -380,7 +382,7 @@ class RestrictedCherednikAlgebra:
             for mi, m in enumerate(xb):
                 e = list(m)
                 e[i] += 1
-                red = self.itx.reduce_monomial(tuple(e), self.x_values)
+                red = self._x_fiber[tuple(e)]
                 for m2, c in red.items():
                     mj = xb_index[m2]
                     for t in range(rep.dim):
@@ -391,7 +393,7 @@ class RestrictedCherednikAlgebra:
             mat = [[ZERO] * dim for _ in range(dim)]
             for mi, m in enumerate(xb):
                 for (e, s), c in self.algebra._comm_mono(j, m).items():
-                    red = self.itx.reduce_monomial(e, self.x_values)
+                    red = self._x_fiber[e]
                     rho = rep.matrix(s)
                     for m2, c2 in red.items():
                         mj = xb_index[m2]

@@ -13,7 +13,7 @@ import os
 import random
 from fractions import Fraction
 
-from cherednik.cli import main as cli_main
+from cherednik.cli import _to_csv, _to_table, main as cli_main
 from cherednik.groups import build_group
 from cherednik.series import GradedCharacter, product_of_geometric
 from cherednik.verma import (dual_verma_pairing_expected, endo_character,
@@ -26,8 +26,12 @@ TRUNC = 24
 DEEP = os.environ.get("CHEREDNIK_DEEP") == "1"
 # SHA-256 of the json report of ``cherednik --seed 3 verify``: a refactor must
 # leave the report byte for byte the same.
-VERIFY_SEED_3_SHA256 = (
-    "64df8b486f499b721c936f610237606976cb5bcf64ca8a33dea3aa37104581ce")
+# SHA-256 of the `verify --seed 3` report in each output format.
+VERIFY_SEED_3_SHA256 = {
+    "json": "64df8b486f499b721c936f610237606976cb5bcf64ca8a33dea3aa37104581ce",
+    "csv": "0b46d8a4c7ad8190cd5bb040c16320d8b492ec88c595c88e0ff213dfae6e1e01",
+    "table": "85b4aa2e43ad8f72bbf3a8c95109ba71b7533115c782e95afcf3b891b8a455ff",
+}
 
 
 def report(num, ok, detail=""):
@@ -312,9 +316,12 @@ def test_criterion_10_determinism(tmp_path):
     rc1 = cli_main(["--seed", "3", "--out", str(out1), "verify"])
     rc2 = cli_main(["--seed", "3", "--out", str(out2), "verify"])
     same = out1.read_bytes() == out2.read_bytes()
-    pinned = (hashlib.sha256(out1.read_bytes()).hexdigest()
-              == VERIFY_SEED_3_SHA256)
     rep = json.loads(out1.read_text(encoding="utf-8"))
+    # csv and table are derived from the json report, as the CLI does
+    texts = {"json": out1.read_text(encoding="utf-8"),
+             "csv": _to_csv(rep), "table": _to_table(rep)}
+    pinned = {fmt: hashlib.sha256(text.encode()).hexdigest()
+              for fmt, text in texts.items()} == VERIFY_SEED_3_SHA256
     ok = rc1 == 0 and rc2 == 0 and same and pinned and rep["all_pass"]
     report(10, ok, "verify runs are byte-identical at fixed seed, match the "
-           "pinned report, and all suites pass")
+           "pinned report in json, csv and table, and all suites pass")

@@ -124,6 +124,23 @@ def test_reduce_command(tmp_path):
     assert set(report["reduced_endo_characters"]) == {"(2,)", "(1, 1)"}
 
 
+def test_reduce_orbit_coordinates_have_one_form(tmp_path):
+    # rational coordinates print as [num, den] (zero too, never []); only
+    # irrational ones print as [[k, num, den], ...] triples
+    rc, report = run_json(tmp_path, "reduce", "--group", "I2:4",
+                          "--point", "1,0", "--c", "generic:3")
+    assert rc == 0
+    coords = [x for p in report["orbit"] + [report["point"]] for x in p]
+    for x in coords:
+        rational = (len(x) == 2 and all(isinstance(v, int) for v in x)
+                    and x[1] > 0)
+        cyclotomic = (bool(x) and all(isinstance(t, list) and len(t) == 3
+                                      for t in x)
+                      and any(t[0] for t in x))
+        assert rational or cyclotomic, x
+    assert [0, 1] in coords
+
+
 def test_reduce_point_validation(capsys):
     rc, err = rejected(capsys, "reduce", "--group", "Zm:3", "--c", "zero",
                        "--point", "1,2")
@@ -143,8 +160,18 @@ def test_reduce_point_validation(capsys):
     ["cm", "--group", "Zm:2", "--c", "c9=1"],
     ["characters", "--group", "Zm:2", "--rep", "bogus"],
     ["element", "--group", "Zm:2", "--expr", "x2"],
+    # group files that parse as JSON but cannot be used; a dict stands for
+    # the file holding it
+    ["group", "--group", {"generators": [[[[[1, 1, 1]]]]]}],
+    ["group", "--group", {"conductor": 4, "generators": []}],
+    ["group", "--group", {"conductor": 4, "generators": [[[[[1, 1]]]]]}],
 ])
-def test_bad_input_exits_2_with_error_line(capsys, argv):
+def test_bad_input_exits_2_with_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "group.json"
+    for spec in argv:
+        if isinstance(spec, dict):
+            path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = [f"@{path}" if isinstance(a, dict) else a for a in argv]
     rc, err = rejected(capsys, *argv)
     assert rc == 2
     assert err.startswith("error: ")
@@ -203,9 +230,10 @@ def test_verify_inject_fault(tmp_path):
         c["name"] for c in clean["suites"]["characters"]["checks"]]
 
 
-def test_verify_unknown_suite():
-    with pytest.raises(SystemExit):
-        main(["verify", "--suites", "nope"])
+def test_verify_unknown_suite(capsys):
+    rc, err = rejected(capsys, "verify", "--suites", "nope")
+    assert rc == 2
+    assert err.startswith("error: ") and "nope" in err
 
 
 def test_table_format(tmp_path):

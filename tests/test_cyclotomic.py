@@ -23,10 +23,10 @@ def test_zeta_power_identity(n):
     assert z ** n == 1
     # the defining polynomial vanishes on zeta
     phi = cyclotomic_polynomial(n)
-    total = Cyc.rational(0, n)
+    total = Fraction(0)
     for k, c in enumerate(phi):
-        total = total + Cyc.rational(c, n) * z ** k
-    assert not total
+        total = total + c * z ** k
+    assert total == 0 and type(total) is Fraction
 
 
 def _rand_cyc(draw, n):
@@ -38,18 +38,49 @@ def _rand_cyc(draw, n):
     return Cyc(n, {e: c for e, c in coeffs})
 
 
+def assert_canonical(value):
+    """A rational value is a Fraction; a Cyc always has a zeta^k term, k > 0."""
+    if isinstance(value, Cyc):
+        assert any(e for e in value.c), repr(value)
+    else:
+        assert type(value) is Fraction, repr(value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([3, 4, 5, 8, 12]))
 def test_field_axioms(data, n):
     a = _rand_cyc(data.draw, n)
     b = _rand_cyc(data.draw, n)
     c = _rand_cyc(data.draw, n)
-    assert (a * b) * c == a * (b * c)
-    assert (a + b) * c == a * c + b * c
+    results = [a, a + b, a - b, -a, a * b, (a * b) * c, a * (b * c),
+               (a + b) * c, a * c + b * c, a + 1, 2 - a, a * 3]
+    assert results[5] == results[6]
+    assert results[7] == results[8]
     assert a * b == b * a
     if a:
-        assert a * a.inverse() == 1
+        results += [1 / a, b / a, a / Fraction(3, 2)]
         assert (1 / a) * a == 1
+        assert (b / a) * a == b
+    for value in results:
+        assert_canonical(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([3, 4, 5, 8, 12]), st.integers(-3, 5),
+       st.lists(st.tuples(st.integers(-6, 30), st.integers(-3, 3),
+                          st.integers(1, 4)), max_size=3))
+def test_unary_results_and_constructors_stay_canonical(data, n, k, triples):
+    a = _rand_cyc(data.draw, n)
+    results = [a.conjugate(), Cyc.of(a, 2 * n), Cyc.zeta(n, k),
+               Cyc.from_literals(n, triples)]
+    if a or k >= 0:
+        results.append(a ** k)
+    for value in results:
+        assert_canonical(value)
+    assert a.conjugate().conjugate() == a
+    assert Cyc.of(a, 2 * n) == a
+    if isinstance(a, Cyc):
+        assert Cyc.from_literals(n, a.literals()) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,16 +107,18 @@ def test_canonical_reduction():
     z = Cyc.zeta(3)
     sq = z * z
     assert sq.c == {0: Fraction(-1), 1: Fraction(-1)}
-    # zeta_4^2 = -1 is rational
-    assert (Cyc.zeta(4) ** 2).is_rational()
-    assert (Cyc.zeta(4) ** 2).rational_value() == -1
+    # zeta_4^2 = -1 is rational, so it is the Fraction -1
+    sq = Cyc.zeta(4) ** 2
+    assert type(sq) is Fraction and sq == -1
 
 
 def test_rational_interop_and_hash():
-    a = Cyc.rational(Fraction(2, 3), 6)
-    assert a == Fraction(2, 3)
-    assert hash(a) == hash(Fraction(2, 3))
-    assert a + Fraction(1, 3) == 1
+    a = Cyc(6, {0: Fraction(2, 3)})
+    assert type(a) is Fraction and a == Fraction(2, 3)
+    # zeta_6 + zeta_6^5 = 1 comes back as a Fraction, hashing like one
+    one = Cyc.zeta(6) + Cyc.zeta(6, 5)
+    assert type(one) is Fraction and hash(one) == hash(1)
+    assert Cyc.zeta(6) != Fraction(2, 3) and Fraction(2, 3) != Cyc.zeta(6)
     assert Fraction(1, 2) * Cyc.zeta(4) == Cyc(4, {1: Fraction(1, 2)})
     # Fraction / Cyc goes through the reflected division
     assert Fraction(1) / Cyc.zeta(4) == Cyc.zeta(4) ** 3

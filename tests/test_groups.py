@@ -79,7 +79,7 @@ def test_degrees_not_factorizable():
     # order 4 on C^2 by multiplication with zeta_4 has no reflections
     from cherednik.cyclotomic import Cyc
     z = Cyc.zeta(4)
-    gen = [[z, Cyc.rational(0, 4)], [Cyc.rational(0, 4), z]]
+    gen = [[z, ZERO], [ZERO, z]]
     g = build_from_generators(4, [gen], name="scalar4")
     with pytest.raises(NotFactorizable):
         g.degrees
@@ -240,9 +240,8 @@ def test_unsupported_group_raises():
     # quaternion-like matrix group: nonabelian, not a reflection product
     from cherednik.cyclotomic import Cyc
     i = Cyc.zeta(4)
-    zero = Cyc.rational(0, 4)
-    gi = [[i, zero], [zero, -i]]
-    gj = [[zero, Cyc.rational(-1, 4)], [Cyc.rational(1, 4), zero]]
+    gi = [[i, ZERO], [ZERO, -i]]
+    gj = [[ZERO, -ONE], [ONE, ZERO]]
     g = build_from_generators(4, [gi, gj], name="quat8")
     assert g.order == 8
     with pytest.raises(UnsupportedGroup):
