@@ -17,6 +17,7 @@ artifacts (excluded from homology totals).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,13 +52,13 @@ class TruncatedPolyModel:
         """dy_i (conormal) or d/dy_i (normal) with constant coefficient."""
         return ExteriorElement(self, side, {((0,) * self.n, (i,)): ONE})
 
-    def random_element(self, side, rng, exterior_degree=None, max_terms=3,
+    def random_element(self, side, rng, exterior_degree=None,
                        max_poly_degree=None):
         """Seeded random element; homogeneous in exterior degree if given."""
         if max_poly_degree is None:
             max_poly_degree = self.trunc // 3
         terms = {}
-        for _ in range(rng.randrange(1, max_terms + 1)):
+        for _ in range(rng.randrange(1, 4)):     # one to three terms
             j = (exterior_degree if exterior_degree is not None
                  else rng.randrange(0, self.n + 1))
             subset = tuple(sorted(rng.sample(range(self.n), j)))
@@ -358,34 +359,25 @@ def sample_identity_failures(model, rng, samples):
 # Homology
 # --------------------------------------------------------------------------
 
-def _piece_basis(model, j, d):
-    """Basis of the (exterior degree j, polynomial degree d) piece."""
-    subsets = list(combinations(range(model.n), j))
-    monos = monomials_of_degree(model.n, d)
-    return [(m, s) for s in subsets for m in monos]
+def _piece_ranks(basis, boundary):
+    """Kernel dimension and boundary rank of each piece of a graded complex.
 
-
-def _delta_matrix(model, side, j, d):
-    """Columns of delta from piece (j, d) to its target piece, one per
-    source basis element."""
-    src = _piece_basis(model, j, d)
-    if side == CONORMAL:
-        tj, td = j - 1, d - 1
-    else:
-        tj, td = j + 1, d - 1
-    if tj < 0 or tj > model.n or td < 0:
-        return [], src, []
-    tgt = _piece_basis(model, tj, td)
-    tindex = {k: i for i, k in enumerate(tgt)}
-    cols = []
-    for key in src:
-        elt = ExteriorElement(model, side, {key: ONE})
-        img = bv_delta(model, elt)
-        col = [ZERO] * len(tgt)
-        for k, c in img.terms.items():
-            col[tindex[k]] = c
-        cols.append(col)
-    return cols, src, tgt
+    ``basis`` maps each piece to its basis elements, no element in two
+    pieces; ``boundary(b)`` is the image of one basis element as a sparse
+    {target basis element: coeff} map.  Returns ``(kernel_dims, ranks)``,
+    both keyed by piece.
+    """
+    index = {}
+    for elts in basis.values():
+        for b in elts:
+            index[b] = len(index)
+    kernel_dims, ranks = {}, {}
+    for piece, elts in basis.items():
+        r = rank([{index[t]: c for t, c in boundary(b).items()}
+                  for b in elts], len(index))
+        kernel_dims[piece] = len(elts) - r
+        ranks[piece] = r
+    return kernel_dims, ranks
 
 
 def virtual_homology(model, side):
@@ -396,31 +388,21 @@ def virtual_homology(model, side):
     artifacts and is excluded from totals.
     """
     n, D = model.n, model.trunc
-    out_rank = {}
-    ker_dim = {}
-    for j in range(n + 1):
-        for d in range(D + 1):
-            cols, src, tgt = _delta_matrix(model, side, j, d)
-            if not src:
-                ker_dim[(j, d)] = 0
-                out_rank[(j, d)] = 0
-                continue
-            if not tgt:
-                ker_dim[(j, d)] = len(src)
-                out_rank[(j, d)] = 0
-                continue
-            r = rank(cols, len(tgt))    # rank of the transpose
-            ker_dim[(j, d)] = len(src) - r
-            out_rank[(j, d)] = r
+    basis = {(j, d): [(m, s) for s in combinations(range(n), j)
+                      for m in monomials_of_degree(n, d)]
+             for j in range(n + 1) for d in range(D + 1)}
+
+    def boundary(key):
+        return bv_delta(model, ExteriorElement(model, side, {key: ONE})).terms
+
+    ker_dim, out_rank = _piece_ranks(basis, boundary)
+    # delta lowers exterior degree on the conormal side, raises it on the
+    # normal side; the map into (j, d) starts at (j + step, d + 1)
+    step = 1 if side == CONORMAL else -1
     by_degree = {}
     for j in range(n + 1):
-        total = 0
-        for d in range(D):       # interior polynomial degrees only
-            if side == CONORMAL:
-                incoming = out_rank.get((j + 1, d + 1), 0)
-            else:
-                incoming = out_rank.get((j - 1, d + 1), 0)
-            total += ker_dim[(j, d)] - incoming
+        total = sum(ker_dim[(j, d)] - out_rank.get((j + step, d + 1), 0)
+                    for d in range(D))     # interior polynomial degrees only
         if total:
             by_degree[j] = total
     total = sum(by_degree.values())
@@ -453,7 +435,6 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
     reindexing, and a regularity verdict; raises NotRegularDetected when a
     claimed-regular sequence has higher homology.
     """
-    nv = 2 * n
     vanish = frozenset(vanishing_vars)
     k = len(sequence)
     seq_deg = []
@@ -463,76 +444,39 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
             raise ValueError("Koszul sequence entries must be homogeneous")
         seq_deg.append(degs.pop())
 
+    def on_subspace(m):
+        return all(m[i] == 0 for i in vanish)
+
     def module_monos(d):
-        return [m for m in monomials_of_degree(nv, d)
-                if all(m[i] == 0 for i in vanish)]
-
-    def project(poly):
-        return {m: c for m, c in poly.items()
-                if all(m[i] == 0 for i in vanish)}
-
-    def z_times(zi, mono):
-        out = {}
-        for e, c in sequence[zi].items():
-            m2 = tuple(a + b for a, b in zip(e, mono))
-            out[m2] = out.get(m2, ZERO) + c
-        return project(out)
+        return ([m for m in monomials_of_degree(2 * n, d) if on_subspace(m)]
+                if d >= 0 else [])
 
     # chain spaces per (homological degree r, total degree t)
+    basis = {(r, t): [(m, subset) for subset in combinations(range(k), r)
+                      for m in module_monos(
+                          t - sum(seq_deg[i] for i in subset))]
+             for t in range(trunc + 1) for r in range(k + 1)}
+
+    def boundary(key):
+        m, subset = key
+        out = {}
+        for pos, i in enumerate(subset):
+            rest = subset[:pos] + subset[pos + 1:]
+            sign = ONE if pos % 2 == 0 else -ONE
+            for e, c in sequence[i].items():
+                m2 = tuple(a + b for a, b in zip(e, m))
+                if on_subspace(m2):
+                    out[(m2, rest)] = out.get((m2, rest), ZERO) + sign * c
+        return out
+
+    kerd, out_rank = _piece_ranks(basis, boundary)
     hom_dims = {r: {} for r in range(k + 1)}
-    out_rank = {}
-    kerd = {}
-    basis_cache = {}
-
-    def basis(r, t):
-        key = (r, t)
-        if key not in basis_cache:
-            out = []
-            for subset in combinations(range(k), r):
-                shift = sum(seq_deg[i] for i in subset)
-                if t - shift < 0:
-                    continue
-                for m in module_monos(t - shift):
-                    out.append((m, subset))
-            basis_cache[key] = out
-        return basis_cache[key]
-
-    for t in range(trunc + 1):
-        for r in range(k + 1):
-            src = basis(r, t)
-            if not src:
-                kerd[(r, t)] = 0
-                out_rank[(r, t)] = 0
-                continue
-            tgt = basis(r - 1, t) if r >= 1 else []
-            if not tgt:
-                kerd[(r, t)] = len(src)
-                out_rank[(r, t)] = 0
-                continue
-            tindex = {b: i for i, b in enumerate(tgt)}
-            cols = []
-            for (m, subset) in src:
-                col = [ZERO] * len(tgt)
-                for pos, i in enumerate(subset):
-                    rest = tuple(v for v in subset if v != i)
-                    sign = ONE if pos % 2 == 0 else -ONE
-                    for m2, c in z_times(i, m).items():
-                        key2 = (m2, rest)
-                        if key2 in tindex:
-                            col[tindex[key2]] = col[tindex[key2]] + sign * c
-                cols.append(col)
-            rk = rank(cols, len(tgt))    # rank of the transpose
-            kerd[(r, t)] = len(src) - rk
-            out_rank[(r, t)] = rk
-
-    chain_dims = {r: sum(len(basis(r, t)) for t in range(trunc + 1))
+    for (r, t) in basis:
+        h = kerd[(r, t)] - out_rank.get((r + 1, t), 0)
+        if h:
+            hom_dims[r][t] = h
+    chain_dims = {r: sum(len(basis[(r, t)]) for t in range(trunc + 1))
                   for r in range(k + 1)}
-    for t in range(trunc + 1):
-        for r in range(k + 1):
-            incoming = out_rank.get((r + 1, t), 0)
-            h = kerd[(r, t)] - incoming
-            if h:
-                hom_dims[r][t] = h
     totals = {r: sum(hom_dims[r].values()) for r in range(k + 1)}
     regular = all(totals[r] == 0 for r in range(1, k + 1))
     if claimed_regular and not regular:
@@ -550,4 +494,35 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
         "euler_chain": euler_chain,
         "euler_homology": euler_hom,
         "chain_dims": chain_dims,
+    }
+
+
+def bv_check(n, trunc, samples, seed):
+    """The exterior-model check of ``bv-check`` and the ``verify`` bv suite.
+
+    Counts identity failures over ``samples`` seeded random triples, computes
+    the virtual homology of both sides and the Koszul homology of the
+    transverse coordinate Lagrangian, and sets ``checks_pass`` when no
+    identity failed, both virtual homologies are one-dimensional, and the
+    coordinate sequence is regular with one-dimensional H_0 (the pairing
+    against the dual standard module).
+    """
+    model = TruncatedPolyModel(n, trunc)
+    square, seven, bracket = sample_identity_failures(
+        model, random.Random(seed), samples)
+    virtual = {side: virtual_homology(model, side)
+               for side in (CONORMAL, NORMAL)}
+    koszul = koszul_homology(n, trunc, coordinate_sequence(n),
+                             vanishing_vars=list(range(n)))
+    return {
+        "n": n, "trunc": trunc, "samples": samples, "seed": seed,
+        "square_zero_failures": square,
+        "seven_term_failures": seven,
+        "bracket_axiom_failures": bracket,
+        "virtual_homology": virtual,
+        "koszul": koszul,
+        "checks_pass": (not (square or seven or bracket)
+                        and all(v["total"] == 1 for v in virtual.values())
+                        and koszul["homology"][0] == 1
+                        and koszul["regular"]),
     }

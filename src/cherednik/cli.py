@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from .bv import (CONORMAL, NORMAL, TruncatedPolyModel, coordinate_sequence,
-                 koszul_homology, sample_identity_failures, virtual_homology)
+from .bv import bv_check
 from .cyclotomic import Cyc, scalar_payload
 from .errors import CherednikError, InvalidInput
 from .groups import build_from_generators, build_group
 from .parabolic import make_context, reduced_endo_character
 from .pbw import CherednikAlgebra, Parameter
-from .restricted import build_restricted
+from .restricted import RESTRICTED_CAP, build_restricted
 from .series import DEFAULT_TRUNCATION
 from .verify import SUITES, run_verification
 from .verma import (endo_character, ext_character, hook_identity_check,
@@ -37,7 +35,7 @@ from .verma import (endo_character, ext_character, hook_identity_check,
 # argument handling
 # --------------------------------------------------------------------------
 
-def _load_group(spec, cap=720):
+def _load_group(spec):
     if spec.startswith("@"):
         try:
             with open(spec[1:], encoding="utf-8") as fh:
@@ -61,9 +59,8 @@ def _load_group(spec, cap=720):
                            for mat in gens):
             raise InvalidInput(f"group file {spec[1:]!r} needs at least one "
                                "generator, all square matrices of one size")
-        return build_from_generators(n, gens, name=data.get("name", "custom"),
-                                     cap=cap)
-    return build_group(spec, cap=cap)
+        return build_from_generators(n, gens, name=data.get("name", "custom"))
+    return build_group(spec)
 
 
 def _load_parameter(group, cspec, seed):
@@ -319,29 +316,10 @@ def cmd_reduce(args):
 
 
 def cmd_bv_check(args):
-    model = TruncatedPolyModel(args.n, args.trunc)
-    rng = random.Random(args.seed)
-    results = {"command": "bv-check", "n": args.n, "trunc": args.trunc,
-               "samples": args.samples, "seed": args.seed}
-    square_fail, seven_fail, bracket_fail = sample_identity_failures(
-        model, rng, args.samples)
-    results["square_zero_failures"] = square_fail
-    results["seven_term_failures"] = seven_fail
-    results["bracket_axiom_failures"] = bracket_fail
-    results["virtual_homology"] = {
-        side: virtual_homology(model, side) for side in (CONORMAL, NORMAL)}
-    # transverse coordinate Lagrangians: y-sequence on functions of y = 0 side
-    results["koszul"] = koszul_homology(args.n, args.trunc,
-                                        coordinate_sequence(args.n),
-                                        vanishing_vars=list(range(args.n)))
-    ok = (square_fail == 0 and seven_fail == 0 and bracket_fail == 0
-          and results["virtual_homology"][CONORMAL]["total"] == 1
-          and results["virtual_homology"][NORMAL]["total"] == 1
-          and results["koszul"]["homology"].get(0) == 1
-          and results["koszul"]["regular"])
-    results["checks_pass"] = ok
-    _emit(results, args)
-    return 0 if ok else 1
+    report = {"command": "bv-check"}
+    report.update(bv_check(args.n, args.trunc, args.samples, args.seed))
+    _emit(report, args)
+    return 0 if report["checks_pass"] else 1
 
 
 def cmd_verify(args):
@@ -389,7 +367,8 @@ def build_parser():
                        help="block partition with verification")
     p.add_argument("--group", required=True)
     p.add_argument("--c", default="zero")
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--cap", type=int, default=RESTRICTED_CAP,
+                   help="largest |W|^3 to build (default %(default)s)")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_cm_partition)
 

@@ -24,6 +24,7 @@ from .linalg import (ZERO, ONE, Echelon, echelon, identity, kernel_basis,
                      rref, solve_unique)
 
 _T = sympy.Symbol("T")
+MAX_RETRIES = 24     # seeded split attempts per subalgebra
 
 
 def _factor_over_q(coeffs):
@@ -138,12 +139,11 @@ def _conductor_of_quadratic(minpoly):
     return 4 * abs(s)
 
 
-def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
-                                       max_retries=24):
+def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0):
     """Pairwise-orthogonal primitive idempotents summing to 1.
 
     ``prods``/``unit`` as in CommutativeAlgebra.  Las Vegas randomness is
-    seeded; retried with fresh draws up to ``max_retries`` per split.
+    seeded; retried with fresh draws up to ``MAX_RETRIES`` per split.
     Raises NotCommutative or FieldExtensionNeeded (with the required
     conductor when it can be determined).
     """
@@ -205,7 +205,7 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
         if d == 1:
             results.append((unit_vec, 1, None))
             return
-        for _attempt in range(max_retries):
+        for _attempt in range(MAX_RETRIES):
             coeffs = [Fraction(rng.randrange(-9, 10)) for _ in range(d)]
             u = [ZERO] * dim_q
             for c, row in zip(coeffs, basis_rows):
@@ -238,7 +238,7 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0,
                 split(sub_rows, acc)
             return
         raise ArithmeticError("failed to split commutative algebra after "
-                              f"{max_retries} seeded attempts")
+                              f"{MAX_RETRIES} seeded attempts")
 
     # The Q-span of the quotient: zeta^t e_c for all t, c.
     split(identity(dim_q), q_unit_vec)

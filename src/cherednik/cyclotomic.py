@@ -75,41 +75,38 @@ def _poly_xgcd(a, b):
 
 
 def cyclotomic_polynomial(n):
-    """Coefficients (ascending, Fractions) of the n-th cyclotomic polynomial."""
-    p = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
+    """Coefficients (ascending, Fractions) of the n-th cyclotomic polynomial,
+    as a new list."""
+    return list(_reduction(n)[2])
+
+
+@cache
+def _reduction(n):
+    """Per-conductor data: (phi(n), table mapping exponent -> reduced dict,
+    the n-th cyclotomic polynomial as an ascending tuple)."""
+    phi = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            p, r = _poly_divmod(p, cyclotomic_polynomial(d))
+            phi, r = _poly_divmod(phi, _reduction(d)[2])
             if r:
                 raise ArithmeticError("cyclotomic division left a remainder")
-    return p
-
-
-_REDUCTION_CACHE = {}
-
-
-def _reduction(n):
-    """Per-conductor data: (phi(n), table mapping exponent -> reduced dict)."""
-    if n not in _REDUCTION_CACHE:
-        phi = cyclotomic_polynomial(n)
-        deg = len(phi) - 1
-        table = {}
-        if deg < n:
-            # zeta^deg = -(phi_0 + phi_1 zeta + ...)
-            base = {i: -phi[i] for i in range(deg) if phi[i]}
-            table[deg] = base
-            for k in range(deg + 1, n):
-                prev = table[k - 1]
-                nxt = {}
-                for e, c in prev.items():
-                    if e + 1 == deg:
-                        for e2, c2 in table[deg].items():
-                            nxt[e2] = nxt.get(e2, _ZERO) + c * c2
-                    else:
-                        nxt[e + 1] = nxt.get(e + 1, _ZERO) + c
-                table[k] = {e: c for e, c in nxt.items() if c}
-        _REDUCTION_CACHE[n] = (deg, table)
-    return _REDUCTION_CACHE[n]
+    deg = len(phi) - 1
+    table = {}
+    if deg < n:
+        # zeta^deg = -(phi_0 + phi_1 zeta + ...)
+        base = {i: -phi[i] for i in range(deg) if phi[i]}
+        table[deg] = base
+        for k in range(deg + 1, n):
+            prev = table[k - 1]
+            nxt = {}
+            for e, c in prev.items():
+                if e + 1 == deg:
+                    for e2, c2 in table[deg].items():
+                        nxt[e2] = nxt.get(e2, _ZERO) + c * c2
+                else:
+                    nxt[e + 1] = nxt.get(e + 1, _ZERO) + c
+            table[k] = {e: c for e, c in nxt.items() if c}
+    return deg, table, tuple(phi)
 
 
 @cache
@@ -133,7 +130,7 @@ def _mean_primitive_root(d):
 
 def _reduce(n, coeffs):
     """Coefficients of sum(v * zeta_n^e) over the basis zeta_n^e, e < phi(n)."""
-    deg, table = _reduction(n)
+    deg, table, _ = _reduction(n)
     out = {}
     for e, v in coeffs.items():
         v = Fraction(v)
@@ -248,7 +245,7 @@ class Cyc:
 
     def inverse(self):
         # extended Euclid in Q[x] against the cyclotomic polynomial
-        phi = cyclotomic_polynomial(self.n)
+        phi = _reduction(self.n)[2]
         a = _poly_trim([self.c.get(i, _ZERO) for i in range(len(phi) - 1)])
         g, _, inv = _poly_xgcd(phi, a)
         if len(g) != 1:
@@ -328,7 +325,11 @@ class Cyc:
 
     @classmethod
     def from_literals(cls, n, triples):
-        return cls(n, {int(k): Fraction(int(num), int(den)) for k, num, den in triples})
+        coeffs = {}
+        for k, num, den in triples:
+            k = int(k)
+            coeffs[k] = coeffs.get(k, _ZERO) + Fraction(int(num), int(den))
+        return cls(n, coeffs)
 
 
 def scalar_payload(value):
@@ -340,5 +341,4 @@ def scalar_payload(value):
 
 
 def euler_phi(n):
-    deg, _ = _reduction(n)
-    return deg
+    return _reduction(n)[0]

@@ -25,7 +25,7 @@ from .errors import (CapExceeded, CherednikError, InvalidInput,
                      UnsupportedGroup)
 from .linalg import ONE, ZERO, identity, mat_mul, rank, transpose
 
-ORDER_CAP = 720
+ORDER_CAP = 720     # largest |W| a group builder accepts
 
 
 # --------------------------------------------------------------------------
@@ -275,11 +275,6 @@ class ReflectionGroup:
                 [list(r) for r in self.matrix(self.inv(i))]))
             self._hstar_mats[i] = m
         return m
-
-    def act_h(self, i, vec):
-        a = self.matrix(i)
-        return tuple(sum((a[r][c] * vec[c] for c in range(self.n) if vec[c]),
-                         ZERO) for r in range(self.n))
 
     def act_hstar(self, i, vec):
         a = self.hstar_matrix(i)
@@ -695,11 +690,11 @@ def _char_sort_key(chi):
 # Family constructors
 # --------------------------------------------------------------------------
 
-def build_zm(m, cap=ORDER_CAP):
+def build_zm(m):
     if m < 1:
         raise InvalidInput("m >= 1 required")
-    if m > cap:
-        raise CapExceeded(f"|W| = {m} exceeds cap {cap}")
+    if m > ORDER_CAP:
+        raise CapExceeded(f"|W| = {m} exceeds cap {ORDER_CAP}")
     N = m
     metas = list(range(m))
 
@@ -720,11 +715,11 @@ def build_zm(m, cap=ORDER_CAP):
     return g
 
 
-def build_sn(n, rep="permutation", cap=ORDER_CAP):
+def build_sn(n, rep="permutation"):
     if not 1 <= n <= 6:
         raise InvalidInput("1 <= n <= 6 required")
-    if factorial(n) > cap:
-        raise CapExceeded(f"|W| = {factorial(n)} exceeds cap {cap}")
+    if factorial(n) > ORDER_CAP:
+        raise CapExceeded(f"|W| = {factorial(n)} exceeds cap {ORDER_CAP}")
     if rep not in ("permutation", "reduced"):
         raise InvalidInput(f"unknown S_n representation {rep!r}")
     metas = sorted(itertools.permutations(range(n)))
@@ -768,11 +763,11 @@ def build_sn(n, rep="permutation", cap=ORDER_CAP):
     return g
 
 
-def build_i2(m, cap=ORDER_CAP):
+def build_i2(m):
     if m < 1:
         raise InvalidInput("m >= 1 required")
-    if 2 * m > cap:
-        raise CapExceeded(f"|W| = {2 * m} exceeds cap {cap}")
+    if 2 * m > ORDER_CAP:
+        raise CapExceeded(f"|W| = {2 * m} exceeds cap {ORDER_CAP}")
     lcm = 2 * m // gcd(2, m)
     N = lcm
     metas = [(eps, k) for eps in (0, 1) for k in range(m)]
@@ -809,8 +804,7 @@ def build_i2(m, cap=ORDER_CAP):
     return g
 
 
-def build_from_generators(conductor, gen_matrices, name="custom",
-                          cap=ORDER_CAP):
+def build_from_generators(conductor, gen_matrices, name="custom"):
     """Close a set of exact matrices into a group (custom-group JSON path)."""
     n = len(gen_matrices[0])
     gens = [tuple(tuple(Cyc.of(v, conductor) for v in row) for row in m)
@@ -828,8 +822,9 @@ def build_from_generators(conductor, gen_matrices, name="custom",
                             for j in range(n)) for i in range(n))
             # y = x*g
             if y not in seen:
-                if len(metas) >= cap:
-                    raise CapExceeded(f"group closure exceeds cap {cap}")
+                if len(metas) >= ORDER_CAP:
+                    raise CapExceeded(
+                        f"group closure exceeds cap {ORDER_CAP}")
                 seen[y] = len(metas)
                 metas.append(y)
                 frontier.append(y)
@@ -857,18 +852,18 @@ def build_from_generators(conductor, gen_matrices, name="custom",
     return g
 
 
-def build_group(spec, cap=ORDER_CAP):
+def build_group(spec):
     """Build from a shorthand string: "Zm:5", "Sn:4:permutation", "I2:6"."""
     parts = str(spec).split(":")
     fam = parts[0]
     if len(parts) >= 2 and parts[1].isdigit():
         if fam == "Zm" and len(parts) == 2:
-            return build_zm(int(parts[1]), cap)
+            return build_zm(int(parts[1]))
         if fam == "Sn" and len(parts) in (2, 3):
             rep = parts[2] if len(parts) == 3 else "permutation"
-            return build_sn(int(parts[1]), rep, cap)
+            return build_sn(int(parts[1]), rep)
         if fam == "I2" and len(parts) == 2:
-            return build_i2(int(parts[1]), cap)
+            return build_i2(int(parts[1]))
     raise InvalidInput(f"unrecognized group spec {spec!r}")
 
 

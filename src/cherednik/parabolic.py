@@ -82,13 +82,10 @@ def reduced_endo_character(ctx, rep, truncation=DEFAULT_TRUNCATION):
     return endo_character(ctx.stabilizer, rep, truncation)
 
 
-def context_blocks(ctx, seed=0, verify=False, cap=None):
+def context_blocks(ctx, seed=0, verify=False):
     """Block partition of the stabilizer pair (W_p, c')."""
     from .restricted import build_restricted
-    kwargs = {}
-    if cap is not None:
-        kwargs["cap"] = cap
-    rest = build_restricted(ctx.stabilizer, ctx.restricted_param, **kwargs)
+    rest = build_restricted(ctx.stabilizer, ctx.restricted_param)
     return rest.cm_partition(seed=seed, verify=verify)
 
 

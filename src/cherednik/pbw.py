@@ -287,20 +287,6 @@ class CherednikAlgebra:
         return PBWElement(self, {(self._zero_exp, w, self._zero_exp): c
                                  for w in range(self.group.order)})
 
-    def x_vector(self, coeffs):
-        out = self.zero()
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out + self.x(i) * c
-        return out
-
-    def y_vector(self, coeffs):
-        out = self.zero()
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out + self.y(i) * c
-        return out
-
     # ---- the defining commutator -----------------------------------------------
     def commutator_yx(self, yvec, xvec):
         """[y, x] for vectors y in h, x in h*: a group-algebra element."""

@@ -12,20 +12,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 
-def pzero():
-    return {}
-
-
 def pconst(nvars, value):
     if not value:
         return {}
     return {(0,) * nvars: value}
-
-
-def pvar(i, nvars, coeff=Fraction(1)):
-    e = [0] * nvars
-    e[i] = 1
-    return {tuple(e): coeff}
 
 
 def padd(a, b):
@@ -56,22 +46,6 @@ def pmul(a, b):
             else:
                 out.pop(e, None)
     return out
-
-
-def ppow(a, k, nvars):
-    out = pconst(nvars, Fraction(1))
-    base = a
-    while k:
-        if k & 1:
-            out = pmul(out, base)
-        base = pmul(base, base) if k > 1 else base
-        k >>= 1
-    return out
-
-
-def pdeg(a):
-    """Total degree (-1 for the zero polynomial)."""
-    return max((sum(e) for e in a), default=-1)
 
 
 def psub_linear(p, images, nvars):
@@ -121,7 +95,3 @@ def monomials_of_degree(nvars, d):
             e[i] += 1
         out.append(tuple(e))
     return sorted(out, reverse=True)
-
-
-def homogeneous_part(p, d):
-    return {e: v for e, v in p.items() if sum(e) == d}

@@ -25,7 +25,7 @@ from .linalg import (ONE, ZERO, Echelon, echelon, identity, kernel_basis,
                      mat_add, mat_mul, rank, trace, transpose)
 from .pbw import CherednikAlgebra, PBWElement
 
-RESTRICTED_CAP = 1000
+RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
 
 
 class FDModule:
@@ -154,12 +154,6 @@ class BlockPartition:
         self.seed = seed
         self.verification = verification or {}
 
-    def block_of(self, label):
-        for blk in self.blocks:
-            if label in blk.labels:
-                return blk
-        raise KeyError(label)
-
     def all_singletons(self):
         return all(b.is_singleton() for b in self.blocks)
 
@@ -256,10 +250,6 @@ class RestrictedCherednikAlgebra:
                     else:
                         out.pop(idx, None)
         return out
-
-    def element_from_vec(self, vec):
-        return PBWElement(self.algebra,
-                          {self.basis[i]: c for i, c in vec.items()})
 
     # ---- multiplication -------------------------------------------------------
     def multiply_basis(self, i, j):
@@ -718,13 +708,10 @@ def distinguished_rep(labels, b_invariants):
 
 
 def build_restricted(group, param, b_point=None, cap=RESTRICTED_CAP,
-                     degree_cap=None, backend="pbw"):
+                     backend="pbw"):
     """Construct the restricted algebra for (group, param) at fiber point b."""
-    kwargs = {}
-    if degree_cap is not None:
-        kwargs["degree_cap"] = degree_cap
-    algebra = CherednikAlgebra(group, param, **kwargs)
-    return RestrictedCherednikAlgebra(algebra, b_point=b_point, cap=cap,
+    return RestrictedCherednikAlgebra(CherednikAlgebra(group, param),
+                                      b_point=b_point, cap=cap,
                                       backend=backend)
 
 
@@ -738,8 +725,7 @@ def act_on_baby_verma(element, mod):
     return mod.act_vector(vec)
 
 
-def baby_verma(group, param, rep_label, p=None, b_point=None,
-               cap=RESTRICTED_CAP):
+def baby_verma(group, param, rep_label, p=None, b_point=None):
     """The standard module quotient for (group, param) at fiber point b.
 
     For p != 0 the construction routes through the stabilizer pair: the
@@ -750,9 +736,9 @@ def baby_verma(group, param, rep_label, p=None, b_point=None,
         from .parabolic import make_context
         ctx = make_context(group, param, p)
         rest = build_restricted(ctx.stabilizer, ctx.restricted_param,
-                                b_point=b_point, cap=cap)
+                                b_point=b_point)
         return rest.baby_verma(ctx.stabilizer.irrep(rep_label))
-    rest = build_restricted(group, param, b_point=b_point, cap=cap)
+    rest = build_restricted(group, param, b_point=b_point)
     return rest.baby_verma(group.irrep(rep_label))
 
 
@@ -761,13 +747,13 @@ def simple_head(mod, expect_simple=False):
     return mod.parent.simple_head(mod, expect_simple=expect_simple)
 
 
-def cm_partition(group, param, seed=0, verify=True, cap=RESTRICTED_CAP):
+def cm_partition(group, param, seed=0, verify=True):
     """Block partition of the irreducibles for (group, param)."""
-    return build_restricted(group, param, cap=cap).cm_partition(
+    return build_restricted(group, param).cm_partition(
         seed=seed, verify=verify)
 
 
-def dim_e_simple(group, param, rep_label, cap=RESTRICTED_CAP):
+def dim_e_simple(group, param, rep_label):
     """Rank of the averaging idempotent on the simple head L(rep)."""
-    rest = build_restricted(group, param, cap=cap)
+    rest = build_restricted(group, param)
     return rest.dim_e_simple(group.irrep(rep_label))

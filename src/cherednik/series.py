@@ -66,11 +66,6 @@ class GradedCharacter:
             raise ZeroPolynomial("zero polynomial has no lowest exponent")
         return min(self.coeffs)
 
-    def max_exponent(self):
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no highest exponent")
-        return max(self.coeffs)
-
     def is_polynomial(self):
         return self.truncation is None
 

@@ -12,17 +12,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .bv import (CONORMAL, NORMAL, TruncatedPolyModel, coordinate_sequence,
-                 koszul_homology, sample_identity_failures, virtual_homology)
+from .bv import bv_check
 from .groups import build_group
 from .parabolic import (make_context, reduced_endo_character,
                         verify_reduction_invariance)
 from .pbw import CherednikAlgebra, Parameter
 from .restricted import build_restricted
 from .series import DEFAULT_TRUNCATION, GradedCharacter, product_of_geometric
-from .verma import (dual_verma_pairing_expected, endo_character,
-                    ext_character, hook_identity_check, solve_eis,
-                    solve_eis_from_character, tor_character)
+from .verma import (endo_character, ext_character, hook_identity_check,
+                    solve_eis, solve_eis_from_character, tor_character)
 
 PBW_GRID = ("Zm:2", "Zm:3", "Sn:2:permutation", "Sn:3:reduced", "I2:3")
 DIM_GRID = ("Zm:2", "Zm:3", "Sn:3:reduced", "Sn:2:permutation", "I2:4")
@@ -174,24 +172,9 @@ def _suite_characters(seed, deep):
 
 
 def _suite_bv(seed, deep):
-    checks = []
-    for n in (1, 2, 3):
-        for trunc in (4, 6, 8):
-            model = TruncatedPolyModel(n, trunc)
-            failures = sample_identity_failures(model, random.Random(seed), 50)
-            ok = not any(failures)
-            vh_c = virtual_homology(model, CONORMAL)
-            vh_n = virtual_homology(model, NORMAL)
-            ok = ok and vh_c["total"] == 1 and vh_n["total"] == 1
-            kz = koszul_homology(n, trunc, coordinate_sequence(n),
-                                 vanishing_vars=list(range(n)))
-            expected = dual_verma_pairing_expected(n)
-            ok = ok and kz["regular"]
-            ok = ok and kz["homology"].get(0, 0) == expected["tor"][0][1]
-            ok = ok and kz["cohomology_reindexed"].get(n, 0) == \
-                expected["ext"][0][1]
-            checks.append({"name": f"bv:n={n}:D={trunc}", "pass": ok})
-    return checks
+    return [{"name": f"bv:n={n}:D={trunc}",
+             "pass": bv_check(n, trunc, 50, seed)["checks_pass"]}
+            for n in (1, 2, 3) for trunc in (4, 6, 8)]
 
 
 def _suite_parabolic(seed, deep):

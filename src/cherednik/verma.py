@@ -88,9 +88,8 @@ def hook_identity_check(group, partition, truncation=DEFAULT_TRUNCATION):
 class EisFactorization:
     """Sorted generator degrees 0 < e_1 <= ... <= e_n, or no solution."""
 
-    def __init__(self, exponents, note=ORIENTATION_NOTE):
+    def __init__(self, exponents):
         self.exponents = tuple(exponents) if exponents is not None else None
-        self.note = note
 
     @classmethod
     def no_solution(cls):
@@ -102,7 +101,7 @@ class EisFactorization:
     def payload(self):
         return {"exponents": list(self.exponents) if self.exponents else None,
                 "solvable": self.is_solution(),
-                "orientation": self.note}
+                "orientation": ORIENTATION_NOTE}
 
     def __eq__(self, other):
         if isinstance(other, EisFactorization):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -186,6 +187,17 @@ def test_bv_check_command(tmp_path):
     assert report["virtual_homology"]["conormal"]["total"] == 1
     assert report["virtual_homology"]["normal"]["total"] == 1
     assert report["koszul"]["regular"]
+
+
+def test_bv_check_report_is_pinned(tmp_path):
+    # the whole report: identity counts, every homology degree, chain
+    # dimensions and Euler characteristics
+    out = tmp_path / "report.json"
+    rc = main(["--seed", "7", "--out", str(out), "bv-check", "--n", "3",
+               "--trunc", "8"])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "99e3ce3ab6fba7104a34387dab709b32f6bb03160356cf836941df63a88f5290"
 
 
 def test_custom_group_json(tmp_path):

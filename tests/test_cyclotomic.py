@@ -141,6 +141,23 @@ def test_literals_round_trip():
     assert b.literals() == [[1, -1, 1]]
 
 
+def test_from_literals_adds_repeated_exponents():
+    assert Cyc.from_literals(4, [[1, 1, 1], [1, 1, 1]]) == 2 * Cyc.zeta(4)
+    assert Cyc.from_literals(4, [[1, 1, 1], [5, 1, 2]]) == \
+        Fraction(3, 2) * Cyc.zeta(4)
+    assert Cyc.from_literals(4, [[1, 1, 1], [1, -1, 1], [0, 1, 3]]) == \
+        Fraction(1, 3)
+
+
+def test_cyclotomic_polynomial_returns_a_fresh_list():
+    phi = cyclotomic_polynomial(12)
+    phi[0] = Fraction(7)
+    phi.append(Fraction(5))
+    assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+    a = Cyc.zeta(12) + 1
+    assert a * a.inverse() == 1
+
+
 def test_mixed_conductor_coercion():
     z3 = Cyc.zeta(3)
     z6 = Cyc.zeta(6)
