@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotRegularDetected, SideMismatch
-from .linalg import ONE, ZERO, rank
+from .linalg import ONE, _add_term, _axpy, rank
 from .polys import monomials_of_degree
 
 CONORMAL = "conormal"
@@ -37,9 +37,6 @@ class TruncatedPolyModel:
             raise ValueError("truncation degree must be at least 2")
         self.n = n
         self.trunc = trunc
-
-    def zero(self, side):
-        return ExteriorElement(self, side, {})
 
     def element(self, side, terms):
         return ExteriorElement(self, side, terms)
@@ -65,9 +62,7 @@ class TruncatedPolyModel:
             d = rng.randrange(0, max_poly_degree + 1)
             monos = monomials_of_degree(self.n, d)
             m = monos[rng.randrange(len(monos))]
-            c = Fraction(rng.randrange(-4, 5))
-            if c:
-                terms[(m, subset)] = terms.get((m, subset), ZERO) + c
+            _add_term(terms, (m, subset), Fraction(rng.randrange(-4, 5)))
         return ExteriorElement(self, side, terms)
 
     def __repr__(self):
@@ -102,14 +97,8 @@ class ExteriorElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, ZERO) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return ExteriorElement(self.model, self.side, out)
+        return ExteriorElement(self.model, self.side,
+                               _axpy(dict(self.terms), other.terms, ONE))
 
     def __neg__(self):
         return ExteriorElement(self.model, self.side,
@@ -137,12 +126,7 @@ class ExteriorElement:
                 if sum(m) > trunc:
                     continue
                 sign, merged = _merge_sign(s1, s2)
-                key = (m, merged)
-                v = out.get(key, ZERO) + sign * c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                _add_term(out, (m, merged), sign * c1 * c2)
         return ExteriorElement(self.model, self.side, out)
 
     __rmul__ = __mul__
@@ -228,11 +212,7 @@ def bv_delta_conormal(model, elt):
             sign_y = -ONE if pos % 2 else ONE
             # after removing dy_i, dx_i sits at position 0: sign +1
             rest = tuple(t for t in subset if t != i)
-            v = out.get((m2, rest), ZERO) + sign_y * cd * c
-            if v:
-                out[(m2, rest)] = v
-            else:
-                out.pop((m2, rest), None)
+            _add_term(out, (m2, rest), sign_y * cd * c)
     return ExteriorElement(model, CONORMAL, out)
 
 
@@ -252,11 +232,7 @@ def bv_delta_normal(model, elt):
                 continue
             cd, m2 = d
             sign, merged = _merge_sign((l,), subset)
-            v = out.get((m2, merged), ZERO) - sign * cd * c
-            if v:
-                out[(m2, merged)] = v
-            else:
-                out.pop((m2, merged), None)
+            _add_term(out, (m2, merged), -sign * cd * c)
     return ExteriorElement(model, NORMAL, out)
 
 
@@ -466,7 +442,7 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
             for e, c in sequence[i].items():
                 m2 = tuple(a + b for a, b in zip(e, m))
                 if on_subspace(m2):
-                    out[(m2, rest)] = out.get((m2, rest), ZERO) + sign * c
+                    _add_term(out, (m2, rest), sign * c)
         return out
 
     kerd, out_rank = _piece_ranks(basis, boundary)

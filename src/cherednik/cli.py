@@ -67,36 +67,46 @@ def _load_parameter(group, cspec, seed):
     cspec = (cspec or "zero").strip()
     if cspec == "zero" or cspec == "0":
         return Parameter.zero(group)
-    if cspec.startswith("generic"):
-        parts = cspec.split(":")
+    if cspec == "generic" or cspec.startswith("generic:"):
+        _, colon, text = cspec.partition(":")
         try:
-            s = int(parts[1]) if len(parts) > 1 else seed
+            s = int(text) if colon else seed
         except ValueError:
-            raise InvalidInput(f"not an integer seed: {parts[1]!r}") from None
+            raise InvalidInput(f"--c: not an integer seed: {text!r}") from None
         return Parameter.generic(group, seed=s)
     if "=" in cspec:
         mapping = {}
         for item in cspec.split(","):
             key, _, val = item.partition("=")
-            mapping[key.strip()] = _parse_rational(val)
+            key = key.strip()
+            if key in mapping:
+                raise InvalidInput(f"--c names the class {key!r} twice")
+            mapping[key] = _parse_rational("--c", val)
         return Parameter(group, mapping)
-    value = _parse_rational(cspec)
+    value = _parse_rational("--c", cspec)
     return Parameter.constant(group, value)
 
 
-def _parse_rational(text):
+def _parse_rational(option, text):
     num, slash, den = text.strip().partition("/")
     try:
         return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f"not a rational number: {text!r}") from None
+        raise InvalidInput(f"{option}: not a rational number: "
+                           f"{text!r}") from None
+
+
+def _at_least(option, value, low):
+    if value < low:
+        raise InvalidInput(f"{option} must be at least {low}, got {value}")
+    return value
 
 
 def _parse_point(text, n):
     coords = [p.strip() for p in text.split(",")]
     if len(coords) != n:
         raise InvalidInput(f"point needs {n} coordinates, got {len(coords)}")
-    return tuple(_parse_rational(p) for p in coords)
+    return tuple(_parse_rational("--point", p) for p in coords)
 
 
 def _jsonable(obj):
@@ -234,7 +244,7 @@ def cmd_cm_partition(args):
 def cmd_characters(args):
     group = _load_group(args.group)
     param = _load_parameter(group, args.c, args.seed)
-    trunc = args.trunc
+    trunc = _at_least("--trunc", args.trunc, 0)
     labels = ([l.strip() for l in args.rep.split(";")] if args.rep
               else [str(r.label) for r in group.irreps])
     by_label = {str(r.label): r for r in group.irreps}
@@ -302,6 +312,7 @@ def cmd_reduce(args):
     group = _load_group(args.group)
     param = _load_parameter(group, args.c, args.seed)
     point = _parse_point(args.point, group.n)
+    _at_least("--trunc", args.trunc, 0)
     ctx = make_context(group, param, point)
     report = {"command": "reduce", "seed": args.seed,
               "truncation": args.trunc}
@@ -317,7 +328,10 @@ def cmd_reduce(args):
 
 def cmd_bv_check(args):
     report = {"command": "bv-check"}
-    report.update(bv_check(args.n, args.trunc, args.samples, args.seed))
+    report.update(bv_check(_at_least("--n", args.n, 1),
+                           _at_least("--trunc", args.trunc, 2),
+                           _at_least("--samples", args.samples, 0),
+                           args.seed))
     _emit(report, args)
     return 0 if report["checks_pass"] else 1
 

@@ -281,20 +281,6 @@ class ReflectionGroup:
         return tuple(sum((a[r][c] * vec[c] for c in range(self.n) if vec[c]),
                          ZERO) for r in range(self.n))
 
-    def element_order(self, i):
-        k, j = 1, i
-        while j != self._identity:
-            j = self.mult(j, i)
-            k += 1
-        return k
-
-    def exponent(self):
-        e = 1
-        for i in range(self.order):
-            o = self.element_order(i)
-            e = e * o // gcd(e, o)
-        return e
-
     # ---- conjugacy classes ---------------------------------------------------
     @property
     def conjugacy_classes(self):

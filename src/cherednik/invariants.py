@@ -14,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotFactorizable
-from .linalg import ONE, ZERO, echelon, rref, trace
-from .polys import (monomials_of_degree, padd, pconst, pmul, pscale,
-                    psub_linear)
+from .linalg import ONE, ZERO, _add_term, _axpy, echelon, rref, trace
+from .polys import monomials_of_degree, pconst, pmul, pscale, psub_linear
 from .series import GradedCharacter
 
 
@@ -104,11 +103,7 @@ def fake_polynomial(group, rep):
         new = dict(poly)
         for e, c in poly.items():
             if e + d <= topdeg:
-                w = new.get(e + d, ZERO) - c
-                if w:
-                    new[e + d] = w
-                else:
-                    new.pop(e + d, None)
+                _add_term(new, e + d, -c)
         poly = new
     coeffs = {}
     for e in range(topdeg + 1):
@@ -187,7 +182,7 @@ class InvariantTheory:
     def reynolds(self, poly):
         total = {}
         for widx in range(self.group.order):
-            total = padd(total, self.act(widx, poly))
+            _axpy(total, self.act(widx, poly), ONE)
         return pscale(total, Fraction(1, self.group.order))
 
     # ---- fundamental invariants ----------------------------------------------
@@ -319,21 +314,12 @@ class InvariantTheory:
             fib = self._fibers[values] = _Fiber(self, values)
         return fib
 
-    def reduce_monomial(self, mono, values):
-        """Image of a monomial in C[vars]/(f_i - values_i), over coinv basis."""
-        return self.fiber(values)[mono]
-
     def reduce(self, poly, values=None):
         """Reduce a polynomial modulo the fiber ideal (f_i - values_i)."""
         fib = self.fiber((ZERO,) * self.n if values is None else values)
         total = {}
         for mono, c in poly.items():
-            for m, v in fib[mono].items():
-                w = total.get(m, ZERO) + c * v
-                if w:
-                    total[m] = w
-                else:
-                    total.pop(m, None)
+            _axpy(total, fib[mono], c)
         return total
 
     def invariant_values_at(self, point):
@@ -393,9 +379,7 @@ class _Fiber(dict):
                         v = ZERO
                         break
                     v = v * val ** k
-            if v:
-                out[m] = out.get(m, ZERO) + v
-        out = {m: v for m, v in out.items() if v}
+            _add_term(out, m, v)
         self[mono] = out
         return out
 

@@ -6,6 +6,9 @@ are the only zero/one.  All elimination goes through one
 kernel, ``Echelon``: a sparse reduced row echelon form built one vector at a
 time.  ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are thin wrappers
 over it; results satisfy A.x = b on re-substitution, exactly.
+
+Every sparse {key: coeff} map above the scalar layer accumulates through
+``_add_term`` and ``_axpy``, which never store a zero.
 """
 
 from __future__ import annotations
@@ -14,6 +17,22 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _add_term(out, key, value):
+    """out[key] += value, dropping the key when the sum is zero."""
+    v = out.get(key, ZERO) + value
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+def _axpy(out, vec, c):
+    """out += c * vec for sparse {key: coeff} maps, in place; returns out."""
+    for k, x in vec.items():
+        _add_term(out, k, c * x)
+    return out
 
 
 def zeros(rows, cols):
@@ -101,12 +120,7 @@ class Echelon:
         rows = self.rows
         coeffs = {p: c for p, c in res.items() if p in rows}
         for p, c in coeffs.items():
-            for j, x in rows[p].items():
-                v = res.get(j, ZERO) - c * x
-                if v:
-                    res[j] = v
-                else:
-                    del res[j]
+            _axpy(res, rows[p], -c)
         return res, coeffs
 
     def add(self, vec):
@@ -120,12 +134,7 @@ class Echelon:
         for row in self.rows.values():
             c = row.get(p)
             if c:
-                for j, x in new.items():
-                    v = row.get(j, ZERO) - c * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
+                _axpy(row, new, -c)
         self.rows[p] = new
         return True
 

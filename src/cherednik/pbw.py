@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, scalar_payload
 from .errors import DegreeCapExceeded, InvalidElement, InvalidInput
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, _add_term, _axpy
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -120,14 +120,8 @@ class PBWElement:
         if isinstance(other, (int, Fraction)):
             other = self.algebra.scalar(other)
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return PBWElement(self.algebra, out)
+        return PBWElement(self.algebra,
+                          _axpy(dict(self.terms), other.terms, ONE))
 
     __radd__ = __add__
 
@@ -299,13 +293,7 @@ class CherednikAlgebra:
             avee_of_y = sum((bv * yv for bv, yv in zip(alpha_vee, yvec) if yv),
                             ZERO)
             coeff = c * x_of_alpha * avee_of_y / pairing
-            if coeff:
-                key = (self._zero_exp, widx, self._zero_exp)
-                w = terms.get(key, ZERO) + coeff
-                if w:
-                    terms[key] = w
-                else:
-                    terms.pop(key, None)
+            _add_term(terms, (self._zero_exp, widx, self._zero_exp), coeff)
         return PBWElement(self, terms)
 
     def _comm_mono(self, j, a):
@@ -326,7 +314,7 @@ class CherednikAlgebra:
             for (e, w), c in self._comm_mono(j, rest).items():
                 e2 = list(e)
                 e2[i] += 1
-                out[(tuple(e2), w)] = out.get((tuple(e2), w), ZERO) + c
+                _add_term(out, (tuple(e2), w), c)
             # [y_j, x_i] * x^rest = sum_s kappa * (s . x^rest) * s
             for (widx, alpha, alpha_vee, pairing, c) in self.refl_data:
                 if not c or not alpha[i]:
@@ -336,13 +324,7 @@ class CherednikAlgebra:
                     continue
                 acted = self._act_x(widx, rest)
                 for e, ce in acted.items():
-                    k2 = (e, widx)
-                    w = out.get(k2, ZERO) + kappa * ce
-                    if w:
-                        out[k2] = w
-                    else:
-                        out.pop(k2, None)
-            out = {k: v for k, v in out.items() if v}
+                    _add_term(out, (e, widx), kappa * ce)
         self._comm_cache[key] = out
         return out
 
@@ -365,25 +347,13 @@ class CherednikAlgebra:
                 # y_j * x^e * w * y^f
                 # commutator part: [y_j, x^e] w y^f
                 for (e2, s), c2 in self._comm_mono(j, e).items():
-                    sw = self.group.mult(s, w)
-                    k2 = (e2, sw, f)
-                    val = out.get(k2, ZERO) + coeff * c2
-                    if val:
-                        out[k2] = val
-                    else:
-                        out.pop(k2, None)
+                    _add_term(out, (e2, self.group.mult(s, w), f), coeff * c2)
                 # straight part: x^e (y_j w) y^f = x^e w (w^{-1}.y_j) y^f
                 winv = self.group.inv(w)
                 acted = self._act_y(winv, _unit_exp(self.n, j))
                 for ym, cy in acted.items():
                     f2 = tuple(fa + fb for fa, fb in zip(f, ym))
-                    k2 = (e, w, f2)
-                    val = out.get(k2, ZERO) + coeff * cy
-                    if val:
-                        out[k2] = val
-                    else:
-                        out.pop(k2, None)
-            out = {k: v for k, v in out.items() if v}
+                    _add_term(out, (e, w, f2), coeff * cy)
         self._ybxc_cache[key] = out
         return out
 
@@ -411,12 +381,7 @@ class CherednikAlgebra:
                         cxx = coeff * cx
                         for ym, cy in ypoly.items():
                             bm = tuple(p + q for p, q in zip(d, ym))
-                            key = (am, g, bm)
-                            val = out.get(key, ZERO) + cxx * cy
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
+                            _add_term(out, (am, g, bm), cxx * cy)
         return PBWElement(self, out)
 
     def skew_multiply(self, u, v):
@@ -435,12 +400,7 @@ class CherednikAlgebra:
                     cxx = cuv * cx
                     for ym, cy in ypoly.items():
                         bm = tuple(p + q for p, q in zip(d, ym))
-                        key = (am, g, bm)
-                        val = out.get(key, ZERO) + cxx * cy
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
+                        _add_term(out, (am, g, bm), cxx * cy)
         return PBWElement(self, out)
 
     # ---- parsing / printing ---------------------------------------------------

@@ -11,22 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .linalg import ONE, _add_term, _axpy
+
 
 def pconst(nvars, value):
     if not value:
         return {}
     return {(0,) * nvars: value}
-
-
-def padd(a, b):
-    out = dict(a)
-    for e, v in b.items():
-        w = out.get(e, 0) + v
-        if w:
-            out[e] = w
-        else:
-            out.pop(e, None)
-    return out
 
 
 def pscale(a, c):
@@ -39,12 +30,7 @@ def pmul(a, b):
     out = {}
     for e1, v1 in a.items():
         for e2, v2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            w = out.get(e, 0) + v1 * v2
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
+            _add_term(out, tuple(x + y for x, y in zip(e1, e2)), v1 * v2)
     return out
 
 
@@ -68,7 +54,7 @@ def psub_linear(p, images, nvars):
         for i, k in enumerate(e):
             if k:
                 term = pmul(term, var_pow(i, k))
-        out = padd(out, term)
+        _axpy(out, term, ONE)
     return out
 
 

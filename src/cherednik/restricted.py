@@ -21,8 +21,8 @@ from fractions import Fraction
 from .comalg import idempotents_of_commutative_algebra
 from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      DimensionMismatch, NotSimpleHead, TieDetected)
-from .linalg import (ONE, ZERO, Echelon, echelon, identity, kernel_basis,
-                     mat_add, mat_mul, rank, trace, transpose)
+from .linalg import (ONE, ZERO, Echelon, _add_term, _axpy, echelon, identity,
+                     kernel_basis, mat_add, mat_mul, rank, trace, transpose)
 from .pbw import CherednikAlgebra, PBWElement
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
@@ -243,12 +243,7 @@ class RestrictedCherednikAlgebra:
             for xm, cx in xred.items():
                 cvx = v * cx
                 for ym, cy in yred.items():
-                    idx = self.index[(xm, w, ym)]
-                    val = out.get(idx, ZERO) + cvx * cy
-                    if val:
-                        out[idx] = val
-                    else:
-                        out.pop(idx, None)
+                    _add_term(out, self.index[(xm, w, ym)], cvx * cy)
         return out
 
     # ---- multiplication -------------------------------------------------------
@@ -270,13 +265,7 @@ class RestrictedCherednikAlgebra:
         out = {}
         for i, ci in u.items():
             for j, cj in v.items():
-                c = ci * cj
-                for k, ck in self.multiply_basis(i, j).items():
-                    val = out.get(k, ZERO) + c * ck
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
+                _axpy(out, self.multiply_basis(i, j), ci * cj)
         return out
 
     # ---- grading ----------------------------------------------------------------
@@ -313,8 +302,8 @@ class RestrictedCherednikAlgebra:
                     continue
                 for col, m in enumerate(idxs):
                     em = {m: ONE}
-                    diff = _vec_sub(self.multiply_vec(em, gvec),
-                                    self.multiply_vec(gvec, em))
+                    diff = _axpy(self.multiply_vec(em, gvec),
+                                 self.multiply_vec(gvec, em), -ONE)
                     for k, val in diff.items():
                         rows.setdefault((gkey, k), {})[col] = val
             for vec in kernel_basis(list(rows.values()), len(idxs)):
@@ -534,11 +523,9 @@ class RestrictedCherednikAlgebra:
                     row = {}
                     for k in range(dim):
                         if g[k][j]:
-                            row[i * dim + k] = (row.get(i * dim + k, ZERO)
-                                                + g[k][j])
+                            _add_term(row, i * dim + k, g[k][j])
                         if g[i][k]:
-                            row[k * dim + j] = (row.get(k * dim + j, ZERO)
-                                                - g[i][k])
+                            _add_term(row, k * dim + j, -g[i][k])
                     rows.append(row)
         return dim * dim - rank(rows, dim * dim)
 
@@ -579,12 +566,7 @@ class RestrictedCherednikAlgebra:
             vec = {}
             for c, z in zip(coords, zbasis):
                 if c:
-                    for k, v in z.items():
-                        val = vec.get(k, ZERO) + c * v
-                        if val:
-                            vec[k] = val
-                        else:
-                            vec.pop(k, None)
+                    _axpy(vec, z, c)
             idem_vecs.append(vec)
         return idem_vecs
 
@@ -678,17 +660,6 @@ class RestrictedCherednikAlgebra:
     def __repr__(self):
         return (f"RestrictedCherednikAlgebra({self.group.name}, dim={self.dim},"
                 f" b={'0' if self.graded else self.b_point})")
-
-
-def _vec_sub(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        val = out.get(k, ZERO) - c
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
 
 
 def _is_zero_matrix(mat):

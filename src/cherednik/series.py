@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
+from .linalg import ONE, _add_term, _axpy
 
 DEFAULT_TRUNCATION = 24
 
@@ -40,10 +41,6 @@ class GradedCharacter:
         return cls({0: Fraction(1)}, truncation)
 
     @classmethod
-    def monomial(cls, e, c=1, truncation=None):
-        return cls({e: Fraction(c)}, truncation)
-
-    @classmethod
     def geometric(cls, d, truncation):
         """Series of 1/(1 - q^d) to the given truncation order."""
         if d <= 0:
@@ -57,9 +54,6 @@ class GradedCharacter:
 
     def __getitem__(self, e):
         return self.coeffs.get(e, Fraction(0))
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def min_exponent(self):
         if not self.coeffs:
@@ -80,15 +74,8 @@ class GradedCharacter:
         return min(ts) if ts else None
 
     def __add__(self, other):
-        t = self._join_trunc(other)
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            w = out.get(e, Fraction(0)) + v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-        return GradedCharacter(out, t)
+        return GradedCharacter(_axpy(dict(self.coeffs), other.coeffs, ONE),
+                               self._join_trunc(other))
 
     def __neg__(self):
         return GradedCharacter({e: -v for e, v in self.coeffs.items()},
@@ -105,13 +92,8 @@ class GradedCharacter:
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
                 e = e1 + e2
-                if t is not None and e > t:
-                    continue
-                w = out.get(e, Fraction(0)) + v1 * v2
-                if w:
-                    out[e] = w
-                else:
-                    out.pop(e, None)
+                if t is None or e <= t:
+                    _add_term(out, e, v1 * v2)
         return GradedCharacter(out, t)
 
     __rmul__ = __mul__
@@ -237,14 +219,8 @@ class BigradedCharacter:
         out = {}
         for (q1, t1), v1 in self.coeffs.items():
             for (q2, t2), v2 in other.coeffs.items():
-                key = (q1 + q2, t1 + t2)
-                if t is not None and key[0] > t:
-                    continue
-                w = out.get(key, Fraction(0)) + v1 * v2
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                if t is None or q1 + q2 <= t:
+                    _add_term(out, (q1 + q2, t1 + t2), v1 * v2)
         return BigradedCharacter(out, t)
 
     def t_degree(self):

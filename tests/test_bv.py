@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.bv import (CONORMAL, NORMAL, TruncatedPolyModel, bv_delta,
+from cherednik import bv
+from cherednik.bv import (CONORMAL, NORMAL, ExteriorElement,
+                          TruncatedPolyModel, bv_delta,
                           bv_delta_conormal, bv_delta_normal,
                           check_bracket_axioms, check_bv_seven_term,
                           gerstenhaber_bracket, koszul_homology,
@@ -268,3 +270,33 @@ def test_koszul_euler_characteristic():
 def test_truncation_floor():
     with pytest.raises(ValueError):
         TruncatedPolyModel(1, 1)
+
+
+# ---- the pass condition of bv_check ---------------------------------------------
+
+def test_bv_check_fails_on_a_squared_coordinate(monkeypatch):
+    # (y1^2, y2) is still regular, but H_0 = C[y]/(y1^2, y2) has dimension 2
+    coordinates = bv.coordinate_sequence
+
+    def squared(n):
+        seq = coordinates(n)
+        seq[0] = {tuple(2 * k for k in e): c for e, c in seq[0].items()}
+        return seq
+
+    monkeypatch.setattr(bv, "coordinate_sequence", squared)
+    report = bv.bv_check(2, 4, samples=4, seed=0)
+    assert report["koszul"]["homology"][0] == 2
+    assert report["koszul"]["regular"]
+    assert not report["checks_pass"]
+
+
+def test_bv_check_fails_on_a_zero_delta(monkeypatch):
+    # every identity holds for delta = 0, but no chain is a boundary
+    monkeypatch.setattr(bv, "bv_delta", lambda model, elt: ExteriorElement(
+        model, elt.side, {}))
+    report = bv.bv_check(2, 4, samples=4, seed=0)
+    assert (report["square_zero_failures"], report["seven_term_failures"],
+            report["bracket_axiom_failures"]) == (0, 0, 0)
+    assert [report["virtual_homology"][side]["total"]
+            for side in (CONORMAL, NORMAL)] == [40, 40]
+    assert not report["checks_pass"]

@@ -161,6 +161,15 @@ def test_reduce_point_validation(capsys):
     ["cm", "--group", "Zm:2", "--c", "c9=1"],
     ["characters", "--group", "Zm:2", "--rep", "bogus"],
     ["element", "--group", "Zm:2", "--expr", "x2"],
+    ["cm", "--group", "Zm:2", "--c", "c0=1,c0=2"],
+    ["cm", "--group", "Zm:2", "--c", "genericfoo"],
+    ["cm", "--group", "Zm:2", "--c", "generic:1:2"],
+    ["bv-check", "--trunc", "1"],
+    ["bv-check", "--n", "0"],
+    ["bv-check", "--n", "-1"],
+    ["bv-check", "--samples", "-3"],
+    ["characters", "--group", "Zm:2", "--trunc", "-1"],
+    ["reduce", "--group", "Zm:3", "--point", "1", "--trunc", "-3"],
     # group files that parse as JSON but cannot be used; a dict stands for
     # the file holding it
     ["group", "--group", {"generators": [[[[[1, 1, 1]]]]]}],

@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from cherednik.cyclotomic import Cyc
-from cherednik.linalg import (ONE, ZERO, Echelon, ExactMatrix, echelon,
-                              kernel_basis, mat_vec, matrix_kernel, rank,
-                              rref, solve)
+from cherednik.linalg import (ONE, ZERO, Echelon, ExactMatrix, _add_term,
+                              _axpy, echelon, kernel_basis, mat_vec,
+                              matrix_kernel, rank, rref, solve)
 
 F = Fraction
 
@@ -31,6 +31,24 @@ def matrices(draw, max_rows=5, max_cols=5):
         c = _scalar(draw, n)
         rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
     return rows, ncols
+
+
+@st.composite
+def axpy_cases(draw):
+    """(u, v, c): sparse maps without zeros over Q or Q(zeta_5) and a
+    scalar; c * v often cancels some entries of u."""
+    n = draw(st.sampled_from([1, 5]))
+
+    def sparse():
+        keys = draw(st.sets(st.integers(0, 5), max_size=5))
+        vec = {k: _scalar(draw, n) for k in keys}
+        return {k: x for k, x in vec.items() if x}
+
+    u, v, c = sparse(), sparse(), _scalar(draw, n)
+    if c and u:
+        for k in draw(st.sets(st.sampled_from(sorted(u)))):
+            v[k] = -u[k] / c
+    return u, v, c
 
 
 def _combination(coeffs, rows, ncols):
@@ -118,6 +136,38 @@ def test_solve_resubstitutes_exactly(mat, data):
     for row, p in zip(red, piv):
         carried[p] = row[ncols]
     assert mat_vec(a, carried) == b
+
+
+@settings(max_examples=120, deadline=None)
+@given(axpy_cases())
+def test_axpy_is_the_dense_sum_without_zeros(case):
+    u, v, c = case
+    v_before = dict(v)
+    out = dict(u)
+    assert _axpy(out, v, c) is out
+    for k in set(u) | set(v):
+        assert out.get(k, ZERO) == u.get(k, ZERO) + c * v.get(k, ZERO)
+    assert set(out) <= set(u) | set(v)
+    assert all(out.values())
+    assert v == v_before
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_add_term_sums_without_zeros(data):
+    n = data.draw(st.sampled_from([1, 5]))
+    terms = [(k, _scalar(data.draw, n))
+             for k in data.draw(st.lists(st.integers(0, 3), max_size=8))]
+    if terms:
+        # undo some terms so that sums cancel
+        undone = data.draw(st.lists(st.sampled_from(terms)))
+        terms += [(k, -x) for k, x in undone]
+    out, dense = {}, dict.fromkeys(range(4), ZERO)
+    for k, x in terms:
+        _add_term(out, k, x)
+        dense[k] = dense[k] + x
+        assert all(out.values())
+    assert out == {k: x for k, x in dense.items() if x}
 
 
 def test_solve_inconsistent_returns_none():
