@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import NotRegularDetected, SideMismatch
+from .errors import InvalidInput, NotRegularDetected, SideMismatch
 from .linalg import ONE, _add_term, _axpy, rank
 from .polys import monomials_of_degree
 
@@ -33,8 +33,11 @@ class TruncatedPolyModel:
     """Flat model: variables x_1..x_n, y_1..y_n, truncation degree D."""
 
     def __init__(self, n, trunc):
+        if n < 1:
+            raise InvalidInput(f"rank must be at least 1, got {n}")
         if trunc < 2:
-            raise ValueError("truncation degree must be at least 2")
+            raise InvalidInput(
+                f"truncation degree must be at least 2, got {trunc}")
         self.n = n
         self.trunc = trunc
 
@@ -483,6 +486,8 @@ def bv_check(n, trunc, samples, seed):
     coordinate sequence is regular with one-dimensional H_0 (the pairing
     against the dual standard module).
     """
+    if samples < 0:
+        raise InvalidInput(f"samples must be at least 0, got {samples}")
     model = TruncatedPolyModel(n, trunc)
     square, seven, bracket = sample_identity_failures(
         model, random.Random(seed), samples)

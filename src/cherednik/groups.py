@@ -28,6 +28,24 @@ from .linalg import ONE, ZERO, identity, mat_mul, rank, transpose
 ORDER_CAP = 720     # largest |W| a group builder accepts
 
 
+def _closure(seeds, moves):
+    """Everything reachable from ``seeds`` through ``moves(x)``, in
+    depth-first discovery order; more than ORDER_CAP elements is an error."""
+    found = list(seeds)
+    seen = set(found)
+    stack = list(found)
+    while stack:
+        for y in moves(stack.pop()):
+            if y not in seen:
+                if len(found) >= ORDER_CAP:
+                    raise CapExceeded(
+                        f"group closure exceeds cap {ORDER_CAP}")
+                seen.add(y)
+                found.append(y)
+                stack.append(y)
+    return found
+
+
 # --------------------------------------------------------------------------
 # Partitions and standard tableaux (Young's seminormal form for S_n)
 # --------------------------------------------------------------------------
@@ -307,16 +325,8 @@ class ReflectionGroup:
         for i in range(self.order):
             if seen[i]:
                 continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                x = frontier.pop()
-                for g in gen_idx:
-                    y = self.mult(self.mult(g, x), self.inv(g))
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            orbit = tuple(sorted(orbit))
+            orbit = tuple(sorted(_closure([i], lambda x: [
+                self.mult(self.mult(g, x), self.inv(g)) for g in gen_idx])))
             for x in orbit:
                 seen[x] = True
             classes.append(orbit)
@@ -402,15 +412,8 @@ class ReflectionGroup:
         fix = [i for i in range(self.order) if self.act_hstar(i, p) == p]
         fix_set = set(fix)
         refl_fix = [r.element for r in self.reflections if r.element in fix_set]
-        generated = {self._identity}
-        frontier = [self._identity]
-        while frontier:
-            x = frontier.pop()
-            for g in refl_fix:
-                y = self.mult(x, g)
-                if y not in generated:
-                    generated.add(y)
-                    frontier.append(y)
+        generated = set(_closure([self._identity], lambda x: [
+            self.mult(x, g) for g in refl_fix]))
         if generated != fix_set:
             raise CherednikError(
                 "stabilizer is not generated by the reflections it contains "
@@ -560,16 +563,9 @@ class ReflectionGroup:
         for i in range(pts):
             if i in seen:
                 continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                x = frontier.pop()
-                for m in self.metas:
-                    if m[x] not in orbit:
-                        orbit.add(m[x])
-                        frontier.append(m[x])
-            seen |= orbit
-            orbits.append(sorted(orbit))
+            orbit = sorted(_closure([i], lambda x: [m[x] for m in self.metas]))
+            seen.update(orbit)
+            orbits.append(orbit)
         return orbits
 
     def _i2_irreps(self):
@@ -797,23 +793,6 @@ def build_from_generators(conductor, gen_matrices, name="custom"):
             for m in gen_matrices]
     ident = tuple(tuple(ONE if i == j else ZERO for j in range(n))
                   for i in range(n))
-    seen = {ident: 0}
-    metas = [ident]
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple(tuple(sum((x[i][t] * g[t][j] for t in range(n)
-                                 if g[t][j]), ZERO)
-                            for j in range(n)) for i in range(n))
-            # y = x*g
-            if y not in seen:
-                if len(metas) >= ORDER_CAP:
-                    raise CapExceeded(
-                        f"group closure exceeds cap {ORDER_CAP}")
-                seen[y] = len(metas)
-                metas.append(y)
-                frontier.append(y)
 
     def mult(a, b):
         return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(n)), ZERO)
@@ -831,7 +810,8 @@ def build_from_generators(conductor, gen_matrices, name="custom"):
     def matrix_fn(meta):
         return meta
 
-    glabels = {f"g{k}": seen[g] for k, g in enumerate(gens)}
+    metas = _closure([ident], lambda x: [mult(x, g) for g in gens])
+    glabels = {f"g{k}": metas.index(g) for k, g in enumerate(gens)}
     g = ReflectionGroup(name, n, conductor, metas, "matrix", mult, inv,
                         matrix_fn, glabels)
     g._identity = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .cyclotomic import scalar_payload
 from .errors import CherednikError
+from .groups import _closure
 from .series import DEFAULT_TRUNCATION
 from .verma import endo_character
 
@@ -53,18 +54,9 @@ class ReductionContext:
 def make_context(group, param, point):
     """Orbit, stabilizer (with Steinberg check) and restricted parameter."""
     point = tuple(point)
-    seen = {point}
-    orbit = [point]
-    frontier = [point]
     gen_idx = list(group.generators.values())
-    while frontier:
-        q = frontier.pop()
-        for g in gen_idx:
-            q2 = group.act_hstar(g, q)
-            if q2 not in seen:
-                seen.add(q2)
-                orbit.append(q2)
-                frontier.append(q2)
+    orbit = _closure([point], lambda q: [group.act_hstar(g, q)
+                                         for g in gen_idx])
     stab = group.stabilizer(point)
     restricted = param.restrict_to(stab)
     return ReductionContext(group, param, point, orbit, stab, restricted)

@@ -31,32 +31,26 @@ RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
 class FDModule:
     """A module over a restricted algebra: explicit action matrices.
 
-    ``w_action`` maps a group element index to its matrix; ``w_matrix``
-    calls it once per element.  ``rep`` is the irreducible of W that the
-    module is built from, or None.
+    ``x`` and ``y`` list the matrices of x_i and y_i; ``w_action`` maps a
+    group element index to its matrix, and ``w_matrix`` calls it once per
+    element.  ``rep`` is the irreducible of W that the module is built
+    from, or None.
     """
 
-    def __init__(self, parent, dim, w_action, weights=None, label=None,
+    def __init__(self, parent, dim, x, y, w_action, weights=None, label=None,
                  rep=None):
         self.parent = parent          # RestrictedCherednikAlgebra
         self.dim = dim
+        self.x = x
+        self.y = y
         self.weights = weights        # grading weight per basis vector, or None
         self.label = label
         self.rep = rep
         self._w_action = w_action
-        self._x = {}                  # i -> matrix
-        self._y = {}
         self._w = {}                  # group element index -> matrix
         self._xpow = {}
         self._ypow = {}
         self._mono = {}
-
-    # Filled in by the constructor helpers:
-    def set_x(self, i, mat):
-        self._x[i] = mat
-
-    def set_y(self, i, mat):
-        self._y[i] = mat
 
     def w_matrix(self, widx):
         mat = self._w.get(widx)
@@ -65,11 +59,13 @@ class FDModule:
             self._w[widx] = mat
         return mat
 
-    def x_matrix(self, i):
-        return self._x[i]
-
-    def y_matrix(self, i):
-        return self._y[i]
+    def generators(self):
+        """(matrix, degree) of each of the parent's ``generators``."""
+        mats = [m for xy in zip(self.x, self.y) for m in xy]
+        mats += [self.w_matrix(w)
+                 for w in self.parent.group.generators.values()]
+        return [(mat, deg) for mat, (_vec, deg)
+                in zip(mats, self.parent.generators)]
 
     def _power(self, cache, mats, expo):
         mat = cache.get(expo)
@@ -86,8 +82,8 @@ class FDModule:
         mat = self._mono.get(key)
         if mat is None:
             a, w, b = key
-            xm = self._power(self._xpow, self._x, a)
-            ym = self._power(self._ypow, self._y, b)
+            xm = self._power(self._xpow, self.x, a)
+            ym = self._power(self._ypow, self.y, b)
             mat = mat_mul(xm, mat_mul(self.w_matrix(w), ym))
             self._mono[key] = mat
         return mat
@@ -104,19 +100,6 @@ class FDModule:
                     if row[j]:
                         orow[j] = orow[j] + c * row[j]
         return out
-
-    def symmetrizer_matrix(self):
-        """Action of the averaging idempotent |W|^{-1} sum_w w."""
-        n = self.parent.group.order
-        out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for widx in range(n):
-            mat = self.w_matrix(widx)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if mat[i][j]:
-                        out[i][j] = out[i][j] + mat[i][j]
-        c = Fraction(1, n)
-        return [[v * c for v in row] for row in out]
 
     def __repr__(self):
         lbl = f", label={self.label!r}" if self.label is not None else ""
@@ -221,16 +204,14 @@ class RestrictedCherednikAlgebra:
         self._center = None
         self._module_cache = {}
         self._head_cache = {}
-        # generators as sparse vectors
-        self.generator_elements = {}
-        for i in range(group.n):
-            self.generator_elements[("x", i)] = self.reduce_pbw(
-                algebra.x(i))
-            self.generator_elements[("y", i)] = self.reduce_pbw(
-                algebra.y(i))
-        for lbl, widx in group.generators.items():
-            self.generator_elements[("w", widx)] = self.reduce_pbw(
-                algebra.grp(widx))
+        # (sparse vector, degree) of x_0, y_0, x_1, y_1, ... and then of the
+        # group generators; every degree is 0 off the graded fiber
+        step = 1 if self.graded else 0
+        self.generators = [
+            (self.reduce_pbw(gen), deg) for i in range(group.n)
+            for gen, deg in ((algebra.x(i), step), (algebra.y(i), -step))]
+        self.generators += [(self.reduce_pbw(algebra.grp(w)), 0)
+                            for w in group.generators.values()]
         self.unit = self.reduce_pbw(algebra.one())
 
     # ---- reduction ----------------------------------------------------------
@@ -288,16 +269,14 @@ class RestrictedCherednikAlgebra:
         """
         if self._center is not None:
             return self._center
-        if self.graded:
-            slices, shift = self.degree_slices(), {"x": 1, "y": -1, "w": 0}
-        else:
-            slices, shift = {0: list(range(self.dim))}, dict.fromkeys("xyw", 0)
+        slices = (self.degree_slices() if self.graded
+                  else {0: list(range(self.dim))})
         center = Echelon(self.dim)
         for d, idxs in slices.items():
             # constraint rows, sparse over the slice, keyed (generator, target)
             rows = {}
-            for gkey, gvec in self.generator_elements.items():
-                if d + shift[gkey[0]] not in slices:
+            for g, (gvec, gdeg) in enumerate(self.generators):
+                if d + gdeg not in slices:
                     # adjoint lands in a zero space: no constraint
                     continue
                 for col, m in enumerate(idxs):
@@ -305,7 +284,7 @@ class RestrictedCherednikAlgebra:
                     diff = _axpy(self.multiply_vec(em, gvec),
                                  self.multiply_vec(gvec, em), -ONE)
                     for k, val in diff.items():
-                        rows.setdefault((gkey, k), {})[col] = val
+                        rows.setdefault((g, k), {})[col] = val
             for vec in kernel_basis(list(rows.values()), len(idxs)):
                 center.add({idxs[t]: c for t, c in enumerate(vec) if c})
         # the rows of the echelon, in pivot order, are the center basis
@@ -339,75 +318,56 @@ class RestrictedCherednikAlgebra:
     # ---- baby Verma modules ----------------------------------------------------
     def baby_verma(self, rep):
         """Delta(0, rep, b): the standard module with its graded structure."""
+        if rep.group is not self.group:
+            raise DimensionMismatch(
+                f"irreducible {rep.label!r} is not one of {self.group.name}")
         key = rep.label
         if key in self._module_cache:
             return self._module_cache[key]
-        group = self.group
-        xb = self.x_basis
-        xb_index = {m: i for i, m in enumerate(xb)}
-        dim = len(xb) * rep.dim
-        weights = [sum(m) for m in xb for _t in range(rep.dim)]
+        fiber, ident = self._x_fiber, self.group.identity
 
-        def slot(mi, t):
-            return mi * rep.dim + t
+        def x_image(i):
+            # x_i times the coinvariant part
+            return lambda m: (((m2, ident), c) for m2, c in
+                              fiber[m[:i] + (m[i] + 1,) + m[i + 1:]].items())
 
-        mod = FDModule(self, dim,
-                       lambda widx: self._module_w_matrix(rep, widx),
-                       weights=weights if self.graded else None,
-                       label=rep.label, rep=rep)
-        # x_i action: multiply the coinvariant part
-        for i in range(group.n):
-            mat = [[ZERO] * dim for _ in range(dim)]
-            for mi, m in enumerate(xb):
-                e = list(m)
-                e[i] += 1
-                red = self._x_fiber[tuple(e)]
-                for m2, c in red.items():
-                    mj = xb_index[m2]
-                    for t in range(rep.dim):
-                        mat[slot(mj, t)][slot(mi, t)] = c
-            mod.set_x(i, mat)
-        # y_j action: commutator past the coinvariant part, evaluated at p=0
-        for j in range(group.n):
-            mat = [[ZERO] * dim for _ in range(dim)]
-            for mi, m in enumerate(xb):
-                for (e, s), c in self.algebra._comm_mono(j, m).items():
-                    red = self._x_fiber[e]
-                    rho = rep.matrix(s)
-                    for m2, c2 in red.items():
-                        mj = xb_index[m2]
-                        cc = c * c2
-                        for t in range(rep.dim):
-                            for t2 in range(rep.dim):
-                                if rho[t2][t]:
-                                    mat[slot(mj, t2)][slot(mi, t)] = (
-                                        mat[slot(mj, t2)][slot(mi, t)]
-                                        + cc * rho[t2][t])
-            mod.set_y(j, mat)
+        def y_image(j):
+            # the commutator [y_j, x^m], as y_j kills rep
+            return lambda m: (((m2, s), c * c2) for (e, s), c in
+                              self.algebra._comm_mono(j, m).items()
+                              for m2, c2 in fiber[e].items())
+
+        def w_image(w):
+            return lambda m: (((m2, w), c) for m2, c in self.itx.reduce(
+                self.itx._act_monomial(w, m), self.x_values).items())
+
+        n = self.group.n
+        mod = FDModule(
+            self, len(self.x_basis) * rep.dim,
+            [self._induced(rep, x_image(i)) for i in range(n)],
+            [self._induced(rep, y_image(j)) for j in range(n)],
+            lambda w: self._induced(rep, w_image(w)),
+            weights=([sum(m) for m in self.x_basis for _t in range(rep.dim)]
+                     if self.graded else None),
+            label=rep.label, rep=rep)
         self._module_cache[key] = mod
         return mod
 
-    def _module_w_matrix(self, rep, widx):
-        xb = self.x_basis
-        xb_index = {m: i for i, m in enumerate(xb)}
-        dim = len(xb) * rep.dim
-
-        def slot(mi, t):
-            return mi * rep.dim + t
-
+    def _induced(self, rep, image):
+        """Matrix on (coinvariant monomials) (x) rep of m (x) v -> sum of
+        c * m2 (x) rep(s) v over the ((m2, s), c) that ``image(m)`` yields."""
+        r = rep.dim
+        dim = len(self.x_basis) * r
+        slot = {m: k * r for k, m in enumerate(self.x_basis)}
         mat = [[ZERO] * dim for _ in range(dim)]
-        rho = rep.matrix(widx)
-        for mi, m in enumerate(xb):
-            red = self.itx.reduce(self.itx._act_monomial(widx, m),
-                                  self.x_values)
-            for m2, c in red.items():
-                mj = xb_index[m2]
-                for t in range(rep.dim):
-                    for t2 in range(rep.dim):
+        for m in self.x_basis:
+            col = slot[m]
+            for (m2, s), c in image(m):
+                rho, row = rep.matrix(s), slot[m2]
+                for t in range(r):
+                    for t2 in range(r):
                         if rho[t2][t]:
-                            mat[slot(mj, t2)][slot(mi, t)] = (
-                                mat[slot(mj, t2)][slot(mi, t)]
-                                + c * rho[t2][t])
+                            mat[row + t2][col + t] += c * rho[t2][t]
         return mat
 
     # ---- simple heads ---------------------------------------------------------------
@@ -419,13 +379,7 @@ class RestrictedCherednikAlgebra:
         homogeneous; for ungraded ones everything sits in degree 0 and the
         trace-form radical is computed on the whole image.
         """
-        graded = mod.weights is not None
-        gens = []
-        for i in range(self.group.n):
-            gens.append((mod.x_matrix(i), 1 if graded else 0))
-            gens.append((mod.y_matrix(i), -1 if graded else 0))
-        for lbl, widx in self.group.generators.items():
-            gens.append((mod.w_matrix(widx), 0))
+        gens = mod.generators()
         dim = mod.dim
         basis = []      # (matrix, degree)
         span = Echelon(dim * dim)
@@ -493,13 +447,12 @@ class RestrictedCherednikAlgebra:
                 cols.append(project(col))
             return [[cols[j][i] for j in range(hdim)] for i in range(hdim)]
 
-        head = FDModule(self, hdim, lambda widx: induce(mod.w_matrix(widx)),
+        head = FDModule(self, hdim, [induce(m) for m in mod.x],
+                        [induce(m) for m in mod.y],
+                        lambda widx: induce(mod.w_matrix(widx)),
                         weights=([mod.weights[i] for i in keep]
                                  if mod.weights is not None else None),
                         label=mod.label, rep=mod.rep)
-        for i in range(self.group.n):
-            head.set_x(i, induce(mod.x_matrix(i)))
-            head.set_y(i, induce(mod.y_matrix(i)))
         if expect_simple:
             if not self.is_simple(head):
                 raise NotSimpleHead(
@@ -512,11 +465,8 @@ class RestrictedCherednikAlgebra:
 
     def endomorphism_dimension(self, mod):
         dim = mod.dim
-        mats = [mod.x_matrix(i) for i in range(self.group.n)]
-        mats += [mod.y_matrix(i) for i in range(self.group.n)]
-        mats += [mod.w_matrix(w) for w in self.group.generators.values()]
         rows = []
-        for g in mats:
+        for g, _deg in mod.generators():
             # constraint: phi g - g phi = 0, phi unknown dim x dim
             for i in range(dim):
                 for j in range(dim):
@@ -530,17 +480,17 @@ class RestrictedCherednikAlgebra:
         return dim * dim - rank(rows, dim * dim)
 
     def simple_module(self, rep):
-        key = rep.label
-        if key not in self._head_cache:
-            self._head_cache[key] = self.simple_head(self.baby_verma(rep),
-                                                     expect_simple=True)
-        return self._head_cache[key]
+        mod = self.baby_verma(rep)
+        if rep.label not in self._head_cache:
+            self._head_cache[rep.label] = self.simple_head(
+                mod, expect_simple=True)
+        return self._head_cache[rep.label]
 
     def dim_e_simple(self, rep):
         """Rank of the averaging idempotent on the simple head L(rep)."""
         head = self.simple_module(rep)
-        mat = head.symmetrizer_matrix()
-        return rank(mat, head.dim)
+        e = self.reduce_pbw(self.algebra.symmetrizer())
+        return rank(head.act_vector(e), head.dim)
 
     # ---- blocks -----------------------------------------------------------------
     def central_characters(self):

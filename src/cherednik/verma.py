@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MissingEis, NegativeExponentPresent
+from .errors import InvalidInput, MissingEis, NegativeExponentPresent
 from .series import (DEFAULT_TRUNCATION, BigradedCharacter, GradedCharacter,
                      product_of_geometric)
 
@@ -29,6 +29,8 @@ def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
     be an N-graded series with constant term 1; otherwise the input was not
     a distinguished representative and NegativeExponentPresent is raised.
     """
+    if truncation < 0:
+        raise InvalidInput(f"truncation must be at least 0, got {truncation}")
     dual = group.dual_of(rep)
     f = group.fake_polynomial(dual)
     b = f.min_exponent()
@@ -46,6 +48,8 @@ def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
 
 def verma_character(group, rep, truncation=DEFAULT_TRUNCATION):
     """Graded character of the full standard module: dim(rep)/(1-q)^n."""
+    if truncation < 0:
+        raise InvalidInput(f"truncation must be at least 0, got {truncation}")
     ch = product_of_geometric([1] * group.n, truncation)
     return ch.scale(rep.dim)
 

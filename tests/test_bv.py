@@ -10,7 +10,7 @@ from cherednik.bv import (CONORMAL, NORMAL, ExteriorElement,
                           check_bracket_axioms, check_bv_seven_term,
                           gerstenhaber_bracket, koszul_homology,
                           virtual_homology)
-from cherednik.errors import NotRegularDetected, SideMismatch
+from cherednik.errors import InvalidInput, NotRegularDetected, SideMismatch
 
 F = Fraction
 
@@ -270,6 +270,16 @@ def test_koszul_euler_characteristic():
 def test_truncation_floor():
     with pytest.raises(ValueError):
         TruncatedPolyModel(1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TruncatedPolyModel(0, 4),
+    lambda: bv.bv_check(0, 4, 1, 0),
+    lambda: bv.bv_check(2, 4, -3, 0),
+], ids=["model-rank-0", "check-rank-0", "check-negative-samples"])
+def test_library_floors(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 # ---- the pass condition of bv_check ---------------------------------------------

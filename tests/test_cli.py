@@ -175,6 +175,8 @@ def test_reduce_point_validation(capsys):
     ["group", "--group", {"generators": [[[[[1, 1, 1]]]]]}],
     ["group", "--group", {"conductor": 4, "generators": []}],
     ["group", "--group", {"conductor": 4, "generators": [[[[[1, 1]]]]]}],
+    # the 1x1 generator [2] has infinite order: its closure passes the cap
+    ["group", "--group", {"conductor": 1, "generators": [[[[[0, 2, 1]]]]]}],
 ])
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, argv):
     path = tmp_path / "group.json"
@@ -207,6 +209,23 @@ def test_bv_check_report_is_pinned(tmp_path):
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "99e3ce3ab6fba7104a34387dab709b32f6bb03160356cf836941df63a88f5290"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    # conductor 6, with a two-dimensional End of a distinguished baby Verma
+    (["cm", "--group", "I2:3", "--c", "generic:1", "--seed", "1"],
+     "534702d3cb2bf020721781843a207d593f6e152c79c58818c97b314fdcc952af"),
+    (["cm", "--group", "I2:4", "--c", "zero", "--seed", "1"],
+     "666dd12ead73458dc478a7cb64e077d4ffe35d3e8a94cb3650fe2e438f3ec03f"),
+], ids=["I2:3-generic:1", "I2:4-zero"])
+def test_cm_report_is_pinned(capsys, tmp_path, argv, digest):
+    # e_dims, dim_end and dim_center_image, which the verify report omits
+    assert main(argv) == 0
+    assert hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest() == digest
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), *argv]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_custom_group_json(tmp_path):

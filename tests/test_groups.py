@@ -248,6 +248,11 @@ def test_unsupported_group_raises():
         g.irreps
 
 
+def test_infinite_order_generator_hits_the_closure_cap():
+    with pytest.raises(CapExceeded, match="group closure exceeds cap 720"):
+        build_from_generators(1, [[[F(2)]]], name="infinite")
+
+
 def test_custom_group_from_generators():
     # Z_2 as an explicit matrix group
     gen = [[F(-1)]]

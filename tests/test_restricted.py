@@ -1,10 +1,12 @@
 import copy
+import random
 from fractions import Fraction
 
 import pytest
 
 from cherednik.errors import CapExceeded, TieDetected
 from cherednik.groups import build_sn, build_zm
+from cherednik.linalg import mat_mul
 from cherednik.pbw import Parameter
 from cherednik.restricted import (act_on_baby_verma, build_restricted,
                                   distinguished_rep)
@@ -81,6 +83,30 @@ def test_baby_verma_y_action_scales_with_parameter():
     mod = R.baby_verma(g.irrep("chi0"))
     ymat = act_on_baby_verma(R.algebra.y(0), mod)
     assert ymat[0][1] == F(7, 2)
+
+
+@pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced", "I2:3"])
+@pytest.mark.parametrize("ctag,seed", [("zero", 0), ("generic", 1)])
+def test_baby_verma_is_a_module(spec, ctag, seed):
+    # the action matrices respect the product of the restricted algebra
+    R = restricted(spec, ctag, seed)
+    rng = random.Random(5)
+    pairs = [(rng.randrange(R.dim), rng.randrange(R.dim)) for _ in range(10)]
+    for rep in R.group.irreps:
+        mod = R.baby_verma(rep)
+        for i, j in pairs:
+            assert mod.act_vector(R.multiply_basis(i, j)) == mat_mul(
+                mod.act_vector({i: F(1)}), mod.act_vector({j: F(1)})), \
+                (rep.label, i, j)
+
+
+def test_baby_verma_rejects_an_irreducible_of_another_group():
+    from cherednik.errors import DimensionMismatch
+    g = build_zm(2)
+    R = build_restricted(g, Parameter.zero(g))
+    with pytest.raises(DimensionMismatch):
+        R.baby_verma(build_zm(3).irrep("chi1"))
+    assert R.baby_verma(g.irrep("chi1")).rep is g.irrep("chi1")
 
 
 # ---- simple heads -------------------------------------------------------------------

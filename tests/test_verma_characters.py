@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import MissingEis
+from cherednik.errors import InvalidInput, MissingEis
 from cherednik.series import (BigradedCharacter, GradedCharacter,
                               product_of_geometric)
 from cherednik.verma import (EisFactorization, dual_verma_pairing_expected,
@@ -46,6 +46,13 @@ def test_endo_character_positivity():
         ch = endo_character(g, g.irrep(lbl), T)
         assert ch[0] == 1
         assert all(e >= 0 and v > 0 for e, v in ch.coeffs.items())
+
+
+@pytest.mark.parametrize("character", [endo_character, verma_character])
+def test_negative_truncation_is_rejected(character):
+    g = group("Zm:2")
+    with pytest.raises(InvalidInput):
+        character(g, g.irrep("chi0"), -1)
 
 
 # ---- hook identity ------------------------------------------------------------------
