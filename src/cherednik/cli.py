@@ -270,8 +270,9 @@ def cmd_characters(args):
         else:
             entry["note"] = ("no integer factorization: the endomorphism "
                              "ring is not a polynomial ring for this input")
-        if args.check_hook and group.name.startswith("Sn") and \
-                "permutation" in group.name:
+        # by family ("Sn", n, "permutation"): a custom group may take any name
+        if args.check_hook and group.family is not None and \
+                group.family[::2] == ("Sn", "permutation"):
             entry["hook_identity"] = hook_identity_check(group, rep.label,
                                                          trunc)
         table.append(entry)

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd
 
 from .cyclotomic import Cyc
 from .errors import (CapExceeded, CherednikError, InvalidInput,
                      UnsupportedGroup)
-from .linalg import ONE, ZERO, identity, mat_mul, rank, transpose
+from .linalg import (ONE, ZERO, identity, mat_mul, mat_vec, rank, trace,
+                     transpose)
 
 ORDER_CAP = 720     # largest |W| a group builder accepts
 
@@ -146,13 +148,6 @@ def compose_perm(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def invert_perm(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def kron(a, b):
     ra, rb = len(a), len(b)
     ca = len(a[0]) if a else 0
@@ -167,6 +162,16 @@ def kron(a, b):
                         if b[k][l]:
                             out[i * rb + k][j * cb + l] = v * b[k][l]
     return out
+
+
+def _root(a):
+    """A nonzero column of A - 1 when A - 1 has rank 1, else None."""
+    n = len(a)
+    diff = [[a[r][c] - (ONE if r == c else ZERO) for c in range(n)]
+            for r in range(n)]
+    if rank(diff, n) != 1:
+        return None
+    return next(col for col in zip(*diff) if any(col))
 
 
 # --------------------------------------------------------------------------
@@ -216,20 +221,13 @@ class IrrRep:
         cls = self.group.class_of[idx]
         v = self._char.get(cls)
         if v is None:
-            m = self.matrix(self.group.class_representatives[cls])
-            v = ZERO
-            for i in range(self.dim):
-                v = v + m[i][i]
-            self._char[cls] = v
+            v = self._char[cls] = trace(
+                self.matrix(self.group.class_representatives[cls]))
         return v
 
     def character_vector(self):
         """Character values on class representatives, in class order."""
         return tuple(self.char(r) for r in self.group.class_representatives)
-
-    def is_trivial(self):
-        return self.dim == 1 and all(self.char(r) == 1
-                                     for r in self.group.class_representatives)
 
     def __repr__(self):
         return f"IrrRep({self.label!r}, dim={self.dim})"
@@ -240,9 +238,17 @@ class IrrRep:
 # --------------------------------------------------------------------------
 
 class ReflectionGroup:
+    """A finite group on its element list ``metas``, with the law
+    ``mult_fn`` and the matrices ``matrix_fn`` of its action on h.
 
-    def __init__(self, name, n, conductor, metas, kind, mult_fn, inv_fn,
-                 matrix_fn, generators, parent=None, parent_indices=None,
+    ``identity`` and the values of ``generators`` (label -> element) are
+    elements; generators equal to the identity are dropped.  Inverses are
+    read off the law: the powers of an element reach the identity within
+    |W| steps, or the element has no inverse and the input is rejected.
+    """
+
+    def __init__(self, name, n, conductor, metas, kind, mult_fn, matrix_fn,
+                 identity, generators, parent=None, parent_indices=None,
                  family=None):
         self.name = name
         self.n = n
@@ -250,29 +256,46 @@ class ReflectionGroup:
         self.metas = metas
         self.kind = kind
         self._mult_fn = mult_fn
-        self._inv_fn = inv_fn
         self._matrix_fn = matrix_fn
-        self.generators = dict(generators)  # label -> element index
         self.parent = parent
         self.parent_indices = parent_indices
         self.family = family
         self.order = len(metas)
         self._meta_index = {m: i for i, m in enumerate(metas)}
+        self._identity = self._meta_index[identity]
+        self.generators = {label: self._meta_index[m]
+                           for label, m in generators.items() if m != identity}
+        self._inverse = self._inverse_table()
         self._mats = {}
         self._hstar_mats = {}
-        self._irreps = None
-        self._reflections = None
-        self._classes = None
         self._inv_theory = {}
         self._fake_cache = {}
-        self._degrees = None
+
+    def _inverse_table(self):
+        """inverse[i] for every i: the powers i, i^2, .., i^k = 1 of one
+        element invert each other in pairs, i^j * i^(k-j) = 1."""
+        inverse = [None] * self.order
+        for i in range(self.order):
+            if inverse[i] is not None:
+                continue
+            powers = [i]
+            while powers[-1] != self._identity:
+                if len(powers) > self.order:
+                    raise InvalidInput(
+                        f"element w{i} of {self.name} has no inverse: "
+                        "no power of it is the identity")
+                powers.append(self.mult(powers[-1], i))
+            k = len(powers)
+            for j, x in enumerate(powers):
+                inverse[x] = powers[(k - 2 - j) % k]
+        return inverse
 
     # ---- basic operations -------------------------------------------------
     def mult(self, i, j):
         return self._meta_index[self._mult_fn(self.metas[i], self.metas[j])]
 
     def inv(self, i):
-        return self._meta_index[self._inv_fn(self.metas[i])]
+        return self._inverse[i]
 
     @property
     def identity(self):
@@ -295,105 +318,63 @@ class ReflectionGroup:
         return m
 
     def act_hstar(self, i, vec):
-        a = self.hstar_matrix(i)
-        return tuple(sum((a[r][c] * vec[c] for c in range(self.n) if vec[c]),
-                         ZERO) for r in range(self.n))
+        return tuple(mat_vec(self.hstar_matrix(i), vec))
 
     # ---- conjugacy classes ---------------------------------------------------
-    @property
+    @cached_property
     def conjugacy_classes(self):
-        if self._classes is None:
-            self._build_classes()
-        return self._classes
-
-    @property
-    def class_of(self):
-        if self._classes is None:
-            self._build_classes()
-        return self._class_of
-
-    @property
-    def class_representatives(self):
-        if self._classes is None:
-            self._build_classes()
-        return self._class_reps
-
-    def _build_classes(self):
-        seen = [False] * self.order
+        """Classes as sorted element tuples, ordered by least element."""
+        gens = list(self.generators.values())
         classes = []
-        gen_idx = list(self.generators.values())
+        seen = set()
         for i in range(self.order):
-            if seen[i]:
-                continue
-            orbit = tuple(sorted(_closure([i], lambda x: [
-                self.mult(self.mult(g, x), self.inv(g)) for g in gen_idx])))
-            for x in orbit:
-                seen[x] = True
-            classes.append(orbit)
-        classes.sort(key=lambda c: c[0])
-        self._classes = classes
-        self._class_of = [0] * self.order
-        for ci, cls in enumerate(classes):
+            if i not in seen:
+                orbit = tuple(sorted(_closure([i], lambda x: [
+                    self.mult(self.mult(g, x), self.inv(g)) for g in gens])))
+                seen.update(orbit)
+                classes.append(orbit)
+        return classes
+
+    @cached_property
+    def class_of(self):
+        out = [0] * self.order
+        for ci, cls in enumerate(self.conjugacy_classes):
             for x in cls:
-                self._class_of[x] = ci
-        self._class_reps = [cls[0] for cls in classes]
-        self._class_of_inverse = [self._class_of[self.inv(r)]
-                                  for r in self._class_reps]
+                out[x] = ci
+        return out
+
+    @cached_property
+    def class_representatives(self):
+        return [cls[0] for cls in self.conjugacy_classes]
 
     def class_of_inverse(self, class_idx):
-        self.conjugacy_classes
-        return self._class_of_inverse[class_idx]
+        return self.class_of[self.inv(self.class_representatives[class_idx])]
 
     # ---- reflections ----------------------------------------------------------
-    @property
+    @cached_property
     def reflections(self):
-        if self._reflections is None:
-            self._build_reflections()
-        return self._reflections
-
-    def _build_reflections(self):
-        refl_elements = []
-        for i in range(self.order):
-            if i == self._identity:
-                continue
-            a = self.matrix(i)
-            diff = [[a[r][c] - (ONE if r == c else ZERO) for c in range(self.n)]
-                    for r in range(self.n)]
-            if rank(diff, self.n) == 1:
-                refl_elements.append((i, diff))
-        # conjugacy class labels among reflections, ordered by least element
-        cls_sorted = []
-        for i, _ in refl_elements:
-            ci = self.class_of[i]
-            if ci not in cls_sorted:
-                cls_sorted.append(ci)
-        labels = {ci: f"c{k}" for k, ci in enumerate(cls_sorted)}
+        """Reflections in element order; class labels c0, c1, .. follow the
+        class order (a class of reflections holds only reflections)."""
+        found = [(i, alpha) for i in range(self.order)
+                 if (alpha := _root(self.matrix(i))) is not None]
+        classes = sorted({self.class_of[i] for i, _ in found})
+        labels = {ci: f"c{k}" for k, ci in enumerate(classes)}
         out = []
-        for i, diff in refl_elements:
-            alpha = None
-            for c in range(self.n):
-                col = [diff[r][c] for r in range(self.n)]
-                if any(col):
-                    alpha = col
-                    break
-            b = self.hstar_matrix(i)
-            diff_star = [[b[r][c] - (ONE if r == c else ZERO)
-                          for c in range(self.n)] for r in range(self.n)]
-            alpha_vee = None
-            for c in range(self.n):
-                col = [diff_star[r][c] for r in range(self.n)]
-                if any(col):
-                    alpha_vee = col
-                    break
-            pairing = sum((av * al for av, al in zip(alpha_vee, alpha)), ZERO)
+        for i, alpha in found:
+            r = Reflection(i, alpha, _root(self.hstar_matrix(i)),
+                           labels[self.class_of[i]])
+            pairing = r.pairing()
             if not pairing:
                 raise CherednikError("degenerate root/coroot pairing")
             scale = 2 / pairing
-            alpha_vee = [scale * v for v in alpha_vee]
-            out.append(Reflection(i, alpha, alpha_vee, labels[self.class_of[i]]))
-        self._reflections = out
-        self.reflection_class_labels = sorted({r.class_label for r in out},
-                                              key=lambda s: int(s[1:]))
+            r.alpha_vee = tuple(scale * v for v in r.alpha_vee)
+            out.append(r)
+        return out
+
+    @cached_property
+    def reflection_class_labels(self):
+        return sorted({r.class_label for r in self.reflections},
+                      key=lambda s: int(s[1:]))
 
     def reflection_by_element(self, idx):
         for r in self.reflections:
@@ -406,7 +387,8 @@ class ReflectionGroup:
         """Subgroup fixing the point p of h* (coordinates over the field).
 
         Asserts the Steinberg property: the stabilizer must be generated by
-        the reflections it contains; failure is a hard error.
+        the reflections it contains; failure is a hard error.  The subgroup
+        takes those reflections as its generators.
         """
         p = tuple(p)
         fix = [i for i in range(self.order) if self.act_hstar(i, p) == p]
@@ -418,24 +400,14 @@ class ReflectionGroup:
             raise CherednikError(
                 "stabilizer is not generated by the reflections it contains "
                 f"(point {p}): got {len(generated)} of {len(fix)} elements")
-        return self._subgroup(sorted(fix), f"{self.name}|stab")
-
-    def _subgroup(self, indices, name):
-        metas = [self.metas[i] for i in indices]
-        # generators: the reflections inside, else every element
-        sub_refl = [self.metas[r.element] for r in self.reflections
-                    if r.element in set(indices)]
         # the full group keeps its family (so its irreducibles rebuild)
-        family = self.family if len(indices) == self.order else None
-        sub = ReflectionGroup(
-            name, self.n, self.conductor, metas, self.kind,
-            self._mult_fn, self._inv_fn, self._matrix_fn, {},
-            parent=self, parent_indices=list(indices), family=family)
-        sub._identity = metas.index(self.metas[self._identity])
-        gen_metas = sub_refl if sub_refl else metas
-        sub.generators = {f"g{k}": sub._meta_index[m]
-                          for k, m in enumerate(gen_metas)}
-        return sub
+        family = self.family if len(fix) == self.order else None
+        return ReflectionGroup(
+            f"{self.name}|stab", self.n, self.conductor,
+            [self.metas[i] for i in fix], self.kind, self._mult_fn,
+            self._matrix_fn, self.metas[self._identity],
+            {f"g{k}": self.metas[r] for k, r in enumerate(refl_fix)},
+            parent=self, parent_indices=fix, family=family)
 
     def ambient_reflection_class(self, refl):
         """Ambient class label of a subgroup reflection (self if no parent)."""
@@ -445,33 +417,8 @@ class ReflectionGroup:
         return self.parent.reflection_by_element(parent_idx).class_label
 
     # ---- irreducibles --------------------------------------------------------------
-    @property
+    @cached_property
     def irreps(self):
-        if self._irreps is None:
-            self._irreps = self._build_irreps()
-        return self._irreps
-
-    def irrep(self, label):
-        for rep in self.irreps:
-            if rep.label == label:
-                return rep
-        raise KeyError(f"no irreducible labeled {label!r} in {self.name}")
-
-    def trivial_irrep(self):
-        for rep in self.irreps:
-            if rep.is_trivial():
-                return rep
-        raise CherednikError("no trivial representation found")
-
-    def dual_of(self, rep):
-        """The dual representation: its character is the inverse-argument one."""
-        target = tuple(rep.char(self.inv(r)) for r in self.class_representatives)
-        for cand in self.irreps:
-            if cand.character_vector() == target:
-                return cand
-        raise CherednikError(f"dual of {rep.label!r} not found")
-
-    def _build_irreps(self):
         if self.order == 1:
             return [IrrRep(self, "triv", 1, lambda meta: ((ONE,),))]
         if self.kind == "zm" and self.family is not None:
@@ -484,6 +431,30 @@ class ReflectionGroup:
             return self._abelian_irreps()
         raise UnsupportedGroup(
             f"no exact irreducible construction for group {self.name}")
+
+    def irrep(self, label):
+        for rep in self.irreps:
+            if rep.label == label:
+                return rep
+        raise InvalidInput(f"no irreducible labeled {label!r} in {self.name}")
+
+    def irrep_with_character(self, values):
+        """The irreducible whose character on the class representatives, in
+        class order, is ``values``."""
+        for rep in self.irreps:
+            if rep.character_vector() == values:
+                return rep
+        raise CherednikError(f"no irreducible of {self.name} has character "
+                             f"{values}")
+
+    def trivial_irrep(self):
+        return self.irrep_with_character(
+            (ONE,) * len(self.class_representatives))
+
+    def dual_of(self, rep):
+        """The dual representation: its character is the inverse-argument one."""
+        return self.irrep_with_character(
+            tuple(rep.char(self.inv(r)) for r in self.class_representatives))
 
     def _is_abelian(self):
         gens = list(self.generators.values())
@@ -642,12 +613,10 @@ class ReflectionGroup:
             self._inv_theory[side] = InvariantTheory(self, side)
         return self._inv_theory[side]
 
-    @property
+    @cached_property
     def degrees(self):
-        if self._degrees is None:
-            from .invariants import molien_degrees
-            self._degrees = molien_degrees(self)
-        return self._degrees
+        from .invariants import molien_degrees
+        return molien_degrees(self)
 
     def fake_polynomial(self, rep):
         if rep.label not in self._fake_cache:
@@ -683,25 +652,16 @@ def build_zm(m):
     def mult(a, b):
         return (a + b) % m
 
-    def inv(a):
-        return (-a) % m
-
     def matrix_fn(a):
         return ((Cyc.zeta(N, a % N),),)
 
-    g = ReflectionGroup(f"Zm:{m}", 1, N, metas, "zm", mult, inv, matrix_fn,
-                        {"g": 1 % m}, family=("Zm", m))
-    g._identity = 0
-    if m == 1:
-        g.generators = {}
-    return g
+    return ReflectionGroup(f"Zm:{m}", 1, N, metas, "zm", mult, matrix_fn,
+                           0, {"g": 1 % m}, family=("Zm", m))
 
 
 def build_sn(n, rep="permutation"):
-    if not 1 <= n <= 6:
+    if not 1 <= n <= 6:     # so n! <= ORDER_CAP
         raise InvalidInput("1 <= n <= 6 required")
-    if factorial(n) > ORDER_CAP:
-        raise CapExceeded(f"|W| = {factorial(n)} exceeds cap {ORDER_CAP}")
     if rep not in ("permutation", "reduced"):
         raise InvalidInput(f"unknown S_n representation {rep!r}")
     metas = sorted(itertools.permutations(range(n)))
@@ -735,14 +695,10 @@ def build_sn(n, rep="permutation"):
     for k in range(n - 1):
         t = list(range(n))
         t[k], t[k + 1] = t[k + 1], t[k]
-        gens[f"s{k + 1}{k + 2}"] = metas.index(tuple(t))
-    g = ReflectionGroup(f"Sn:{n}:{rep}", dim, N, metas, "perm",
-                        compose_perm, invert_perm, matrix_fn, gens,
-                        family=("Sn", n, rep))
-    g._identity = metas.index(tuple(range(n)))
-    if n == 1:
-        g.generators = {}
-    return g
+        gens[f"s{k + 1}{k + 2}"] = tuple(t)
+    return ReflectionGroup(f"Sn:{n}:{rep}", dim, N, metas, "perm",
+                           compose_perm, matrix_fn, tuple(range(n)), gens,
+                           family=("Sn", n, rep))
 
 
 def build_i2(m):
@@ -761,12 +717,6 @@ def build_i2(m):
             return (e1, (k1 + k2) % m)
         return ((e1 + 1) % 2, (k2 - k1) % m)
 
-    def inv(a):
-        eps, k = a
-        if eps == 0:
-            return (0, (-k) % m)
-        return (1, k)
-
     step = N // m
 
     def matrix_fn(meta):
@@ -777,13 +727,9 @@ def build_i2(m):
             return ((zp, ZERO), (ZERO, zm))
         return ((ZERO, zm), (zp, ZERO))
 
-    gens = {"r": metas.index((0, 1 % m)), "s": metas.index((1, 0))}
-    if m == 1:
-        gens = {"s": metas.index((1, 0))}
-    g = ReflectionGroup(f"I2:{m}", 2, N, metas, "i2", mult, inv, matrix_fn,
-                        gens, family=("I2", m))
-    g._identity = metas.index((0, 0))
-    return g
+    return ReflectionGroup(f"I2:{m}", 2, N, metas, "i2", mult, matrix_fn,
+                           (0, 0), {"r": (0, 1 % m), "s": (1, 0)},
+                           family=("I2", m))
 
 
 def build_from_generators(conductor, gen_matrices, name="custom"):
@@ -798,24 +744,13 @@ def build_from_generators(conductor, gen_matrices, name="custom"):
         return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(n)), ZERO)
                            for j in range(n)) for i in range(n))
 
-    def inv(a):
-        # finite order: invert by powering
-        cur = a
-        prev = ident
-        while cur != ident:
-            prev = cur
-            cur = mult(cur, a)
-        return prev
-
     def matrix_fn(meta):
         return meta
 
     metas = _closure([ident], lambda x: [mult(x, g) for g in gens])
-    glabels = {f"g{k}": metas.index(g) for k, g in enumerate(gens)}
-    g = ReflectionGroup(name, n, conductor, metas, "matrix", mult, inv,
-                        matrix_fn, glabels)
-    g._identity = 0
-    return g
+    return ReflectionGroup(name, n, conductor, metas, "matrix", mult,
+                           matrix_fn, ident,
+                           {f"g{k}": g for k, g in enumerate(gens)})
 
 
 def build_group(spec):

@@ -12,6 +12,7 @@ h/W reduces modulo any fiber ideal, graded or not.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotFactorizable
 from .linalg import ONE, ZERO, _add_term, _axpy, echelon, rref, trace
@@ -24,11 +25,7 @@ def _h_series(group, idx, order):
     traces = []
     j = idx
     for _ in range(order):
-        a = group.matrix(j)
-        t = ZERO
-        for i in range(group.n):
-            t = t + a[i][i]
-        traces.append(t)
+        traces.append(trace(group.matrix(j)))
         j = group.mult(j, idx)
     h = [ONE]
     for k in range(1, order + 1):
@@ -141,8 +138,6 @@ class InvariantTheory:
         self.n = group.n
         self._act_images = {}
         self._act_monos = {}
-        self._fundamental = None
-        self._coinv_basis = None
         self._decomp = {}
         self._fibers = {}
 
@@ -186,13 +181,8 @@ class InvariantTheory:
         return pscale(total, Fraction(1, self.group.order))
 
     # ---- fundamental invariants ----------------------------------------------
-    @property
+    @cached_property
     def fundamental_invariants(self):
-        if self._fundamental is None:
-            self._fundamental = self._build_fundamental()
-        return self._fundamental
-
-    def _build_fundamental(self):
         degrees = list(self.group.degrees)
         chosen = []   # list of (poly, degree)
         for d in sorted(set(degrees)):
@@ -231,14 +221,9 @@ class InvariantTheory:
         return [p for p, _d in chosen]
 
     # ---- coinvariant monomial basis --------------------------------------------
-    @property
+    @cached_property
     def coinvariant_basis(self):
         """Monomial basis of C[vars]/(f_1,..,f_n), grouped by degree."""
-        if self._coinv_basis is None:
-            self._coinv_basis = self._build_coinv_basis()
-        return self._coinv_basis
-
-    def _build_coinv_basis(self):
         funds = self.fundamental_invariants
         degrees = self.group.degrees
         topdeg = sum(d - 1 for d in degrees)

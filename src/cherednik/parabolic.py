@@ -96,11 +96,7 @@ def conjugate_rep_label(ctx_from, ctx_to, widx, rep):
         conj = group.mult(group.mult(winv, parent_idx), widx)
         local = ctx_from.stabilizer.parent_indices.index(conj)
         target.append(rep.char(local))
-    target = tuple(target)
-    for cand in stab_to.irreps:
-        if cand.character_vector() == target:
-            return cand.label
-    raise CherednikError("conjugate irreducible not found")
+    return stab_to.irrep_with_character(tuple(target)).label
 
 
 def verify_reduction_invariance(group, param, point, widx,

@@ -31,26 +31,24 @@ DEFAULT_DEGREE_CAP = 12
 class Parameter:
     """A W-equivariant function on reflections: class label -> scalar."""
 
-    def __init__(self, group, values, claimed_generic=False):
+    def __init__(self, group, values):
         self.group = group
-        labels = set(group.reflection_class_labels if group.reflections
-                     else [])
+        labels = set(group.reflection_class_labels)
         got = set(values)
         if labels != got:
             raise InvalidInput(
                 f"parameter must assign exactly the reflection classes "
                 f"{sorted(labels)}, got {sorted(got)}")
         self.values = dict(values)
-        self.claimed_generic = claimed_generic
 
     @classmethod
     def zero(cls, group):
-        return cls(group, {lbl: ZERO for lbl in _labels(group)})
+        return cls(group, dict.fromkeys(group.reflection_class_labels, ZERO))
 
     @classmethod
     def constant(cls, group, value):
         value = Fraction(value)
-        return cls(group, {lbl: value for lbl in _labels(group)})
+        return cls(group, dict.fromkeys(group.reflection_class_labels, value))
 
     @classmethod
     def generic(cls, group, seed=0):
@@ -58,14 +56,14 @@ class Parameter:
         rng = random.Random(seed)
         used = set()
         values = {}
-        for lbl in _labels(group):
+        for lbl in group.reflection_class_labels:
             while True:
                 num = 10007 + rng.randrange(90000)
                 if num not in used:
                     used.add(num)
                     break
             values[lbl] = Fraction(num, 1)
-        return cls(group, values, claimed_generic=True)
+        return cls(group, values)
 
     def value(self, class_label):
         return self.values[class_label]
@@ -84,7 +82,7 @@ class Parameter:
                 raise ValueError("parameter is not constant on a subgroup "
                                  "reflection class")
             out[r.class_label] = v
-        return Parameter(subgroup, out, claimed_generic=self.claimed_generic)
+        return Parameter(subgroup, out)
 
     def payload(self):
         return {lbl: scalar_payload(v) for lbl, v in sorted(self.values.items())}
@@ -92,10 +90,6 @@ class Parameter:
     def __repr__(self):
         vals = ", ".join(f"{k}={v}" for k, v in sorted(self.values.items()))
         return f"Parameter({vals})"
-
-
-def _labels(group):
-    return group.reflection_class_labels if group.reflections else []
 
 
 class PBWElement:

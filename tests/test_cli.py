@@ -177,6 +177,11 @@ def test_reduce_point_validation(capsys):
     ["group", "--group", {"conductor": 4, "generators": [[[[[1, 1]]]]]}],
     # the 1x1 generator [2] has infinite order: its closure passes the cap
     ["group", "--group", {"conductor": 1, "generators": [[[[[0, 2, 1]]]]]}],
+    # singular generators: [0] and the idempotent [[0, 1], [0, 1]] have no
+    # inverse, so no power of them is the identity
+    ["group", "--group", {"conductor": 1, "generators": [[[[[0, 0, 1]]]]]}],
+    ["group", "--group", {"conductor": 1, "generators": [
+        [[[[0, 0, 1]], [[1, 1, 1]]], [[[0, 0, 1]], [[1, 1, 1]]]]]}],
 ])
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, argv):
     path = tmp_path / "group.json"
@@ -226,6 +231,35 @@ def test_cm_report_is_pinned(capsys, tmp_path, argv, digest):
     out = tmp_path / "report.json"
     assert main(["--out", str(out), *argv]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["group", "--group", "I2:6"],
+     "8ff43bef60a10bdaed1996fda3537964bded9bebdb82bbc65db70d4a71d85230"),
+    (["group", "--group", "Sn:4:reduced"],
+     "de3fc84b8dc9c4cc1f3e338618c66e8c339c681bcbd34d46d41af46b051639ff"),
+    (["reduce", "--group", "Sn:4:permutation", "--point", "1,1,2,2",
+      "--c", "generic:3"],
+     "49e55fd3e498dc31a96a0a2197c90aabb930e3af5dc9a257ec283d5aaa158a5a"),
+], ids=["group-I2:6", "group-Sn:4:reduced", "reduce-Sn:4-1122"])
+def test_group_and_reduce_reports_are_pinned(capsys, argv, digest):
+    # element order, reflection classes, irreducible order and orbit order
+    assert main(argv) == 0
+    assert hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_check_hook_goes_by_family_not_name(tmp_path):
+    # a custom Z_2 named like a symmetric group gets no hook identity
+    spec = {"name": "Sn:3:permutation", "conductor": 2,
+            "generators": [[[[[0, -1, 1]]]]]}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    rc, report = run_json(tmp_path, "characters", "--group", f"@{path}",
+                          "--check-hook", "--trunc", "4")
+    assert rc == 0
+    assert [e["label"] for e in report["characters"]] == ["triv", "chi1"]
+    assert all("hook_identity" not in e for e in report["characters"])
 
 
 def test_custom_group_json(tmp_path):

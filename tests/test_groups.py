@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import CapExceeded, NotFactorizable, UnsupportedGroup
+from cherednik.errors import (CapExceeded, InvalidInput, NotFactorizable,
+                              UnsupportedGroup)
 from cherednik.groups import (build_from_generators, build_i2, build_sn,
                               build_zm, dual_rep)
 from cherednik.linalg import ONE, ZERO, mat_mul, rank
+from cherednik.parabolic import make_context, reduced_endo_character
+from cherednik.pbw import Parameter
+from cherednik.restricted import baby_verma, dim_e_simple
 from cherednik.series import GradedCharacter, b_invariant
+from cherednik.verma import hook_identity_check
 from conftest import group
 
 F = Fraction
@@ -20,6 +25,36 @@ def test_orders():
     assert build_sn(4, "permutation").order == 24
     assert build_i2(6).order == 12
     assert build_zm(1).order == 1
+
+
+def _quaternion_group():
+    # nonabelian, not a reflection product
+    from cherednik.cyclotomic import Cyc
+    i = Cyc.zeta(4)
+    gi = [[i, ZERO], [ZERO, -i]]
+    gj = [[ZERO, -ONE], [ONE, ZERO]]
+    return build_from_generators(4, [gi, gj], name="quat8")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_zm(1), lambda: build_zm(5), lambda: build_i2(1),
+    lambda: build_i2(6), lambda: build_sn(1), lambda: build_sn(4, "reduced"),
+    _quaternion_group,
+    lambda: build_sn(4, "permutation").stabilizer((F(1), F(1), F(2), F(2))),
+], ids=["Zm:1", "Zm:5", "I2:1", "I2:6", "Sn:1", "Sn:4:reduced", "quat8",
+        "Sn:4-stabilizer"])
+def test_inverse_law(make):
+    g = make()
+    for i in range(g.order):
+        assert g.mult(i, g.inv(i)) == g.identity
+        assert g.mult(g.inv(i), i) == g.identity
+        assert g.inv(g.inv(i)) == i
+
+
+def test_reflection_class_labels_on_a_fresh_group():
+    assert build_i2(4).reflection_class_labels == ["c0", "c1"]
+    assert build_sn(3).reflection_class_labels == ["c0"]
+    assert build_zm(1).reflection_class_labels == []
 
 
 def test_cap_exceeded():
@@ -237,12 +272,7 @@ def test_ambient_reflection_classes():
 
 
 def test_unsupported_group_raises():
-    # quaternion-like matrix group: nonabelian, not a reflection product
-    from cherednik.cyclotomic import Cyc
-    i = Cyc.zeta(4)
-    gi = [[i, ZERO], [ZERO, -i]]
-    gj = [[ZERO, -ONE], [ONE, ZERO]]
-    g = build_from_generators(4, [gi, gj], name="quat8")
+    g = _quaternion_group()
     assert g.order == 8
     with pytest.raises(UnsupportedGroup):
         g.irreps
@@ -260,3 +290,17 @@ def test_custom_group_from_generators():
     assert g.order == 2
     assert g.degrees == (2,)
     assert len(g.irreps) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.irrep("nope"),
+    lambda g: dim_e_simple(g, Parameter.zero(g), "nope"),
+    lambda g: baby_verma(g, Parameter.zero(g), "nope"),
+    lambda g: hook_identity_check(g, (5,), 4),
+    lambda g: reduced_endo_character(
+        make_context(g, Parameter.zero(g), (F(1), F(1), F(0))), "nope", 4),
+], ids=["irrep", "dim_e_simple", "baby_verma", "hook_identity_check",
+        "reduced_endo_character"])
+def test_unknown_irreducible_label_is_invalid_input(call):
+    with pytest.raises(InvalidInput, match="no irreducible labeled"):
+        call(group("Sn:3:permutation"))
