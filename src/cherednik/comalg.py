@@ -186,8 +186,7 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0):
         out = []
         for c in range(k):
             comps = qv[c * phi:(c + 1) * phi]
-            out.append(Cyc(conductor, {t: v for t, v in enumerate(comps) if v},
-                           _reduced=True))
+            out.append(Cyc(conductor, dict(enumerate(comps))))
         return out
 
     def q_mul(u, v):

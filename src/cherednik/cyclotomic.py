@@ -3,16 +3,19 @@
 The coefficient field of every computation is Q(zeta_N) for a conductor N
 fixed per reflection group.  One representation per value: a scalar is a
 ``Fraction`` exactly when it is rational, and a ``Cyc`` of the group's
-conductor only when it is not.  A ``Cyc`` is a sparse polynomial in zeta_N,
-kept reduced modulo the N-th cyclotomic polynomial, so representation and
-arithmetic are canonical and exact.  No floating point is used anywhere.
+conductor only when it is not.  A ``Cyc`` holds integer coordinates over
+the basis zeta^0 .. zeta^(phi(N)-1) and one common denominator, in lowest
+terms.  The N-th cyclotomic polynomial is monic with integer coefficients,
+so one integer table reduces any power of zeta into that basis: arithmetic
+is integer arithmetic plus one gcd pass per result, canonical and exact.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -82,8 +85,10 @@ def cyclotomic_polynomial(n):
 
 @cache
 def _reduction(n):
-    """Per-conductor data: (phi(n), table mapping exponent -> reduced dict,
-    the n-th cyclotomic polynomial as an ascending tuple)."""
+    """Per-conductor data: phi(n); for each k with phi(n) <= k < n, the
+    integer coordinates of zeta^k over zeta^0 .. zeta^(phi-1) as sparse
+    (e, coeff) pairs; and the n-th cyclotomic polynomial as an ascending
+    tuple."""
     phi = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -91,22 +96,18 @@ def _reduction(n):
             if r:
                 raise ArithmeticError("cyclotomic division left a remainder")
     deg = len(phi) - 1
-    table = {}
-    if deg < n:
-        # zeta^deg = -(phi_0 + phi_1 zeta + ...)
-        base = {i: -phi[i] for i in range(deg) if phi[i]}
-        table[deg] = base
-        for k in range(deg + 1, n):
-            prev = table[k - 1]
-            nxt = {}
-            for e, c in prev.items():
-                if e + 1 == deg:
-                    for e2, c2 in table[deg].items():
-                        nxt[e2] = nxt.get(e2, _ZERO) + c * c2
-                else:
-                    nxt[e + 1] = nxt.get(e + 1, _ZERO) + c
-            table[k] = {e: c for e, c in nxt.items() if c}
-    return deg, table, tuple(phi)
+    # Phi_n is monic with integer coefficients, so every row is integral:
+    # zeta^deg = -(phi_0 + phi_1 zeta + ...) and zeta^(k+1) = zeta * zeta^k
+    low = [-int(c) for c in phi[:deg]]
+    rows = []
+    row = low
+    for _ in range(deg, n):
+        rows.append(tuple((e, c) for e, c in enumerate(row) if c))
+        carry = row[-1]
+        row = [0] + row[:-1]
+        if carry:
+            row = [a + carry * b for a, b in zip(row, low)]
+    return deg, tuple(rows), tuple(phi)
 
 
 @cache
@@ -128,47 +129,65 @@ def _mean_primitive_root(d):
     return out
 
 
-def _reduce(n, coeffs):
-    """Coefficients of sum(v * zeta_n^e) over the basis zeta_n^e, e < phi(n)."""
-    deg, table, _ = _reduction(n)
-    out = {}
-    for e, v in coeffs.items():
-        v = Fraction(v)
-        if not v:
-            continue
-        e %= n
-        if e < deg:
-            out[e] = out.get(e, _ZERO) + v
-        else:
-            for e2, c2 in table[e].items():
-                out[e2] = out.get(e2, _ZERO) + v * c2
-    return {e: v for e, v in out.items() if v}
+def _fold(n, acc):
+    """Integer coordinates over zeta^0 .. zeta^(phi-1) of the sum of
+    acc[k] * zeta_n^k, for phi(n) <= len(acc) <= 2n; acc is consumed."""
+    phi, rows, _ = _reduction(n)
+    for k in range(n, len(acc)):   # zeta^n = 1
+        acc[k - n] += acc[k]
+    out = acc[:phi]
+    for k in range(phi, min(n, len(acc))):
+        v = acc[k]
+        if v:
+            for e, c in rows[k - phi]:
+                out[e] += v * c
+    return out
+
+
+def _cyc(n, num, den):
+    """The scalar sum(num[e] * zeta_n^e) / den, den > 0, in lowest terms:
+    a Fraction when no coordinate above zeta^0 is nonzero, else a Cyc."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [v // g for v in num]
+        den //= g
+    if not any(num[1:]):
+        return Fraction(num[0], den)
+    self = object.__new__(Cyc)
+    self.n = n
+    self.num = tuple(num)
+    self.den = den
+    return self
 
 
 class Cyc:
-    """An irrational element of Q(zeta_N), reduced mod the N-th cyclotomic
-    polynomial.
+    """An irrational element of Q(zeta_N): integer coordinates ``num`` over
+    zeta^0 .. zeta^(phi(N)-1) and one denominator ``den`` > 0, with
+    gcd(num, den) = 1.
 
-    ``Cyc(n, coeffs)`` is the one constructor and it canonicalizes: when the
-    reduced coefficients hold no term but zeta^0, it returns that coefficient
-    as a Fraction (Fraction(0) when there is none).  Every operation returns
-    through it, so a scalar is a Fraction exactly when it is rational and a
-    Cyc is never rational, in particular never zero.
+    ``Cyc(n, {e: coeff})`` is the one public constructor and it
+    canonicalizes: any exponent reduces into the basis, and a rational value
+    comes back as a Fraction (Fraction(0) when there is no term).  Every
+    operation returns through the same canonical form, so a scalar is a
+    Fraction exactly when it is rational and a Cyc is never rational, in
+    particular never zero.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
-    def __new__(cls, n, coeffs, _reduced=False):
-        if not _reduced:
-            coeffs = _reduce(n, coeffs)
-        if not coeffs:
-            return _ZERO
-        if len(coeffs) == 1 and 0 in coeffs:
-            return coeffs[0]
-        self = object.__new__(cls)
-        self.n = n
-        self.c = coeffs
-        return self
+    def __new__(cls, n, coeffs):
+        coeffs = [(e, Fraction(v)) for e, v in coeffs.items()]
+        den = lcm(*(v.denominator for _, v in coeffs))
+        acc = [0] * n
+        for e, v in coeffs:
+            acc[e % n] += v.numerator * (den // v.denominator)
+        return _cyc(n, _fold(n, acc), den)
+
+    @property
+    def c(self):
+        """The nonzero coordinates as {exponent: Fraction}, in ascending
+        exponent order."""
+        return {e: Fraction(v, self.den) for e, v in enumerate(self.num) if v}
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -182,75 +201,77 @@ class Cyc:
             return Fraction(value)
         if n % value.n:
             raise ValueError(f"cannot coerce Q(zeta_{value.n}) into Q(zeta_{n})")
-        k = n // value.n
-        return cls(n, {e * k: v for e, v in value.c.items()})
+        return value._at(n, n // value.n)
+
+    def _at(self, n, k):
+        """This value with zeta replaced by zeta_n^k, read in Q(zeta_n)."""
+        acc = [0] * n
+        for e, v in enumerate(self.num):
+            acc[e * k % n] += v
+        return _cyc(n, _fold(n, acc), self.den)
 
     # ---- arithmetic ----------------------------------------------------
-    def _terms(self, other):
-        """Coefficients of a scalar in this field, None for anything else."""
+    def _plus(self, other, sign):
+        """self + sign * other for a scalar of this field, NotImplemented
+        for anything else."""
+        d = self.den
         if isinstance(other, Cyc):
             if other.n != self.n:
                 raise ValueError("mixed conductors")
-            return other.c
+            q = other.den
+            if q == d:
+                return _cyc(self.n, [a + sign * b for a, b in
+                                     zip(self.num, other.num)], d)
+            return _cyc(self.n, [a * q + sign * b * d for a, b in
+                                 zip(self.num, other.num)], d * q)
         if isinstance(other, (int, Fraction)):
-            return {0: other}
-        return None
-
-    def _plus(self, terms):
-        out = dict(self.c)
-        for e, v in terms.items():
-            w = out.get(e, _ZERO) + v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-        return Cyc(self.n, out, _reduced=True)
+            q = other.denominator
+            num = [a * q for a in self.num]
+            num[0] += sign * other.numerator * d
+            return _cyc(self.n, num, d * q)
+        return NotImplemented
 
     def __add__(self, other):
-        o = self._terms(other)
-        return NotImplemented if o is None else self._plus(o)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.n, {e: -v for e, v in self.c.items()}, _reduced=True)
+        return _cyc(self.n, [-v for v in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._terms(other)
-        if o is None:
-            return NotImplemented
-        return self._plus({e: -v for e, v in o.items()})
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return _ZERO
-            return Cyc(self.n, {e: v * other for e, v in self.c.items()},
-                       _reduced=True)
+            p = other.numerator
+            return _cyc(self.n, [v * p for v in self.num],
+                        self.den * other.denominator)
         if not isinstance(other, Cyc):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("mixed conductors")
-        out = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                out[e] = out.get(e, _ZERO) + v1 * v2
-        return Cyc(self.n, out)
+        acc = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num, i):
+                    acc[j] += a * b
+        return _cyc(self.n, _fold(self.n, acc), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        # extended Euclid in Q[x] against the cyclotomic polynomial
+        # extended Euclid in Q[x] against the cyclotomic polynomial;
+        # (num / den)^-1 = den * num^-1
         phi = _reduction(self.n)[2]
-        a = _poly_trim([self.c.get(i, _ZERO) for i in range(len(phi) - 1)])
+        a = _poly_trim([Fraction(v) for v in self.num])
         g, _, inv = _poly_xgcd(phi, a)
         if len(g) != 1:
             raise ArithmeticError("element not invertible mod cyclotomic polynomial")
-        return Cyc(self.n, dict(enumerate(inv)))
+        return Cyc(self.n, {e: v * self.den for e, v in enumerate(inv)})
 
     def __truediv__(self, other):
         if isinstance(other, Cyc):
@@ -276,15 +297,15 @@ class Cyc:
 
     def conjugate(self):
         """Complex conjugation zeta -> zeta^{-1}."""
-        return Cyc(self.n, {-e: v for e, v in self.c.items()})
+        return self._at(self.n, -1)
 
     # ---- comparison / hashing -------------------------------------------
     def __eq__(self, other):
         if isinstance(other, Cyc):
             if self.n == other.n:
-                return self.c == other.c
-            m = self.n * other.n // gcd(self.n, other.n)
-            return Cyc.of(self, m).c == Cyc.of(other, m).c
+                return self.num == other.num and self.den == other.den
+            m = lcm(self.n, other.n)
+            return Cyc.of(self, m) == Cyc.of(other, m)
         if isinstance(other, (int, Fraction)):
             return False
         return NotImplemented
@@ -293,7 +314,7 @@ class Cyc:
         # Tr/phi(n) is the same in every cyclotomic field containing the
         # value, so values equal across conductors hash alike.
         weights = _trace_weights(self.n)
-        return hash(sum(v * weights[e] for e, v in self.c.items()))
+        return hash(sum(v * w for v, w in zip(self.num, weights)) / self.den)
 
     # ---- formatting ----------------------------------------------------
     def __repr__(self):
@@ -301,8 +322,7 @@ class Cyc:
 
     def __str__(self):
         parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
+        for e, v in self.c.items():
             if e == 0:
                 parts.append(str(v))
             else:
@@ -321,7 +341,7 @@ class Cyc:
     # ---- wire format -----------------------------------------------------
     def literals(self):
         """[[k, num, den], ...] triples meaning sum (num/den) * zeta^k."""
-        return [[e, v.numerator, v.denominator] for e, v in sorted(self.c.items())]
+        return [[e, v.numerator, v.denominator] for e, v in self.c.items()]
 
     @classmethod
     def from_literals(cls, n, triples):

@@ -53,6 +53,7 @@ class ReductionContext:
 
 def make_context(group, param, point):
     """Orbit, stabilizer (with Steinberg check) and restricted parameter."""
+    group.degrees   # rejects a group that is not a reflection group
     point = tuple(point)
     gen_idx = list(group.generators.values())
     orbit = _closure([point], lambda q: [group.act_hstar(g, q)

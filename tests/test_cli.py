@@ -182,6 +182,11 @@ def test_reduce_point_validation(capsys):
     ["group", "--group", {"conductor": 1, "generators": [[[[[0, 0, 1]]]]]}],
     ["group", "--group", {"conductor": 1, "generators": [
         [[[[0, 0, 1]], [[1, 1, 1]]], [[[0, 0, 1]], [[1, 1, 1]]]]]}],
+    # zeta_4 * I on C^2 has no reflections: not a reflection group, even
+    # where the point's stabilizer is trivial
+    ["reduce", "--group", {"conductor": 4, "generators": [
+        [[[[1, 1, 1]], [[0, 0, 1]]], [[[0, 0, 1]], [[1, 1, 1]]]]]},
+     "--point", "1,0", "--c", "zero"],
 ])
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, argv):
     path = tmp_path / "group.json"
@@ -222,7 +227,19 @@ def test_bv_check_report_is_pinned(tmp_path):
      "534702d3cb2bf020721781843a207d593f6e152c79c58818c97b314fdcc952af"),
     (["cm", "--group", "I2:4", "--c", "zero", "--seed", "1"],
      "666dd12ead73458dc478a7cb64e077d4ffe35d3e8a94cb3650fe2e438f3ec03f"),
-], ids=["I2:3-generic:1", "I2:4-zero"])
+    # conductor 5, phi = 4: coordinates with large numerators
+    (["cm", "--group", "Zm:5", "--c", "generic:4", "--seed", "4"],
+     "c574f4eaaa99b14ba7721f53d1400928b5898745cc6b0b5d6e62fdbfca6ed35c"),
+    # conductor 10: multi-term coefficients print parenthesised
+    (["element", "--group", "I2:5", "--c", "generic:2",
+      "--expr", "(y1*x2 + z)^2*y2*x1"],
+     "421715997750c3ed170d5e33c1052488afef1c7221175d8f525b61f839dd80c1"),
+    # conductor 7, phi = 6: products wrap past zeta^7
+    (["element", "--group", "Zm:7", "--c", "generic:2",
+      "--expr", "y1^2*x1^3*g"],
+     "d6b03d94167b254b7718bd9e1a57019c786d959bc338b06c925f5bcdc551df2f"),
+], ids=["I2:3-generic:1", "I2:4-zero", "Zm:5-generic:4", "element-I2:5",
+        "element-Zm:7"])
 def test_cm_report_is_pinned(capsys, tmp_path, argv, digest):
     # e_dims, dim_end and dim_center_image, which the verify report omits
     assert main(argv) == 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,61 @@ def test_mixed_conductor_coercion():
     assert Cyc.of(z3, 6) == z6 ** 2
     with pytest.raises(ValueError):
         Cyc.of(z6, 3)
+
+
+def _coords(value, n):
+    """Rational coordinates over zeta^0 .. zeta^(phi-1)."""
+    phi = euler_phi(n)
+    if isinstance(value, Cyc):
+        assert value.n == n
+        return [value.c.get(e, Fraction(0)) for e in range(phi)]
+    return [Fraction(value)] + [Fraction(0)] * (phi - 1)
+
+
+def _times_zeta(vec, poly):
+    """The companion matrix of the monic ``poly`` applied to ``vec``."""
+    top = vec[-1]
+    return [(vec[i - 1] if i else 0) - top * poly[i] for i in range(len(vec))]
+
+
+def _by_companion(terms, vec, n):
+    """sum over (e, v) of v * C^(e mod n) * vec, C the companion matrix of
+    the n-th cyclotomic polynomial: no reduction table is involved."""
+    poly = cyclotomic_polynomial(n)
+    out = [Fraction(0)] * len(vec)
+    for e, v in terms:
+        w = vec
+        for _ in range(e % n):
+            w = _times_zeta(w, poly)
+        out = [o + v * x for o, x in zip(out, w)]
+    return out
+
+
+def _assert_lowest_terms(value, n):
+    if isinstance(value, Cyc):
+        assert len(value.num) == euler_phi(n)
+        assert all(type(v) is int for v in value.num)
+        assert type(value.den) is int and value.den > 0
+        assert math.gcd(value.den, *value.num) == 1
+
+
+_TERMS = st.lists(st.tuples(st.integers(-20, 30),
+                            st.fractions(min_value=-9, max_value=9,
+                                         max_denominator=12)), max_size=8)
+
+
+# for 5, 7 and 9, 2 phi(n) - 2 >= n, so a product wraps past zeta^n
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 5, 7, 9, 10, 12]), _TERMS, _TERMS)
+def test_product_matches_companion_matrix(n, terms_a, terms_b):
+    a = sum((Cyc(n, {e: v}) for e, v in terms_a), Fraction(0))
+    b = sum((Cyc(n, {e: v}) for e, v in terms_b), Fraction(0))
+    unit = [Fraction(1)] + [Fraction(0)] * (euler_phi(n) - 1)
+    assert _coords(a, n) == _by_companion(terms_a, unit, n)
+    assert _coords(b, n) == _by_companion(terms_b, unit, n)
+    a_terms = list(enumerate(_coords(a, n)))
+    for value in (a * b, b * a):
+        assert _coords(value, n) == _by_companion(a_terms, _coords(b, n), n)
+    for value in (a, b, a * b, a + b, a - b, -a, a * Fraction(3, 4)):
+        _assert_lowest_terms(value, n)
+        assert_canonical(value)
