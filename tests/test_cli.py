@@ -238,8 +238,13 @@ def test_bv_check_report_is_pinned(tmp_path):
     (["element", "--group", "Zm:7", "--c", "generic:2",
       "--expr", "y1^2*x1^3*g"],
      "d6b03d94167b254b7718bd9e1a57019c786d959bc338b06c925f5bcdc551df2f"),
+    # one block of three: heads are proper quotients, nilpotent centre
+    (["cm", "--group", "Sn:3:reduced", "--c", "zero", "--seed", "1"],
+     "327cd1e118153203cd20510dab9d7c9b6e16b7f488b5c965a334b39d272b4d13"),
+    (["cm", "--group", "Sn:3:reduced", "--c", "generic:1", "--seed", "1"],
+     "d8cb4ce2528da9941c7a59abd9dd0d68f19b8bad8b5334879f3186ea3d29b2c8"),
 ], ids=["I2:3-generic:1", "I2:4-zero", "Zm:5-generic:4", "element-I2:5",
-        "element-Zm:7"])
+        "element-Zm:7", "Sn:3-zero", "Sn:3-generic:1"])
 def test_cm_report_is_pinned(capsys, tmp_path, argv, digest):
     # e_dims, dim_end and dim_center_image, which the verify report omits
     assert main(argv) == 0
