@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -264,14 +264,13 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self):
-        # extended Euclid in Q[x] against the cyclotomic polynomial;
-        # (num / den)^-1 = den * num^-1
-        phi = _reduction(self.n)[2]
-        a = _poly_trim([Fraction(v) for v in self.num])
-        g, _, inv = _poly_xgcd(phi, a)
-        if len(g) != 1:
-            raise ArithmeticError("element not invertible mod cyclotomic polynomial")
-        return Cyc(self.n, {e: v * self.den for e, v in enumerate(inv)})
+        # the product of the other Galois conjugates is N(self) / self, and
+        # the norm N(self) is a nonzero rational
+        n = self.n
+        others = prod(self._at(n, k) for k in range(2, n) if gcd(k, n) == 1)
+        norm = self * others
+        assert isinstance(norm, Fraction), "the norm of a Cyc is rational"
+        return others / norm
 
     def __truediv__(self, other):
         if isinstance(other, Cyc):
@@ -315,6 +314,9 @@ class Cyc:
         # value, so values equal across conductors hash alike.
         weights = _trace_weights(self.n)
         return hash(sum(v * w for v, w in zip(self.num, weights)) / self.den)
+
+    def __reduce__(self):
+        return Cyc, (self.n, self.c)
 
     # ---- formatting ----------------------------------------------------
     def __repr__(self):

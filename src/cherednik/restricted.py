@@ -10,8 +10,9 @@ b = 0).  Multiplication rows are materialized lazily.
 The center is computed degreewise (the quotient is graded at b = 0, so the
 center is spanned by homogeneous elements) by intersecting the kernels of
 the adjoint maps of the algebra generators; blocks come from the primitive
-idempotents of the center, cross-checked against central-character linking
-on the baby Vermas.
+idempotents of its degree-0 part Z_0, cross-checked against central-character
+linking on the baby Vermas.  Simple heads of graded modules come from the
+grading too: the radical is built degree by degree from the lowest one.
 """
 
 from __future__ import annotations
@@ -266,12 +267,15 @@ class RestrictedCherednikAlgebra:
 
         At b = 0 the quotient is graded and the kernel intersection runs
         degreewise; at b != 0 the full (small, filtered) system is solved.
+        The degree-0 rows are kept apart as Z_0 (``degree_zero_center``);
+        at b != 0 that is the whole center.
         """
         if self._center is not None:
             return self._center
         slices = (self.degree_slices() if self.graded
                   else {0: list(range(self.dim))})
         center = Echelon(self.dim)
+        zero = Echelon(self.dim)
         for d, idxs in slices.items():
             # constraint rows, sparse over the slice, keyed (generator, target)
             rows = {}
@@ -286,34 +290,51 @@ class RestrictedCherednikAlgebra:
                     for k, val in diff.items():
                         rows.setdefault((g, k), {})[col] = val
             for vec in kernel_basis(list(rows.values()), len(idxs)):
-                center.add({idxs[t]: c for t, c in enumerate(vec) if c})
-        # the rows of the echelon, in pivot order, are the center basis
-        self._center_ech = center
-        self._center = [dict(sorted(center.rows[p].items()))
-                        for p in center.pivots()]
+                z = {idxs[t]: c for t, c in enumerate(vec) if c}
+                center.add(z)
+                if d == 0:
+                    zero.add(z)
+        # the rows of an echelon, in pivot order, are its basis; the rows of
+        # distinct degrees have disjoint supports, so the degree-0 rows of
+        # ``center`` are those of ``zero``
+        self._center0_ech = zero
+        self._center0 = _echelon_basis(zero)
+        self._center = _echelon_basis(center)
         return self._center
 
-    def center_coordinates(self, vec):
-        """Coordinates of a central vector over the center RREF basis."""
+    def degree_zero_center(self):
+        """Basis of Z_0, the degree-0 part of the center (RREF rows)."""
         self.center()
-        residual, coeffs = self._center_ech.reduce(vec)
-        if residual:
-            raise CherednikError("vector is not in the computed center")
-        return [coeffs.get(p, ZERO) for p in self._center_ech.pivots()]
+        return self._center0
 
     def center_structure(self):
-        """Structure constants of the center over its RREF basis."""
-        zbasis = self.center()
+        """Structure constants of Z_0 over its RREF basis, and the
+        coordinates of the unit.
+
+        This is all the blocks need.  A homogeneous central element of
+        nonzero degree is nilpotent (its powers leave the finitely many
+        degrees), so it lies in the radical of the commutative algebra Z.
+        Hence Z = Z_0 + rad Z, Z_0 / rad Z_0 = Z / rad Z, and the primitive
+        idempotents of Z are those of Z_0.
+        """
+        zbasis = self.degree_zero_center()
+        ech = self._center0_ech
+        pivots = ech.pivots()
+
+        def coordinates(vec):
+            residual, coeffs = ech.reduce(vec)
+            if residual:
+                raise CherednikError("vector is not in the computed Z_0")
+            return [coeffs.get(p, ZERO) for p in pivots]
+
         k = len(zbasis)
         prods = [[None] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
-                p = self.multiply_vec(zbasis[i], zbasis[j])
-                coords = self.center_coordinates(p)
+                coords = coordinates(self.multiply_vec(zbasis[i], zbasis[j]))
                 prods[i][j] = coords
                 prods[j][i] = coords
-        unit_coords = self.center_coordinates(self.unit)
-        return prods, unit_coords
+        return prods, coordinates(self.unit)
 
     # ---- baby Verma modules ----------------------------------------------------
     def baby_verma(self, rep):
@@ -421,18 +442,49 @@ class RestrictedCherednikAlgebra:
                     rad.append(mat)
         return rad
 
-    def simple_head(self, mod, expect_simple=False):
-        """M / J(A) M computed through the acting image's trace-form radical."""
-        basis = self.acting_image(mod)
-        rad = self.radical_of_image(basis)
+    def _image_radical(self, mod):
+        """Echelon of J(A) M through the acting image's trace-form radical:
+        the route for modules without a grading (b != 0)."""
         dim = mod.dim
-        jm_rows = []
-        for j in rad:
-            for col in range(dim):
-                vec = [j[i][col] for i in range(dim)]
-                if any(vec):
-                    jm_rows.append(vec)
-        jm = echelon(jm_rows, dim)
+        rad = self.radical_of_image(self.acting_image(mod))
+        return echelon([[j[i][col] for i in range(dim)]
+                        for j in rad for col in range(dim)], dim)
+
+    def _graded_radical(self, mod):
+        """Echelon of the radical J of a graded module, degree by degree.
+
+        Every graded module built here, a baby Verma at b = 0 or a head of
+        one, is generated by its lowest degree, an irreducible W-module, and
+        each y_j lowers the degree by one.  So J is the largest submodule
+        that misses the lowest degree: J is 0 there, and
+        J_d = {v in M_d : y_j v in J_(d-1) for every j}.  The space so
+        defined is stable under y and W, and under x as [y_j, x_i] lies in
+        the group algebra.
+        """
+        by_degree = {}
+        for k, d in enumerate(mod.weights):
+            by_degree.setdefault(d, []).append(k)
+        jm = Echelon(mod.dim)
+        for d in sorted(by_degree)[1:]:
+            idxs = by_degree[d]
+            # constraint rows, sparse over the degree, keyed (j, coordinate):
+            # y_j e_k reduced against the rows of J found so far
+            rows = {}
+            for col, k in enumerate(idxs):
+                for j, y in enumerate(mod.y):
+                    residual, _ = jm.reduce([row[k] for row in y])
+                    for i, val in residual.items():
+                        rows.setdefault((j, i), {})[col] = val
+            for vec in kernel_basis(list(rows.values()), len(idxs)):
+                jm.add({idxs[t]: c for t, c in enumerate(vec) if c})
+        return jm
+
+    def simple_head(self, mod, expect_simple=False):
+        """M / J(A) M, with the radical J(A) M from the grading when M has
+        one and from the acting image otherwise."""
+        jm = (self._image_radical(mod) if mod.weights is None
+              else self._graded_radical(mod))
+        dim = mod.dim
         keep = [i for i in range(dim) if i not in jm.rows]
         hdim = len(keep)
 
@@ -494,8 +546,12 @@ class RestrictedCherednikAlgebra:
 
     # ---- blocks -----------------------------------------------------------------
     def central_characters(self):
-        """Scalar of each center basis element on each baby Verma."""
-        zbasis = self.center()
+        """Scalar of each Z_0 basis element on each baby Verma.
+
+        The rest of the center adds nothing: an element of nonzero degree
+        shifts the degree of a baby Verma, so its trace there is 0.
+        """
+        zbasis = self.degree_zero_center()
         out = {}
         for rep in self.group.irreps:
             mod = self.baby_verma(rep)
@@ -506,8 +562,9 @@ class RestrictedCherednikAlgebra:
         return out
 
     def central_idempotents(self, seed=0):
-        """Primitive central idempotents, as vectors over the algebra basis."""
-        zbasis = self.center()
+        """Primitive central idempotents, as vectors over the algebra basis;
+        they lie in Z_0 (``center_structure``)."""
+        zbasis = self.degree_zero_center()
         prods, unit_coords = self.center_structure()
         idems = idempotents_of_commutative_algebra(
             prods, unit_coords, conductor=self.group.conductor, seed=seed)
@@ -612,6 +669,11 @@ class RestrictedCherednikAlgebra:
                 f" b={'0' if self.graded else self.b_point})")
 
 
+def _echelon_basis(ech):
+    """The rows of an echelon in pivot order, each sorted by column."""
+    return [dict(sorted(ech.rows[p].items())) for p in ech.pivots()]
+
+
 def _is_zero_matrix(mat):
     return all(not v for row in mat for v in row)
 
@@ -664,7 +726,7 @@ def baby_verma(group, param, rep_label, p=None, b_point=None):
 
 
 def simple_head(mod, expect_simple=False):
-    """M / J(A) M, computed through the acting image of the algebra."""
+    """M / J(A) M: see ``RestrictedCherednikAlgebra.simple_head``."""
     return mod.parent.simple_head(mod, expect_simple=expect_simple)
 
 

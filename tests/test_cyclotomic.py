@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cherednik.cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
+from cherednik.linalg import solve
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -223,3 +226,34 @@ def test_product_matches_companion_matrix(n, terms_a, terms_b):
     for value in (a, b, a * b, a + b, a - b, -a, a * Fraction(3, 4)):
         _assert_lowest_terms(value, n)
         assert_canonical(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 4, 5, 7, 8, 9, 10, 12, 15]), _TERMS)
+def test_inverse_solves_the_multiplication_map(n, terms):
+    a = sum((Cyc(n, {e: v}) for e, v in terms), Fraction(0))
+    assume(isinstance(a, Cyc))
+    inv = a.inverse()
+    assert a * inv == 1 and inv * a == 1
+    _assert_lowest_terms(inv, n)
+    assert_canonical(inv)
+    # column j of the matrix of b -> a * b is a * zeta^j, by the companion
+    # matrix; the inverse's coordinates solve that system for the unit
+    phi = euler_phi(n)
+    a_terms = list(enumerate(_coords(a, n)))
+    unit = [Fraction(1)] + [Fraction(0)] * (phi - 1)
+    cols = [_by_companion(a_terms, [Fraction(int(i == j)) for i in range(phi)],
+                          n) for j in range(phi)]
+    rows = [list(r) for r in zip(*cols)]
+    assert solve(rows, unit) == _coords(inv, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 10, 12])
+def test_pickle_and_deepcopy_round_trip(n):
+    z = Cyc.zeta(n)
+    for value in (z, Fraction(-2, 3) * z + 1, (z + 2) ** 3 / 7, z.inverse()):
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                     copy.copy(value)):
+            assert type(back) is Cyc and back == value
+            assert hash(back) == hash(value)
+            assert (back.num, back.den) == (value.num, value.den)

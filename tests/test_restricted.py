@@ -6,7 +6,7 @@ import pytest
 
 from cherednik.errors import CapExceeded, TieDetected
 from cherednik.groups import build_sn, build_zm
-from cherednik.linalg import mat_mul
+from cherednik.linalg import mat_mul, trace
 from cherednik.pbw import Parameter
 from cherednik.restricted import (act_on_baby_verma, build_restricted,
                                   distinguished_rep)
@@ -134,6 +134,19 @@ def test_head_of_simple_is_itself():
     L = R.simple_module(g.irrep("chi0"))
     again = R.simple_head(L)
     assert again.dim == L.dim
+
+
+@pytest.mark.parametrize("spec,ctag,seed", [
+    (spec, ctag, seed) for spec in ("Zm:3", "Sn:3:reduced", "I2:3")
+    for ctag, seed in (("zero", 0), ("generic", 1))] + [("I2:4", "zero", 0)])
+def test_graded_radical_matches_acting_image(spec, ctag, seed):
+    # the degree-by-degree radical and the trace-form radical of the acting
+    # image have the same reduced echelon form
+    R = restricted(spec, ctag, seed)
+    for rep in R.group.irreps:
+        mod = R.baby_verma(rep)
+        assert R._graded_radical(mod).rows == R._image_radical(mod).rows, \
+            rep.label
 
 
 def test_head_grading_starts_at_rep():
@@ -269,6 +282,37 @@ def test_center_idempotent_identities():
         for k, v in e.items():
             total[k] = total.get(k, F(0)) + v
     assert {k: v for k, v in total.items() if v} == R.unit
+
+
+@pytest.mark.parametrize("spec", ["Sn:3:reduced", "I2:3"])
+def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, monkeypatch):
+    # the two facts that let the blocks be read off Z_0 alone
+    R = restricted(spec, "zero")
+    zbasis, zero = R.center(), R.degree_zero_center()
+    assert (len(zbasis), len(zero)) == (11, 7)
+    degrees = [{R.basis_degree(i) for i in z} for z in zbasis]
+    assert zero == [z for z, ds in zip(zbasis, degrees) if ds == {0}]
+    steps = len(R.degree_slices())
+    for z, ds in zip(zbasis, degrees):
+        if ds == {0}:
+            continue
+        assert len(ds) == 1
+        power = z
+        for _ in range(steps):
+            power = R.multiply_vec(power, z)
+        assert not power
+        for rep in R.group.irreps:
+            assert trace(R.baby_verma(rep).act_vector(z)) == 0, rep.label
+    # and the structure constants multiply degree-0 vectors only
+    multiply = R.multiply_vec
+
+    def degree_zero_only(u, v):
+        assert all(R.basis_degree(i) == 0 for i in (*u, *v))
+        return multiply(u, v)
+
+    monkeypatch.setattr(R, "multiply_vec", degree_zero_only)
+    prods, unit = R.center_structure()
+    assert len(prods) == len(unit) == 7
 
 
 def test_skew_backend_agrees_at_zero():
