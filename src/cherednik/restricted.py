@@ -23,7 +23,7 @@ from .comalg import idempotents_of_commutative_algebra
 from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      DimensionMismatch, NotSimpleHead, TieDetected)
 from .linalg import (ONE, ZERO, Echelon, _add_term, _axpy, echelon, identity,
-                     kernel_basis, mat_add, mat_mul, rank, trace, transpose)
+                     kernel_basis, mat_mul, mat_vec, rank, trace)
 from .pbw import CherednikAlgebra, PBWElement
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
@@ -61,12 +61,10 @@ class FDModule:
         return mat
 
     def generators(self):
-        """(matrix, degree) of each of the parent's ``generators``."""
+        """Matrix of each of the parent's ``generators``, in order."""
         mats = [m for xy in zip(self.x, self.y) for m in xy]
-        mats += [self.w_matrix(w)
-                 for w in self.parent.group.generators.values()]
-        return [(mat, deg) for mat, (_vec, deg)
-                in zip(mats, self.parent.generators)]
+        return mats + [self.w_matrix(w)
+                       for w in self.parent.group.generators.values()]
 
     def _power(self, cache, mats, expo):
         mat = cache.get(expo)
@@ -108,11 +106,10 @@ class FDModule:
 
 
 class Block:
-    def __init__(self, labels, b_invariants, distinguished, fingerprint):
+    def __init__(self, labels, b_invariants, distinguished):
         self.labels = tuple(labels)
         self.b_invariants = dict(b_invariants)
         self.distinguished = distinguished
-        self.fingerprint = fingerprint
 
     def is_singleton(self):
         return len(self.labels) == 1
@@ -393,54 +390,32 @@ class RestrictedCherednikAlgebra:
 
     # ---- simple heads ---------------------------------------------------------------
     def acting_image(self, mod):
-        """Basis of the image of the algebra in End(M), with degrees.
-
-        Returns (matrix, degree) pairs closed under multiplication by the
-        generator actions.  For graded modules the spanning matrices stay
-        homogeneous; for ungraded ones everything sits in degree 0 and the
-        trace-form radical is computed on the whole image.
-        """
+        """Basis of the image of the algebra in End(M): the identity closed
+        under left multiplication by the generator actions."""
         gens = mod.generators()
         dim = mod.dim
-        basis = []      # (matrix, degree)
+        basis = []
         span = Echelon(dim * dim)
-        queue = [(identity(dim), 0)]
+        queue = [identity(dim)]
         while queue:
-            mat, deg = queue.pop()
-            if not span.add([v for row in mat for v in row]):
-                continue
-            basis.append((mat, deg))
-            for g, gdeg in gens:
-                queue.append((mat_mul(g, mat), deg + gdeg))
+            mat = queue.pop()
+            if span.add([v for row in mat for v in row]):
+                basis.append(mat)
+                queue.extend(mat_mul(g, mat) for g in gens)
         return basis
 
     def radical_of_image(self, basis):
-        """Homogeneous basis of the radical of the acting image."""
-        by_degree = {}
-        for k, (mat, deg) in enumerate(basis):
-            by_degree.setdefault(deg, []).append(k)
-        rad = []
-        for d, idxs in by_degree.items():
-            partners = by_degree.get(-d, [])
-            if not partners:
-                for k in idxs:
-                    rad.append(basis[k][0])
-                continue
-            gram = []
-            for k in idxs:
-                row = []
-                for l in partners:
-                    row.append(trace(mat_mul(basis[k][0], basis[l][0])))
-                gram.append(row)
-            for vec in kernel_basis(transpose(gram), len(idxs)):
-                mat = None
-                for c, k in zip(vec, idxs):
-                    if c:
-                        term = [[c * v for v in row] for row in basis[k][0]]
-                        mat = term if mat is None else mat_add(mat, term)
-                if mat is not None:
-                    rad.append(mat)
-        return rad
+        """Basis of the radical of the acting image: the kernel of its trace
+        form tr(ab) = sum of a_ij b_ji (characteristic 0)."""
+        dim = len(basis[0])
+        nonzero = [[(i * dim + j, v) for i, row in enumerate(a)
+                    for j, v in enumerate(row) if v] for a in basis]
+        flat_t = [[v for col in zip(*b) for v in col] for b in basis]
+        gram = [[sum((v * bt[k] for k, v in nz if bt[k]), ZERO)
+                 for bt in flat_t] for nz in nonzero]
+        return [[[sum((c * a[i][j] for c, a in zip(vec, basis) if c), ZERO)
+                  for j in range(dim)] for i in range(dim)]
+                for vec in kernel_basis(gram, len(basis))]
 
     def _image_radical(self, mod):
         """Echelon of J(A) M through the acting image's trace-form radical:
@@ -511,25 +486,43 @@ class RestrictedCherednikAlgebra:
                     f"head of the standard module {mod.label!r} is not simple")
         return head
 
+    def singular_vectors(self, mod):
+        """Basis of M^{y=0}, the vectors every y_j kills."""
+        return kernel_basis([row for y in mod.y for row in y], mod.dim)
+
     def is_simple(self, mod):
-        """Commutant of the action is one-dimensional (split field)."""
-        return self.endomorphism_dimension(mod) == 1
+        """Is M simple (over the splitting field)?  A graded module built
+        here is generated by its lowest degree, an irreducible W-module, and
+        y lowers the degree, so every nonzero submodule meets M^{y=0} and a
+        singular vector of higher degree generates a proper submodule: M is
+        simple exactly when M^{y=0} is its lowest degree.  Off the graded
+        fiber y may kill a simple module; there M is simple exactly when the
+        algebra acts by all of End(M) (Burnside)."""
+        if mod.weights is None:
+            return len(self.acting_image(mod)) == mod.dim ** 2
+        return len(self.singular_vectors(mod)) == mod.weights.count(
+            min(mod.weights))
 
     def endomorphism_dimension(self, mod):
-        dim = mod.dim
-        rows = []
-        for g, _deg in mod.generators():
-            # constraint: phi g - g phi = 0, phi unknown dim x dim
-            for i in range(dim):
-                for j in range(dim):
-                    row = {}
-                    for k in range(dim):
-                        if g[k][j]:
-                            _add_term(row, i * dim + k, g[k][j])
-                        if g[i][k]:
-                            _add_term(row, k * dim + j, -g[i][k])
-                    rows.append(row)
-        return dim * dim - rank(rows, dim * dim)
+        """dim Hom(Delta(rep), M) = multiplicity of rep in M^{y=0}
+        (Frobenius reciprocity): the rank of the isotypic idempotent
+        (dim rep / |W|) sum_w chi(w^-1) w on M^{y=0}, over dim rep.  That
+        is dim End(M) for the only modules the library builds, Delta_b(rep)
+        at any fiber and its head: the head is semisimple, so every map from
+        Delta_b(rep) to it factors through it."""
+        rep = mod.rep
+        if rep is None:
+            raise CherednikError(f"module {mod.label!r} has no irreducible "
+                                 "to count endomorphisms through")
+        group = self.group
+        scale = Fraction(rep.dim, group.order)
+        proj = {}
+        for w in range(group.order):
+            _axpy(proj, self.reduce_pbw(self.algebra.grp(w)),
+                  scale * rep.char(group.inv(w)))
+        mat = mod.act_vector(proj)
+        return rank([mat_vec(mat, v) for v in self.singular_vectors(mod)],
+                    mod.dim) // rep.dim
 
     def simple_module(self, rep):
         mod = self.baby_verma(rep)
@@ -633,9 +626,8 @@ class RestrictedCherednikAlgebra:
             labels = sorted(labels, key=str)
             b_inv = {lbl: group.b_invariant(group.irrep(lbl))
                      for lbl in labels}
-            dist = distinguished_rep(labels, b_inv)
-            fp = chars[labels[0]]
-            blocks.append(Block(labels, b_inv, dist, fp))
+            blocks.append(Block(labels, b_inv,
+                                distinguished_rep(labels, b_inv)))
         verification = {}
         if verify:
             e_dims = {}

@@ -3,8 +3,9 @@
 Six suites (PBW associativity, restricted dimensions, block partitions,
 character formulas, exterior-model identities, parabolic reduction), each a
 function ``(seed, deep)`` returning a list of ``{"name", "pass", ...}``
-checks.  ``run_verification`` runs a selection of them into one report; the
-report is deterministic for a fixed seed.
+checks; a failing ``cm`` check also lists the conditions that failed.
+``run_verification`` runs a selection of them into one report; the report is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ def _suite_dimensions(seed, deep):
     return checks
 
 
+def _shape(part):
+    return sorted(sorted(map(str, b.labels)) for b in part.blocks)
+
+
 def _suite_cm(seed, deep):
     checks = []
     grid = list(CM_GRID) + (["I2:4"] if deep else [])
@@ -92,27 +97,28 @@ def _suite_cm(seed, deep):
                              ("zero", Parameter.zero(group))):
             rest = build_restricted(group, param)
             part = rest.cm_partition(seed=seed, verify=True)
-            ok = part.route_agreement and part.theorems_hold()
-            detail = {"blocks": [list(map(str, b.labels))
-                                 for b in part.blocks]}
+            conditions = {"route_agreement": part.route_agreement,
+                          "theorems": part.theorems_hold()}
             if cname == "generic":
-                ok = ok and part.all_singletons()
+                conditions["singletons"] = part.all_singletons()
             if cname == "zero" and spec in ("Zm:2", "Zm:3"):
-                ok = ok and len(part.blocks) == 1
-                ok = ok and str(part.blocks[0].distinguished) == "chi0"
+                conditions["zm_block_shape"] = (
+                    len(part.blocks) == 1
+                    and str(part.blocks[0].distinguished) == "chi0")
             if spec == "Sn:3:reduced" and cname == "generic":
-                ok = ok and len(part.blocks) == 3
+                conditions["sn3_block_count"] = len(part.blocks) == 3
             # c = 0 degeneration: the independent skew backend must agree
             if param.is_zero():
                 skew = build_restricted(group, param, backend="skew")
-                part2 = skew.cm_partition(seed=seed, verify=False)
-                shape1 = sorted(sorted(map(str, b.labels))
-                                for b in part.blocks)
-                shape2 = sorted(sorted(map(str, b.labels))
-                                for b in part2.blocks)
-                ok = ok and shape1 == shape2
-            checks.append({"name": f"cm:{spec}:c={cname}", "pass": ok,
-                           **detail})
+                conditions["skew_agreement"] = _shape(part) == _shape(
+                    skew.cm_partition(seed=seed, verify=False))
+            failed = [name for name, ok in conditions.items() if not ok]
+            check = {"name": f"cm:{spec}:c={cname}", "pass": not failed,
+                     "blocks": [list(map(str, b.labels))
+                                for b in part.blocks]}
+            if failed:
+                check["failed"] = failed
+            checks.append(check)
     return checks
 
 

@@ -326,6 +326,25 @@ def test_verify_inject_fault(tmp_path):
         c["name"] for c in clean["suites"]["characters"]["checks"]]
 
 
+def test_verify_cm_check_names_the_failed_condition(monkeypatch):
+    # a failing cm check lists what failed; a passing one is unchanged
+    from cherednik import verify
+    from cherednik.restricted import BlockPartition
+    monkeypatch.setattr(verify, "CM_GRID", ("Zm:2",))
+    clean = run_verification(seed=1, suites=["cm"])["suites"]["cm"]
+    assert clean["pass"]
+    assert all(set(c) == {"name", "pass", "blocks"} for c in clean["checks"])
+    monkeypatch.setattr(BlockPartition, "theorems_hold", lambda self: False)
+    report = run_verification(seed=1, suites=["cm"])
+    assert not report["all_pass"]
+    checks = report["suites"]["cm"]["checks"]
+    assert [c["name"] for c in checks] == ["cm:Zm:2:c=generic",
+                                           "cm:Zm:2:c=zero"]
+    for check, before in zip(checks, clean["checks"]):
+        assert check["failed"] == ["theorems"] and not check["pass"]
+        assert check["blocks"] == before["blocks"]
+
+
 def test_verify_unknown_suite(capsys):
     rc, err = rejected(capsys, "verify", "--suites", "nope")
     assert rc == 2

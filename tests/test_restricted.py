@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import CapExceeded, TieDetected
-from cherednik.groups import build_sn, build_zm
-from cherednik.linalg import mat_mul, trace
+from cherednik.errors import CapExceeded, CherednikError, TieDetected
+from cherednik.groups import build_group, build_i2, build_sn, build_zm
+from cherednik.linalg import _add_term, mat_mul, rank, trace
 from cherednik.pbw import Parameter
-from cherednik.restricted import (act_on_baby_verma, build_restricted,
-                                  distinguished_rep)
+from cherednik.restricted import (FDModule, act_on_baby_verma,
+                                  build_restricted, distinguished_rep)
 from conftest import algebra, group, parameter, partition, restricted
 
 F = Fraction
@@ -157,6 +157,97 @@ def test_head_grading_starts_at_rep():
     assert L.weights.count(0) == 2    # L(rep)_0 = rep
 
 
+# ---- endomorphisms and simplicity ---------------------------------------------------
+
+def _commutant_dimension(mod):
+    """dim End(M) as the commutant of the generator actions: phi g = g phi
+    for every generator g, with the dim^2 entries of phi unknown."""
+    dim = mod.dim
+    rows = []
+    for g in mod.generators():
+        for i in range(dim):
+            for j in range(dim):
+                row = {}
+                for k in range(dim):
+                    if g[k][j]:
+                        _add_term(row, i * dim + k, g[k][j])
+                    if g[i][k]:
+                        _add_term(row, k * dim + j, -g[i][k])
+                rows.append(row)
+    return dim * dim - rank(rows, dim * dim)
+
+
+def _check_end_and_simplicity(R):
+    for rep in R.group.irreps:
+        mod = R.baby_verma(rep)
+        for m in (mod, R.simple_head(mod)):
+            assert R.endomorphism_dimension(m) == _commutant_dimension(m), \
+                (rep.label, m.dim)
+            burnside = len(R.acting_image(m)) == m.dim ** 2
+            assert R.is_simple(m) == burnside, (rep.label, m.dim)
+
+
+@pytest.mark.parametrize("spec", ["Zm:2", "Zm:3", "Zm:4", "Sn:2:permutation",
+                                  "Sn:3:reduced", "I2:3", "I2:4"])
+@pytest.mark.parametrize("ctag,seed", [("zero", 0), ("generic", 1)])
+def test_endomorphisms_match_the_commutant(spec, ctag, seed):
+    # Frobenius reciprocity on the singular vectors against the dim^2-unknown
+    # commutant, and the simplicity test against Burnside, on every baby
+    # Verma and every head
+    _check_end_and_simplicity(restricted(spec, ctag, seed))
+
+
+@pytest.mark.parametrize("build,c,b_point", [
+    (lambda: build_zm(2), 0, (F(1),)),
+    (lambda: build_zm(2), 1, (F(1),)),
+    (lambda: build_zm(3), 0, (F(1),)),
+    (lambda: build_i2(3), 0, (F(1), F(0))),
+], ids=["Zm:2-c0", "Zm:2-c1", "Zm:3-c0", "I2:3-c0"])
+def test_endomorphisms_match_the_commutant_off_the_graded_fiber(build, c,
+                                                                b_point):
+    g = build()
+    R = build_restricted(g, Parameter.constant(g, c), b_point=b_point)
+    assert not R.graded
+    _check_end_and_simplicity(R)
+
+
+def test_baby_verma_with_a_proper_head_is_not_simple():
+    # Delta(chi0) of Z_3 at c = 0 has dim 3 and a head of dim 1; its
+    # commutant is still one-dimensional
+    R = restricted("Zm:3", "zero")
+    mod = R.baby_verma(R.group.irrep("chi0"))
+    assert (mod.dim, R.simple_module(mod.rep).dim) == (3, 1)
+    assert _commutant_dimension(mod) == 1
+    assert not R.is_simple(mod)
+
+
+@pytest.mark.parametrize("spec", ["Zm:3", "Zm:4", "Sn:3:reduced", "I2:4"])
+def test_endomorphisms_at_zero_are_dim_squared(spec):
+    # at c = 0 y kills Delta(rep), and the coinvariants are the regular
+    # representation, so rep occurs dim rep times in Delta(rep)^{y=0}
+    R = restricted(spec, "zero")
+    for rep in R.group.irreps:
+        assert R.endomorphism_dimension(R.baby_verma(rep)) == rep.dim ** 2
+
+
+def test_endomorphisms_of_s4_baby_vermas():
+    g = build_group("Sn:4:reduced")
+    for par, dims in ((Parameter.generic(g, 1), [1, 3, 2, 3, 1]),
+                      (Parameter.zero(g), [1, 9, 4, 9, 1])):
+        R = build_restricted(g, par, cap=13824)
+        assert [R.endomorphism_dimension(R.baby_verma(rep))
+                for rep in g.irreps] == dims
+
+
+def test_endomorphism_dimension_needs_the_irreducible():
+    R = restricted("Zm:2", "1")
+    mod = R.baby_verma(R.group.irrep("chi0"))
+    bare = FDModule(R, mod.dim, mod.x, mod.y, mod.w_matrix,
+                    weights=mod.weights)
+    with pytest.raises(CherednikError):
+        R.endomorphism_dimension(bare)
+
+
 # ---- e L(rep) dimensions ----------------------------------------------------------
 
 def test_dim_e_simple_z2_zero():
@@ -261,14 +352,16 @@ def test_center_surjectivity_fails_off_distinguished():
     assert bad["dim_end"] == 4 and bad["dim_center_image"] == 1
 
 
-def test_center_idempotent_identities():
-    R = restricted("Zm:3", "generic")
+@pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced"])
+def test_center_idempotent_identities(spec):
+    # the coordinates from center_structure are over the Z_0 basis
+    R = restricted(spec, "generic")
     prods, unit = R.center_structure()
     from cherednik.comalg import idempotents_of_commutative_algebra
     idems = idempotents_of_commutative_algebra(prods, unit,
                                                conductor=R.group.conductor)
     alg_mul = R.multiply_vec
-    zbasis = R.center()
+    zbasis = R.degree_zero_center()
     vecs = []
     for coords in idems:
         vec = {}
@@ -321,12 +414,6 @@ def test_skew_backend_agrees_at_zero():
     p2 = R2.cm_partition(seed=0, verify=False)
     shape = lambda p: sorted(sorted(map(str, b.labels)) for b in p.blocks)
     assert shape(p1) == shape(p2)
-
-
-def test_block_fingerprints_distinguish():
-    part = partition("Sn:3:reduced", "1")
-    fps = [b.fingerprint for b in part.blocks]
-    assert len(set(fps)) == len(fps)
 
 
 def test_distinguished_rep_tie_detected():
