@@ -256,10 +256,18 @@ def cmd_characters(args):
                                f"{group.name}")
         entry = {"label": lbl, "dim": rep.dim,
                  "b_invariant": group.b_invariant(rep)}
+        verma = verma_character(group, rep, trunc).to_payload()
+        # at c = 0 the group is one block whose distinguished member is the
+        # b = 0 irreducible, and the End(Delta) formulas hold only for it
+        if param.is_zero() and entry["b_invariant"]:
+            entry.update(distinguished=False, verma_character=verma,
+                         note="not distinguished: at c = 0 the End(Delta) "
+                              "formulas hold only for the b = 0 irreducible")
+            table.append(entry)
+            continue
         endo = endo_character(group, rep, trunc)
         entry["endo_character"] = endo.to_payload()
-        entry["verma_character"] = verma_character(group, rep,
-                                                   trunc).to_payload()
+        entry["verma_character"] = verma
         eis = solve_eis(group, rep, trunc)
         entry["generator_degrees"] = eis.payload()
         if eis.is_solution():

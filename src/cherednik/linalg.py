@@ -73,10 +73,6 @@ def mat_vec(a, v):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def trace(a):
     t = ZERO
     for i in range(len(a)):

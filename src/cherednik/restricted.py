@@ -7,12 +7,13 @@ x side modulo the fiber ideal of a point b of h/W (default 0) and on the y
 side modulo the augmentation fiber at 0 (so the quotient is graded when
 b = 0).  Multiplication rows are materialized lazily.
 
-The center is computed degreewise (the quotient is graded at b = 0, so the
-center is spanned by homogeneous elements) by intersecting the kernels of
-the adjoint maps of the algebra generators; blocks come from the primitive
-idempotents of its degree-0 part Z_0, cross-checked against central-character
-linking on the baby Vermas.  Simple heads of graded modules come from the
-grading too: the radical is built degree by degree from the lowest one.
+The center is solved one degree at a time, on first use (the quotient is
+graded at b = 0, so the center is spanned by homogeneous elements), by
+intersecting the kernels of the adjoint maps of the algebra generators;
+blocks come from the primitive idempotents of its degree-0 part Z_0,
+cross-checked against central-character linking on the baby Vermas.  Simple
+heads of graded modules come from the grading too: the radical is built
+degree by degree from the lowest one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .comalg import idempotents_of_commutative_algebra
 from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      DimensionMismatch, NotSimpleHead, TieDetected)
 from .linalg import (ONE, ZERO, Echelon, _add_term, _axpy, echelon, identity,
-                     kernel_basis, mat_mul, mat_vec, rank, trace)
+                     kernel_basis, mat_mul, mat_vec, rank)
 from .pbw import CherednikAlgebra, PBWElement
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
@@ -67,12 +68,12 @@ class FDModule:
                        for w in self.parent.group.generators.values()]
 
     def _power(self, cache, mats, expo):
+        """The product of the mats[i]^expo[i]; expo is not all zero."""
         mat = cache.get(expo)
         if mat is None:
-            mat = identity(self.dim)
             for i, k in enumerate(expo):
                 for _ in range(k):
-                    mat = mat_mul(mats[i], mat)
+                    mat = mats[i] if mat is None else mat_mul(mats[i], mat)
             cache[expo] = mat
         return mat
 
@@ -81,9 +82,11 @@ class FDModule:
         mat = self._mono.get(key)
         if mat is None:
             a, w, b = key
-            xm = self._power(self._xpow, self.x, a)
-            ym = self._power(self._ypow, self.y, b)
-            mat = mat_mul(xm, mat_mul(self.w_matrix(w), ym))
+            mat = self.w_matrix(w)
+            if any(b):
+                mat = mat_mul(mat, self._power(self._ypow, self.y, b))
+            if any(a):
+                mat = mat_mul(self._power(self._xpow, self.x, a), mat)
             self._mono[key] = mat
         return mat
 
@@ -199,7 +202,7 @@ class RestrictedCherednikAlgebra:
         self.dim = len(self.basis)
         self.index = {key: i for i, key in enumerate(self.basis)}
         self._pair_cache = {}
-        self._center = None
+        self._center_slices = {}      # degree -> Echelon of Z_d, on demand
         self._module_cache = {}
         self._head_cache = {}
         # (sparse vector, degree) of x_0, y_0, x_1, y_1, ... and then of the
@@ -253,27 +256,23 @@ class RestrictedCherednikAlgebra:
         return sum(a) - sum(b)
 
     def degree_slices(self):
+        """Basis indices by degree; off the graded fiber one slice 0 holds
+        them all."""
+        if not self.graded:
+            return {0: list(range(self.dim))}
         slices = {}
         for i in range(self.dim):
             slices.setdefault(self.basis_degree(i), []).append(i)
         return dict(sorted(slices.items()))
 
     # ---- center -------------------------------------------------------------------
-    def center(self):
-        """Basis of the center, as sparse vectors (RREF-normalized rows).
-
-        At b = 0 the quotient is graded and the kernel intersection runs
-        degreewise; at b != 0 the full (small, filtered) system is solved.
-        The degree-0 rows are kept apart as Z_0 (``degree_zero_center``);
-        at b != 0 that is the whole center.
-        """
-        if self._center is not None:
-            return self._center
-        slices = (self.degree_slices() if self.graded
-                  else {0: list(range(self.dim))})
-        center = Echelon(self.dim)
-        zero = Echelon(self.dim)
-        for d, idxs in slices.items():
+    def _center_slice(self, d):
+        """Echelon of Z_d, the central elements of degree d, solved on first
+        use: the common kernel of the generators' adjoint maps on slice d."""
+        ech = self._center_slices.get(d)
+        if ech is None:
+            slices = self.degree_slices()
+            idxs = slices.get(d, [])
             # constraint rows, sparse over the slice, keyed (generator, target)
             rows = {}
             for g, (gvec, gdeg) in enumerate(self.generators):
@@ -286,23 +285,29 @@ class RestrictedCherednikAlgebra:
                                  self.multiply_vec(gvec, em), -ONE)
                     for k, val in diff.items():
                         rows.setdefault((g, k), {})[col] = val
-            for vec in kernel_basis(list(rows.values()), len(idxs)):
-                z = {idxs[t]: c for t, c in enumerate(vec) if c}
-                center.add(z)
-                if d == 0:
-                    zero.add(z)
-        # the rows of an echelon, in pivot order, are its basis; the rows of
-        # distinct degrees have disjoint supports, so the degree-0 rows of
-        # ``center`` are those of ``zero``
-        self._center0_ech = zero
-        self._center0 = _echelon_basis(zero)
-        self._center = _echelon_basis(center)
-        return self._center
+            ech = echelon([{idxs[t]: c for t, c in enumerate(vec) if c}
+                           for vec in kernel_basis(list(rows.values()),
+                                                   len(idxs))], self.dim)
+            self._center_slices[d] = ech
+        return ech
+
+    def _center_basis(self, degrees):
+        """RREF rows of the sum of the Z_d over ``degrees``, in pivot order,
+        each sorted by column.  Distinct degrees have disjoint supports, so
+        these are the rows of the echelon of that sum."""
+        rows = {}
+        for d in degrees:
+            rows.update(self._center_slice(d).rows)
+        return [dict(sorted(rows[p].items())) for p in sorted(rows)]
+
+    def center(self):
+        """Basis of the center, as sparse vectors (RREF-normalized rows)."""
+        return self._center_basis(self.degree_slices())
 
     def degree_zero_center(self):
-        """Basis of Z_0, the degree-0 part of the center (RREF rows)."""
-        self.center()
-        return self._center0
+        """Basis of Z_0, the degree-0 part of the center (RREF rows); at
+        b != 0 that is the whole center."""
+        return self._center_basis([0])
 
     def center_structure(self):
         """Structure constants of Z_0 over its RREF basis, and the
@@ -315,7 +320,7 @@ class RestrictedCherednikAlgebra:
         idempotents of Z are those of Z_0.
         """
         zbasis = self.degree_zero_center()
-        ech = self._center0_ech
+        ech = self._center_slice(0)
         pivots = ech.pivots()
 
         def coordinates(vec):
@@ -538,37 +543,33 @@ class RestrictedCherednikAlgebra:
         return rank(head.act_vector(e), head.dim)
 
     # ---- blocks -----------------------------------------------------------------
-    def central_characters(self):
-        """Scalar of each Z_0 basis element on each baby Verma.
+    def _central_character(self, rep):
+        """Scalar of each Z_0 basis vector on Delta(rep).
 
-        The rest of the center adds nothing: an element of nonzero degree
-        shifts the degree of a baby Verma, so its trace there is 0.
+        Each is central of degree 0, so it acts on the lowest degree, the
+        irreducible rep, by a scalar (Schur), and by the same scalar on all
+        of Delta(rep), which that degree generates; a matrix that is not a
+        scalar is an error.  The rest of the center adds nothing: an element
+        of nonzero degree is nilpotent.
         """
-        zbasis = self.degree_zero_center()
-        out = {}
-        for rep in self.group.irreps:
-            mod = self.baby_verma(rep)
-            values = []
-            for z in zbasis:
-                values.append(trace(mod.act_vector(z)) * Fraction(1, mod.dim))
-            out[rep.label] = tuple(values)
-        return out
+        mod = self.baby_verma(rep)
+        values = []
+        for z in self.degree_zero_center():
+            mat = mod.act_vector(z)
+            value = mat[0][0]
+            if any(v != (value if i == j else ZERO)
+                   for i, row in enumerate(mat) for j, v in enumerate(row)):
+                raise CherednikError(f"a Z_0 basis vector is not a scalar "
+                                     f"on the baby Verma {rep.label!r}")
+            values.append(value)
+        return tuple(values)
 
     def central_idempotents(self, seed=0):
-        """Primitive central idempotents, as vectors over the algebra basis;
-        they lie in Z_0 (``center_structure``)."""
-        zbasis = self.degree_zero_center()
+        """Primitive central idempotents, as coordinates over the Z_0 basis
+        (``degree_zero_center``); they lie in Z_0 (``center_structure``)."""
         prods, unit_coords = self.center_structure()
-        idems = idempotents_of_commutative_algebra(
+        return idempotents_of_commutative_algebra(
             prods, unit_coords, conductor=self.group.conductor, seed=seed)
-        idem_vecs = []
-        for coords in idems:
-            vec = {}
-            for c, z in zip(coords, zbasis):
-                if c:
-                    _axpy(vec, z, c)
-            idem_vecs.append(vec)
-        return idem_vecs
 
     def block_count(self, seed=0):
         """Number of blocks (primitive central idempotents); any fiber point."""
@@ -581,17 +582,20 @@ class RestrictedCherednikAlgebra:
                 "the partition of the irreducibles is defined through the "
                 "graded quotient at b = 0; use block_count() at other fibers")
         group = self.group
-        idem_vecs = self.central_idempotents(seed)
-        # route 1: assign each irreducible to the idempotent acting as 1
-        assignment = {}
+        idems = self.central_idempotents(seed)
+        chars = {rep.label: self._central_character(rep)
+                 for rep in group.irreps}
+        # route 1: assign each irreducible to the idempotent acting as 1; an
+        # idempotent acts by its coordinates against the central character
+        route1_groups = {}
         for rep in group.irreps:
-            mod = self.baby_verma(rep)
             home = None
-            for t, evec in enumerate(idem_vecs):
-                mat = mod.act_vector(evec)
-                if _is_zero_matrix(mat):
+            for t, coords in enumerate(idems):
+                value = sum((c * v for c, v in zip(coords, chars[rep.label])
+                             if c), ZERO)
+                if not value:
                     continue
-                if mat == identity(mod.dim):
+                if value == ONE:
                     if home is not None:
                         raise AssignmentAmbiguous(
                             f"two idempotents act as 1 on {rep.label!r}")
@@ -602,16 +606,12 @@ class RestrictedCherednikAlgebra:
             if home is None:
                 raise AssignmentAmbiguous(
                     f"no idempotent acts as 1 on {rep.label!r}")
-            assignment[rep.label] = home
+            route1_groups.setdefault(home, []).append(rep.label)
         # route 2: Mueller-type linking by central characters
-        chars = self.central_characters()
         by_char = {}
         for lbl, fp in chars.items():
             by_char.setdefault(fp, []).append(lbl)
         route2 = sorted([tuple(sorted(v, key=str)) for v in by_char.values()])
-        route1_groups = {}
-        for lbl, t in assignment.items():
-            route1_groups.setdefault(t, []).append(lbl)
         route1 = sorted([tuple(sorted(v, key=str))
                          for v in route1_groups.values()])
         agreement = route1 == route2
@@ -643,31 +643,24 @@ class RestrictedCherednikAlgebra:
                               seed, verification)
 
     def center_surjectivity_on_baby_verma(self, rep):
-        """Does the center surject onto End(Delta(0, rep, b))?"""
+        """Does the center surject onto End(Delta(0, rep, b))?
+
+        Only the degrees d >= 0 of the center are read.  A central element
+        of degree d < 0 sends the lowest degree of Delta(rep) below degree
+        0, where there is nothing; as it is central and the lowest degree
+        generates, it acts by 0 on all of Delta(rep).
+        """
         mod = self.baby_verma(rep)
         dim_end = self.endomorphism_dimension(mod)
-        zbasis = self.center()
-        rows = []
-        for z in zbasis:
-            mat = mod.act_vector(z)
-            rows.append([mat[i][j] for i in range(mod.dim)
-                         for j in range(mod.dim)])
-        dim_image = rank(rows, mod.dim * mod.dim)
+        zbasis = self._center_basis(d for d in self.degree_slices() if d >= 0)
+        dim_image = rank([[v for row in mod.act_vector(z) for v in row]
+                          for z in zbasis], mod.dim * mod.dim)
         return {"dim_end": dim_end, "dim_center_image": dim_image,
                 "surjective": dim_image == dim_end}
 
     def __repr__(self):
         return (f"RestrictedCherednikAlgebra({self.group.name}, dim={self.dim},"
                 f" b={'0' if self.graded else self.b_point})")
-
-
-def _echelon_basis(ech):
-    """The rows of an echelon in pivot order, each sorted by column."""
-    return [dict(sorted(ech.rows[p].items())) for p in ech.pivots()]
-
-
-def _is_zero_matrix(mat):
-    return all(not v for row in mat for v in row)
 
 
 def distinguished_rep(labels, b_invariants):

@@ -75,6 +75,26 @@ def test_characters_command(tmp_path):
     assert [0, 0, 1, 1] in std["endo_character"]["terms"]
 
 
+@pytest.mark.parametrize("spec", ["Sn:3:reduced", "Sn:3:permutation"])
+def test_characters_at_zero_mark_the_undistinguished(tmp_path, spec):
+    # at c = 0 only the b = 0 irreducible is distinguished: the others get
+    # no End(Delta) data, which the formulas would give wrongly
+    argv = ["characters", "--group", spec, "--trunc", "6", "--check-hook"]
+    rc, zero = run_json(tmp_path, *argv, "--c", "zero")
+    _, generic = run_json(tmp_path, *argv, "--c", "generic")
+    assert rc == 0
+    for at_zero, at_generic in zip(zero["characters"], generic["characters"]):
+        if at_zero["b_invariant"] == 0:
+            assert at_zero == at_generic
+            continue
+        assert at_zero["distinguished"] is False
+        assert "only for the b = 0 irreducible" in at_zero["note"]
+        assert at_zero["verma_character"] == at_generic["verma_character"]
+        assert not {"endo_character", "generator_degrees", "tor_character",
+                    "ext_character", "hook_identity"} & set(at_zero)
+        assert "distinguished" not in at_generic
+
+
 def test_characters_csv_format(tmp_path):
     out = tmp_path / "chars.csv"
     rc = main(["--format", "csv", "--out", str(out), "characters",

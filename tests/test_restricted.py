@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import CapExceeded, CherednikError, TieDetected
+from cherednik.errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
+                              TieDetected)
 from cherednik.groups import build_group, build_i2, build_sn, build_zm
-from cherednik.linalg import _add_term, mat_mul, rank, trace
+from cherednik.linalg import (_add_term, echelon, kernel_basis, mat_mul, rank,
+                              trace)
 from cherednik.pbw import Parameter
 from cherednik.restricted import (FDModule, act_on_baby_verma,
                                   build_restricted, distinguished_rep)
+from cherednik.verify import CM_GRID
 from conftest import algebra, group, parameter, partition, restricted
 
 F = Fraction
@@ -377,15 +380,45 @@ def test_center_idempotent_identities(spec):
     assert {k: v for k, v in total.items() if v} == R.unit
 
 
-@pytest.mark.parametrize("spec", ["Sn:3:reduced", "I2:3"])
-def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, monkeypatch):
-    # the two facts that let the blocks be read off Z_0 alone
-    R = restricted(spec, "zero")
+def _center_in_one_system(R):
+    """The center as the kernel of every adjoint map at once, the grading
+    unused: RREF rows in pivot order, each as (column, value) pairs."""
+    rows = {}
+    for g, (gvec, _deg) in enumerate(R.generators):
+        for m in range(R.dim):
+            diff = dict(R.multiply_vec({m: F(1)}, gvec))
+            for k, v in R.multiply_vec(gvec, {m: F(1)}).items():
+                _add_term(diff, k, -v)
+            for k, v in diff.items():
+                rows.setdefault((g, k), {})[m] = v
+    ech = echelon(kernel_basis(list(rows.values()), R.dim), R.dim)
+    return [sorted(ech.rows[p].items()) for p in ech.pivots()]
+
+
+@pytest.mark.parametrize("spec,ctag,seed", [
+    ("Zm:3", "zero", 0), ("Sn:3:reduced", "zero", 0),
+    ("Sn:3:reduced", "generic", 1)])
+def test_center_rows_are_the_rref_of_the_whole_system(spec, ctag, seed):
+    R = restricted(spec, ctag, seed)
+    assert [list(z.items()) for z in R.center()] == _center_in_one_system(R)
+
+
+@pytest.mark.parametrize("spec,ctag,seed,sizes", [
+    ("Sn:3:reduced", "zero", 0, (11, 7)), ("I2:3", "zero", 0, (11, 7)),
+    ("I2:4", "zero", 0, (14, 12)), ("Sn:3:reduced", "generic", 1, (6, 4)),
+    ("I2:3", "generic", 1, (6, 4))], ids=[
+    "Sn:3:reduced", "I2:3", "I2:4", "Sn:3:reduced-generic:1", "I2:3-generic:1"])
+def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
+                                                           sizes, monkeypatch):
+    # the facts that let the blocks be read off Z_0 alone, and the
+    # surjectivity check leave out the negative degrees
+    R = restricted(spec, ctag, seed)
     zbasis, zero = R.center(), R.degree_zero_center()
-    assert (len(zbasis), len(zero)) == (11, 7)
+    assert (len(zbasis), len(zero)) == sizes
     degrees = [{R.basis_degree(i) for i in z} for z in zbasis]
     assert zero == [z for z, ds in zip(zbasis, degrees) if ds == {0}]
     steps = len(R.degree_slices())
+    positive_acts = False
     for z, ds in zip(zbasis, degrees):
         if ds == {0}:
             continue
@@ -395,7 +428,20 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, monkeypatch):
             power = R.multiply_vec(power, z)
         assert not power
         for rep in R.group.irreps:
-            assert trace(R.baby_verma(rep).act_vector(z)) == 0, rep.label
+            mat = R.baby_verma(rep).act_vector(z)
+            assert trace(mat) == 0, rep.label
+            acts = any(v for row in mat for v in row)
+            # below degree 0: the lowest degree, which generates, is killed
+            assert not (acts and min(ds) < 0), rep.label
+            positive_acts = positive_acts or acts
+    # at generic c a positive degree acts, so the trace check has teeth
+    assert positive_acts == (ctag == "generic")
+    for rep in R.group.irreps:
+        mod = R.baby_verma(rep)
+        full = rank([[v for row in mod.act_vector(z) for v in row]
+                     for z in zbasis], mod.dim ** 2)
+        rpt = R.center_surjectivity_on_baby_verma(rep)
+        assert rpt["dim_center_image"] == full, rep.label
     # and the structure constants multiply degree-0 vectors only
     multiply = R.multiply_vec
 
@@ -405,7 +451,66 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, monkeypatch):
 
     monkeypatch.setattr(R, "multiply_vec", degree_zero_only)
     prods, unit = R.center_structure()
-    assert len(prods) == len(unit) == 7
+    assert len(prods) == len(unit) == sizes[1]
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (lambda idems: idems[1:], "no idempotent acts as 1"),
+    (lambda idems: idems + idems[:1], "two idempotents act as 1"),
+    (lambda idems: [[2 * c for c in idems[0]]] + idems[1:],
+     "neither as 0 nor 1"),
+], ids=["dropped", "duplicated", "doubled"])
+def test_idempotent_route_rejects_a_spoiled_split(spoil, message,
+                                                  monkeypatch):
+    import cherednik.restricted as restricted_module
+    split = restricted_module.idempotents_of_commutative_algebra
+    monkeypatch.setattr(restricted_module,
+                        "idempotents_of_commutative_algebra",
+                        lambda *args, **kwargs: spoil(split(*args, **kwargs)))
+    R = restricted("Sn:3:reduced", "generic", 1)
+    with pytest.raises(AssignmentAmbiguous, match=message):
+        R.cm_partition(seed=1, verify=False)
+
+
+def test_a_non_scalar_central_character_is_an_error(monkeypatch):
+    g = build_zm(2)
+    R = build_restricted(g, Parameter.constant(g, 1))
+    z = R.degree_zero_center()[0]
+    mod = R.baby_verma(g.irrep("chi1"))
+    act = mod.act_vector
+
+    def spoiled(vec):
+        mat = [row[:] for row in act(vec)]
+        if vec == z:
+            mat[0][1] += 1
+        return mat
+
+    monkeypatch.setattr(mod, "act_vector", spoiled)
+    with pytest.raises(CherednikError, match="not a scalar on the baby Verma "
+                                             "'chi1'"):
+        R.cm_partition(verify=False)
+
+
+@pytest.mark.parametrize("spec,ctag,seed", [
+    ("Sn:3:reduced", "zero", 0), ("Sn:3:reduced", "generic", 1),
+    ("I2:3", "generic", 1)])
+def test_center_is_solved_only_where_it_is_read(spec, ctag, seed):
+    g = group(spec)
+    R = build_restricted(g, parameter(spec, ctag, seed))
+    R.cm_partition(seed=seed, verify=False)
+    assert list(R._center_slices) == [0]
+    R.cm_partition(seed=seed, verify=True)
+    assert set(R._center_slices) == {
+        d for d in R.degree_slices() if d >= 0}
+
+
+@pytest.mark.parametrize("spec", CM_GRID)
+def test_zero_parameter_is_one_block_led_by_b_zero(spec):
+    # the premise of marking the other irreducibles in `characters` at c = 0
+    R = restricted(spec, "zero")
+    blocks = R.cm_partition(verify=False).blocks
+    assert len(blocks) == 1
+    assert R.group.b_invariant(R.group.irrep(blocks[0].distinguished)) == 0
 
 
 def test_skew_backend_agrees_at_zero():
