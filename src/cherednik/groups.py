@@ -263,6 +263,7 @@ class ReflectionGroup:
         self.order = len(metas)
         self._meta_index = {m: i for i, m in enumerate(metas)}
         self._identity = self._meta_index[identity]
+        self._products = {}
         self.generators = {label: self._meta_index[m]
                            for label, m in generators.items() if m != identity}
         self._inverse = self._inverse_table()
@@ -292,7 +293,14 @@ class ReflectionGroup:
 
     # ---- basic operations -------------------------------------------------
     def mult(self, i, j):
-        return self._meta_index[self._mult_fn(self.metas[i], self.metas[j])]
+        """The index of w_i * w_j, composed on first request and memoized
+        per pair (no |W|^2 table is built)."""
+        key = (i, j)
+        k = self._products.get(key)
+        if k is None:
+            k = self._products[key] = self._meta_index[
+                self._mult_fn(self.metas[i], self.metas[j])]
+        return k
 
     def inv(self, i):
         return self._inverse[i]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotFactorizable
-from .linalg import ONE, ZERO, _add_term, _axpy, echelon, rref, trace
+from .linalg import MONE, ONE, ZERO, _add_term, _axpy, echelon, rref, trace
 from .polys import monomials_of_degree, pconst, pmul, pscale, psub_linear
 from .series import GradedCharacter
 
@@ -167,11 +167,14 @@ class InvariantTheory:
 
     def _act_monomial(self, widx, mono):
         """w . (the monomial with exponents mono), cached; callers must not
-        mutate the returned polynomial."""
+        mutate the returned polynomial.  A coefficient of +-1 is the shared
+        ``ONE`` or ``MONE``, so a caller may test it with ``is``."""
         key = (widx, mono)
         out = self._act_monos.get(key)
         if out is None:
-            out = self._act_monos[key] = self.act(widx, {mono: ONE})
+            out = self._act_monos[key] = {
+                m: ONE if c == ONE else MONE if c == MONE else c
+                for m, c in self.act(widx, {mono: ONE}).items()}
         return out
 
     def reynolds(self, poly):

@@ -2,7 +2,9 @@
 
 An entry is a Fraction exactly when it is rational and a Cyc only when it is
 not (``cyclotomic`` canonicalizes every result), so Fraction(0)/Fraction(1)
-are the only zero/one.  All elimination goes through one
+are the only zero/one.  ``ONE`` and ``MONE`` are shared objects: a cached
+table may store its +-1 entries as them, so that a hot loop can test a
+coefficient with ``is`` and skip the product.  All elimination goes through one
 kernel, ``Echelon``: a sparse reduced row echelon form built one vector at a
 time.  ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are thin wrappers
 over it; results satisfy A.x = b on re-substitution, exactly.
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MONE = Fraction(-1)
 
 
 def _add_term(out, key, value):

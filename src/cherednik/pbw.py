@@ -20,10 +20,11 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from operator import add
 
 from .cyclotomic import Cyc, scalar_payload
 from .errors import DegreeCapExceeded, InvalidElement, InvalidInput
-from .linalg import ONE, ZERO, _add_term, _axpy
+from .linalg import MONE, ONE, ZERO, _add_term, _axpy
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -303,12 +304,12 @@ class CherednikAlgebra:
             rest = list(a)
             rest[i] -= 1
             rest = tuple(rest)
+            xi = _unit_exp(self.n, i)
+            act_x = self._act_x
             out = {}
             # x_i * [y_j, x^rest]
             for (e, w), c in self._comm_mono(j, rest).items():
-                e2 = list(e)
-                e2[i] += 1
-                _add_term(out, (tuple(e2), w), c)
+                _add_term(out, (tuple(map(add, e, xi)), w), c)
             # [y_j, x_i] * x^rest = sum_s kappa * (s . x^rest) * s
             for (widx, alpha, alpha_vee, pairing, c) in self.refl_data:
                 if not c or not alpha[i]:
@@ -316,9 +317,8 @@ class CherednikAlgebra:
                 kappa = c * alpha[i] * alpha_vee[j] / pairing
                 if not kappa:
                     continue
-                acted = self._act_x(widx, rest)
-                for e, ce in acted.items():
-                    _add_term(out, (e, widx), kappa * ce)
+                for e, ce in act_x(widx, rest).items():
+                    _add_term(out, (e, widx), _times(kappa, ce))
         self._comm_cache[key] = out
         return out
 
@@ -336,18 +336,19 @@ class CherednikAlgebra:
             rest[j] -= 1
             rest = tuple(rest)
             inner = self._yb_xc(rest, c)
+            yj = _unit_exp(self.n, j)
+            mult, inverse = self.group.mult, self.group._inverse
+            act_y, comm_mono = self._act_y, self._comm_mono
             out = {}
             for (e, w, f), coeff in inner.items():
                 # y_j * x^e * w * y^f
                 # commutator part: [y_j, x^e] w y^f
-                for (e2, s), c2 in self._comm_mono(j, e).items():
-                    _add_term(out, (e2, self.group.mult(s, w), f), coeff * c2)
+                for (e2, s), c2 in comm_mono(j, e).items():
+                    _add_term(out, (e2, mult(s, w), f), _times(coeff, c2))
                 # straight part: x^e (y_j w) y^f = x^e w (w^{-1}.y_j) y^f
-                winv = self.group.inv(w)
-                acted = self._act_y(winv, _unit_exp(self.n, j))
-                for ym, cy in acted.items():
-                    f2 = tuple(fa + fb for fa, fb in zip(f, ym))
-                    _add_term(out, (e, w, f2), coeff * cy)
+                for ym, cy in act_y(inverse[w], yj).items():
+                    _add_term(out, (e, w, tuple(map(add, f, ym))),
+                              _times(coeff, cy))
         self._ybxc_cache[key] = out
         return out
 
@@ -360,22 +361,39 @@ class CherednikAlgebra:
                 raise DegreeCapExceeded(
                     f"factor of total degree {d} exceeds cap {cap}")
         out = {}
-        group = self.group
+        get = out.get
+        mult, inverse = self.group.mult, self.group._inverse
+        act_x, act_y, yb_xc = self._act_x, self._act_y, self._yb_xc
+        # A coefficient that is the shared ONE or MONE is reused or negated,
+        # not multiplied: most group-action coefficients are +-1.
         for (a, w, b), cu in u.terms.items():
             for (c, w2, d), cv in v.terms.items():
-                cuv = cu * cv
-                for (e, s, f), t in self._yb_xc(b, c).items():
-                    coeff = cuv * t
+                cuv = cu if cv is ONE else -cu if cv is MONE else cu * cv
+                w2inv = inverse[w2]
+                for (e, s, f), t in yb_xc(b, c).items():
+                    coeff = cuv if t is ONE else -cuv if t is MONE else cuv * t
                     # x^a (w . x^e) [w s w2] ((w2^{-1}) . y^f) y^d
-                    xpoly = self._act_x(w, e)
-                    g = group.mult(group.mult(w, s), w2)
-                    ypoly = self._act_y(group.inv(w2), f)
-                    for xm, cx in xpoly.items():
-                        am = tuple(p + q for p, q in zip(a, xm))
-                        cxx = coeff * cx
-                        for ym, cy in ypoly.items():
-                            bm = tuple(p + q for p, q in zip(d, ym))
-                            _add_term(out, (am, g, bm), cxx * cy)
+                    g = mult(mult(w, s), w2)
+                    ys = [(tuple(map(add, d, ym)), cy)
+                          for ym, cy in act_y(w2inv, f).items()]
+                    for xm, cx in act_x(w, e).items():
+                        am = tuple(map(add, a, xm))
+                        cxx = (coeff if cx is ONE else -coeff if cx is MONE
+                               else coeff * cx)
+                        for bm, cy in ys:
+                            val = (cxx if cy is ONE else -cxx if cy is MONE
+                                   else cxx * cy)
+                            # out[key] += val, dropping a key that sums to 0;
+                            # a new key takes val as is (no 0 + val), as a
+                            # product of nonzero coefficients is nonzero
+                            key = (am, g, bm)
+                            old = get(key)
+                            if old is not None:
+                                val = old + val
+                                if not val:
+                                    del out[key]
+                                    continue
+                            out[key] = val
         return PBWElement(self, out)
 
     def skew_multiply(self, u, v):
@@ -404,6 +422,11 @@ class CherednikAlgebra:
     def __repr__(self):
         return (f"CherednikAlgebra({self.group.name}, "
                 f"c={dict(sorted(self.param.values.items()))})")
+
+
+def _times(c, t):
+    """c * t, with no product when t is the shared ONE or MONE."""
+    return c if t is ONE else -c if t is MONE else c * t
 
 
 def _unit_exp(n, j):

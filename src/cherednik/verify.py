@@ -3,7 +3,8 @@
 Six suites (PBW associativity, restricted dimensions, block partitions,
 character formulas, exterior-model identities, parabolic reduction), each a
 function ``(seed, deep)`` returning a list of ``{"name", "pass", ...}``
-checks; a failing ``cm`` check also lists the conditions that failed.
+checks; a failing ``pbw`` or ``cm`` check also lists the conditions that
+failed.
 ``run_verification`` runs a selection of them into one report; the report is
 deterministic for a fixed seed.
 """
@@ -48,26 +49,24 @@ def _suite_pbw(seed, deep):
                              ("generic", Parameter.generic(group, seed))):
             algebra = CherednikAlgebra(group, param)
             rng = random.Random(seed)
-            ok_assoc = True
-            ok_skew = True
+            conditions = {"associativity": True, "skew_agreement": True}
             for _ in range(100):
                 u, v, w = (_random_pbw(algebra, rng) for _ in range(3))
                 if (u * v) * w != u * (v * w):
-                    ok_assoc = False
+                    conditions["associativity"] = False
                     break
-                if param.is_zero():
-                    if u * v != algebra.skew_multiply(u, v):
-                        ok_skew = False
-                        break
-            ok_comm = True
-            for i in range(group.n):
-                for j in range(group.n):
-                    xi, xj = algebra.x(i), algebra.x(j)
-                    yi, yj = algebra.y(i), algebra.y(j)
-                    if xi * xj != xj * xi or yi * yj != yj * yi:
-                        ok_comm = False
-            checks.append({"name": f"pbw:{spec}:c={cname}",
-                           "pass": ok_assoc and ok_skew and ok_comm})
+                if param.is_zero() and u * v != algebra.skew_multiply(u, v):
+                    conditions["skew_agreement"] = False
+                    break
+            conditions["commutation"] = all(
+                algebra.x(i) * algebra.x(j) == algebra.x(j) * algebra.x(i)
+                and algebra.y(i) * algebra.y(j) == algebra.y(j) * algebra.y(i)
+                for i in range(group.n) for j in range(group.n))
+            failed = [name for name, ok in conditions.items() if not ok]
+            check = {"name": f"pbw:{spec}:c={cname}", "pass": not failed}
+            if failed:
+                check["failed"] = failed
+            checks.append(check)
     return checks
 
 

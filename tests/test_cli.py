@@ -365,6 +365,25 @@ def test_verify_cm_check_names_the_failed_condition(monkeypatch):
         assert check["blocks"] == before["blocks"]
 
 
+def test_verify_pbw_check_names_the_failed_condition(monkeypatch):
+    # a skew product that is always zero fails exactly the c = 0 checks, and
+    # each of them names skew agreement alone; the others stay unchanged
+    from cherednik.pbw import CherednikAlgebra
+    clean = run_verification(seed=1, suites=["pbw"])["suites"]["pbw"]
+    assert clean["pass"]
+    assert all(set(c) == {"name", "pass"} for c in clean["checks"])
+    monkeypatch.setattr(CherednikAlgebra, "skew_multiply",
+                        lambda self, u, v: self.zero())
+    checks = run_verification(seed=1, suites=["pbw"])["suites"]["pbw"][
+        "checks"]
+    assert [c["name"] for c in checks] == [c["name"] for c in clean["checks"]]
+    for check in checks:
+        if check["name"].endswith("c=zero"):
+            assert check["failed"] == ["skew_agreement"] and not check["pass"]
+        else:
+            assert check == {"name": check["name"], "pass": True}
+
+
 def test_verify_unknown_suite(capsys):
     rc, err = rejected(capsys, "verify", "--suites", "nope")
     assert rc == 2

@@ -1,14 +1,74 @@
+import json
 import random
+import tempfile
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cherednik.cli import _load_group
+from cherednik.cyclotomic import Cyc
 from cherednik.errors import DegreeCapExceeded, InvalidElement
-from cherednik.groups import build_zm
+from cherednik.groups import build_from_generators, build_group, build_zm
+from cherednik.linalg import MONE, ONE, ZERO, _add_term
 from cherednik.pbw import CherednikAlgebra, Parameter, grading_degree
+from cherednik.polys import monomials_of_degree
+from cherednik.verify import CM_GRID
 from conftest import algebra
 
 F = Fraction
+
+
+def _reference_multiply(H, u, v):
+    """The product kernel as it was before +-1 coefficients and the group
+    law were special-cased, composing every group product afresh: the
+    oracle for ``CherednikAlgebra.multiply``, terms and their order."""
+    group = H.group
+
+    def law(i, j):
+        return group._meta_index[group._mult_fn(group.metas[i],
+                                                group.metas[j])]
+
+    out = {}
+    for (a, w, b), cu in u.terms.items():
+        for (c, w2, d), cv in v.terms.items():
+            cuv = cu * cv
+            for (e, s, f), t in H._yb_xc(b, c).items():
+                coeff = cuv * t
+                xpoly = H._act_x(w, e)
+                g = law(law(w, s), w2)
+                ypoly = H._act_y(group.inv(w2), f)
+                for xm, cx in xpoly.items():
+                    am = tuple(p + q for p, q in zip(a, xm))
+                    cxx = coeff * cx
+                    for ym, cy in ypoly.items():
+                        bm = tuple(p + q for p, q in zip(d, ym))
+                        _add_term(out, (am, g, bm), cxx * cy)
+    return out
+
+
+def _custom_group():
+    """A group built from explicit matrices with cyclotomic entries: I_2(3)
+    with the rotation diagonal, diag(zeta_3, zeta_3^2), and the swap."""
+    z, zbar = Cyc.zeta(3), Cyc.zeta(3, 2)
+    return build_from_generators(
+        3, [[[z, ZERO], [ZERO, zbar]], [[ZERO, ONE], [ONE, ZERO]]],
+        name="custom-i2-3")
+
+
+@cache
+def _json_algebra():
+    """The same group of order 6, read through the ``@file`` JSON path."""
+    spec = {"name": "json-i2-3", "conductor": 3,
+            "generators": [[[[[1, 1, 1]], []], [[], [[2, 1, 1]]]],
+                           [[[], [[0, 1, 1]]], [[[0, 1, 1]], []]]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        group = _load_group(f"@{path}")
+    return CherednikAlgebra(group, Parameter.generic(group, seed=2))
 
 
 def random_element(H, rng, max_terms=3, max_deg=2):
@@ -204,3 +264,113 @@ def test_symmetrizer_is_idempotent():
     H = algebra("Sn:3:reduced", "generic")
     e = H.symmetrizer()
     assert e * e == e
+
+
+# ---- the product kernel against its reference ------------------------------------
+
+def _kernel_element(H, rng, max_terms=3, max_deg=2):
+    """Like ``random_element``, with coefficients that include the shared
+    ONE and MONE and, over a cyclotomic field, a non-rational value."""
+    scalars = [ONE, MONE, F(-3, 2), F(5)]
+    if H.group.conductor > 2:
+        scalars.append(Cyc.zeta(H.group.conductor) + F(1, 3))
+    out = H.zero()
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        a = tuple(rng.randrange(0, max_deg) for _ in range(H.n))
+        b = tuple(rng.randrange(0, max_deg) for _ in range(H.n))
+        out = out + H.monomial(a, rng.randrange(H.group.order), b,
+                               rng.choice(scalars))
+    return out
+
+
+def _kernel_cases():
+    custom = _custom_group()
+    return [algebra("Zm:5", "generic"), algebra("Sn:4:reduced", "generic"),
+            algebra("Sn:4:reduced", "zero"), algebra("I2:5", "generic"),
+            CherednikAlgebra(custom, Parameter.generic(custom, seed=1))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_multiply_matches_reference_kernel(case):
+    H = _kernel_cases()[case]
+    rng = random.Random(100 + case)
+    for _ in range(12):
+        u, v = _kernel_element(H, rng), _kernel_element(H, rng)
+        assert list((u * v).terms.items()) == list(
+            _reference_multiply(H, u, v).items())
+
+
+@pytest.mark.parametrize("spec", CM_GRID + ("Sn:4:reduced",))
+def test_memoized_group_law(spec):
+    group = build_group(spec)
+    pairs = [(i, j) for i in range(group.order) for j in range(group.order)]
+    # products are composed on request, not tabulated up front
+    assert len(group._products) < len(pairs) or group.order == 1
+    for _ in range(2):      # composing, then reading the memo
+        for i, j in pairs:
+            assert group.mult(i, j) == group._meta_index[group._mult_fn(
+                group.metas[i], group.metas[j])]
+
+
+@pytest.mark.parametrize("spec", ["Zm:5", "Sn:4:reduced", "I2:5", "custom"])
+def test_group_action_shares_unit_coefficients(spec):
+    group = _custom_group() if spec == "custom" else build_group(spec)
+    signs = 0   # the -1 entries met, so the test is not vacuous
+    for side in ("x", "y"):
+        act = group.invariant_theory(side)._act_monomial
+        for w in range(group.order):
+            for d in range(3):
+                for mono in monomials_of_degree(group.n, d):
+                    for c in act(w, mono).values():
+                        if c == 1:
+                            assert c is ONE
+                        elif c == -1:
+                            assert c is MONE
+                            signs += 1
+    assert signs or spec != "Sn:4:reduced"
+
+
+# ---- properties over a custom JSON group and a built-in family ------------------
+
+def _element_strategy(H, max_exp=2):
+    N = H.group.conductor
+    scalar = st.sampled_from([ONE, MONE, F(2, 3), F(-5), Cyc.zeta(N),
+                              2 * Cyc.zeta(N, 2) - F(1, 2)])
+    exps = st.tuples(*[st.integers(0, max_exp)] * H.n)
+    term = st.tuples(exps, st.integers(0, H.group.order - 1), exps, scalar)
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: sum((H.monomial(a, w, b, c) for a, w, b, c in terms),
+                          H.zero()))
+
+
+def _property_algebras():
+    return [_json_algebra(), algebra("I2:5", "generic")]
+
+
+@pytest.mark.parametrize("case", range(2))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_property_associativity(case, data):
+    H = _property_algebras()[case]
+    # exponents up to 1 keep (u * v) within the default degree cap
+    u, v, w = (data.draw(_element_strategy(H, max_exp=1)) for _ in range(3))
+    assert (u * v) * w == u * (v * w)
+
+
+@pytest.mark.parametrize("case", range(2))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_reference_kernel(case, data):
+    H = _property_algebras()[case]
+    u, v = (data.draw(_element_strategy(H)) for _ in range(2))
+    assert list((u * v).terms.items()) == list(
+        _reference_multiply(H, u, v).items())
+
+
+@pytest.mark.parametrize("case", range(2))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_parse_round_trip(case, data):
+    H = _property_algebras()[case]
+    u = data.draw(_element_strategy(H))
+    assert H.parse(str(u)) == u
