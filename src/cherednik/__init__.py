@@ -16,24 +16,20 @@ from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
                      NotFactorizable, NotRegularDetected, NotSimpleHead,
                      SideMismatch, TieDetected, UnsupportedGroup,
                      ZeroPolynomial)
-from .linalg import ExactMatrix, matrix_kernel
 from .comalg import CommutativeAlgebra, idempotents_of_commutative_algebra
 from .series import BigradedCharacter, GradedCharacter, b_invariant
 from .groups import (IrrRep, Reflection, ReflectionGroup, build_from_generators,
-                     build_group, build_i2, build_sn, build_zm, degrees,
-                     dual_rep, fake_polynomial, stabilizer)
-from .pbw import (CherednikAlgebra, Parameter, PBWElement, commutator_yx,
-                  grading_degree, multiply)
+                     build_group, build_i2, build_sn, build_zm)
+from .pbw import CherednikAlgebra, Parameter, PBWElement
 from .restricted import (Block, BlockPartition, FDModule,
                          RestrictedCherednikAlgebra, act_on_baby_verma,
-                         baby_verma, build_restricted, cm_partition,
-                         dim_e_simple, distinguished_rep, simple_head)
+                         baby_verma, build_restricted, distinguished_rep)
 from .verma import (EisFactorization, dual_verma_pairing_expected,
                     endo_character, ext_character, hook_identity_check,
                     hook_polynomial, solve_eis, solve_eis_from_character,
                     tor_character, verma_character)
-from .parabolic import (ReductionContext, context_blocks, make_context,
-                        reduced_endo_character, verify_reduction_invariance)
+from .parabolic import (ReductionContext, make_context, reduced_endo_character,
+                        verify_reduction_invariance)
 from .bv import (CONORMAL, NORMAL, ExteriorElement, TruncatedPolyModel,
                  bv_delta, bv_delta_conormal, bv_delta_normal,
                  check_bracket_axioms, check_bv_seven_term,

@@ -28,7 +28,8 @@ from .restricted import RESTRICTED_CAP, build_restricted
 from .series import DEFAULT_TRUNCATION
 from .verify import SUITES, run_verification
 from .verma import (endo_character, ext_character, hook_identity_check,
-                    solve_eis, tor_character, verma_character)
+                    solve_eis, tor_character, undistinguished_note,
+                    verma_character)
 
 
 # --------------------------------------------------------------------------
@@ -257,12 +258,10 @@ def cmd_characters(args):
         entry = {"label": lbl, "dim": rep.dim,
                  "b_invariant": group.b_invariant(rep)}
         verma = verma_character(group, rep, trunc).to_payload()
-        # at c = 0 the group is one block whose distinguished member is the
-        # b = 0 irreducible, and the End(Delta) formulas hold only for it
-        if param.is_zero() and entry["b_invariant"]:
+        note = undistinguished_note(group, param, rep)
+        if note:
             entry.update(distinguished=False, verma_character=verma,
-                         note="not distinguished: at c = 0 the End(Delta) "
-                              "formulas hold only for the b = 0 irreducible")
+                         note=note)
             table.append(entry)
             continue
         endo = endo_character(group, rep, trunc)
@@ -328,8 +327,10 @@ def cmd_reduce(args):
     report.update(ctx.payload())
     chars = {}
     for rep in ctx.stabilizer.irreps:
-        chars[str(rep.label)] = reduced_endo_character(
-            ctx, rep, args.trunc).to_payload()
+        note = undistinguished_note(ctx.stabilizer, ctx.restricted_param, rep)
+        chars[str(rep.label)] = (
+            {"distinguished": False, "note": note} if note else
+            reduced_endo_character(ctx, rep, args.trunc).to_payload())
     report["reduced_endo_characters"] = chars
     _emit(report, args)
     return 0

@@ -8,6 +8,8 @@ Factorization happens in the Q-structure of the algebra: for a commutative
 ring the primitive idempotents do not depend on the base field, so a
 Q(zeta_N)-algebra can be split with rational factorization only.  A simple
 factor bigger than the coefficient field raises FieldExtensionNeeded.
+Polynomial factoring and the CRT idempotents are sympy's, imported on first
+use so that importing the package does not load sympy.
 """
 
 from __future__ import annotations
@@ -15,31 +17,40 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import sympy
-
-from .cyclotomic import (Cyc, euler_phi, _poly_divmod, _poly_mod, _poly_mul,
-                         _poly_xgcd)
+from .cyclotomic import Cyc, euler_phi
 from .errors import FieldExtensionNeeded, NotCommutative
 from .linalg import (ZERO, ONE, Echelon, echelon, identity, kernel_basis,
-                     rref, solve_unique)
+                     rref, solve)
 
-_T = sympy.Symbol("T")
 MAX_RETRIES = 24     # seeded split attempts per subalgebra
+
+
+def _sympy_poly(coeffs):
+    """The sympy polynomial over QQ with ascending Fraction coefficients."""
+    import sympy
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+        sympy.Symbol("T"), domain="QQ")
+
+
+def _fractions(poly):
+    """Ascending Fraction coefficients of a sympy polynomial."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
 
 
 def _factor_over_q(coeffs):
     """Monic irreducible factors (ascending Fraction lists) with multiplicities."""
-    expr = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-        _T, domain="QQ")
-    _, factors = expr.factor_list()
-    out = []
-    for f, mult in factors:
-        cs = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-              for c in reversed(f.all_coeffs())]
-        lead = cs[-1]
-        out.append(([c / lead for c in cs], mult))
-    return out
+    _, factors = _sympy_poly(coeffs).factor_list()
+    return [(_fractions(f.monic()), mult) for f, mult in factors]
+
+
+def _crt_idempotent(m, f):
+    """The polynomial of degree below deg m that is 1 modulo the factor f of
+    the squarefree m and 0 modulo m / f (ascending Fractions)."""
+    mp, fp = _sympy_poly(m), _sympy_poly(f)
+    g = mp.quo(fp)
+    s, _t, _gcd = g.gcdex(fp)     # s * g + t * f = 1
+    return _fractions((g * s).rem(mp))
 
 
 def _cyc_components(value, phi):
@@ -114,7 +125,9 @@ def _minimal_polynomial(mul, unit, u):
     m = len(powers) - 1
     mat = [[powers[i][k] for i in range(m)] for k in range(dim)]
     rhs = [powers[m][k] for k in range(dim)]
-    coeffs = solve_unique(mat, rhs)
+    coeffs = solve(mat, rhs)
+    if coeffs is None:
+        raise ArithmeticError("inconsistent linear system")
     poly = [-c for c in coeffs] + [ONE]
     return poly
 
@@ -221,11 +234,8 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0):
                     results.append((unit_vec, d, f))
                     return
                 continue  # unlucky element; retry
-            mpoly = m
             for f, _mult in factors:
-                g, _r = _poly_divmod(mpoly, f)
-                _gcd, s, _t = _poly_xgcd(_poly_mod(g, f), f)
-                h = _poly_mod(_poly_mul(g, s), mpoly)
+                h = _crt_idempotent(m, f)
                 # evaluate h at u inside this factor (Horner with local unit)
                 acc = [ZERO] * dim_q
                 for c in reversed(h):

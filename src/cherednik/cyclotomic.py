@@ -41,42 +41,6 @@ def _poly_divmod(a, b):
     return _poly_trim(q), _poly_trim(a)
 
 
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO)
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m):
-    _, r = _poly_divmod(a, m)
-    return r
-
-
-def _poly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g over Q, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], []
-    t0, t1 = [], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        t = _poly_sub(t0, _poly_mul(q, t1))
-        r0, r1, s0, s1, t0, t1 = r1, r, s1, s, t1, t
-    inv = 1 / r0[-1]
-    return [c * inv for c in r0], [c * inv for c in s0], [c * inv for c in t0]
-
-
 def cyclotomic_polynomial(n):
     """Coefficients (ascending, Fractions) of the n-th cyclotomic polynomial,
     as a new list."""

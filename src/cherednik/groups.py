@@ -774,23 +774,3 @@ def build_group(spec):
         if fam == "I2" and len(parts) == 2:
             return build_i2(int(parts[1]))
     raise InvalidInput(f"unrecognized group spec {spec!r}")
-
-
-def dual_rep(rep):
-    """The dual irreducible: conjugate (inverse-argument) character."""
-    return rep.group.dual_of(rep)
-
-
-def degrees(group):
-    """Invariant degrees, from the Molien-series factorization."""
-    return group.degrees
-
-
-def stabilizer(group, point):
-    """Subgroup fixing a point of h*, with inherited reflection data."""
-    return group.stabilizer(point)
-
-
-def fake_polynomial(group, rep):
-    """Graded multiplicity polynomial of rep in the coinvariant ring."""
-    return group.fake_polynomial(rep)

@@ -190,55 +190,3 @@ def solve(rows, rhs):
     for p, row in ech.rows.items():
         x[p] = row.get(ncols, ZERO)
     return x
-
-
-def solve_unique(rows, rhs):
-    x = solve(rows, rhs)
-    if x is None:
-        raise ArithmeticError("inconsistent linear system")
-    return x
-
-
-class ExactMatrix:
-    """Dense matrix of exact entries with kernel/rank/solve helpers."""
-
-    def __init__(self, entries):
-        self.entries = [list(r) for r in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(identity(n))
-
-    def kernel(self):
-        return kernel_basis(self.entries, self.cols)
-
-    def rank(self):
-        return rank(self.entries, self.cols)
-
-    def solve(self, rhs):
-        return solve(self.entries, rhs)
-
-    def mul_vec(self, v):
-        return mat_vec(self.entries, v)
-
-    def mul(self, other):
-        return ExactMatrix(mat_mul(self.entries, other.entries))
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-
-def matrix_kernel(matrix):
-    """Kernel basis of a matrix given as ExactMatrix or list of rows."""
-    if isinstance(matrix, ExactMatrix):
-        return matrix.kernel()
-    ncols = len(matrix[0]) if matrix else 0
-    return kernel_basis(matrix, ncols)

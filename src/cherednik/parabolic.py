@@ -68,18 +68,12 @@ def reduced_endo_character(ctx, rep, truncation=DEFAULT_TRUNCATION):
 
     ``rep`` is an irreducible of the stabilizer (or its label); it must be
     the distinguished member of its block of (W_p, c') for the formula to
-    apply, which the caller guarantees (checked downstream by positivity).
+    apply.  ``verma.undistinguished_note`` decides that at c' = 0; at other
+    parameters the caller guarantees it (checked downstream by positivity).
     """
     if not hasattr(rep, "matrix"):
         rep = ctx.stabilizer.irrep(rep)
     return endo_character(ctx.stabilizer, rep, truncation)
-
-
-def context_blocks(ctx, seed=0, verify=False):
-    """Block partition of the stabilizer pair (W_p, c')."""
-    from .restricted import build_restricted
-    rest = build_restricted(ctx.stabilizer, ctx.restricted_param)
-    return rest.cm_partition(seed=seed, verify=verify)
 
 
 def conjugate_rep_label(ctx_from, ctx_to, widx, rep):

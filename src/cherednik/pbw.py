@@ -145,6 +145,13 @@ class PBWElement:
     def __pow__(self, k):
         if k < 0:
             raise InvalidElement(f"negative power {k} of an algebra element")
+        # a power past twice the per-factor cap is refused before any
+        # product: k factors are multiplied one at a time
+        top = 2 * self.algebra.degree_cap
+        if k > top:
+            raise InvalidElement(
+                f"power {k} of an algebra element exceeds {top}, twice the "
+                "degree cap")
         out = self.algebra.one()
         for _ in range(k):
             out = out * self
@@ -435,19 +442,6 @@ def _unit_exp(n, j):
     return tuple(e)
 
 
-def grading_degree(element):
-    """Grading degree of a homogeneous element, or None if inhomogeneous."""
-    return element.degree()
-
-
-def commutator_yx(algebra, yvec, xvec):
-    return algebra.commutator_yx(yvec, xvec)
-
-
-def multiply(u, v):
-    return u * v
-
-
 # --------------------------------------------------------------------------
 # Element text syntax: e.g. "y1*x1^2 + 2*s12 - 1/2*w3"; z is zeta_N, the
 # root of unity of the group's conductor N, as Cyc values print it.
@@ -467,11 +461,11 @@ def _tokenize(text):
                 f"cannot tokenize element text at {text[pos:]!r}")
         pos = m.end()
         if m.group("num"):
-            if "/" in m.group("num"):
-                a, b = m.group("num").split("/")
-                out.append(("num", Fraction(int(a), int(b))))
-            else:
-                out.append(("num", Fraction(int(m.group("num")))))
+            a, _, b = m.group("num").partition("/")
+            if b and not int(b):
+                raise InvalidElement(
+                    f"zero denominator in element text {m.group('num')!r}")
+            out.append(("num", Fraction(int(a), int(b or 1))))
         elif m.group("name"):
             out.append(("name", m.group("name")))
         else:

@@ -708,20 +708,3 @@ def baby_verma(group, param, rep_label, p=None, b_point=None):
         return rest.baby_verma(ctx.stabilizer.irrep(rep_label))
     rest = build_restricted(group, param, b_point=b_point)
     return rest.baby_verma(group.irrep(rep_label))
-
-
-def simple_head(mod, expect_simple=False):
-    """M / J(A) M: see ``RestrictedCherednikAlgebra.simple_head``."""
-    return mod.parent.simple_head(mod, expect_simple=expect_simple)
-
-
-def cm_partition(group, param, seed=0, verify=True):
-    """Block partition of the irreducibles for (group, param)."""
-    return build_restricted(group, param).cm_partition(
-        seed=seed, verify=verify)
-
-
-def dim_e_simple(group, param, rep_label):
-    """Rank of the averaging idempotent on the simple head L(rep)."""
-    rest = build_restricted(group, param)
-    return rest.dim_e_simple(group.irrep(rep_label))

@@ -3,8 +3,8 @@
 Six suites (PBW associativity, restricted dimensions, block partitions,
 character formulas, exterior-model identities, parabolic reduction), each a
 function ``(seed, deep)`` returning a list of ``{"name", "pass", ...}``
-checks; a failing ``pbw`` or ``cm`` check also lists the conditions that
-failed.
+checks; a failing check that folds several conditions also lists, under
+``failed``, the names of those that failed.
 ``run_verification`` runs a selection of them into one report; the report is
 deterministic for a fixed seed.
 """
@@ -41,6 +41,16 @@ def _random_pbw(algebra, rng, max_terms=3, max_deg=2):
     return out
 
 
+def _check(name, conditions, **extra):
+    """A check that passes when every named condition holds; a failing one
+    lists the names of the conditions that failed."""
+    failed = [cond for cond, ok in conditions.items() if not ok]
+    check = {"name": name, "pass": not failed, **extra}
+    if failed:
+        check["failed"] = failed
+    return check
+
+
 def _suite_pbw(seed, deep):
     checks = []
     for spec in PBW_GRID:
@@ -62,11 +72,7 @@ def _suite_pbw(seed, deep):
                 algebra.x(i) * algebra.x(j) == algebra.x(j) * algebra.x(i)
                 and algebra.y(i) * algebra.y(j) == algebra.y(j) * algebra.y(i)
                 for i in range(group.n) for j in range(group.n))
-            failed = [name for name, ok in conditions.items() if not ok]
-            check = {"name": f"pbw:{spec}:c={cname}", "pass": not failed}
-            if failed:
-                check["failed"] = failed
-            checks.append(check)
+            checks.append(_check(f"pbw:{spec}:c={cname}", conditions))
     return checks
 
 
@@ -111,13 +117,9 @@ def _suite_cm(seed, deep):
                 skew = build_restricted(group, param, backend="skew")
                 conditions["skew_agreement"] = _shape(part) == _shape(
                     skew.cm_partition(seed=seed, verify=False))
-            failed = [name for name, ok in conditions.items() if not ok]
-            check = {"name": f"cm:{spec}:c={cname}", "pass": not failed,
-                     "blocks": [list(map(str, b.labels))
-                                for b in part.blocks]}
-            if failed:
-                check["failed"] = failed
-            checks.append(check)
+            checks.append(_check(f"cm:{spec}:c={cname}", conditions,
+                                 blocks=[list(map(str, b.labels))
+                                         for b in part.blocks]))
     return checks
 
 
@@ -131,30 +133,28 @@ def _suite_characters(seed, deep):
                  for rep in group.irreps)
         checks.append({"name": f"hook:Sn:{n}", "pass": ok})
     # generator degrees
-    ok_eis = True
-    for m in (2, 3, 4):
-        group = build_group(f"Zm:{m}")
-        for rep in group.irreps:
-            eis = solve_eis(group, rep, trunc)
-            if eis.exponents != (m,):
-                ok_eis = False
+    zm = [(m, build_group(f"Zm:{m}")) for m in (2, 3, 4)]
     s3 = build_group("Sn:3:permutation")
-    eis = solve_eis(s3, s3.irrep((2, 1)), trunc)
-    if eis.exponents != (1, 1, 3):
-        ok_eis = False
     synthetic = GradedCharacter({0: Fraction(1), 1: Fraction(1)}, trunc)
-    if solve_eis_from_character(synthetic, 1, trunc).is_solution():
-        ok_eis = False
-    # reconstruction
-    for group, lbl in ((s3, (2, 1)), (build_group("Zm:3"), "chi1")):
+
+    def reconstructs(group, lbl):
         rep = group.irrep(lbl)
-        eis = solve_eis(group, rep, trunc)
-        recon = product_of_geometric(eis.exponents, trunc)
-        if not recon.equals(endo_character(group, rep, trunc), up_to=trunc):
-            ok_eis = False
-    checks.append({"name": "generator-degrees", "pass": ok_eis})
+        recon = product_of_geometric(solve_eis(group, rep, trunc).exponents,
+                                     trunc)
+        return recon.equals(endo_character(group, rep, trunc), up_to=trunc)
+
+    checks.append(_check("generator-degrees", {
+        "zm_exponents": all(solve_eis(group, rep, trunc).exponents == (m,)
+                            for m, group in zm for rep in group.irreps),
+        "s3_exponents": (solve_eis(s3, s3.irrep((2, 1)), trunc).exponents
+                         == (1, 1, 3)),
+        "synthetic_no_solution": not solve_eis_from_character(
+            synthetic, 1, trunc).is_solution(),
+        "reconstruction": all(reconstructs(group, lbl) for group, lbl in (
+            (s3, (2, 1)), (build_group("Zm:3"), "chi1"))),
+    }))
     # tor/ext consistency
-    ok_te = True
+    slices = dict.fromkeys(("tor_t0", "ext_t0", "ext_top", "tor_top"), True)
     for spec, lbl in (("Zm:2", "chi1"), ("Zm:3", "chi2"),
                       ("Sn:3:permutation", (2, 1))):
         group = build_group(spec)
@@ -163,16 +163,14 @@ def _suite_characters(seed, deep):
         endo = endo_character(group, rep, trunc)
         tor = tor_character(group, rep, eis, trunc)
         ext = ext_character(group, rep, eis, trunc)
-        if not tor.t_slice(0).equals(endo, up_to=trunc):
-            ok_te = False
-        if not ext.t_slice(0).equals(endo, up_to=trunc):
-            ok_te = False
         top = sum(eis.exponents)
-        if not ext.t_slice(group.n).equals(endo.shift(top), up_to=trunc):
-            ok_te = False
-        if not tor.t_slice(group.n).equals(endo.shift(-top), up_to=trunc):
-            ok_te = False
-    checks.append({"name": "tor-ext-slices", "pass": ok_te})
+        slices["tor_t0"] &= tor.t_slice(0).equals(endo, up_to=trunc)
+        slices["ext_t0"] &= ext.t_slice(0).equals(endo, up_to=trunc)
+        slices["ext_top"] &= ext.t_slice(group.n).equals(endo.shift(top),
+                                                         up_to=trunc)
+        slices["tor_top"] &= tor.t_slice(group.n).equals(endo.shift(-top),
+                                                         up_to=trunc)
+    checks.append(_check("tor-ext-slices", slices))
     return checks
 
 
@@ -192,27 +190,27 @@ def _suite_parabolic(seed, deep):
     for spec, points in grid:
         group = build_group(spec)
         param = Parameter.generic(group, seed)
-        ok = True
+        conditions = dict.fromkeys(("orbit_stabilizer", "identity_at_zero",
+                                    "conjugation_invariance"), True)
         for coords in points:
             point = tuple(map(Fraction, coords))
             ctx = make_context(group, param, point)
-            if len(ctx.orbit) * ctx.stabilizer.order != group.order:
-                ok = False
+            conditions["orbit_stabilizer"] &= (
+                len(ctx.orbit) * ctx.stabilizer.order == group.order)
             if all(not v for v in point):
                 # reduction at 0 must be the identity
                 for rep in group.irreps:
-                    lbl = rep.label
-                    r2 = ctx.stabilizer.irrep(lbl)
-                    if not reduced_endo_character(ctx, r2, 12).equals(
-                            endo_character(group, rep, 12), up_to=12):
-                        ok = False
+                    r2 = ctx.stabilizer.irrep(rep.label)
+                    conditions["identity_at_zero"] &= reduced_endo_character(
+                        ctx, r2, 12).equals(endo_character(group, rep, 12),
+                                            up_to=12)
             rng = random.Random(seed)
             for _ in range(2):
                 widx = rng.randrange(group.order)
-                if not verify_reduction_invariance(group, param, point, widx,
-                                                   truncation=12):
-                    ok = False
-        checks.append({"name": f"parabolic:{spec}", "pass": ok})
+                conditions["conjugation_invariance"] &= (
+                    verify_reduction_invariance(group, param, point, widx,
+                                                truncation=12))
+        checks.append(_check(f"parabolic:{spec}", conditions))
     return checks
 
 

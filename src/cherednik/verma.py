@@ -46,6 +46,16 @@ def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
     return ch
 
 
+def undistinguished_note(group, param, rep):
+    """Why the End(Delta) formulas do not apply to ``rep`` at ``param``, or
+    None.  At c = 0 the group is one block whose distinguished member is the
+    b = 0 irreducible, so every other irreducible gets the note."""
+    if param.is_zero() and group.b_invariant(rep):
+        return ("not distinguished: at c = 0 the End(Delta) formulas hold "
+                "only for the b = 0 irreducible")
+    return None
+
+
 def verma_character(group, rep, truncation=DEFAULT_TRUNCATION):
     """Graded character of the full standard module: dim(rep)/(1-q)^n."""
     if truncation < 0:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cherednik
 from cherednik.cli import build_parser, main, run_verification
+from cherednik.pbw import Parameter
 
 
 def run_json(tmp_path, *argv):
@@ -128,6 +133,25 @@ def test_element_command_syntax_error_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("expr", ["1/0", "e^9999999999"])
+def test_element_text_exits_2_at_once(expr):
+    # a zero denominator, and a power no product could reach, are refused
+    # before any product is formed; a child process bounds a hang
+    code = ("import sys, time; from cherednik.cli import main; "
+            "t = time.perf_counter(); rc = main(sys.argv[1:]); "
+            "print(time.perf_counter() - t); sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cherednik.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, "element", "--group", "Zm:2",
+         "--expr", expr], env=env, capture_output=True, text=True,
+        timeout=30)
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert float(done.stdout) < 1
+
+
 def test_element_command_bad_generator(capsys):
     rc, err = rejected(capsys, "element", "--group", "Zm:2", "--c", "1",
                        "--expr", "s12")
@@ -143,6 +167,38 @@ def test_reduce_command(tmp_path):
     assert report["stabilizer_order"] == 2
     assert report["stabilizer_degrees"] == [1, 1, 2]
     assert set(report["reduced_endo_characters"]) == {"(2,)", "(1, 1)"}
+
+
+def test_reduce_marks_the_undistinguished_at_a_zero_parameter(tmp_path):
+    # at c' = 0 the stabilizer pair is one block led by its b = 0
+    # irreducible: the others get the note characters prints, not a series;
+    # at a nonzero c' every irreducible keeps its series
+    from cherednik.groups import build_group
+    from cherednik.parabolic import make_context, reduced_endo_character
+    note = ("not distinguished: at c = 0 the End(Delta) formulas hold only "
+            "for the b = 0 irreducible")
+    marked = 0
+    for spec, c, point in (("Sn:3:reduced", "zero", "0,0"),
+                           ("I2:4", "zero", "1,1"), ("I2:4", "1", "1,1")):
+        rc, report = run_json(tmp_path, "reduce", "--group", spec, "--c", c,
+                              "--point", point, "--trunc", "10")
+        assert rc == 0
+        group = build_group(spec)
+        param = (Parameter.zero(group) if c == "zero"
+                 else Parameter.constant(group, 1))
+        ctx = make_context(group, param, [int(v) for v in point.split(",")])
+        assert ctx.restricted_param.is_zero() == (c == "zero")
+        chars = report["reduced_endo_characters"]
+        assert set(chars) == {str(rep.label) for rep in ctx.stabilizer.irreps}
+        for rep in ctx.stabilizer.irreps:
+            entry = chars[str(rep.label)]
+            if c == "zero" and ctx.stabilizer.b_invariant(rep):
+                assert entry == {"distinguished": False, "note": note}
+                marked += 1
+            else:
+                assert entry == reduced_endo_character(ctx, rep,
+                                                       10).to_payload()
+    assert marked == 3
 
 
 def test_reduce_orbit_coordinates_have_one_form(tmp_path):
@@ -382,6 +438,48 @@ def test_verify_pbw_check_names_the_failed_condition(monkeypatch):
             assert check["failed"] == ["skew_agreement"] and not check["pass"]
         else:
             assert check == {"name": check["name"], "pass": True}
+
+
+def test_verify_characters_checks_name_the_failed_condition(monkeypatch):
+    # a synthetic character with a solution fails only that condition, and
+    # a tor that is the ext fails only the top tor slice
+    from types import SimpleNamespace
+    from cherednik import verify
+    clean = run_verification(seed=1, suites=["characters"])
+    assert clean["all_pass"]
+    monkeypatch.setattr(verify, "solve_eis_from_character",
+                        lambda ch, n, trunc: SimpleNamespace(
+                            is_solution=lambda: True))
+    monkeypatch.setattr(verify, "tor_character", verify.ext_character)
+    checks = run_verification(seed=1, suites=["characters"])["suites"][
+        "characters"]["checks"]
+    failed = {c["name"]: c.get("failed") for c in checks if not c["pass"]}
+    assert failed == {"generator-degrees": ["synthetic_no_solution"],
+                      "tor-ext-slices": ["tor_top"]}
+    assert [c for c in checks if c["pass"]] == [
+        c for c in clean["suites"]["characters"]["checks"]
+        if c["name"].startswith("hook:")]
+
+
+def test_verify_parabolic_checks_name_the_failed_condition(monkeypatch):
+    from cherednik import verify
+    from cherednik.series import GradedCharacter
+    clean = run_verification(seed=1, suites=["parabolic"])
+    assert clean["all_pass"]
+    assert all(set(c) == {"name", "pass"}
+               for c in clean["suites"]["parabolic"]["checks"])
+    monkeypatch.setattr(verify, "reduced_endo_character",
+                        lambda ctx, rep, trunc: GradedCharacter.zero())
+    monkeypatch.setattr(verify, "verify_reduction_invariance",
+                        lambda *args, **kwargs: False)
+    checks = run_verification(seed=1, suites=["parabolic"])["suites"][
+        "parabolic"]["checks"]
+    assert [c["name"] for c in checks] == [
+        "parabolic:Sn:3:permutation", "parabolic:I2:4", "parabolic:Zm:3"]
+    for check in checks:
+        assert not check["pass"]
+        assert check["failed"] == ["identity_at_zero",
+                                   "conjugation_invariance"]
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,6 +1,11 @@
-import pytest
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
+
+import cherednik
 from cherednik.comalg import CommutativeAlgebra, idempotents_of_commutative_algebra
 from cherednik.cyclotomic import Cyc
 from cherednik.errors import FieldExtensionNeeded, NotCommutative
@@ -111,3 +116,12 @@ def test_determinism_under_seed():
     a = idempotents_of_commutative_algebra(prods, unit, seed=5)
     b = idempotents_of_commutative_algebra(prods, unit, seed=5)
     assert a == b
+
+
+def test_importing_the_package_leaves_sympy_unloaded():
+    # sympy is imported on the first factorization, not with the package
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cherednik.__file__)))
+    code = "import sys, cherednik; sys.exit('sympy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0

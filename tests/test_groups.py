@@ -6,11 +6,11 @@ import pytest
 from cherednik.errors import (CapExceeded, InvalidInput, NotFactorizable,
                               UnsupportedGroup)
 from cherednik.groups import (build_from_generators, build_i2, build_sn,
-                              build_zm, dual_rep)
+                              build_zm)
 from cherednik.linalg import ONE, ZERO, mat_mul, rank
 from cherednik.parabolic import make_context, reduced_endo_character
 from cherednik.pbw import Parameter
-from cherednik.restricted import baby_verma, dim_e_simple
+from cherednik.restricted import baby_verma, build_restricted
 from cherednik.series import GradedCharacter, b_invariant
 from cherednik.verma import hook_identity_check
 from conftest import group
@@ -220,14 +220,14 @@ def test_b_invariant_zero_polynomial():
 def test_dual_rep_examples():
     s3 = group("Sn:3:permutation")
     for rep in s3.irreps:
-        assert dual_rep(rep).label == rep.label   # rational characters
+        assert s3.dual_of(rep).label == rep.label   # rational characters
     z3 = group("Zm:3")
-    assert dual_rep(z3.irrep("chi1")).label == "chi2"
-    assert dual_rep(z3.irrep("chi0")).label == "chi0"
+    assert z3.dual_of(z3.irrep("chi1")).label == "chi2"
+    assert z3.dual_of(z3.irrep("chi0")).label == "chi0"
     # involution
     for g in (s3, z3, group("I2:4")):
         for rep in g.irreps:
-            assert dual_rep(dual_rep(rep)).label == rep.label
+            assert g.dual_of(g.dual_of(rep)).label == rep.label
 
 
 # ---- stabilizers -------------------------------------------------------------------
@@ -294,7 +294,8 @@ def test_custom_group_from_generators():
 
 @pytest.mark.parametrize("call", [
     lambda g: g.irrep("nope"),
-    lambda g: dim_e_simple(g, Parameter.zero(g), "nope"),
+    lambda g: build_restricted(g, Parameter.zero(g)).dim_e_simple(
+        g.irrep("nope")),
     lambda g: baby_verma(g, Parameter.zero(g), "nope"),
     lambda g: hook_identity_check(g, (5,), 4),
     lambda g: reduced_endo_character(

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.parabolic import (conjugate_rep_label, context_blocks,
-                                 make_context, reduced_endo_character,
+from cherednik.parabolic import (conjugate_rep_label, make_context,
+                                 reduced_endo_character,
                                  verify_reduction_invariance)
+from cherednik.restricted import build_restricted
 from cherednik.series import product_of_geometric
 from cherednik.verma import endo_character
 from conftest import group, parameter
@@ -109,7 +110,8 @@ def test_context_blocks_of_stabilizer():
     g = group("Sn:3:permutation")
     ctx = make_context(g, parameter("Sn:3:permutation", "1"),
                        (F(1), F(1), F(0)))
-    part = context_blocks(ctx, seed=0, verify=True)
+    part = build_restricted(ctx.stabilizer, ctx.restricted_param
+                            ).cm_partition(seed=0, verify=True)
     # S_2 at c' = 1: two singleton blocks, theorem checks pass
     assert len(part.blocks) == 2
     assert part.all_singletons()

@@ -13,7 +13,7 @@ from cherednik.cyclotomic import Cyc
 from cherednik.errors import DegreeCapExceeded, InvalidElement
 from cherednik.groups import build_from_generators, build_group, build_zm
 from cherednik.linalg import MONE, ONE, ZERO, _add_term
-from cherednik.pbw import CherednikAlgebra, Parameter, grading_degree
+from cherednik.pbw import CherednikAlgebra, Parameter
 from cherednik.polys import monomials_of_degree
 from cherednik.verify import CM_GRID
 from conftest import algebra
@@ -179,10 +179,10 @@ def test_skew_group_oracle_at_zero(spec):
 def test_grading():
     H = algebra("Zm:2", "1")
     x, y, s = H.x(0), H.y(0), H.grp(1)
-    assert grading_degree(x * x * s) == 2
-    assert grading_degree(y * s) == -1
-    assert grading_degree(x + y) is None
-    assert grading_degree(H.one()) == 0
+    assert (x * x * s).degree() == 2
+    assert (y * s).degree() == -1
+    assert (x + y).degree() is None
+    assert H.one().degree() == 0
 
 
 @pytest.mark.parametrize("spec,ctag", [("Zm:2", "1"), ("Sn:3:reduced", "generic")])
@@ -198,7 +198,7 @@ def test_grading_multiplicative(spec, ctag):
         v = H.monomial(c, rng.randrange(H.group.order), d)
         prod = u * v
         if prod:
-            assert grading_degree(prod) == u.degree() + v.degree()
+            assert prod.degree() == u.degree() + v.degree()
 
 
 def test_filtration_symbol_multiplicative():
@@ -258,6 +258,20 @@ def test_parse_errors():
             H.parse(text)
     with pytest.raises(InvalidElement):
         H.x(0) ** -1
+
+
+def test_parse_refuses_a_zero_denominator_or_a_power_past_twice_the_cap():
+    H = algebra("Zm:2", "1")
+    for text in ("1/0", "x1 - 3/0*y1", "w1^25", "e^25"):
+        with pytest.raises(InvalidElement):
+            H.parse(text)
+    # up to twice the cap a power parses; positive-degree factors meet the
+    # per-factor cap first
+    assert H.parse("w1^24") == H.one()
+    el = H.parse("x1^12*x1")
+    assert str(el) == "x1^13" and H.parse(str(el)) == el
+    with pytest.raises(DegreeCapExceeded):
+        H.parse("x1^14")
 
 
 def test_symmetrizer_is_idempotent():

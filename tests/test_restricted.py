@@ -603,17 +603,16 @@ def test_act_on_baby_verma_dimension_mismatch():
 
 
 def test_module_level_operations():
-    from cherednik.restricted import (baby_verma, cm_partition, dim_e_simple,
-                                      simple_head)
+    from cherednik.restricted import baby_verma
     g = group("Zm:2")
     par = parameter("Zm:2", "1")
     mod = baby_verma(g, par, "chi0")
     assert mod.dim == 2
-    head = simple_head(mod, expect_simple=True)
+    head = mod.parent.simple_head(mod, expect_simple=True)
     assert head.dim == 2
-    part = cm_partition(g, par, seed=0, verify=False)
+    part = build_restricted(g, par).cm_partition(seed=0, verify=False)
     assert len(part.blocks) == 2
-    assert dim_e_simple(g, par, "chi0") == 1
+    assert build_restricted(g, par).dim_e_simple(g.irrep("chi0")) == 1
 
 
 def test_baby_verma_routes_through_stabilizer():
