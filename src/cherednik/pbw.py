@@ -143,15 +143,11 @@ class PBWElement:
                           {k: scalar * v for k, v in self.terms.items()})
 
     def __pow__(self, k):
-        if k < 0:
-            raise InvalidElement(f"negative power {k} of an algebra element")
-        # a power past twice the per-factor cap is refused before any
-        # product: k factors are multiplied one at a time
+        # refused before any product, as k factors are multiplied in turn
         top = 2 * self.algebra.degree_cap
-        if k > top:
-            raise InvalidElement(
-                f"power {k} of an algebra element exceeds {top}, twice the "
-                "degree cap")
+        if not 0 <= k <= top:
+            raise InvalidElement(f"power {k} of an algebra element is not in "
+                                 f"0..{top} (twice the degree cap)")
         out = self.algebra.one()
         for _ in range(k):
             out = out * self
@@ -462,10 +458,11 @@ def _tokenize(text):
         pos = m.end()
         if m.group("num"):
             a, _, b = m.group("num").partition("/")
-            if b and not int(b):
-                raise InvalidElement(
-                    f"zero denominator in element text {m.group('num')!r}")
-            out.append(("num", Fraction(int(a), int(b or 1))))
+            try:  # a zero denominator, or a literal too long for int()
+                out.append(("num", Fraction(int(a), int(b or 1))))
+            except (ValueError, ZeroDivisionError):
+                raise InvalidElement("not a rational number in element text: "
+                                     f"{m.group('num')[:40]!r}") from None
         elif m.group("name"):
             out.append(("name", m.group("name")))
         else:
@@ -505,6 +502,7 @@ def _parse_element(algebra, text):
         raise InvalidElement(f"unexpected token {val!r} in element text")
 
     def factor():
+        bare_z = peek() == ("name", "z")
         base = atom()
         kind, val = peek()
         if kind == "op" and val == "^":
@@ -512,6 +510,9 @@ def _parse_element(algebra, text):
             kind, k = advance()
             if kind != "num" or k.denominator != 1:
                 raise InvalidElement("exponent must be a nonnegative integer")
+            if bare_z:  # in the field, so every z^e a Cyc prints reads back
+                N = algebra.group.conductor
+                return algebra.scalar(Cyc.zeta(N, int(k) % N))
             return base ** int(k)
         return base
 

@@ -133,10 +133,13 @@ def test_element_command_syntax_error_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("expr", ["1/0", "e^9999999999"])
+@pytest.mark.parametrize("expr", ["1/0", "e^9999999999", "1/" + "9" * 5000,
+                                  "e^" + "9" * 5000],
+                         ids=lambda e: e if len(e) < 20 else e[:2] + "<9*5000>")
 def test_element_text_exits_2_at_once(expr):
-    # a zero denominator, and a power no product could reach, are refused
-    # before any product is formed; a child process bounds a hang
+    # a zero denominator, a literal too long for int(), and a power no
+    # product could reach are refused before any product is formed; a
+    # child process bounds a hang
     code = ("import sys, time; from cherednik.cli import main; "
             "t = time.perf_counter(); rc = main(sys.argv[1:]); "
             "print(time.perf_counter() - t); sys.exit(rc)")

@@ -247,6 +247,18 @@ def test_parse_round_trip():
     assert H.parse(str(el)) == el
 
 
+def test_parse_round_trip_of_printed_roots_of_unity_past_the_power_cap():
+    # I2:29 has conductor 58 and phi(58) = 28, so Cyc values print z^e for
+    # e up to 27, above twice the degree cap
+    H = algebra("I2:29", "generic")
+    zeta = Cyc.zeta(H.group.conductor)
+    assert H.parse("z^25") == H.scalar(zeta ** 25)
+    assert H.parse("z^116") == H.one()
+    el = H.y(0) * H.x(1)
+    assert "z^27" in str(el)
+    assert H.parse(str(el)) == el
+
+
 def test_parse_errors():
     H = algebra("Zm:3", "zero")
     with pytest.raises(ValueError):
@@ -262,7 +274,8 @@ def test_parse_errors():
 
 def test_parse_refuses_a_zero_denominator_or_a_power_past_twice_the_cap():
     H = algebra("Zm:2", "1")
-    for text in ("1/0", "x1 - 3/0*y1", "w1^25", "e^25"):
+    for text in ("1/0", "x1 - 3/0*y1", "w1^25", "e^25", "1/" + "9" * 5000,
+                 "e^" + "9" * 5000):
         with pytest.raises(InvalidElement):
             H.parse(text)
     # up to twice the cap a power parses; positive-degree factors meet the
