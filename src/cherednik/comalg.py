@@ -69,17 +69,16 @@ class CommutativeAlgebra:
     and a Cyc of the stated conductor only when it is not.
     """
 
-    def __init__(self, prods, unit, conductor=1, check=True):
+    def __init__(self, prods, unit, conductor=1):
         self.dim = len(prods)
         self.prods = prods
         self.unit = list(unit)
         self.conductor = conductor
-        if check:
-            for i in range(self.dim):
-                for j in range(i):
-                    if prods[i][j] != prods[j][i]:
-                        raise NotCommutative(
-                            f"basis elements {i} and {j} do not commute")
+        for i in range(self.dim):
+            for j in range(i):
+                if prods[i][j] != prods[j][i]:
+                    raise NotCommutative(
+                        f"basis elements {i} and {j} do not commute")
 
     def mul(self, u, v):
         out = [ZERO] * self.dim
@@ -184,7 +183,7 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0):
     units = [embed(e) for e in identity(k)]
     q_prods = [[project(alg.mul(ei, ej)) for ej in units] for ei in units]
     q_unit = project(alg.unit)
-    quo = CommutativeAlgebra(q_prods, q_unit, conductor, check=False)
+    quo = CommutativeAlgebra(q_prods, q_unit, conductor)
 
     # Q-structure: basis zeta^t * e_c.
     dim_q = phi * k

@@ -11,81 +11,79 @@ h/W reduces modulo any fiber ideal, graded or not.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotFactorizable
 from .linalg import MONE, ONE, ZERO, _add_term, _axpy, echelon, rref, trace
-from .polys import monomials_of_degree, pconst, pmul, pscale, psub_linear
-from .series import GradedCharacter
+from .polys import monomials_of_degree, pconst, pmul, pscale
+from .series import GradedCharacter, generator_degrees, product_of_binomials
 
 
 def _h_series(group, idx, order):
-    """Coefficients of 1/det(1 - q * A_w|_h) up to the given order (Newton)."""
+    """Coefficients h_k of 1/det(1 - q * A_w|_h) up to the given order.
+
+    The coefficients c_1..c_n of det(1 - q A) come from the first n power
+    traces (Newton: k c_k = -sum_{i<=k} tr(A^i) c_{k-i}); then
+    h_k = -sum_{i<=min(k,n)} c_i h_{k-i}.
+    """
+    n = group.n
     traces = []
     j = idx
-    for _ in range(order):
+    for _ in range(n):
         traces.append(trace(group.matrix(j)))
         j = group.mult(j, idx)
+    c = [ONE]
+    for k in range(1, n + 1):
+        s = ZERO
+        for i in range(1, k + 1):
+            s = s + traces[i - 1] * c[k - i]
+        c.append(-s * Fraction(1, k))
     h = [ONE]
     for k in range(1, order + 1):
         s = ZERO
-        for i in range(1, k + 1):
-            s = s + traces[i - 1] * h[k - i]
-        h.append(s * Fraction(1, k))
+        for i in range(1, min(k, n) + 1):
+            s = s + c[i] * h[k - i]
+        h.append(-s)
     return h
 
 
 def molien_series(group, order, weights=None):
-    """(1/|W|) sum_w chi(w) / det(1 - q w|_h) as a coefficient list.
+    """(1/|W|) sum_w chi(w) / det(1 - q w|_h), truncated at ``order``.
 
     ``weights`` maps class index -> scalar weight chi on that class
     (defaults to the trivial character, giving the invariant Hilbert series).
+    The sum must be rational; an irrational coefficient raises
+    ArithmeticError.
     """
-    total = [ZERO] * (order + 1)
+    total = {}
     for ci, cls in enumerate(group.conjugacy_classes):
         w = ONE if weights is None else weights[ci]
-        if not w:
-            continue
-        h = _h_series(group, cls[0], order)
-        size = len(cls)
-        for k in range(order + 1):
-            total[k] = total[k] + size * w * h[k]
-    inv_order = Fraction(1, group.order)
-    return [v * inv_order for v in total]
+        if w:
+            for k, h in enumerate(_h_series(group, cls[0], order)):
+                _add_term(total, k, len(cls) * w * h)
+    for k, v in total.items():
+        if not isinstance(v, Fraction):
+            raise ArithmeticError(
+                f"Molien series has an irrational coefficient {v} at q^{k}")
+    return GradedCharacter(total, order).scale(Fraction(1, group.order))
 
 
 def molien_degrees(group):
     """Invariant degrees: factor the Molien series as prod 1/(1 - q^{d_i})."""
-    order = group.order + 1
-    series = list(molien_series(group, order))
-    degrees = []
-    for _ in range(group.n):
-        d = None
-        for k in range(1, order + 1):
-            if series[k]:
-                d = k
-                break
-        if d is None:
-            raise NotFactorizable("Molien series terminated early")
-        degrees.append(d)
-        # multiply by (1 - q^d)
-        for k in range(order, d - 1, -1):
-            series[k] = series[k] - series[k - d]
-    if any(series[k] for k in range(1, order + 1)) or series[0] != 1:
+    degrees = generator_degrees(molien_series(group, group.order + 1),
+                                group.n)
+    if degrees is None:
         raise NotFactorizable(
             "Molien series is not a product of n geometric factors")
-    prod = 1
-    for d in degrees:
-        prod *= d
-    if prod != group.order:
-        raise NotFactorizable(
-            f"degree product {prod} differs from group order {group.order}")
-    nrefl = len(group.reflections)
-    if sum(d - 1 for d in degrees) != nrefl:
+    if math.prod(degrees) != group.order:
+        raise NotFactorizable(f"degree product {math.prod(degrees)} differs "
+                              f"from group order {group.order}")
+    if sum(d - 1 for d in degrees) != len(group.reflections):
         raise NotFactorizable(
             "degrees are inconsistent with the reflection count")
-    return tuple(sorted(degrees))
+    return tuple(degrees)
 
 
 def fake_polynomial(group, rep):
@@ -93,30 +91,14 @@ def fake_polynomial(group, rep):
     degrees = group.degrees
     topdeg = sum(d - 1 for d in degrees)
     weights = [rep.char(r) for r in group.class_representatives]
-    series = molien_series(group, topdeg, weights=weights)
-    # multiply by prod (1 - q^{d_i}) and keep exponents <= topdeg
-    poly = {0: ONE}
-    for d in degrees:
-        new = dict(poly)
-        for e, c in poly.items():
-            if e + d <= topdeg:
-                _add_term(new, e + d, -c)
-        poly = new
-    coeffs = {}
-    for e in range(topdeg + 1):
-        total = ZERO
-        for k, c in poly.items():
-            if 0 <= e - k <= topdeg and c:
-                total = total + c * series[e - k]
-        if total:
-            coeffs[e] = total
-    out = {}
-    for e, v in coeffs.items():
-        if not isinstance(v, Fraction) or v.denominator != 1 or v < 0:
+    # the fake polynomial has degree at most topdeg, so the product
+    # truncated there is exact
+    f = GradedCharacter((molien_series(group, topdeg, weights)
+                         * product_of_binomials(degrees)).coeffs)
+    for e, v in sorted(f.coeffs.items()):
+        if v.denominator != 1 or v < 0:
             raise ArithmeticError(
                 f"fake polynomial has a bad coefficient {v} at q^{e}")
-        out[e] = v
-    f = GradedCharacter(out)
     if f.value_at_one() != rep.dim:
         raise ArithmeticError("fake polynomial does not sum to dim(rep)")
     return f
@@ -162,9 +144,6 @@ class InvariantTheory:
             self._act_images[widx] = imgs
         return imgs
 
-    def act(self, widx, poly):
-        return psub_linear(poly, self._images(widx), self.n)
-
     def _act_monomial(self, widx, mono):
         """w . (the monomial with exponents mono), cached; callers must not
         mutate the returned polynomial.  A coefficient of +-1 is the shared
@@ -172,15 +151,20 @@ class InvariantTheory:
         key = (widx, mono)
         out = self._act_monos.get(key)
         if out is None:
+            prod = pconst(self.n, ONE)
+            for img, k in zip(self._images(widx), mono):
+                for _ in range(k):
+                    prod = pmul(prod, img)
             out = self._act_monos[key] = {
                 m: ONE if c == ONE else MONE if c == MONE else c
-                for m, c in self.act(widx, {mono: ONE}).items()}
+                for m, c in prod.items()}
         return out
 
     def reynolds(self, poly):
         total = {}
         for widx in range(self.group.order):
-            _axpy(total, self.act(widx, poly), ONE)
+            for mono, c in poly.items():
+                _axpy(total, self._act_monomial(widx, mono), c)
         return pscale(total, Fraction(1, self.group.order))
 
     # ---- fundamental invariants ----------------------------------------------
@@ -256,12 +240,19 @@ class InvariantTheory:
 
     # ---- decomposition over invariants --------------------------------------
     def _decomposition(self, d):
-        """Inverse solve data for C[h]_d = sum m_i * (monomials in f's)."""
+        """Solve data for C[h]_d = sum m_i * (monomials in f's).
+
+        Product j = m * f^combo is the row of its monomial coefficients with
+        a unit in column size + j; in the reduced echelon form the row at a
+        monomial's pivot writes that monomial over the products.  Returns
+        (echelon rows, [(m, combo) per product], {monomial: column})."""
         if d not in self._decomp:
             funds = self.fundamental_invariants
             fdegs = degrees_of(funds)
-            monos = monomials_of_degree(self.n, d)
-            cols = []
+            mono_index = {m: i for i, m in
+                          enumerate(monomials_of_degree(self.n, d))}
+            size = len(mono_index)
+            rows = []
             col_info = []
             for li, layer in enumerate(self.coinvariant_basis):
                 if li > d:
@@ -272,25 +263,18 @@ class InvariantTheory:
                         for f, k in zip(funds, combo):
                             for _ in range(k):
                                 prod = pmul(prod, f)
-                        cols.append([prod.get(mm, ZERO) for mm in monos])
+                        row = {mono_index[mm]: c for mm, c in prod.items()}
+                        row[size + len(rows)] = ONE
+                        rows.append(row)
                         col_info.append((m, combo))
-            size = len(monos)
-            if len(cols) != size:
+            if len(rows) != size:
                 raise NotFactorizable(
                     f"freeness decomposition is not square in degree {d}")
-            # invert [cols as columns] once; decomposition is then a mat-vec
-            aug = []
-            for i in range(size):
-                row = [cols[j][i] for j in range(size)]
-                row.extend(ONE if k == i else ZERO for k in range(size))
-                aug.append(row)
-            red, piv = rref(aug, size)
-            if piv != list(range(size)):
+            ech = echelon(rows, size)
+            if len(ech) != size:
                 raise NotFactorizable(
                     f"freeness decomposition is singular in degree {d}")
-            inverse = [row[size:] for row in red]
-            self._decomp[d] = (inverse, col_info, monos,
-                               {m: i for i, m in enumerate(monos)})
+            self._decomp[d] = (ech.rows, col_info, mono_index)
         return self._decomp[d]
 
     def fiber(self, values):
@@ -352,14 +336,13 @@ class _Fiber(dict):
         self.values = values
 
     def __missing__(self, mono):
-        inverse, col_info, _monos, mono_index = self.theory._decomposition(
-            sum(mono))
-        col = mono_index[mono]
+        rows, col_info, mono_index = self.theory._decomposition(sum(mono))
+        size = len(mono_index)
         out = {}
-        for j, (m, combo) in enumerate(col_info):
-            c = inverse[j][col]
-            if not c:
+        for j, c in sorted(rows[mono_index[mono]].items()):
+            if j < size:
                 continue
+            m, combo = col_info[j - size]
             v = c
             for val, k in zip(self.values, combo):
                 if k:

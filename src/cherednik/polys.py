@@ -8,10 +8,9 @@ unpacked constantly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .linalg import ONE, _add_term, _axpy
+from .linalg import _add_term
 
 
 def pconst(nvars, value):
@@ -31,30 +30,6 @@ def pmul(a, b):
     for e1, v1 in a.items():
         for e2, v2 in b.items():
             _add_term(out, tuple(x + y for x, y in zip(e1, e2)), v1 * v2)
-    return out
-
-
-def psub_linear(p, images, nvars):
-    """Substitute variable i -> images[i] (a polynomial) in p.
-
-    Used for the action of group elements on polynomials; images are linear
-    forms there, but any polynomials work.
-    """
-    pow_cache = [{0: pconst(nvars, Fraction(1))} for _ in range(nvars)]
-
-    def var_pow(i, k):
-        cache = pow_cache[i]
-        if k not in cache:
-            cache[k] = pmul(var_pow(i, k - 1), images[i])
-        return cache[k]
-
-    out = {}
-    for e, v in p.items():
-        term = pconst(nvars, v)
-        for i, k in enumerate(e):
-            if k:
-                term = pmul(term, var_pow(i, k))
-        _axpy(out, term, ONE)
     return out
 
 

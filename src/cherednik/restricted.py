@@ -459,7 +459,7 @@ class RestrictedCherednikAlgebra:
                 jm.add({idxs[t]: c for t, c in enumerate(vec) if c})
         return jm
 
-    def simple_head(self, mod, expect_simple=False):
+    def simple_head(self, mod):
         """M / J(A) M, with the radical J(A) M from the grading when M has
         one and from the acting image otherwise."""
         jm = (self._image_radical(mod) if mod.weights is None
@@ -485,10 +485,6 @@ class RestrictedCherednikAlgebra:
                         weights=([mod.weights[i] for i in keep]
                                  if mod.weights is not None else None),
                         label=mod.label, rep=mod.rep)
-        if expect_simple:
-            if not self.is_simple(head):
-                raise NotSimpleHead(
-                    f"head of the standard module {mod.label!r} is not simple")
         return head
 
     def singular_vectors(self, mod):
@@ -530,10 +526,12 @@ class RestrictedCherednikAlgebra:
                     mod.dim) // rep.dim
 
     def simple_module(self, rep):
-        mod = self.baby_verma(rep)
         if rep.label not in self._head_cache:
-            self._head_cache[rep.label] = self.simple_head(
-                mod, expect_simple=True)
+            head = self.simple_head(self.baby_verma(rep))
+            if not self.is_simple(head):
+                raise NotSimpleHead(f"head of the standard module "
+                                    f"{head.label!r} is not simple")
+            self._head_cache[rep.label] = head
         return self._head_cache[rep.label]
 
     def dim_e_simple(self, rep):

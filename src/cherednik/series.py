@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .linalg import ONE, _add_term, _axpy
+from .linalg import MONE, ONE, _add_term, _axpy
 
 DEFAULT_TRUNCATION = 24
 
@@ -190,6 +190,31 @@ def product_of_geometric(degrees, truncation):
     return out
 
 
+def product_of_binomials(es):
+    """The exact polynomial prod_i (1 - q^{e_i})."""
+    out = GradedCharacter.one()
+    for e in es:
+        out = out * GradedCharacter({0: ONE, e: MONE})
+    return out
+
+
+def generator_degrees(series, n):
+    """Sorted e_1 <= ... <= e_n with series = prod_i 1/(1 - q^{e_i}) up to
+    its truncation, or None.  Each step peels the lowest nonconstant
+    exponent, whose coefficient must be a positive integer; after n peels
+    the remainder must be exactly 1."""
+    exponents = []
+    for _ in range(n):
+        e = min((k for k in series.coeffs if k >= 1), default=None)
+        if e is None or series[e].denominator != 1 or series[e] < 1:
+            return None
+        exponents.append(e)
+        series = series * product_of_binomials([e])
+    if series.coeffs != {0: ONE}:
+        return None
+    return sorted(exponents)
+
+
 class BigradedCharacter:
     """Map (q exponent, t exponent) -> rational; truncated in q, exact in t."""
 
@@ -210,8 +235,8 @@ class BigradedCharacter:
         return cls({(0, 0): Fraction(1)}, truncation)
 
     @classmethod
-    def from_graded(cls, g, t_exp=0):
-        return cls({(e, t_exp): v for e, v in g.coeffs.items()}, g.truncation)
+    def from_graded(cls, g):
+        return cls({(e, 0): v for e, v in g.coeffs.items()}, g.truncation)
 
     def __mul__(self, other):
         ts = [t for t in (self.truncation, other.truncation) if t is not None]

@@ -14,11 +14,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInput, MissingEis, NegativeExponentPresent
-from .series import (DEFAULT_TRUNCATION, BigradedCharacter, GradedCharacter,
-                     product_of_geometric)
+from .series import (DEFAULT_TRUNCATION, BigradedCharacter, generator_degrees,
+                     product_of_binomials, product_of_geometric)
 
 ORIENTATION_NOTE = ("e_i are generator degrees of the endomorphism ring: "
                     "prod 1/(1-q^e_i) reconstructs its graded character")
+
+
+def _numerator(group, rep, truncation):
+    """q^{-b} f(q) to the truncation order, f the fake polynomial of the
+    dual of rep and b its lowest exponent."""
+    f = group.fake_polynomial(group.dual_of(rep))
+    return f.shift(-f.min_exponent()).truncate(truncation)
 
 
 def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
@@ -31,10 +38,7 @@ def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
     """
     if truncation < 0:
         raise InvalidInput(f"truncation must be at least 0, got {truncation}")
-    dual = group.dual_of(rep)
-    f = group.fake_polynomial(dual)
-    b = f.min_exponent()
-    ch = f.shift(-b).truncate(truncation) * product_of_geometric(
+    ch = _numerator(group, rep, truncation) * product_of_geometric(
         group.degrees, truncation)
     if any(e < 0 for e in ch.coeffs):
         raise NegativeExponentPresent(
@@ -80,10 +84,7 @@ def hook_lengths(partition):
 
 def hook_polynomial(partition):
     """prod over cells of (1 - q^{hook length}), as an exact polynomial."""
-    poly = GradedCharacter.one()
-    for h in hook_lengths(partition):
-        poly = poly * GradedCharacter({0: Fraction(1), h: Fraction(-1)})
-    return poly
+    return product_of_binomials(hook_lengths(partition))
 
 
 def hook_identity_check(group, partition, truncation=DEFAULT_TRUNCATION):
@@ -129,34 +130,11 @@ class EisFactorization:
 
 
 def solve_eis_from_character(ch, n, truncation=DEFAULT_TRUNCATION):
-    """Peel n geometric factors off a series with constant term 1.
-
-    At each step the lowest nonconstant exponent e must carry a positive
-    integer coefficient; after n peels the remainder must be exactly 1 to
-    the truncation order.  Returns the factorization or the NoSolution
+    """Peel n geometric factors off the series (``series.generator_degrees``)
+    to the truncation order.  Returns the factorization or the NoSolution
     marker (a legitimate outcome, not an error).
     """
-    s = ch.truncate(truncation)
-    if s[0] != 1:
-        return EisFactorization.no_solution()
-    exponents = []
-    for _ in range(n):
-        e = None
-        for k in sorted(s.coeffs):
-            if k >= 1:
-                e = k
-                break
-        if e is None:
-            return EisFactorization.no_solution()
-        c = s[e]
-        if c.denominator != 1 or c < 1:
-            return EisFactorization.no_solution()
-        exponents.append(e)
-        s = s * GradedCharacter({0: Fraction(1), e: Fraction(-1)},
-                                truncation)
-    if not s.equals(GradedCharacter.one(truncation), up_to=truncation):
-        return EisFactorization.no_solution()
-    return EisFactorization(sorted(exponents))
+    return EisFactorization(generator_degrees(ch.truncate(truncation), n))
 
 
 def solve_eis(group, rep, truncation=DEFAULT_TRUNCATION):
@@ -168,10 +146,7 @@ def solve_eis(group, rep, truncation=DEFAULT_TRUNCATION):
 def _bigraded_product(group, rep, eis, signs, truncation):
     if eis is None or not eis.is_solution():
         raise MissingEis("no generator-degree factorization available")
-    dual = group.dual_of(rep)
-    f = group.fake_polynomial(dual)
-    b = f.min_exponent()
-    out = BigradedCharacter.from_graded(f.shift(-b).truncate(truncation))
+    out = BigradedCharacter.from_graded(_numerator(group, rep, truncation))
     for e in eis.exponents:
         out = out * BigradedCharacter(
             {(0, 0): Fraction(1), (signs * e, 1): Fraction(1)}, truncation)

@@ -1,0 +1,158 @@
+"""Invariant theory of a reflection group: pinned reports built on the Molien
+series, the fake polynomials and the coinvariant fibers, and the algebraic
+identities the fiber reduction and the Reynolds operator must satisfy."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from cherednik.cli import _load_group, main
+from cherednik.cyclotomic import Cyc
+from cherednik.invariants import _h_series, molien_series
+from cherednik.linalg import trace
+from cherednik.polys import monomials_of_degree, pconst, pmul
+from cherednik.series import (GradedCharacter, generator_degrees,
+                              product_of_geometric)
+
+from conftest import group
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["group", "--group", "Zm:5"],
+     "c65b5ce9f1afabcafceab47a75e27c8cc252572eb001b457d5fd0eb3c5c6982b"),
+    (["group", "--group", "Sn:4:permutation"],
+     "4a230a70dc3dbacadc7acbe36ecbca53b4587ca773d4036f300f7cbf3f11a7e6"),
+    (["group", "--group", "Sn:5:reduced"],
+     "2e2473fb2a521820346f2bd77cbbc8e06ff42675d9d87b55066d4be8174cd6ce"),
+    (["group", "--group", "I2:6"],
+     "8ff43bef60a10bdaed1996fda3537964bded9bebdb82bbc65db70d4a71d85230"),
+    (["characters", "--group", "Sn:4:permutation", "--c", "generic:1",
+      "--seed", "1", "--check-hook"],
+     "223f97800990b856759f6c59c12b610ef664e491db30ad0778295f03caf3e3f9"),
+    (["characters", "--group", "Sn:5:reduced", "--c", "generic:1",
+      "--seed", "1"],
+     "0374d8348508c5b7ada195c92f68d006c4c16aeb57cd849a33e50b74f7e4e1dd"),
+    (["characters", "--group", "I2:6", "--c", "generic:1", "--seed", "1"],
+     "115689bfcf1a08f1e56db2674c4e73ef837cbd269596b661fff0843f78ea110f"),
+    (["characters", "--group", "Zm:5", "--c", "generic:1", "--seed", "1"],
+     "ce898afa88e69776f1342e5fe7887f45bf83f04267c058bfd526c11dfc6c1f07"),
+    (["reduce", "--group", "Sn:4:permutation", "--point", "1,1,2,2",
+      "--c", "generic:1", "--seed", "1"],
+     "1a27ac4b429788feb26fbd6b05b0fbb9aaf829ee5afcf9fc0d22066b01283426"),
+], ids=["group-Zm:5", "group-Sn:4:permutation", "group-Sn:5:reduced",
+        "group-I2:6", "characters-Sn:4:permutation-hook",
+        "characters-Sn:5:reduced", "characters-I2:6", "characters-Zm:5",
+        "reduce-Sn:4:permutation-1122"])
+def test_invariant_reports_are_pinned(capsys, argv, digest):
+    # degrees, fake polynomials, End(Delta) characters and fiber series
+    assert main(argv) == 0
+    assert hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _random_poly(rng, n, top):
+    """A few seeded terms of degree at most ``top``, rational coefficients."""
+    poly = {}
+    for _ in range(3):
+        mono = rng.choice(monomials_of_degree(n, rng.randint(0, top)))
+        poly[mono] = F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+    return poly
+
+
+def _fiber_values(it, at_origin):
+    """Invariant values of the origin (b = 0) or of a nonzero point."""
+    if at_origin:
+        return (F(0),) * it.n
+    return it.invariant_values_at(tuple(F(i + 2, i + 1) for i in range(it.n)))
+
+
+@pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced", "I2:4"])
+@pytest.mark.parametrize("at_origin", [True, False], ids=["b=0", "b!=0"])
+def test_fiber_reduction_is_a_ring_map(spec, at_origin):
+    it = group(spec).invariant_theory("x")
+    values = _fiber_values(it, at_origin)
+    rng = random.Random(5)
+    for _ in range(6):
+        p, q = (_random_poly(rng, it.n, 3) for _ in range(2))
+        rp, rq = it.reduce(p, values), it.reduce(q, values)
+        assert it.reduce(pmul(p, q), values) == it.reduce(pmul(rp, rq), values)
+    for f, value in zip(it.fundamental_invariants, values):
+        assert it.reduce(f, values) == pconst(it.n, value)
+
+
+@pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced", "I2:4", "I2:5"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_reynolds_fixes_each_fundamental_invariant(spec, side):
+    it = group(spec).invariant_theory(side)
+    for f in it.fundamental_invariants:
+        assert it.reynolds(f) == f
+
+
+def _newton_h_series(group, idx, order):
+    """1/det(1 - q A) from the first ``order`` power traces of A by Newton's
+    identities, k h_k = sum_{i<=k} tr(A^i) h_{k-i}: the O(order^2) oracle."""
+    traces = []
+    j = idx
+    for _ in range(order):
+        traces.append(trace(group.matrix(j)))
+        j = group.mult(j, idx)
+    h = [F(1)]
+    for k in range(1, order + 1):
+        s = F(0)
+        for i in range(1, k + 1):
+            s = s + traces[i - 1] * h[k - i]
+        h.append(s * F(1, k))
+    return h
+
+
+@pytest.mark.parametrize("spec", ["Zm:5", "Sn:4:reduced", "I2:5", "json"])
+def test_h_series_recurrence_matches_newton(spec, tmp_path):
+    if spec == "json":
+        # I_2(3) with the rotation diagonal, read through the @file path
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({
+            "name": "json-i2-3", "conductor": 3,
+            "generators": [[[[[1, 1, 1]], []], [[], [[2, 1, 1]]]],
+                           [[[], [[0, 1, 1]]], [[[0, 1, 1]], []]]]}),
+            encoding="utf-8")
+        g = _load_group(f"@{path}")
+    else:
+        g = group(spec)
+    order = g.order + 1
+    for cls in g.conjugacy_classes:
+        assert _h_series(g, cls[0], order) == \
+            _newton_h_series(g, cls[0], order)
+
+
+@pytest.mark.parametrize("ds", [[1], [2, 3], [2, 4, 4], [1, 2, 3, 4],
+                                [3, 3, 5]])
+def test_generator_degrees_peels_a_product_of_geometric_series(ds):
+    T = 24
+    series = product_of_geometric(ds, T)
+    assert generator_degrees(series, len(ds)) == sorted(ds)
+    # one factor too few leaves a remainder, one too many finds none
+    assert generator_degrees(series, len(ds) - 1) is None
+    assert generator_degrees(series, len(ds) + 1) is None
+
+
+def test_generator_degrees_refuses_what_is_not_a_product():
+    T = 24
+    assert generator_degrees(GradedCharacter({0: F(1), 1: F(1)}, T), 1) \
+        is None
+    # a coefficient that is not a positive integer cannot start a peel
+    assert generator_degrees(GradedCharacter({0: F(1), 2: F(1, 2)}, T), 1) \
+        is None
+    assert generator_degrees(GradedCharacter({0: F(2)}, T), 0) is None
+
+
+def test_molien_series_is_a_truncated_character_with_rational_coefficients():
+    g = group("Zm:3")
+    hilbert = molien_series(g, 7)
+    assert hilbert == GradedCharacter({0: F(1), 3: F(1), 6: F(1)}, 7)
+    # a weight that is not a class function of a character: the sum is not
+    # rational
+    with pytest.raises(ArithmeticError, match="irrational"):
+        molien_series(g, 4, [F(0), Cyc.zeta(3), F(0)])

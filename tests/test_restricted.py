@@ -608,11 +608,19 @@ def test_module_level_operations():
     par = parameter("Zm:2", "1")
     mod = baby_verma(g, par, "chi0")
     assert mod.dim == 2
-    head = mod.parent.simple_head(mod, expect_simple=True)
+    head = mod.parent.simple_module(g.irrep("chi0"))
     assert head.dim == 2
     part = build_restricted(g, par).cm_partition(seed=0, verify=False)
     assert len(part.blocks) == 2
     assert build_restricted(g, par).dim_e_simple(g.irrep("chi0")) == 1
+
+
+def test_simple_module_refuses_a_head_that_is_not_simple(monkeypatch):
+    from cherednik.errors import NotSimpleHead
+    R = build_restricted(group("Zm:2"), parameter("Zm:2", "1"))
+    monkeypatch.setattr(R, "is_simple", lambda mod: False)
+    with pytest.raises(NotSimpleHead, match="'chi0' is not simple"):
+        R.simple_module(R.group.irrep("chi0"))
 
 
 def test_baby_verma_routes_through_stabilizer():
