@@ -9,7 +9,7 @@ odd differentials and homology.
 """
 
 from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
-from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
+from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DegreeCapExceeded, DimensionMismatch,
                      FieldExtensionNeeded, InvalidElement, InvalidInput,
                      MissingEis, NegativeExponentPresent, NotCommutative,

@@ -43,8 +43,10 @@ class NotSimpleHead(CherednikError):
     """The head of a standard module failed to be simple."""
 
 
-class AssignmentAmbiguous(CherednikError):
-    """A central idempotent acted neither as 0 nor as 1 on a standard module."""
+class CompositionMismatch(CherednikError):
+    """The graded character of a standard module does not peel into shifted
+    characters of simple heads: a multiplicity that is not a non-negative
+    integer, or a remainder left in a degree or past the top degree."""
 
 
 class TieDetected(CherednikError):

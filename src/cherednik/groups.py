@@ -355,9 +355,6 @@ class ReflectionGroup:
     def class_representatives(self):
         return [cls[0] for cls in self.conjugacy_classes]
 
-    def class_of_inverse(self, class_idx):
-        return self.class_of[self.inv(self.class_representatives[class_idx])]
-
     # ---- reflections ----------------------------------------------------------
     @cached_property
     def reflections(self):
@@ -454,6 +451,14 @@ class ReflectionGroup:
                 return rep
         raise CherednikError(f"no irreducible of {self.name} has character "
                              f"{values}")
+
+    def multiplicity(self, rep, chi):
+        """Multiplicity of ``rep`` in the class function ``chi`` (values on
+        the class representatives, in class order): the inner product
+        (1/|W|) sum over classes C of |C| chi(C) rep(C^-1)."""
+        return sum((len(cls) * v * rep.char(self.inv(cls[0]))
+                    for cls, v in zip(self.conjugacy_classes, chi) if v),
+                   ZERO) / self.order
 
     def trivial_irrep(self):
         return self.irrep_with_character(

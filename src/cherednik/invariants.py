@@ -144,6 +144,15 @@ class InvariantTheory:
             self._act_images[widx] = imgs
         return imgs
 
+    def _monomial_image(self, widx, mono):
+        """w . (the monomial with exponents mono), uncached: the product of
+        the linear images of its variables."""
+        prod = pconst(self.n, ONE)
+        for img, k in zip(self._images(widx), mono):
+            for _ in range(k):
+                prod = pmul(prod, img)
+        return prod
+
     def _act_monomial(self, widx, mono):
         """w . (the monomial with exponents mono), cached; callers must not
         mutate the returned polynomial.  A coefficient of +-1 is the shared
@@ -151,20 +160,17 @@ class InvariantTheory:
         key = (widx, mono)
         out = self._act_monos.get(key)
         if out is None:
-            prod = pconst(self.n, ONE)
-            for img, k in zip(self._images(widx), mono):
-                for _ in range(k):
-                    prod = pmul(prod, img)
             out = self._act_monos[key] = {
                 m: ONE if c == ONE else MONE if c == MONE else c
-                for m, c in prod.items()}
+                for m, c in self._monomial_image(widx, mono).items()}
         return out
 
     def reynolds(self, poly):
+        # each image is read once, so none is kept in the shared cache
         total = {}
         for widx in range(self.group.order):
             for mono, c in poly.items():
-                _axpy(total, self._act_monomial(widx, mono), c)
+                _axpy(total, self._monomial_image(widx, mono), c)
         return pscale(total, Fraction(1, self.group.order))
 
     # ---- fundamental invariants ----------------------------------------------
@@ -315,13 +321,9 @@ class InvariantTheory:
         for d, layer in enumerate(self.coinvariant_basis):
             if not layer:
                 continue
-            total = ZERO
-            for ci, cls in enumerate(self.group.conjugacy_classes):
-                tr = trace(self.coinv_action_matrix(cls[0], d))
-                inv_cls = self.group.class_of_inverse(ci)
-                rep_char = rep.char(self.group.conjugacy_classes[inv_cls][0])
-                total = total + len(cls) * tr * rep_char
-            total = total * Fraction(1, self.group.order)
+            total = self.group.multiplicity(rep, [
+                trace(self.coinv_action_matrix(w, d))
+                for w in self.group.class_representatives])
             if total:
                 out[d] = total
         return GradedCharacter(out)

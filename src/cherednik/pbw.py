@@ -150,7 +150,7 @@ class PBWElement:
                                  f"0..{top} (twice the degree cap)")
         out = self.algebra.one()
         for _ in range(k):
-            out = out * self
+            out = _join(out, self)
         return out
 
     def __eq__(self, other):
@@ -522,7 +522,7 @@ def _parse_element(algebra, text):
             kind, val = peek()
             if kind == "op" and val == "*":
                 advance()
-                out = out * factor()
+                out = _join(out, factor())
             else:
                 return out
 
@@ -546,6 +546,27 @@ def _parse_element(algebra, text):
     if pos[0] != len(tokens):
         raise InvalidElement("trailing tokens in element text")
     return out
+
+
+def _join(u, v):
+    """u * v, with no straightening where each pair of terms x^a w y^b and
+    x^c w2 y^d already reads in PBW order: y^b meets no x^c or w2, and x^c
+    meets no w.  So a power of a variable is one monomial, and a printed
+    term (x-part, then group element, then y-part) reads back past the
+    degree cap."""
+    algebra = u.algebra
+    ident = algebra.group._identity
+    if not all((not any(b) or not any(c) and w2 == ident)
+               and (not any(c) or w == ident)
+               for (_a, w, b) in u.terms for (c, w2, _d) in v.terms):
+        return u * v
+    mult = algebra.group.mult
+    out = {}
+    for (a, w, b), cu in u.terms.items():
+        for (c, w2, d), cv in v.terms.items():
+            _add_term(out, (tuple(map(add, a, c)), mult(w, w2),
+                            tuple(map(add, b, d))), cu * cv)
+    return PBWElement(algebra, out)
 
 
 def _resolve_name(algebra, name):

@@ -9,11 +9,13 @@ b = 0).  Multiplication rows are materialized lazily.
 
 The center is solved one degree at a time, on first use (the quotient is
 graded at b = 0, so the center is spanned by homogeneous elements), by
-intersecting the kernels of the adjoint maps of the algebra generators;
-blocks come from the primitive idempotents of its degree-0 part Z_0,
-cross-checked against central-character linking on the baby Vermas.  Simple
-heads of graded modules come from the grading too: the radical is built
-degree by degree from the lowest one.
+intersecting the kernels of the adjoint maps of the algebra generators.
+Simple heads of graded modules come from the grading too: the radical is
+built degree by degree from the lowest one.  At b = 0 the blocks are the
+linkage classes of the graded decomposition numbers [Delta(lambda) :
+L(mu)[k]], peeled from W-characters alone, and are cross-checked against
+the central characters of the degree-0 center Z_0 on the baby Vermas.  The
+primitive idempotents of Z_0 count the blocks at any fiber point.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .comalg import idempotents_of_commutative_algebra
-from .errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
+from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DimensionMismatch, NotSimpleHead, TieDetected)
 from .linalg import (ONE, ZERO, Echelon, _add_term, _axpy, echelon, identity,
                      kernel_basis, mat_mul, mat_vec, rank)
@@ -313,8 +315,8 @@ class RestrictedCherednikAlgebra:
         """Structure constants of Z_0 over its RREF basis, and the
         coordinates of the unit.
 
-        This is all the blocks need.  A homogeneous central element of
-        nonzero degree is nilpotent (its powers leave the finitely many
+        This is all ``block_count`` needs.  A homogeneous central element
+        of nonzero degree is nilpotent (its powers leave the finitely many
         degrees), so it lies in the radical of the commutative algebra Z.
         Hence Z = Z_0 + rad Z, Z_0 / rad Z_0 = Z / rad Z, and the primitive
         idempotents of Z are those of Z_0.
@@ -573,54 +575,105 @@ class RestrictedCherednikAlgebra:
         """Number of blocks (primitive central idempotents); any fiber point."""
         return len(self.central_idempotents(seed))
 
+    def _graded_character(self, mod):
+        """Trace of each class representative on each degree of a graded
+        module: {degree: [trace per class]}."""
+        mats = [mod.w_matrix(w) for w in self.group.class_representatives]
+        out = {}
+        for k, d in enumerate(mod.weights):
+            row = out.setdefault(d, [ZERO] * len(mats))
+            for c, mat in enumerate(mats):
+                row[c] += mat[k][k]
+        return out
+
+    def _decompose(self, chi):
+        """(irreducible, multiplicity) for each irreducible whose
+        multiplicity in the class function ``chi`` (values on the class
+        representatives) is nonzero."""
+        out = []
+        for rep in self.group.irreps:
+            m = self.group.multiplicity(rep, chi)
+            if m:
+                out.append((rep, m))
+        return out
+
+    def _composition_factors(self, rep, heads):
+        """[Delta(rep) : L(mu)[k]] as {(mu label, k): multiplicity}.
+
+        L(mu) has mu alone in its lowest degree, so the lowest degree of
+        what is left of the graded character of Delta(rep) is a sum of the
+        mu with multiplicity [Delta(rep) : L(mu)[k]]: peel it off by the
+        character inner product and subtract each m * ch L(mu) shifted
+        there.  ``heads`` holds the graded character of each L(mu), lowest
+        degree 0.
+        """
+        left = self._graded_character(self.baby_verma(rep))
+        top = max(left)
+        factors = {}
+        for k in sorted(left):
+            for mu, m in self._decompose(left[k]):
+                if not (isinstance(m, Fraction) and m.denominator == 1
+                        and m > 0):
+                    raise CompositionMismatch(
+                        f"multiplicity {m} of L({mu.label!r})[{k}] in the "
+                        f"baby Verma {rep.label!r} is not a non-negative "
+                        "integer")
+                for d, chi in heads[mu.label].items():
+                    if d + k > top:
+                        raise CompositionMismatch(
+                            f"L({mu.label!r})[{k}] runs past the top degree "
+                            f"{top} of the baby Verma {rep.label!r}")
+                    left[d + k] = [a - m * b
+                                   for a, b in zip(left[d + k], chi)]
+                factors[(mu.label, k)] = m
+            if any(left[k]):
+                raise CompositionMismatch(
+                    f"the heads leave a remainder in degree {k} of the baby "
+                    f"Verma {rep.label!r}")
+        return factors
+
+    def _linkage_classes(self):
+        """Blocks as the linkage classes of the graded decomposition
+        numbers: lambda and mu are linked when L(mu)[k] is a composition
+        factor of Delta(lambda) (each Delta(lambda) has a simple head at
+        b = 0).  A list of label sets."""
+        irreps = self.group.irreps
+        heads = {rep.label: self._graded_character(self.simple_module(rep))
+                 for rep in irreps}
+        classes = []
+        for rep in irreps:
+            linked = {mu for mu, _k in self._composition_factors(rep, heads)}
+            linked.add(rep.label)
+            classes = ([c for c in classes if not c & linked]
+                       + [linked.union(*(c for c in classes if c & linked))])
+        return classes
+
     def cm_partition(self, seed=0, verify=True):
-        """Blocks via central idempotents, cross-checked by central characters."""
+        """Blocks by linkage of graded decomposition numbers, cross-checked
+        by central characters: each Z_0 basis vector takes one value on
+        every baby Verma of a block (route 2), and the two routes must give
+        the same partition."""
         if not self.graded:
             raise CherednikError(
                 "the partition of the irreducibles is defined through the "
                 "graded quotient at b = 0; use block_count() at other fibers")
         group = self.group
-        idems = self.central_idempotents(seed)
-        chars = {rep.label: self._central_character(rep)
-                 for rep in group.irreps}
-        # route 1: assign each irreducible to the idempotent acting as 1; an
-        # idempotent acts by its coordinates against the central character
-        route1_groups = {}
-        for rep in group.irreps:
-            home = None
-            for t, coords in enumerate(idems):
-                value = sum((c * v for c, v in zip(coords, chars[rep.label])
-                             if c), ZERO)
-                if not value:
-                    continue
-                if value == ONE:
-                    if home is not None:
-                        raise AssignmentAmbiguous(
-                            f"two idempotents act as 1 on {rep.label!r}")
-                    home = t
-                else:
-                    raise AssignmentAmbiguous(
-                        f"idempotent acts neither as 0 nor 1 on {rep.label!r}")
-            if home is None:
-                raise AssignmentAmbiguous(
-                    f"no idempotent acts as 1 on {rep.label!r}")
-            route1_groups.setdefault(home, []).append(rep.label)
+        linkage = self._linkage_classes()
         # route 2: Mueller-type linking by central characters
         by_char = {}
-        for lbl, fp in chars.items():
-            by_char.setdefault(fp, []).append(lbl)
+        for rep in group.irreps:
+            by_char.setdefault(self._central_character(rep), []).append(
+                rep.label)
         route2 = sorted([tuple(sorted(v, key=str)) for v in by_char.values()])
-        route1 = sorted([tuple(sorted(v, key=str))
-                         for v in route1_groups.values()])
+        route1 = sorted([tuple(sorted(v, key=str)) for v in linkage])
         agreement = route1 == route2
         if not agreement:
             raise CherednikError(
-                "central-idempotent blocks disagree with central-character "
-                f"linking: {route1} vs {route2}")
+                "linkage blocks disagree with central-character linking: "
+                f"{route1} vs {route2}")
         # assemble blocks
         blocks = []
-        for t, labels in sorted(route1_groups.items(),
-                                key=lambda kv: str(sorted(kv[1], key=str))):
+        for labels in sorted(linkage, key=lambda v: str(sorted(v, key=str))):
             labels = sorted(labels, key=str)
             b_inv = {lbl: group.b_invariant(group.irrep(lbl))
                      for lbl in labels}

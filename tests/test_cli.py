@@ -66,6 +66,47 @@ def test_cm_cap_exceeded(tmp_path):
     assert rc == 2    # CapExceeded surfaces as a clean error exit
 
 
+def test_cm_dihedral_family_at_generic_one(capsys):
+    # I_2(5) at equal parameters: the two-dimensional irreducibles are
+    # linked, the one-dimensional ones are alone
+    assert main(["cm", "--group", "I2:5", "--c", "generic:1",
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert sorted(b["labels"] for b in report["blocks"]) == [
+        ["rho1", "rho2"], ["sgn"], ["triv"]]
+    assert report["route_agreement"] and report["checks_pass"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd26d7b82da15d3aab66b6c87ecdab4276b5d51c5c67475411e29648fbba5a87")
+
+
+def test_cm_leaves_sympy_unloaded_and_block_count_loads_it():
+    # the blocks need no splitting of the center; block_count off the
+    # graded fiber still splits it, through sympy
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cherednik.__file__)))
+    code = """if True:
+        import contextlib, io, sys
+        from fractions import Fraction
+        from cherednik import Parameter, build_group, build_restricted
+        from cherednik.cli import main
+        from cherednik.verify import CM_GRID
+        for spec in CM_GRID + ("I2:4",):
+            for c in ("generic:1", "zero"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["cm", "--group", spec, "--c", c]) == 0
+        assert "sympy" not in sys.modules
+        g = build_group("Zm:2")
+        R = build_restricted(g, Parameter.constant(g, 1),
+                             b_point=(Fraction(1),))
+        assert R.block_count(seed=1) == 2
+        assert "sympy" in sys.modules
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_characters_command(tmp_path):
     rc, report = run_json(tmp_path, "characters", "--group",
                           "Sn:3:permutation", "--c", "generic",

@@ -144,11 +144,12 @@ def test_character_orthogonality(spec):
     for r1 in g.irreps:
         for r2 in g.irreps:
             total = 0
-            for ci, cls in enumerate(g.conjugacy_classes):
-                inv_rep = g.conjugacy_classes[g.class_of_inverse(ci)][0]
-                total = total + len(cls) * r1.char(cls[0]) * r2.char(inv_rep)
+            for cls in g.conjugacy_classes:
+                total = total + len(cls) * r1.char(cls[0]) * r2.char(
+                    g.inv(cls[0]))
             total = total * F(1, g.order)
             assert total == (1 if r1.label == r2.label else 0)
+            assert g.multiplicity(r2, r1.character_vector()) == total
 
 
 # ---- fake polynomials ------------------------------------------------------------

@@ -91,6 +91,26 @@ def test_reynolds_fixes_each_fundamental_invariant(spec, side):
         assert it.reynolds(f) == f
 
 
+@pytest.mark.parametrize("spec", ["Sn:3:reduced", "I2:4", "I2:5"])
+def test_fundamental_invariants_leave_the_action_cache_to_the_modules(spec):
+    # Reynolds reads each image once and keeps none; the baby Vermas then
+    # cache w . m only for coinvariant monomials m
+    from cherednik.groups import build_group
+    from cherednik.pbw import Parameter
+    from cherednik.restricted import build_restricted
+    g = build_group(spec)
+    it = g.invariant_theory("x")
+    assert it.fundamental_invariants and it._act_monos == {}
+    R = build_restricted(g, Parameter.generic(g, 1))
+    for rep in g.irreps:
+        mod = R.baby_verma(rep)
+        for w in range(g.order):
+            mod.w_matrix(w)
+    coinv = set(it.coinv_monomials())
+    assert len(it._act_monos) == g.order * len(coinv)
+    assert {m for _w, m in it._act_monos} == coinv
+
+
 def _newton_h_series(group, idx, order):
     """1/det(1 - q A) from the first ``order`` power traces of A by Newton's
     identities, k h_k = sum_{i<=k} tr(A^i) h_{k-i}: the O(order^2) oracle."""

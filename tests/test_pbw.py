@@ -278,13 +278,38 @@ def test_parse_refuses_a_zero_denominator_or_a_power_past_twice_the_cap():
                  "e^" + "9" * 5000):
         with pytest.raises(InvalidElement):
             H.parse(text)
-    # up to twice the cap a power parses; positive-degree factors meet the
-    # per-factor cap first
+    # up to twice the cap a power parses; a product that must be
+    # straightened still meets the per-factor cap
     assert H.parse("w1^24") == H.one()
     el = H.parse("x1^12*x1")
     assert str(el) == "x1^13" and H.parse(str(el)) == el
+    with pytest.raises(InvalidElement):
+        H.parse("x1^25")
     with pytest.raises(DegreeCapExceeded):
-        H.parse("x1^14")
+        H.parse("y1*x1^14")
+
+
+def test_parse_reads_back_printed_terms_past_the_degree_cap():
+    # a power of a bare variable is one monomial, and factors already in PBW
+    # order (x-part, group element, y-part) are joined without straightening
+    H = algebra("Zm:2", "1")
+    w1 = H.grp(1)
+    for el in (H.x(0, 12) * H.x(0, 12), (H.x(0, 12) * w1) * H.x(0, 12),
+               H.y(0, 12) * H.y(0, 12), w1 * H.y(0, 12) * H.y(0, 12),
+               H.monomial((24,), 1, (12,), F(-3, 2))):
+        text = str(el)
+        assert H.parse(text) == el, text
+    assert str(H.x(0, 12) * H.x(0, 12)) == "x1^24"
+    assert str((H.x(0, 12) * w1) * H.x(0, 12)) == "x1^24*w1"
+    # on a rank-2 group the x-part prints as a product of powers
+    G = algebra("I2:4", "1")
+    el = G.monomial((13, 12), 3, (0, 14), F(5))
+    assert G.parse(str(el)) == el
+    # the join is the product wherever both are defined
+    rng = random.Random(5)
+    for _ in range(20):
+        u, v = random_element(G, rng), random_element(G, rng)
+        assert G.parse(f"({u})*({v})") == u * v
 
 
 def test_symmetrizer_is_idempotent():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import (AssignmentAmbiguous, CapExceeded, CherednikError,
+from cherednik.errors import (CapExceeded, CherednikError, CompositionMismatch,
                               TieDetected)
 from cherednik.groups import build_group, build_i2, build_sn, build_zm
 from cherednik.linalg import (_add_term, echelon, kernel_basis, mat_mul, rank,
@@ -455,21 +455,70 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
 
 
 @pytest.mark.parametrize("spoil,message", [
-    (lambda idems: idems[1:], "no idempotent acts as 1"),
-    (lambda idems: idems + idems[:1], "two idempotents act as 1"),
-    (lambda idems: [[2 * c for c in idems[0]]] + idems[1:],
-     "neither as 0 nor 1"),
-], ids=["dropped", "duplicated", "doubled"])
-def test_idempotent_route_rejects_a_spoiled_split(spoil, message,
-                                                  monkeypatch):
-    import cherednik.restricted as restricted_module
-    split = restricted_module.idempotents_of_commutative_algebra
-    monkeypatch.setattr(restricted_module,
-                        "idempotents_of_commutative_algebra",
-                        lambda *args, **kwargs: spoil(split(*args, **kwargs)))
+    (lambda factors: factors[1:], "leave a remainder in degree 0"),
+    (lambda factors: factors + factors[:1], "leave a remainder in degree 0"),
+    (lambda factors: [(mu, m / 2) for mu, m in factors],
+     "multiplicity 1/2 of .* is not a non-negative integer"),
+], ids=["dropped", "duplicated", "non-integer"])
+def test_linkage_route_rejects_a_spoiled_peel(spoil, message, monkeypatch):
     R = restricted("Sn:3:reduced", "generic", 1)
-    with pytest.raises(AssignmentAmbiguous, match=message):
+    decompose = R._decompose
+    monkeypatch.setattr(R, "_decompose",
+                        lambda chi: spoil(decompose(chi)))
+    with pytest.raises(CompositionMismatch, match=message):
         R.cm_partition(seed=1, verify=False)
+
+
+def test_linkage_route_rejects_a_head_past_the_top_degree(monkeypatch):
+    # a head with a piece far above its true degrees
+    R = restricted("Sn:3:reduced", "zero")
+    character = R._graded_character
+
+    def stretched(mod):
+        chars = character(mod)
+        if mod is R.simple_module(R.group.irrep((3,))):
+            chars[100] = chars[0]
+        return chars
+
+    monkeypatch.setattr(R, "_graded_character", stretched)
+    with pytest.raises(CompositionMismatch, match="runs past the top degree"):
+        R.cm_partition(verify=False)
+
+
+@pytest.mark.parametrize("spec,ctag,seed", [
+    ("Sn:3:reduced", "zero", 0), ("Sn:3:reduced", "generic", 1),
+    ("I2:4", "zero", 0), ("Zm:3", "generic", 2)])
+def test_cm_partition_never_splits_the_center(spec, ctag, seed, monkeypatch):
+    R = restricted(spec, ctag, seed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cm_partition split the center")
+
+    monkeypatch.setattr(R, "central_idempotents", refuse)
+    monkeypatch.setattr(R, "center_structure", refuse)
+    part = R.cm_partition(seed=seed, verify=True)
+    assert part.route_agreement and part.theorems_hold()
+
+
+@pytest.mark.parametrize("spec,ctag,seed", [
+    ("Zm:3", "zero", 0), ("Zm:3", "generic", 1), ("Sn:3:reduced", "zero", 0),
+    ("Sn:3:reduced", "generic", 1), ("I2:4", "zero", 0),
+    ("I2:3", "generic", 2)])
+def test_composition_factors_rebuild_the_baby_verma(spec, ctag, seed):
+    # sum of m * dim L(mu) over the factors is dim Delta, Delta(lambda) has
+    # its head once in degree 0, and every factor lies in lambda's block
+    R = restricted(spec, ctag, seed)
+    heads = {rep.label: R._graded_character(R.simple_module(rep))
+             for rep in R.group.irreps}
+    blocks = {lbl: blk for blk in R.cm_partition(seed=seed, verify=False).blocks
+              for lbl in blk.labels}
+    for rep in R.group.irreps:
+        factors = R._composition_factors(rep, heads)
+        assert factors.get((rep.label, 0)) == 1
+        assert sum(m * R.simple_module(R.group.irrep(mu)).dim
+                   for (mu, _k), m in factors.items()) == \
+            R.baby_verma(rep).dim
+        assert all(mu in blocks[rep.label].labels for mu, _k in factors)
 
 
 def test_a_non_scalar_central_character_is_an_error(monkeypatch):
