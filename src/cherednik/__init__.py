@@ -22,8 +22,9 @@ from .groups import (IrrRep, Reflection, ReflectionGroup, build_from_generators,
                      build_group, build_i2, build_sn, build_zm)
 from .pbw import CherednikAlgebra, Parameter, PBWElement
 from .restricted import (Block, BlockPartition, FDModule,
-                         RestrictedCherednikAlgebra, act_on_baby_verma,
-                         baby_verma, build_restricted, distinguished_rep)
+                         RestrictedCherednikAlgebra, StandardModules,
+                         act_on_baby_verma, baby_verma, build_restricted,
+                         distinguished_rep)
 from .verma import (EisFactorization, dual_verma_pairing_expected,
                     endo_character, ext_character, hook_identity_check,
                     hook_polynomial, solve_eis, solve_eis_from_character,

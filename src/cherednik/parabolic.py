@@ -11,7 +11,7 @@ ambient space h (so the degrees multiset always has n = dim h entries).
 from __future__ import annotations
 
 from .cyclotomic import scalar_payload
-from .errors import CherednikError
+from .errors import CherednikError, DimensionMismatch
 from .groups import _closure
 from .series import DEFAULT_TRUNCATION
 from .verma import endo_character
@@ -55,6 +55,9 @@ def make_context(group, param, point):
     """Orbit, stabilizer (with Steinberg check) and restricted parameter."""
     group.degrees   # rejects a group that is not a reflection group
     point = tuple(point)
+    if len(point) != group.n:
+        raise DimensionMismatch(f"a point of h* for {group.name} needs n = "
+                                f"{group.n} coordinates, got {len(point)}")
     gen_idx = list(group.generators.values())
     orbit = _closure([point], lambda q: [group.act_hstar(g, q)
                                          for g in gen_idx])

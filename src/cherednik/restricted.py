@@ -1,21 +1,19 @@
-"""The restricted quotient: an explicit |W|^3-dimensional algebra, its baby
-Verma modules and their simple heads, the center, and the block partition.
+"""Baby Verma modules, their simple heads, End and linkage, and the restricted
+quotient as an explicit |W|^3-dimensional algebra on top of them.
 
-Basis: (coinvariant monomial in x) x (group element) x (coinvariant monomial
-in y).  Products are straightened in the full algebra and then reduced on the
-x side modulo the fiber ideal of a point b of h/W (default 0) and on the y
-side modulo the augmentation fiber at 0 (so the quotient is graded when
-b = 0).  Multiplication rows are materialized lazily.
+``StandardModules`` builds Delta_b(lambda) = (x-coinvariants at a fiber point
+b of h/W, default 0) (x) lambda from the x side alone, with no cap.  Heads
+come from the grading (off the graded fiber, from the acting image), End and
+e L dimensions from group-algebra elements acting on modules, and at b = 0
+the blocks are the linkage classes of the graded decomposition numbers
+[Delta(lambda) : L(mu)[k]], peeled from W-characters alone.
 
-The center is solved one degree at a time, on first use (the quotient is
-graded at b = 0, so the center is spanned by homogeneous elements), by
-intersecting the kernels of the adjoint maps of the algebra generators.
-Simple heads of graded modules come from the grading too: the radical is
-built degree by degree from the lowest one.  At b = 0 the blocks are the
-linkage classes of the graded decomposition numbers [Delta(lambda) :
-L(mu)[k]], peeled from W-characters alone, and are cross-checked against
-the central characters of the degree-0 center Z_0 on the baby Vermas.  The
-primitive idempotents of Z_0 count the blocks at any fiber point.
+``RestrictedCherednikAlgebra`` adds the algebra, under a cap on |W|^3: basis
+(x-coinvariant monomial) x (group element) x (y-coinvariant monomial), each
+product straightened and reduced at b on the x side and at 0 on the y side on
+first use, and the center, one degree at a time where it is read.  Central
+characters cross-check the linkage blocks, and the primitive idempotents of
+Z_0 count the blocks at any fiber point.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ class FDModule:
 
     def __init__(self, parent, dim, x, y, w_action, weights=None, label=None,
                  rep=None):
-        self.parent = parent          # RestrictedCherednikAlgebra
+        self.parent = parent          # StandardModules
         self.dim = dim
         self.x = x
         self.y = y
@@ -92,11 +90,12 @@ class FDModule:
             self._mono[key] = mat
         return mat
 
-    def act_vector(self, vec):
-        """Action matrix of an algebra element given as {basis index: coeff}."""
+    def act_terms(self, terms):
+        """Action matrix of the sum of c * x^a w y^b over ``terms``, PBW keys
+        {(a, w, b): c} of any degree: the module's matrices reduce them."""
         out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for idx, c in vec.items():
-            mat = self.monomial_matrix(self.parent.basis[idx])
+        for key, c in terms.items():
+            mat = self.monomial_matrix(key)
             for i in range(self.dim):
                 row = mat[i]
                 orow = out[i]
@@ -104,6 +103,11 @@ class FDModule:
                     if row[j]:
                         orow[j] = orow[j] + c * row[j]
         return out
+
+    def act_vector(self, vec):
+        """Action matrix of a parent algebra element {basis index: coeff}."""
+        basis = self.parent.basis
+        return self.act_terms({basis[i]: c for i, c in vec.items()})
 
     def __repr__(self):
         lbl = f", label={self.label!r}" if self.label is not None else ""
@@ -171,8 +175,296 @@ class BlockPartition:
         return f"BlockPartition({[list(b.labels) for b in self.blocks]!r})"
 
 
-class RestrictedCherednikAlgebra:
-    """H restricted at a fiber point b (default 0) as a concrete algebra."""
+class StandardModules:
+    """Baby Vermas Delta_b(lambda) at a fiber point b (default 0), their
+    simple heads, End and e L dimensions, and at b = 0 their linkage classes.
+    Only the x side is built, so there is no cap but the group order."""
+
+    def __init__(self, algebra, b_point=None):
+        group = algebra.group
+        if b_point is None:
+            b_point = (ZERO,) * group.n
+        elif len(b_point) != group.n:
+            raise DimensionMismatch(
+                f"a fiber point of {group.name} needs n = {group.n} "
+                f"coordinates, got {len(b_point)}")
+        self.algebra = algebra
+        self.group = group
+        self.itx = group.invariant_theory("x")
+        self.b_point = tuple(b_point)
+        self.x_values = self.itx.invariant_values_at(self.b_point)
+        self._x_fiber = self.itx.fiber(self.x_values)
+        self.graded = not any(self.x_values)
+        self.x_basis = self.itx.coinv_monomials()
+        self._module_cache = {}
+        self._head_cache = {}
+
+    # ---- baby Verma modules ----------------------------------------------------
+    def baby_verma(self, rep):
+        """Delta(0, rep, b): the standard module with its graded structure."""
+        if rep.group is not self.group:
+            raise DimensionMismatch(
+                f"irreducible {rep.label!r} is not one of {self.group.name}")
+        if rep.label in self._module_cache:
+            return self._module_cache[rep.label]
+        fiber, ident = self._x_fiber, self.group.identity
+
+        def x_image(i):
+            # x_i times the coinvariant part
+            return lambda m: (((m2, ident), c) for m2, c in
+                              fiber[m[:i] + (m[i] + 1,) + m[i + 1:]].items())
+
+        def y_image(j):
+            # the commutator [y_j, x^m], as y_j kills rep
+            return lambda m: (((m2, s), c * c2) for (e, s), c in
+                              self.algebra._comm_mono(j, m).items()
+                              for m2, c2 in fiber[e].items())
+
+        def w_image(w):
+            return lambda m: (((m2, w), c) for m2, c in self.itx.reduce(
+                self.itx._act_monomial(w, m), self.x_values).items())
+
+        mod = FDModule(
+            self, len(self.x_basis) * rep.dim,
+            [self._induced(rep, x_image(i)) for i in range(self.group.n)],
+            [self._induced(rep, y_image(j)) for j in range(self.group.n)],
+            lambda w: self._induced(rep, w_image(w)),
+            weights=([sum(m) for m in self.x_basis for _t in range(rep.dim)]
+                     if self.graded else None),
+            label=rep.label, rep=rep)
+        self._module_cache[rep.label] = mod
+        return mod
+
+    def _induced(self, rep, image):
+        """Matrix on (coinvariant monomials) (x) rep of m (x) v -> sum of
+        c * m2 (x) rep(s) v over the ((m2, s), c) that ``image(m)`` yields."""
+        r = rep.dim
+        dim = len(self.x_basis) * r
+        slot = {m: k * r for k, m in enumerate(self.x_basis)}
+        mat = [[ZERO] * dim for _ in range(dim)]
+        for m in self.x_basis:
+            col = slot[m]
+            for (m2, s), c in image(m):
+                rho, row = rep.matrix(s), slot[m2]
+                for t in range(r):
+                    for t2 in range(r):
+                        if rho[t2][t]:
+                            mat[row + t2][col + t] += c * rho[t2][t]
+        return mat
+
+    # ---- simple heads ---------------------------------------------------------------
+    def acting_image(self, mod):
+        """Basis of the image of the algebra in End(M): the identity closed
+        under left multiplication by the generator actions."""
+        gens = mod.generators()
+        dim = mod.dim
+        basis = []
+        span = Echelon(dim * dim)
+        queue = [identity(dim)]
+        while queue:
+            mat = queue.pop()
+            if span.add([v for row in mat for v in row]):
+                basis.append(mat)
+                queue.extend(mat_mul(g, mat) for g in gens)
+        return basis
+
+    def radical_of_image(self, basis):
+        """Basis of the radical of the acting image: the kernel of its trace
+        form tr(ab) = sum of a_ij b_ji (characteristic 0)."""
+        dim = len(basis[0])
+        nonzero = [[(i * dim + j, v) for i, row in enumerate(a)
+                    for j, v in enumerate(row) if v] for a in basis]
+        flat_t = [[v for col in zip(*b) for v in col] for b in basis]
+        gram = [[sum((v * bt[k] for k, v in nz if bt[k]), ZERO)
+                 for bt in flat_t] for nz in nonzero]
+        return [[[sum((c * a[i][j] for c, a in zip(vec, basis) if c), ZERO)
+                  for j in range(dim)] for i in range(dim)]
+                for vec in kernel_basis(gram, len(basis))]
+
+    def _image_radical(self, mod):
+        """Echelon of J(A) M through the acting image's trace-form radical:
+        the route for modules without a grading (b != 0)."""
+        dim = mod.dim
+        rad = self.radical_of_image(self.acting_image(mod))
+        return echelon([[j[i][col] for i in range(dim)]
+                        for j in rad for col in range(dim)], dim)
+
+    def _graded_radical(self, mod):
+        """Echelon of the radical J of a graded module, degree by degree.
+
+        Every graded module built here, a baby Verma at b = 0 or a head of
+        one, is generated by its lowest degree, an irreducible W-module, and
+        each y_j lowers the degree by one.  So J is the largest submodule
+        that misses the lowest degree: J is 0 there, and
+        J_d = {v in M_d : y_j v in J_(d-1) for every j}.  The space so
+        defined is stable under y and W, and under x as [y_j, x_i] lies in
+        the group algebra.
+        """
+        by_degree = {}
+        for k, d in enumerate(mod.weights):
+            by_degree.setdefault(d, []).append(k)
+        jm = Echelon(mod.dim)
+        for d in sorted(by_degree)[1:]:
+            idxs = by_degree[d]
+            # constraint rows, sparse over the degree, keyed (j, coordinate):
+            # y_j e_k reduced against the rows of J found so far
+            rows = {}
+            for col, k in enumerate(idxs):
+                for j, y in enumerate(mod.y):
+                    residual, _ = jm.reduce([row[k] for row in y])
+                    for i, val in residual.items():
+                        rows.setdefault((j, i), {})[col] = val
+            for vec in kernel_basis(list(rows.values()), len(idxs)):
+                jm.add({idxs[t]: c for t, c in enumerate(vec) if c})
+        return jm
+
+    def simple_head(self, mod):
+        """M / J(A) M, with the radical J(A) M from the grading when M has
+        one and from the acting image otherwise."""
+        jm = (self._image_radical(mod) if mod.weights is None
+              else self._graded_radical(mod))
+        keep = [i for i in range(mod.dim) if i not in jm.rows]
+
+        def induce(mat):
+            # the columns of the kept basis vectors, reduced modulo J(A) M
+            cols = [jm.reduce([row[i] for row in mat])[0] for i in keep]
+            return [[col.get(i, ZERO) for col in cols] for i in keep]
+
+        return FDModule(self, len(keep), [induce(m) for m in mod.x],
+                        [induce(m) for m in mod.y],
+                        lambda widx: induce(mod.w_matrix(widx)),
+                        weights=([mod.weights[i] for i in keep]
+                                 if mod.weights is not None else None),
+                        label=mod.label, rep=mod.rep)
+
+    def singular_vectors(self, mod):
+        """Basis of M^{y=0}, the vectors every y_j kills."""
+        return kernel_basis([row for y in mod.y for row in y], mod.dim)
+
+    def is_simple(self, mod):
+        """Is M simple (over the splitting field)?  A graded module built
+        here is generated by its lowest degree, an irreducible W-module, and
+        y lowers the degree, so every nonzero submodule meets M^{y=0} and a
+        singular vector of higher degree generates a proper submodule: M is
+        simple exactly when M^{y=0} is its lowest degree.  Off the graded
+        fiber y may kill a simple module; there M is simple exactly when the
+        algebra acts by all of End(M) (Burnside)."""
+        if mod.weights is None:
+            return len(self.acting_image(mod)) == mod.dim ** 2
+        return len(self.singular_vectors(mod)) == mod.weights.count(
+            min(mod.weights))
+
+    def endomorphism_dimension(self, mod):
+        """dim Hom(Delta(rep), M) = multiplicity of rep in M^{y=0}
+        (Frobenius reciprocity): the rank of the isotypic idempotent
+        (dim rep / |W|) sum_w chi(w^-1) w on M^{y=0}, over dim rep.  That
+        is dim End(M) for the only modules the library builds, Delta_b(rep)
+        at any fiber and its head: the head is semisimple, so every map from
+        Delta_b(rep) to it factors through it."""
+        rep = mod.rep
+        if rep is None:
+            raise CherednikError(f"module {mod.label!r} has no irreducible "
+                                 "to count endomorphisms through")
+        group = self.group
+        scale = Fraction(rep.dim, group.order)
+        zero = (0,) * group.n
+        mat = mod.act_terms({(zero, w, zero): c for w in range(group.order)
+                             if (c := scale * rep.char(group.inv(w)))})
+        return rank([mat_vec(mat, v) for v in self.singular_vectors(mod)],
+                    mod.dim) // rep.dim
+
+    def simple_module(self, rep):
+        if rep.label not in self._head_cache:
+            head = self.simple_head(self.baby_verma(rep))
+            if not self.is_simple(head):
+                raise NotSimpleHead(f"head of the standard module "
+                                    f"{head.label!r} is not simple")
+            self._head_cache[rep.label] = head
+        return self._head_cache[rep.label]
+
+    def dim_e_simple(self, rep):
+        """Rank of the averaging idempotent on the simple head L(rep)."""
+        head = self.simple_module(rep)
+        return rank(head.act_terms(self.algebra.symmetrizer().terms), head.dim)
+
+    # ---- linkage ------------------------------------------------------------------
+    def _graded_character(self, mod):
+        """Trace of each class representative on each degree of a graded
+        module: {degree: [trace per class]}."""
+        mats = [mod.w_matrix(w) for w in self.group.class_representatives]
+        out = {}
+        for k, d in enumerate(mod.weights):
+            row = out.setdefault(d, [ZERO] * len(mats))
+            for c, mat in enumerate(mats):
+                row[c] += mat[k][k]
+        return out
+
+    def _decompose(self, chi):
+        """(irreducible, multiplicity) for each irreducible whose
+        multiplicity in the class function ``chi`` (values on the class
+        representatives) is nonzero."""
+        out = []
+        for rep in self.group.irreps:
+            m = self.group.multiplicity(rep, chi)
+            if m:
+                out.append((rep, m))
+        return out
+
+    def _composition_factors(self, rep, heads):
+        """[Delta(rep) : L(mu)[k]] as {(mu label, k): multiplicity}.
+
+        L(mu) has mu alone in its lowest degree, so the lowest degree of
+        what is left of the graded character of Delta(rep) is a sum of the
+        mu with multiplicity [Delta(rep) : L(mu)[k]]: peel it off by the
+        character inner product and subtract each m * ch L(mu) shifted
+        there.  ``heads`` holds the graded character of each L(mu), lowest
+        degree 0.
+        """
+        left = self._graded_character(self.baby_verma(rep))
+        top = max(left)
+        factors = {}
+        for k in sorted(left):
+            for mu, m in self._decompose(left[k]):
+                if not (isinstance(m, Fraction) and m.denominator == 1
+                        and m > 0):
+                    raise CompositionMismatch(
+                        f"multiplicity {m} of L({mu.label!r})[{k}] in the "
+                        f"baby Verma {rep.label!r} is not a non-negative "
+                        "integer")
+                for d, chi in heads[mu.label].items():
+                    if d + k > top:
+                        raise CompositionMismatch(
+                            f"L({mu.label!r})[{k}] runs past the top degree "
+                            f"{top} of the baby Verma {rep.label!r}")
+                    left[d + k] = [a - m * b
+                                   for a, b in zip(left[d + k], chi)]
+                factors[(mu.label, k)] = m
+            if any(left[k]):
+                raise CompositionMismatch(
+                    f"the heads leave a remainder in degree {k} of the baby "
+                    f"Verma {rep.label!r}")
+        return factors
+
+    def _linkage_classes(self):
+        """Blocks as the linkage classes of the graded decomposition
+        numbers: lambda and mu are linked when L(mu)[k] is a composition
+        factor of Delta(lambda) (each Delta(lambda) has a simple head at
+        b = 0).  A list of label sets."""
+        irreps = self.group.irreps
+        heads = {rep.label: self._graded_character(self.simple_module(rep))
+                 for rep in irreps}
+        classes = []
+        for rep in irreps:
+            linked = {mu for mu, _k in self._composition_factors(rep, heads)}
+            linked.add(rep.label)
+            classes = ([c for c in classes if not c & linked]
+                       + [linked.union(*(c for c in classes if c & linked))])
+        return classes
+
+
+class RestrictedCherednikAlgebra(StandardModules):
+    """H restricted at a fiber point b (default 0) as a concrete algebra: the
+    |W|^3 basis, products, the center and the block partition, under a cap."""
 
     def __init__(self, algebra, b_point=None, cap=RESTRICTED_CAP,
                  backend="pbw"):
@@ -184,29 +476,17 @@ class RestrictedCherednikAlgebra:
             raise ValueError("backend must be 'pbw' or 'skew'")
         if backend == "skew" and not algebra.param.is_zero():
             raise ValueError("the skew backend is only valid at c = 0")
-        self.algebra = algebra
-        self.group = group
+        super().__init__(algebra, b_point)
         self.backend = backend
-        self.itx = group.invariant_theory("x")
-        self.ity = group.invariant_theory("y")
-        if b_point is None:
-            b_point = (ZERO,) * group.n
-        self.b_point = tuple(b_point)
-        self.x_values = self.itx.invariant_values_at(self.b_point)
-        self.y_values = (ZERO,) * group.n
-        self._x_fiber = self.itx.fiber(self.x_values)
-        self._y_fiber = self.ity.fiber(self.y_values)
-        self.graded = not any(self.x_values)
-        self.x_basis = self.itx.coinv_monomials()
-        self.y_basis = self.ity.coinv_monomials()
+        ity = group.invariant_theory("y")
+        self._y_fiber = ity.fiber((ZERO,) * group.n)
+        y_basis = ity.coinv_monomials()
         self.basis = [(a, w, b) for a in self.x_basis
-                      for w in range(group.order) for b in self.y_basis]
+                      for w in range(group.order) for b in y_basis]
         self.dim = len(self.basis)
         self.index = {key: i for i, key in enumerate(self.basis)}
         self._pair_cache = {}
         self._center_slices = {}      # degree -> Echelon of Z_d, on demand
-        self._module_cache = {}
-        self._head_cache = {}
         # (sparse vector, degree) of x_0, y_0, x_1, y_1, ... and then of the
         # group generators; every degree is 0 off the graded fiber
         step = 1 if self.graded else 0
@@ -340,207 +620,6 @@ class RestrictedCherednikAlgebra:
                 prods[j][i] = coords
         return prods, coordinates(self.unit)
 
-    # ---- baby Verma modules ----------------------------------------------------
-    def baby_verma(self, rep):
-        """Delta(0, rep, b): the standard module with its graded structure."""
-        if rep.group is not self.group:
-            raise DimensionMismatch(
-                f"irreducible {rep.label!r} is not one of {self.group.name}")
-        key = rep.label
-        if key in self._module_cache:
-            return self._module_cache[key]
-        fiber, ident = self._x_fiber, self.group.identity
-
-        def x_image(i):
-            # x_i times the coinvariant part
-            return lambda m: (((m2, ident), c) for m2, c in
-                              fiber[m[:i] + (m[i] + 1,) + m[i + 1:]].items())
-
-        def y_image(j):
-            # the commutator [y_j, x^m], as y_j kills rep
-            return lambda m: (((m2, s), c * c2) for (e, s), c in
-                              self.algebra._comm_mono(j, m).items()
-                              for m2, c2 in fiber[e].items())
-
-        def w_image(w):
-            return lambda m: (((m2, w), c) for m2, c in self.itx.reduce(
-                self.itx._act_monomial(w, m), self.x_values).items())
-
-        n = self.group.n
-        mod = FDModule(
-            self, len(self.x_basis) * rep.dim,
-            [self._induced(rep, x_image(i)) for i in range(n)],
-            [self._induced(rep, y_image(j)) for j in range(n)],
-            lambda w: self._induced(rep, w_image(w)),
-            weights=([sum(m) for m in self.x_basis for _t in range(rep.dim)]
-                     if self.graded else None),
-            label=rep.label, rep=rep)
-        self._module_cache[key] = mod
-        return mod
-
-    def _induced(self, rep, image):
-        """Matrix on (coinvariant monomials) (x) rep of m (x) v -> sum of
-        c * m2 (x) rep(s) v over the ((m2, s), c) that ``image(m)`` yields."""
-        r = rep.dim
-        dim = len(self.x_basis) * r
-        slot = {m: k * r for k, m in enumerate(self.x_basis)}
-        mat = [[ZERO] * dim for _ in range(dim)]
-        for m in self.x_basis:
-            col = slot[m]
-            for (m2, s), c in image(m):
-                rho, row = rep.matrix(s), slot[m2]
-                for t in range(r):
-                    for t2 in range(r):
-                        if rho[t2][t]:
-                            mat[row + t2][col + t] += c * rho[t2][t]
-        return mat
-
-    # ---- simple heads ---------------------------------------------------------------
-    def acting_image(self, mod):
-        """Basis of the image of the algebra in End(M): the identity closed
-        under left multiplication by the generator actions."""
-        gens = mod.generators()
-        dim = mod.dim
-        basis = []
-        span = Echelon(dim * dim)
-        queue = [identity(dim)]
-        while queue:
-            mat = queue.pop()
-            if span.add([v for row in mat for v in row]):
-                basis.append(mat)
-                queue.extend(mat_mul(g, mat) for g in gens)
-        return basis
-
-    def radical_of_image(self, basis):
-        """Basis of the radical of the acting image: the kernel of its trace
-        form tr(ab) = sum of a_ij b_ji (characteristic 0)."""
-        dim = len(basis[0])
-        nonzero = [[(i * dim + j, v) for i, row in enumerate(a)
-                    for j, v in enumerate(row) if v] for a in basis]
-        flat_t = [[v for col in zip(*b) for v in col] for b in basis]
-        gram = [[sum((v * bt[k] for k, v in nz if bt[k]), ZERO)
-                 for bt in flat_t] for nz in nonzero]
-        return [[[sum((c * a[i][j] for c, a in zip(vec, basis) if c), ZERO)
-                  for j in range(dim)] for i in range(dim)]
-                for vec in kernel_basis(gram, len(basis))]
-
-    def _image_radical(self, mod):
-        """Echelon of J(A) M through the acting image's trace-form radical:
-        the route for modules without a grading (b != 0)."""
-        dim = mod.dim
-        rad = self.radical_of_image(self.acting_image(mod))
-        return echelon([[j[i][col] for i in range(dim)]
-                        for j in rad for col in range(dim)], dim)
-
-    def _graded_radical(self, mod):
-        """Echelon of the radical J of a graded module, degree by degree.
-
-        Every graded module built here, a baby Verma at b = 0 or a head of
-        one, is generated by its lowest degree, an irreducible W-module, and
-        each y_j lowers the degree by one.  So J is the largest submodule
-        that misses the lowest degree: J is 0 there, and
-        J_d = {v in M_d : y_j v in J_(d-1) for every j}.  The space so
-        defined is stable under y and W, and under x as [y_j, x_i] lies in
-        the group algebra.
-        """
-        by_degree = {}
-        for k, d in enumerate(mod.weights):
-            by_degree.setdefault(d, []).append(k)
-        jm = Echelon(mod.dim)
-        for d in sorted(by_degree)[1:]:
-            idxs = by_degree[d]
-            # constraint rows, sparse over the degree, keyed (j, coordinate):
-            # y_j e_k reduced against the rows of J found so far
-            rows = {}
-            for col, k in enumerate(idxs):
-                for j, y in enumerate(mod.y):
-                    residual, _ = jm.reduce([row[k] for row in y])
-                    for i, val in residual.items():
-                        rows.setdefault((j, i), {})[col] = val
-            for vec in kernel_basis(list(rows.values()), len(idxs)):
-                jm.add({idxs[t]: c for t, c in enumerate(vec) if c})
-        return jm
-
-    def simple_head(self, mod):
-        """M / J(A) M, with the radical J(A) M from the grading when M has
-        one and from the acting image otherwise."""
-        jm = (self._image_radical(mod) if mod.weights is None
-              else self._graded_radical(mod))
-        dim = mod.dim
-        keep = [i for i in range(dim) if i not in jm.rows]
-        hdim = len(keep)
-
-        def project(vec):
-            residual, _ = jm.reduce(vec)
-            return [residual.get(i, ZERO) for i in keep]
-
-        def induce(mat):
-            cols = []
-            for i in keep:
-                col = [mat[r][i] for r in range(dim)]
-                cols.append(project(col))
-            return [[cols[j][i] for j in range(hdim)] for i in range(hdim)]
-
-        head = FDModule(self, hdim, [induce(m) for m in mod.x],
-                        [induce(m) for m in mod.y],
-                        lambda widx: induce(mod.w_matrix(widx)),
-                        weights=([mod.weights[i] for i in keep]
-                                 if mod.weights is not None else None),
-                        label=mod.label, rep=mod.rep)
-        return head
-
-    def singular_vectors(self, mod):
-        """Basis of M^{y=0}, the vectors every y_j kills."""
-        return kernel_basis([row for y in mod.y for row in y], mod.dim)
-
-    def is_simple(self, mod):
-        """Is M simple (over the splitting field)?  A graded module built
-        here is generated by its lowest degree, an irreducible W-module, and
-        y lowers the degree, so every nonzero submodule meets M^{y=0} and a
-        singular vector of higher degree generates a proper submodule: M is
-        simple exactly when M^{y=0} is its lowest degree.  Off the graded
-        fiber y may kill a simple module; there M is simple exactly when the
-        algebra acts by all of End(M) (Burnside)."""
-        if mod.weights is None:
-            return len(self.acting_image(mod)) == mod.dim ** 2
-        return len(self.singular_vectors(mod)) == mod.weights.count(
-            min(mod.weights))
-
-    def endomorphism_dimension(self, mod):
-        """dim Hom(Delta(rep), M) = multiplicity of rep in M^{y=0}
-        (Frobenius reciprocity): the rank of the isotypic idempotent
-        (dim rep / |W|) sum_w chi(w^-1) w on M^{y=0}, over dim rep.  That
-        is dim End(M) for the only modules the library builds, Delta_b(rep)
-        at any fiber and its head: the head is semisimple, so every map from
-        Delta_b(rep) to it factors through it."""
-        rep = mod.rep
-        if rep is None:
-            raise CherednikError(f"module {mod.label!r} has no irreducible "
-                                 "to count endomorphisms through")
-        group = self.group
-        scale = Fraction(rep.dim, group.order)
-        proj = {}
-        for w in range(group.order):
-            _axpy(proj, self.reduce_pbw(self.algebra.grp(w)),
-                  scale * rep.char(group.inv(w)))
-        mat = mod.act_vector(proj)
-        return rank([mat_vec(mat, v) for v in self.singular_vectors(mod)],
-                    mod.dim) // rep.dim
-
-    def simple_module(self, rep):
-        if rep.label not in self._head_cache:
-            head = self.simple_head(self.baby_verma(rep))
-            if not self.is_simple(head):
-                raise NotSimpleHead(f"head of the standard module "
-                                    f"{head.label!r} is not simple")
-            self._head_cache[rep.label] = head
-        return self._head_cache[rep.label]
-
-    def dim_e_simple(self, rep):
-        """Rank of the averaging idempotent on the simple head L(rep)."""
-        head = self.simple_module(rep)
-        e = self.reduce_pbw(self.algebra.symmetrizer())
-        return rank(head.act_vector(e), head.dim)
 
     # ---- blocks -----------------------------------------------------------------
     def _central_character(self, rep):
@@ -574,79 +653,6 @@ class RestrictedCherednikAlgebra:
     def block_count(self, seed=0):
         """Number of blocks (primitive central idempotents); any fiber point."""
         return len(self.central_idempotents(seed))
-
-    def _graded_character(self, mod):
-        """Trace of each class representative on each degree of a graded
-        module: {degree: [trace per class]}."""
-        mats = [mod.w_matrix(w) for w in self.group.class_representatives]
-        out = {}
-        for k, d in enumerate(mod.weights):
-            row = out.setdefault(d, [ZERO] * len(mats))
-            for c, mat in enumerate(mats):
-                row[c] += mat[k][k]
-        return out
-
-    def _decompose(self, chi):
-        """(irreducible, multiplicity) for each irreducible whose
-        multiplicity in the class function ``chi`` (values on the class
-        representatives) is nonzero."""
-        out = []
-        for rep in self.group.irreps:
-            m = self.group.multiplicity(rep, chi)
-            if m:
-                out.append((rep, m))
-        return out
-
-    def _composition_factors(self, rep, heads):
-        """[Delta(rep) : L(mu)[k]] as {(mu label, k): multiplicity}.
-
-        L(mu) has mu alone in its lowest degree, so the lowest degree of
-        what is left of the graded character of Delta(rep) is a sum of the
-        mu with multiplicity [Delta(rep) : L(mu)[k]]: peel it off by the
-        character inner product and subtract each m * ch L(mu) shifted
-        there.  ``heads`` holds the graded character of each L(mu), lowest
-        degree 0.
-        """
-        left = self._graded_character(self.baby_verma(rep))
-        top = max(left)
-        factors = {}
-        for k in sorted(left):
-            for mu, m in self._decompose(left[k]):
-                if not (isinstance(m, Fraction) and m.denominator == 1
-                        and m > 0):
-                    raise CompositionMismatch(
-                        f"multiplicity {m} of L({mu.label!r})[{k}] in the "
-                        f"baby Verma {rep.label!r} is not a non-negative "
-                        "integer")
-                for d, chi in heads[mu.label].items():
-                    if d + k > top:
-                        raise CompositionMismatch(
-                            f"L({mu.label!r})[{k}] runs past the top degree "
-                            f"{top} of the baby Verma {rep.label!r}")
-                    left[d + k] = [a - m * b
-                                   for a, b in zip(left[d + k], chi)]
-                factors[(mu.label, k)] = m
-            if any(left[k]):
-                raise CompositionMismatch(
-                    f"the heads leave a remainder in degree {k} of the baby "
-                    f"Verma {rep.label!r}")
-        return factors
-
-    def _linkage_classes(self):
-        """Blocks as the linkage classes of the graded decomposition
-        numbers: lambda and mu are linked when L(mu)[k] is a composition
-        factor of Delta(lambda) (each Delta(lambda) has a simple head at
-        b = 0).  A list of label sets."""
-        irreps = self.group.irreps
-        heads = {rep.label: self._graded_character(self.simple_module(rep))
-                 for rep in irreps}
-        classes = []
-        for rep in irreps:
-            linked = {mu for mu, _k in self._composition_factors(rep, heads)}
-            linked.add(rep.label)
-            classes = ([c for c in classes if not c & linked]
-                       + [linked.union(*(c for c in classes if c & linked))])
-        return classes
 
     def cm_partition(self, seed=0, verify=True):
         """Blocks by linkage of graded decomposition numbers, cross-checked
@@ -736,12 +742,10 @@ def build_restricted(group, param, b_point=None, cap=RESTRICTED_CAP,
 
 def act_on_baby_verma(element, mod):
     """Matrix of a PBW element on a baby Verma module."""
-    parent = mod.parent
-    if element.algebra is not parent.algebra:
+    if element.algebra is not mod.parent.algebra:
         raise DimensionMismatch(
             "element and module live over different algebras")
-    vec = parent.reduce_pbw(element)
-    return mod.act_vector(vec)
+    return mod.act_terms(element.terms)
 
 
 def baby_verma(group, param, rep_label, p=None, b_point=None):
@@ -754,8 +758,6 @@ def baby_verma(group, param, rep_label, p=None, b_point=None):
     if p is not None and any(p):
         from .parabolic import make_context
         ctx = make_context(group, param, p)
-        rest = build_restricted(ctx.stabilizer, ctx.restricted_param,
-                                b_point=b_point)
-        return rest.baby_verma(ctx.stabilizer.irrep(rep_label))
-    rest = build_restricted(group, param, b_point=b_point)
-    return rest.baby_verma(group.irrep(rep_label))
+        group, param = ctx.stabilizer, ctx.restricted_param
+    modules = StandardModules(CherednikAlgebra(group, param), b_point)
+    return modules.baby_verma(group.irrep(rep_label))

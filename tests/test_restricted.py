@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import cherednik
 from cherednik.errors import (CapExceeded, CherednikError, CompositionMismatch,
-                              TieDetected)
+                              DimensionMismatch, TieDetected)
 from cherednik.groups import build_group, build_i2, build_sn, build_zm
-from cherednik.linalg import (_add_term, echelon, kernel_basis, mat_mul, rank,
-                              trace)
-from cherednik.pbw import Parameter
-from cherednik.restricted import (FDModule, act_on_baby_verma,
+from cherednik.linalg import (_add_term, _axpy, echelon, kernel_basis,
+                              mat_mul, mat_vec, rank, trace)
+from cherednik.parabolic import make_context
+from cherednik.pbw import CherednikAlgebra, Parameter, PBWElement
+from cherednik.restricted import (FDModule, RestrictedCherednikAlgebra,
+                                  StandardModules, act_on_baby_verma,
                                   build_restricted, distinguished_rep)
 from cherednik.verify import CM_GRID
 from conftest import algebra, group, parameter, partition, restricted
@@ -640,6 +643,92 @@ def test_ungraded_head_at_free_orbit():
     mod = R.baby_verma(g.irrep("chi0"))
     assert mod.dim == 2 and mod.weights is None
     assert R.simple_head(mod).dim == 2
+
+
+@pytest.mark.parametrize("spec,point", [
+    ("Zm:2", (1, 2)), ("Zm:2", ()), ("Sn:3:reduced", (1, 0, 0)),
+    ("Sn:3:reduced", (1,))])
+@pytest.mark.parametrize("build", [
+    lambda g, par, p: build_restricted(g, par, b_point=p),
+    lambda g, par, p: StandardModules(CherednikAlgebra(g, par), p),
+    lambda g, par, p: make_context(g, par, p),
+], ids=["restricted", "modules", "context"])
+def test_a_point_of_the_wrong_length_is_refused(spec, point, build):
+    g = group(spec)
+    message = f"needs n = {g.n} coordinates, got {len(point)}"
+    with pytest.raises(DimensionMismatch, match=message):
+        build(g, parameter(spec, "1"), tuple(F(v) for v in point))
+
+
+def _end_by_reduced_projector(R, mod):
+    """endomorphism_dimension through the |W|^3 index: the isotypic
+    projector reduced into the algebra, then acting by basis indices."""
+    rep, g = mod.rep, R.group
+    proj = {}
+    for w in range(g.order):
+        _axpy(proj, R.reduce_pbw(R.algebra.grp(w)),
+              F(rep.dim, g.order) * rep.char(g.inv(w)))
+    mat = mod.act_vector(proj)
+    return rank([mat_vec(mat, v) for v in R.singular_vectors(mod)],
+                mod.dim) // rep.dim
+
+
+def _seeded_pbw(H, rng, top):
+    """Three terms x^a w y^b; the first has x-degree and the second
+    y-degree above the coinvariant top ``top``."""
+    terms = {}
+    for k in range(3):
+        a = [rng.randrange(top + 2) for _ in range(H.n)]
+        b = [rng.randrange(top + 2) for _ in range(H.n)]
+        if k == 0:
+            a[0] += top + 1
+        elif k == 1:
+            b[0] += top + 1
+        terms[(tuple(a), rng.randrange(H.group.order), tuple(b))] = \
+            F(rng.choice((-3, -1, 1, 2)))
+    return PBWElement(H, terms)
+
+
+@pytest.mark.parametrize("spec", CM_GRID)
+@pytest.mark.parametrize("ctag,seed", [("zero", 0), ("generic", 1)])
+def test_module_actions_match_the_reduced_algebra(spec, ctag, seed):
+    # the module layer acts by exponents; the oracle reduces into the
+    # |W|^3 basis first and acts by basis indices
+    R = restricted(spec, ctag, seed)
+    H = R.algebra
+    e = R.reduce_pbw(H.symmetrizer())
+    top = max(sum(m) for m in R.x_basis)
+    rng = random.Random(11)
+    for rep in R.group.irreps:
+        mod, head = R.baby_verma(rep), R.simple_module(rep)
+        assert R.dim_e_simple(rep) == rank(head.act_vector(e), head.dim)
+        for m in (mod, head):
+            assert R.endomorphism_dimension(m) == \
+                _end_by_reduced_projector(R, m), (rep.label, m.dim)
+        for _ in range(3):
+            u = _seeded_pbw(H, rng, top)
+            assert act_on_baby_verma(u, mod) == \
+                mod.act_vector(R.reduce_pbw(u)), (rep.label, u)
+
+
+def test_the_module_layer_builds_no_algebra(monkeypatch):
+    # S_4 has |W|^3 = 13824, past RESTRICTED_CAP
+    def refuse(*args, **kwargs):
+        raise AssertionError("the |W|^3 algebra was built")
+
+    monkeypatch.setattr(RestrictedCherednikAlgebra, "__init__", refuse)
+    g = group("Sn:4:reduced")
+    for par, sizes in ((Parameter.zero(g), [5]),
+                       (Parameter.generic(g, 1), [1] * 5)):
+        M = StandardModules(CherednikAlgebra(g, par))
+        assert sorted(map(len, M._linkage_classes())) == sizes
+        if len(sizes) == 5:   # Gordon: every block a singleton at generic c
+            assert [M.dim_e_simple(rep) for rep in g.irreps] == [1] * 5
+        assert not any(hasattr(M, name)
+                       for name in ("basis", "index", "y_basis"))
+    gp = group("Sn:4:permutation")
+    mod = cherednik.baby_verma(gp, Parameter.generic(gp, 1), (3, 1))
+    assert mod.dim == 24 * 3 and not hasattr(mod.parent, "basis")
 
 
 def test_act_on_baby_verma_dimension_mismatch():
