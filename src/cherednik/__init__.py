@@ -17,7 +17,7 @@ from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      SideMismatch, TieDetected, UnsupportedGroup,
                      ZeroPolynomial)
 from .comalg import CommutativeAlgebra, idempotents_of_commutative_algebra
-from .series import BigradedCharacter, GradedCharacter, b_invariant
+from .series import GradedCharacter, b_invariant
 from .groups import (IrrRep, Reflection, ReflectionGroup, build_from_generators,
                      build_group, build_i2, build_sn, build_zm)
 from .pbw import CherednikAlgebra, Parameter, PBWElement

@@ -25,7 +25,7 @@ from .groups import build_from_generators, build_group
 from .parabolic import make_context, reduced_endo_character
 from .pbw import CherednikAlgebra, Parameter
 from .restricted import RESTRICTED_CAP, build_restricted
-from .series import DEFAULT_TRUNCATION
+from .series import DEFAULT_TRUNCATION, payload
 from .verify import SUITES, run_verification
 from .verma import (endo_character, ext_character, hook_identity_check,
                     solve_eis, tor_character, undistinguished_note,
@@ -270,10 +270,10 @@ def cmd_characters(args):
         eis = solve_eis(group, rep, trunc)
         entry["generator_degrees"] = eis.payload()
         if eis.is_solution():
-            entry["tor_character"] = tor_character(group, rep, eis,
-                                                   trunc).to_payload()
-            entry["ext_character"] = ext_character(group, rep, eis,
-                                                   trunc).to_payload()
+            entry["tor_character"] = payload(tor_character(group, rep, eis,
+                                                           trunc))
+            entry["ext_character"] = payload(ext_character(group, rep, eis,
+                                                           trunc))
         else:
             entry["note"] = ("no integer factorization: the endomorphism "
                              "ring is not a polynomial ring for this input")

@@ -12,15 +12,15 @@ the blocks are the linkage classes of the graded decomposition numbers
 (x-coinvariant monomial) x (group element) x (y-coinvariant monomial), each
 product straightened and reduced at b on the x side and at 0 on the y side on
 first use, and the center, one degree at a time where it is read.  Central
-characters cross-check the linkage blocks, and the primitive idempotents of
-Z_0 count the blocks at any fiber point.
+characters cross-check the linkage blocks, and the trace form of Z_0 counts
+the blocks at any fiber point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .comalg import idempotents_of_commutative_algebra
+from .comalg import CommutativeAlgebra
 from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DimensionMismatch, NotSimpleHead, TieDetected)
 from .linalg import (ONE, ZERO, Echelon, _add_term, _axpy, echelon, identity,
@@ -106,7 +106,12 @@ class FDModule:
 
     def act_vector(self, vec):
         """Action matrix of a parent algebra element {basis index: coeff}."""
-        basis = self.parent.basis
+        basis = getattr(self.parent, "basis", ())  # none on StandardModules
+        bad = [i for i in vec if not 0 <= i < len(basis)]
+        if bad:
+            raise DimensionMismatch(
+                f"{bad[0]} is not one of the {len(basis)} basis indices of "
+                "the |W|^3 algebra; act by PBW keys with act_terms")
         return self.act_terms({basis[i]: c for i, c in vec.items()})
 
     def __repr__(self):
@@ -598,8 +603,8 @@ class RestrictedCherednikAlgebra(StandardModules):
         This is all ``block_count`` needs.  A homogeneous central element
         of nonzero degree is nilpotent (its powers leave the finitely many
         degrees), so it lies in the radical of the commutative algebra Z.
-        Hence Z = Z_0 + rad Z, Z_0 / rad Z_0 = Z / rad Z, and the primitive
-        idempotents of Z are those of Z_0.
+        Hence Z = Z_0 + rad Z, Z_0 / rad Z_0 = Z / rad Z, and Z_0 counts
+        the blocks of Z.
         """
         zbasis = self.degree_zero_center()
         ech = self._center_slice(0)
@@ -643,16 +648,13 @@ class RestrictedCherednikAlgebra(StandardModules):
             values.append(value)
         return tuple(values)
 
-    def central_idempotents(self, seed=0):
-        """Primitive central idempotents, as coordinates over the Z_0 basis
-        (``degree_zero_center``); they lie in Z_0 (``center_structure``)."""
+    def block_count(self):
+        """Number of blocks over the algebraic closure, at any fiber point:
+        dim Z_0 / rad Z_0, the radical being the kernel of the trace form
+        (``center_structure``)."""
         prods, unit_coords = self.center_structure()
-        return idempotents_of_commutative_algebra(
-            prods, unit_coords, conductor=self.group.conductor, seed=seed)
-
-    def block_count(self, seed=0):
-        """Number of blocks (primitive central idempotents); any fiber point."""
-        return len(self.central_idempotents(seed))
+        return len(prods) - len(
+            CommutativeAlgebra(prods, unit_coords).radical_basis())
 
     def cm_partition(self, seed=0, verify=True):
         """Blocks by linkage of graded decomposition numbers, cross-checked

@@ -1,9 +1,10 @@
-"""Graded and bigraded characters: Laurent polynomials / truncated series in q
-(and t) with exact rational coefficients.
+"""Graded characters: Laurent polynomials / truncated series in q with exact
+rational coefficients.
 
 A GradedCharacter with ``truncation=None`` is an exact Laurent polynomial;
 otherwise its coefficients are trusted only for exponents <= truncation, and
-every comparison says so.
+every comparison says so.  A character bigraded by t is the list of its
+t-slices, slice k the coefficient of t^k; ``payload`` is the one wire form.
 """
 
 from __future__ import annotations
@@ -84,10 +85,20 @@ class GradedCharacter:
     def __sub__(self, other):
         return self + (-other)
 
+    def _lowest(self):
+        """Lowest exponent the series can have, unknown tail included."""
+        low = min(self.coeffs, default=0)
+        return low if self.truncation is None else min(low, self.truncation + 1)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        t = self._join_trunc(other)
+        # an operand known to q^T, times one reaching down to q^m < 0, is
+        # known to q^(T + m) only
+        ts = [a.truncation + min(0, b._lowest())
+              for a, b in ((self, other), (other, self))
+              if a.truncation is not None]
+        t = min(ts) if ts else None
         out = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
@@ -109,6 +120,9 @@ class GradedCharacter:
         return GradedCharacter({e + k: v for e, v in self.coeffs.items()}, t)
 
     def truncate(self, order):
+        """Cut at q^order; a truncated series keeps its own order if lower."""
+        if self.truncation is not None:
+            order = min(order, self.truncation)
         return GradedCharacter(self.coeffs, order)
 
     def series_inverse(self, truncation):
@@ -175,19 +189,28 @@ class GradedCharacter:
         return s
 
     def to_payload(self):
-        """Wire form: {truncation, terms: [[q_exp, t_exp, num, den]]}."""
-        terms = [[e, 0, v.numerator, v.denominator]
-                 for e, v in sorted(self.coeffs.items())]
-        trunc = "exact" if self.truncation is None else self.truncation
-        return {"truncation": trunc, "terms": terms}
+        return payload([self])
+
+
+def payload(slices):
+    """Wire form of sum_k slices[k] * t^k:
+    {truncation, terms: [[q_exp, t_exp, num, den]]}, sorted by (q, t)."""
+    terms = sorted([e, k, v.numerator, v.denominator]
+                   for k, s in enumerate(slices) for e, v in s.coeffs.items())
+    ts = [s.truncation for s in slices if s.truncation is not None]
+    return {"truncation": min(ts) if ts else "exact", "terms": terms}
 
 
 def product_of_geometric(degrees, truncation):
-    """Series of prod_i 1/(1-q^{d_i})."""
-    out = GradedCharacter.one(truncation)
+    """Series of prod_i 1/(1-q^{d_i}): dividing by 1 - q^d is the running
+    sum c[e] += c[e - d], on integers."""
+    coeffs = [1] + [0] * truncation
     for d in degrees:
-        out = out * GradedCharacter.geometric(d, truncation)
-    return out
+        if d <= 0:
+            raise ValueError("geometric factor needs d > 0")
+        for e in range(d, truncation + 1):
+            coeffs[e] += coeffs[e - d]
+    return GradedCharacter(dict(enumerate(coeffs)), truncation)
 
 
 def product_of_binomials(es):
@@ -213,70 +236,6 @@ def generator_degrees(series, n):
     if series.coeffs != {0: ONE}:
         return None
     return sorted(exponents)
-
-
-class BigradedCharacter:
-    """Map (q exponent, t exponent) -> rational; truncated in q, exact in t."""
-
-    __slots__ = ("coeffs", "truncation")
-
-    def __init__(self, coeffs=None, truncation=None):
-        cs = {}
-        if coeffs:
-            for (qe, te), v in coeffs.items():
-                v = Fraction(v)
-                if v and (truncation is None or qe <= truncation):
-                    cs[(int(qe), int(te))] = v
-        self.coeffs = cs
-        self.truncation = truncation
-
-    @classmethod
-    def one(cls, truncation=None):
-        return cls({(0, 0): Fraction(1)}, truncation)
-
-    @classmethod
-    def from_graded(cls, g):
-        return cls({(e, 0): v for e, v in g.coeffs.items()}, g.truncation)
-
-    def __mul__(self, other):
-        ts = [t for t in (self.truncation, other.truncation) if t is not None]
-        t = min(ts) if ts else None
-        out = {}
-        for (q1, t1), v1 in self.coeffs.items():
-            for (q2, t2), v2 in other.coeffs.items():
-                if t is None or q1 + q2 <= t:
-                    _add_term(out, (q1 + q2, t1 + t2), v1 * v2)
-        return BigradedCharacter(out, t)
-
-    def t_degree(self):
-        return max((te for _qe, te in self.coeffs), default=0)
-
-    def t_slice(self, te):
-        """Coefficient of t^te, as a GradedCharacter."""
-        return GradedCharacter(
-            {qe: v for (qe, t2), v in self.coeffs.items() if t2 == te},
-            self.truncation)
-
-    def equals(self, other, up_to=None):
-        ts = [t for t in (self.truncation, other.truncation) if t is not None]
-        if up_to is not None:
-            ts.append(up_to)
-        t = min(ts) if ts else None
-        keys = set(self.coeffs) | set(other.coeffs)
-        for key in keys:
-            if t is None or key[0] <= t:
-                if self.coeffs.get(key, Fraction(0)) != other.coeffs.get(key, Fraction(0)):
-                    return False
-        return True
-
-    def __repr__(self):
-        return f"BigradedCharacter({len(self.coeffs)} terms)"
-
-    def to_payload(self):
-        terms = [[qe, te, v.numerator, v.denominator]
-                 for (qe, te), v in sorted(self.coeffs.items())]
-        trunc = "exact" if self.truncation is None else self.truncation
-        return {"truncation": trunc, "terms": terms}
 
 
 def b_invariant(f):

@@ -160,16 +160,16 @@ def _suite_characters(seed, deep):
         group = build_group(spec)
         rep = group.irrep(lbl)
         eis = solve_eis(group, rep, trunc)
-        endo = endo_character(group, rep, trunc)
         tor = tor_character(group, rep, eis, trunc)
         ext = ext_character(group, rep, eis, trunc)
         top = sum(eis.exponents)
-        slices["tor_t0"] &= tor.t_slice(0).equals(endo, up_to=trunc)
-        slices["ext_t0"] &= ext.t_slice(0).equals(endo, up_to=trunc)
-        slices["ext_top"] &= ext.t_slice(group.n).equals(endo.shift(top),
-                                                         up_to=trunc)
-        slices["tor_top"] &= tor.t_slice(group.n).equals(endo.shift(-top),
-                                                         up_to=trunc)
+        # End to trunc + top, so that its shift by q^-top covers q <= trunc
+        endo = endo_character(group, rep, trunc + top)
+        slices["tor_t0"] &= tor[0].equals(endo, up_to=trunc)
+        slices["ext_t0"] &= ext[0].equals(endo, up_to=trunc)
+        slices["ext_top"] &= ext[group.n].equals(endo.shift(top), up_to=trunc)
+        slices["tor_top"] &= tor[group.n].equals(endo.shift(-top),
+                                                 up_to=trunc)
     checks.append(_check("tor-ext-slices", slices))
     return checks
 

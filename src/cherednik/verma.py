@@ -1,7 +1,7 @@
 """Closed graded-character formulas for endomorphism rings of Verma modules:
 the main character formula, its hook-polynomial form for symmetric groups,
-generator-degree factorizations, and the bigraded self-intersection
-characters.
+generator-degree factorizations, and the self-intersection characters
+(End(Delta) times an exterior factor, as t-slices).
 
 Orientation note: the generator degrees e_i are read so that
 prod_i 1/(1 - q^{e_i}) reconstructs the endomorphism-ring character itself
@@ -11,21 +11,12 @@ note.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvalidInput, MissingEis, NegativeExponentPresent
-from .series import (DEFAULT_TRUNCATION, BigradedCharacter, generator_degrees,
+from .series import (DEFAULT_TRUNCATION, generator_degrees,
                      product_of_binomials, product_of_geometric)
 
 ORIENTATION_NOTE = ("e_i are generator degrees of the endomorphism ring: "
                     "prod 1/(1-q^e_i) reconstructs its graded character")
-
-
-def _numerator(group, rep, truncation):
-    """q^{-b} f(q) to the truncation order, f the fake polynomial of the
-    dual of rep and b its lowest exponent."""
-    f = group.fake_polynomial(group.dual_of(rep))
-    return f.shift(-f.min_exponent()).truncate(truncation)
 
 
 def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
@@ -38,8 +29,9 @@ def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
     """
     if truncation < 0:
         raise InvalidInput(f"truncation must be at least 0, got {truncation}")
-    ch = _numerator(group, rep, truncation) * product_of_geometric(
-        group.degrees, truncation)
+    f = group.fake_polynomial(group.dual_of(rep))
+    ch = f.shift(-f.min_exponent()).truncate(truncation) * \
+        product_of_geometric(group.degrees, truncation)
     if any(e < 0 for e in ch.coeffs):
         raise NegativeExponentPresent(
             f"character of End(Delta({rep.label!r})) has negative exponents; "
@@ -143,27 +135,31 @@ def solve_eis(group, rep, truncation=DEFAULT_TRUNCATION):
     return solve_eis_from_character(ch, group.n, truncation)
 
 
-def _bigraded_product(group, rep, eis, signs, truncation):
+def _exterior_slices(group, rep, eis, sign, truncation):
+    """t-slices of End(Delta(rep)) * prod_i (1 + t q^{sign * e_i}), each to
+    the truncation order.  End is taken sum e_i further, so that the slices
+    shifted down by q^{-e_i} still reach it."""
     if eis is None or not eis.is_solution():
         raise MissingEis("no generator-degree factorization available")
-    out = BigradedCharacter.from_graded(_numerator(group, rep, truncation))
+    slices = [endo_character(group, rep, truncation + sum(eis.exponents))]
     for e in eis.exponents:
-        out = out * BigradedCharacter(
-            {(0, 0): Fraction(1), (signs * e, 1): Fraction(1)}, truncation)
-    geo = product_of_geometric(group.degrees, truncation)
-    return out * BigradedCharacter.from_graded(geo)
+        shifted = [s.shift(sign * e) for s in slices]
+        slices = ([slices[0]] + [a + b for a, b in zip(slices[1:], shifted)]
+                  + [shifted[-1]])
+    return [s.truncate(truncation) for s in slices]
 
 
 def tor_character(group, rep, eis, truncation=DEFAULT_TRUNCATION):
-    """Bigraded character of the derived self-intersection, homology side:
+    """Self-intersection character, homology side, as t-slices (slice k is
+    the coefficient of t^k):
     q^{-b} f(q) prod (1 + t q^{-e_i}) / (1 - q^{d_i})."""
-    return _bigraded_product(group, rep, eis, -1, truncation)
+    return _exterior_slices(group, rep, eis, -1, truncation)
 
 
 def ext_character(group, rep, eis, truncation=DEFAULT_TRUNCATION):
-    """Bigraded character, cohomology side:
+    """Self-intersection character, cohomology side, as t-slices:
     q^{-b} f(q) prod (1 + t q^{+e_i}) / (1 - q^{d_i})."""
-    return _bigraded_product(group, rep, eis, +1, truncation)
+    return _exterior_slices(group, rep, eis, +1, truncation)
 
 
 def dual_verma_pairing_expected(n):

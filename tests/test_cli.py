@@ -80,9 +80,9 @@ def test_cm_dihedral_family_at_generic_one(capsys):
         "fd26d7b82da15d3aab66b6c87ecdab4276b5d51c5c67475411e29648fbba5a87")
 
 
-def test_cm_leaves_sympy_unloaded_and_block_count_loads_it():
-    # the blocks need no splitting of the center; block_count off the
-    # graded fiber still splits it, through sympy
+def test_cm_and_block_count_leave_sympy_unloaded():
+    # the blocks need no splitting of the center, and block_count off the
+    # graded fiber reads the trace form of Z_0, with no factoring
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(cherednik.__file__)))
     code = """if True:
@@ -99,8 +99,8 @@ def test_cm_leaves_sympy_unloaded_and_block_count_loads_it():
         g = build_group("Zm:2")
         R = build_restricted(g, Parameter.constant(g, 1),
                              b_point=(Fraction(1),))
-        assert R.block_count(seed=1) == 2
-        assert "sympy" in sys.modules
+        assert R.block_count() == 2
+        assert "sympy" not in sys.modules
     """
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)

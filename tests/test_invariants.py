@@ -31,14 +31,14 @@ from conftest import group
      "8ff43bef60a10bdaed1996fda3537964bded9bebdb82bbc65db70d4a71d85230"),
     (["characters", "--group", "Sn:4:permutation", "--c", "generic:1",
       "--seed", "1", "--check-hook"],
-     "223f97800990b856759f6c59c12b610ef664e491db30ad0778295f03caf3e3f9"),
+     "3a4e2e07602e1d17b300beff6a745a43ba7d9a2dc1f70fee23c28500342a60df"),
     (["characters", "--group", "Sn:5:reduced", "--c", "generic:1",
       "--seed", "1"],
-     "0374d8348508c5b7ada195c92f68d006c4c16aeb57cd849a33e50b74f7e4e1dd"),
+     "ca83154bb4332f983d8f1f6f496b6c3399b5d20c4a3a9784642b9fd18580076c"),
     (["characters", "--group", "I2:6", "--c", "generic:1", "--seed", "1"],
-     "115689bfcf1a08f1e56db2674c4e73ef837cbd269596b661fff0843f78ea110f"),
+     "8a3741e6f65e5bdffae2da44e076abda37c327f549a8f0bcc0ddb30186d82dc2"),
     (["characters", "--group", "Zm:5", "--c", "generic:1", "--seed", "1"],
-     "ce898afa88e69776f1342e5fe7887f45bf83f04267c058bfd526c11dfc6c1f07"),
+     "66be9d8aa99b90a434ba80a48e57a30bcb874b400dfd5c081801c8d7951a8931"),
     (["reduce", "--group", "Sn:4:permutation", "--point", "1,1,2,2",
       "--c", "generic:1", "--seed", "1"],
      "1a27ac4b429788feb26fbd6b05b0fbb9aaf829ee5afcf9fc0d22066b01283426"),

@@ -497,7 +497,6 @@ def test_cm_partition_never_splits_the_center(spec, ctag, seed, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cm_partition split the center")
 
-    monkeypatch.setattr(R, "central_idempotents", refuse)
     monkeypatch.setattr(R, "center_structure", refuse)
     part = R.cm_partition(seed=seed, verify=True)
     assert part.route_agreement and part.theorems_hold()
@@ -605,7 +604,7 @@ def test_block_count_equals_idempotent_count():
                        ("Zm:2", "zero")):
         part = partition(spec, ctag)
         R = restricted(spec, ctag)
-        assert len(part.blocks) == R.block_count(seed=0)
+        assert len(part.blocks) == R.block_count()
 
 
 def test_nonzero_fiber_point():
@@ -625,7 +624,46 @@ def test_nonzero_fiber_point():
             assert lhs == rhs
         # at c = 0 the two fiber roots are exchanged by the group: one
         # point with nilpotents; at c = 1 the fiber splits into two
-        assert R.block_count(seed=1) == expected_blocks
+        assert R.block_count() == expected_blocks
+
+
+@pytest.mark.parametrize("spec", CM_GRID)
+@pytest.mark.parametrize("ctag", ["zero", "generic"])
+def test_block_count_is_the_number_of_linkage_classes(spec, ctag):
+    R = restricted(spec, ctag, 1)
+    assert R.block_count() == len(R._linkage_classes())
+
+
+def test_block_count_needs_no_split_field():
+    # S_3 at c = 1 over b = (1, 0): Z_0 does not split over Q(zeta_6), the
+    # field of the group; the trace form counts its blocks all the same
+    g = group("Sn:3:reduced")
+    point = (F(1), F(0))
+    R = build_restricted(g, Parameter.constant(g, 1), b_point=point)
+    assert R.block_count() == 4
+    # oracle: the same matrices over Q(zeta_12), where Z_0 splits into
+    # primitive idempotents
+    from cherednik.comalg import idempotents_of_commutative_algebra
+    from cherednik.groups import build_from_generators
+    g12 = build_from_generators(
+        12, [g.matrix(w) for w in g.generators.values()])
+    R12 = build_restricted(g12, Parameter.constant(g12, 1), b_point=point)
+    prods, unit = R12.center_structure()
+    assert len(idempotents_of_commutative_algebra(prods, unit,
+                                                  conductor=12)) == 4
+
+
+def test_act_vector_refuses_what_it_cannot_index():
+    g = group("Zm:2")
+    mod = cherednik.baby_verma(g, parameter("Zm:2", "generic", 1), "chi0")
+    with pytest.raises(DimensionMismatch, match="act_terms"):
+        mod.act_vector({0: F(1)})
+    R = restricted("Zm:2", "1")
+    mod = R.baby_verma(g.irrep("chi0"))
+    assert mod.act_vector({0: F(1)}) == mod.act_terms({R.basis[0]: F(1)})
+    for index in (R.dim, -1):
+        with pytest.raises(DimensionMismatch, match="act_terms"):
+            mod.act_vector({index: F(1)})
 
 
 def test_cm_partition_requires_graded_fiber():

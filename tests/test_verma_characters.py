@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cherednik.errors import InvalidInput, MissingEis
-from cherednik.series import (BigradedCharacter, GradedCharacter,
+from cherednik.series import (GradedCharacter, payload,
                               product_of_geometric)
 from cherednik.verma import (EisFactorization, dual_verma_pairing_expected,
                              endo_character, ext_character, hook_identity_check,
@@ -110,22 +110,46 @@ def test_eis_payload_carries_orientation():
     assert "generator degrees" in payload["orientation"]
 
 
-# ---- bigraded characters ----------------------------------------------------------------
+# ---- self-intersection characters (t-slices) -----------------------------------------
+
+def test_truncated_laurent_product_claims_only_what_it_knows():
+    # q^-2 * (1 + q + ... + q^10 + O(q^11)) is known to q^8 only
+    prod = GradedCharacter({-2: 1}, 10) * GradedCharacter.geometric(1, 10)
+    assert prod.truncation == 8
+    assert prod == GradedCharacter.geometric(1, 12).shift(-2).truncate(8)
+    # no negative exponents: the truncation is the operands' least
+    prod = GradedCharacter({2: 1}, 10) * GradedCharacter.geometric(1, 7)
+    assert prod.truncation == 7
+    # both Laurent: each operand's tail meets the other's lowest term
+    prod = GradedCharacter({-1: 1}, 3) * GradedCharacter({-2: 1}, 5)
+    assert prod.truncation == 1 and prod == GradedCharacter({-3: 1}, 1)
+
+
+def test_truncate_never_raises_the_claim():
+    geo = GradedCharacter.geometric(1, 5)
+    assert geo.truncate(40).truncation == 5
+    assert geo.truncate(3) == GradedCharacter({0: 1, 1: 1, 2: 1, 3: 1}, 3)
+    assert GradedCharacter({7: 1}).truncate(40).truncation == 40
+
+
+@pytest.mark.parametrize("degrees", [(), (1,), (2, 3), (1, 1, 3),
+                                     (2, 3, 4, 5)])
+def test_product_of_geometric_is_the_product_of_its_factors(degrees):
+    expected = GradedCharacter.one(30)
+    for d in degrees:
+        expected = expected * GradedCharacter.geometric(d, 30)
+    assert product_of_geometric(degrees, 30) == expected
+
 
 def test_tor_ext_z2_closed_forms():
     g = group("Zm:2")
     sgn = g.irrep("chi1")
     eis = solve_eis(g, sgn, T)
     assert eis.exponents == (2,)
-    tor = tor_character(g, sgn, eis, T)
-    ext = ext_character(g, sgn, eis, T)
-    geo = product_of_geometric([2], T)
-    expected_tor = BigradedCharacter(
-        {(0, 0): F(1), (-2, 1): F(1)}, T) * BigradedCharacter.from_graded(geo)
-    expected_ext = BigradedCharacter(
-        {(0, 0): F(1), (2, 1): F(1)}, T) * BigradedCharacter.from_graded(geo)
-    assert tor.equals(expected_tor, up_to=T)
-    assert ext.equals(expected_ext, up_to=T)
+    geo = product_of_geometric([2], T + 2)
+    assert tor_character(g, sgn, eis, T) == [geo.truncate(T), geo.shift(-2)]
+    assert ext_character(g, sgn, eis, T) == [geo.truncate(T),
+                                             geo.shift(2).truncate(T)]
 
 
 def test_tor_ext_slices():
@@ -134,16 +158,31 @@ def test_tor_ext_slices():
         g = group(spec)
         rep = g.irrep(lbl)
         eis = solve_eis(g, rep, T)
-        endo = endo_character(g, rep, T)
         tor = tor_character(g, rep, eis, T)
         ext = ext_character(g, rep, eis, T)
-        assert tor.t_slice(0).equals(endo, up_to=T)
-        assert ext.t_slice(0).equals(endo, up_to=T)
         top = sum(eis.exponents)
-        assert ext.t_slice(g.n).equals(endo.shift(top), up_to=T)
-        assert tor.t_slice(g.n).equals(endo.shift(-top), up_to=T)
-        assert tor.t_degree() == g.n
-        assert ext.t_degree() == g.n
+        endo = endo_character(g, rep, T + top)
+        assert tor[0].equals(endo, up_to=T)
+        assert ext[0].equals(endo, up_to=T)
+        assert ext[g.n].equals(endo.shift(top), up_to=T)
+        assert tor[g.n].equals(endo.shift(-top), up_to=T)
+        assert len(tor) == len(ext) == g.n + 1
+        assert all(s.truncation == T for s in tor + ext)
+
+
+@pytest.mark.parametrize("spec", ["Zm:2", "Sn:3:permutation",
+                                  "Sn:4:permutation", "I2:5"])
+def test_tor_ext_do_not_depend_on_the_truncation(spec):
+    # every slice to q^24 is the slice to q^32 cut there
+    g = group(spec)
+    for rep in g.irreps:
+        eis = solve_eis(g, rep, 32)
+        if not eis.is_solution():
+            continue
+        for character in (tor_character, ext_character):
+            wide = character(g, rep, eis, 32)
+            assert character(g, rep, eis, 24) == [s.truncate(24)
+                                                  for s in wide]
 
 
 def test_tor_zm1():
@@ -152,7 +191,8 @@ def test_tor_zm1():
     eis = solve_eis(g, triv, 10)
     assert eis.exponents == (1,)
     tor = tor_character(g, triv, eis, 10)
-    assert tor.t_slice(0).equals(endo_character(g, triv, 10), up_to=10)
+    assert tor[0].equals(endo_character(g, triv, 10), up_to=10)
+    assert tor[1] == endo_character(g, triv, 11).shift(-1)
 
 
 def test_missing_eis():
@@ -162,15 +202,27 @@ def test_missing_eis():
 
 
 def test_ext_s3_as_series():
+    # prod (1 + t q^e) over e = 1, 1, 3 has t-slices 1, 2q + q^3,
+    # q^2 + 2q^4 and q^5
     g = group("Sn:3:permutation")
     rep = g.irrep((2, 1))
     eis = solve_eis(g, rep, T)
     ext = ext_character(g, rep, eis, T)
-    expected = BigradedCharacter.from_graded(
-        product_of_geometric([1, 1, 3], T))
-    for e in eis.exponents:
-        expected = expected * BigradedCharacter({(0, 0): F(1), (e, 1): F(1)}, T)
-    assert ext.equals(expected, up_to=T)
+    geo = product_of_geometric([1, 1, 3], T)
+    factors = ({0: 1}, {1: 2, 3: 1}, {2: 1, 4: 2}, {5: 1})
+    assert len(ext) == len(factors)
+    for got, factor in zip(ext, factors):
+        assert got.equals(geo * GradedCharacter(factor), up_to=T)
+
+
+def test_payload_lists_every_slice_by_q_then_t():
+    a = GradedCharacter({0: 1, 2: F(1, 2)}, 4)
+    b = GradedCharacter({-1: 3, 2: 1}, 5)
+    assert payload([a, b]) == {"truncation": 4, "terms": [
+        [-1, 1, 3, 1], [0, 0, 1, 1], [2, 0, 1, 2], [2, 1, 1, 1]]}
+    assert a.to_payload() == payload([a])
+    assert GradedCharacter({1: 1}).to_payload() == {
+        "truncation": "exact", "terms": [[1, 0, 1, 1]]}
 
 
 # ---- standard-module characters --------------------------------------------------------
