@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .cyclotomic import Cyc
-from .errors import (CapExceeded, CherednikError, InvalidInput,
-                     UnsupportedGroup)
+from .errors import (CapExceeded, CherednikError, FieldExtensionNeeded,
+                     InvalidInput, UnsupportedGroup)
 from .linalg import (ONE, ZERO, identity, mat_mul, mat_vec, rank, trace,
                      transpose)
 
@@ -592,22 +592,51 @@ class ReflectionGroup:
         return reps
 
     def _abelian_irreps(self):
-        from .comalg import idempotents_of_commutative_algebra
-        n = self.order
-        prods = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                vec = [ZERO] * n
-                vec[self.mult(i, j)] = ONE
-                prods[i][j] = vec
-        unit = [ZERO] * n
-        unit[self._identity] = ONE
-        idems = idempotents_of_commutative_algebra(prods, unit, self.conductor)
+        """The characters of an abelian group: each sends a generator of
+        order o to an o-th root of unity, and every choice that is well
+        defined on the products of the generators is one.  Q(zeta_N) holds
+        the lcm(2, N)-th roots of unity and no others."""
+        n, N = self.order, self.conductor
+        roots = N if N % 2 == 0 else 2 * N
+        gens = list(self.generators.values())
+        orders = []
+        for g in gens:
+            k, h = 1, g
+            while h != self._identity:
+                h, k = self.mult(h, g), k + 1
+            if roots % k:
+                raise FieldExtensionNeeded(
+                    f"the characters of {self.name} need the {k}-th roots of "
+                    f"unity, which Q(zeta_{N}) does not contain",
+                    required_conductor=lcm(N, k))
+            orders.append(k)
+        # the powers of a primitive roots-th root of unity; for odd N that
+        # root is -zeta_N^((N + 1) / 2)
+        root = Cyc.zeta(N) if roots == N else -Cyc.zeta(N, (N + 1) // 2)
+        zeta = [ONE]
+        while len(zeta) < roots:
+            zeta.append(zeta[-1] * root)
+
+        def phases(steps):
+            # {element: t} with chi(element) = zeta^t, the generators going
+            # to zeta^steps; None when that is not well defined
+            phase = {self._identity: 0}
+            queue = [self._identity]
+            for h in queue:
+                for g, step in zip(gens, steps):
+                    h2, t = self.mult(h, g), (phase[h] + step) % roots
+                    if h2 not in phase:
+                        phase[h2] = t
+                        queue.append(h2)
+                    elif phase[h2] != t:
+                        return None
+            return phase
+
         chars = []
-        for e in idems:
-            # e = (1/|G|) sum_g chi(g^{-1}) g, so chi(g) = |G| * coeff(g^{-1})
-            chi = tuple(n * e[self.inv(g)] for g in range(n))
-            chars.append(chi)
+        for js in itertools.product(*(range(o) for o in orders)):
+            phase = phases([j * (roots // o) for j, o in zip(js, orders)])
+            if phase is not None:
+                chars.append(tuple(zeta[phase[g]] for g in range(n)))
         chars.sort(key=lambda chi: (0 if all(v == 1 for v in chi) else 1,
                                     _char_sort_key(chi)))
         reps = []

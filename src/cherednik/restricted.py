@@ -19,13 +19,15 @@ the blocks at any fiber point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property, partial
+from operator import add
 
 from .comalg import CommutativeAlgebra
 from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DimensionMismatch, NotSimpleHead, TieDetected)
-from .linalg import (ONE, ZERO, Echelon, _add_term, _axpy, echelon, identity,
-                     kernel_basis, mat_mul, mat_vec, rank)
-from .pbw import CherednikAlgebra, PBWElement
+from .linalg import (MONE, ONE, ZERO, Echelon, _add_term, _axpy, echelon,
+                     identity, kernel_basis, mat_mul, mat_vec, rank)
+from .pbw import CherednikAlgebra, PBWElement, _unit_exp
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
 
@@ -493,7 +495,8 @@ class RestrictedCherednikAlgebra(StandardModules):
         self._pair_cache = {}
         self._center_slices = {}      # degree -> Echelon of Z_d, on demand
         # (sparse vector, degree) of x_0, y_0, x_1, y_1, ... and then of the
-        # group generators; every degree is 0 off the graded fiber
+        # group generators; every degree is 0 off the graded fiber.  Only the
+        # skew backend's centre multiplies by them.
         step = 1 if self.graded else 0
         self.generators = [
             (self.reduce_pbw(gen), deg) for i in range(group.n)
@@ -505,8 +508,12 @@ class RestrictedCherednikAlgebra(StandardModules):
     # ---- reduction ----------------------------------------------------------
     def reduce_pbw(self, element):
         """Image of a PBW element: sparse {basis index: coeff}."""
+        return self._reduce_terms(element.terms)
+
+    def _reduce_terms(self, terms):
+        """Image of PBW terms {(a, w, b): coeff} of any degree."""
         out = {}
-        for (a, w, b), v in element.terms.items():
+        for (a, w, b), v in terms.items():
             xred = self._x_fiber[a]
             yred = self._y_fiber[b]
             for xm, cx in xred.items():
@@ -552,31 +559,113 @@ class RestrictedCherednikAlgebra(StandardModules):
             slices.setdefault(self.basis_degree(i), []).append(i)
         return dict(sorted(slices.items()))
 
+    # ---- adjoint actions ----------------------------------------------------------
+    def _orbit_spanning(self, side):
+        """Indices i, in order, each kept when the W-conjugates of the i-th
+        x (side "x", in h*) or y (side "y", in h) widen the span of those
+        kept before, until the span is all n dimensions."""
+        group, n = self.group, self.group.n
+        act = self.algebra._act_x if side == "x" else self.algebra._act_y
+        span, keep = Echelon(n), []
+        for i in range(n):
+            if len(span) == n:
+                break
+            unit = _unit_exp(n, i)
+            grew = False
+            for w in range(group.order):
+                grew |= span.add({e.index(1): c
+                                  for e, c in act(w, unit).items()})
+            if grew:
+                keep.append(i)
+        return keep
+
+    @cached_property
+    def _adjoint_generators(self):
+        """(generator, degree) for the pbw centre: the group generators
+        ("w", s), and ("x", i), ("y", j) for the orbit-spanning i and j.  An
+        element that commutes with W and with x_i commutes with every w . x_i,
+        so commuting with these is commuting with all of h* + h + W."""
+        step = 1 if self.graded else 0
+        return ([(("w", s), 0) for s in self.group.generators.values()]
+                + [(("x", i), step) for i in self._orbit_spanning("x")]
+                + [(("y", j), -step) for j in self._orbit_spanning("y")])
+
+    def _adjoint(self, gen, m):
+        """m g - g m, the basis element m = x^a u y^b times a generator
+        ("w", s), ("x", i) or ("y", j) on either side, formed from the key:
+
+            m s = x^a (us) (s^-1 . y^b),  s m = (s . x^a) (su) y^b,
+            m x_i = x^a (u . x^e) (us) y^f  over  y^b x_i = x^e s y^f,
+            x_i m = x^(a + e_i) u y^b,
+            m y_j = x^a u y^(b + e_j),
+            y_j m = [y_j, x^a] u y^b + x^a u (u^-1 . y_j) y^b,
+
+        reduced through the two fibers."""
+        algebra, group = self.algebra, self.group
+        mult, inverse = group.mult, group._inverse
+        a, u, b = self.basis[m]
+        kind, k = gen
+        terms = {}
+        if kind == "w":
+            us, su = mult(u, k), mult(k, u)
+            for f, c in algebra._act_y(inverse[k], b).items():
+                _add_term(terms, (a, us, f), c)
+            for e, c in algebra._act_x(k, a).items():
+                _add_term(terms, (e, su, b), -c)
+        elif kind == "x":
+            unit = _unit_exp(group.n, k)
+            for (e, s, f), t in algebra._yb_xc(b, unit).items():
+                us = mult(u, s)
+                for xm, c in algebra._act_x(u, e).items():
+                    _add_term(terms, (tuple(map(add, a, xm)), us, f), t * c)
+            _add_term(terms, (tuple(map(add, a, unit)), u, b), MONE)
+        else:
+            unit = _unit_exp(group.n, k)
+            _add_term(terms, (a, u, tuple(map(add, b, unit))), ONE)
+            for (e, s), c in algebra._comm_mono(k, a).items():
+                _add_term(terms, (e, mult(s, u), b), -c)
+            for f, c in algebra._act_y(inverse[u], unit).items():
+                _add_term(terms, (a, u, tuple(map(add, b, f))), -c)
+        return self._reduce_terms(terms)
+
     # ---- center -------------------------------------------------------------------
     def _center_slice(self, d):
         """Echelon of Z_d, the central elements of degree d, solved on first
-        use: the common kernel of the generators' adjoint maps on slice d."""
+        use: the common kernel of the generators' adjoint maps on slice d.
+        The pbw backend forms each map from the basis keys (``_adjoint``);
+        the skew backend, the c = 0 oracle, multiplies by ``generators``."""
         ech = self._center_slices.get(d)
         if ech is None:
             slices = self.degree_slices()
             idxs = slices.get(d, [])
+            if self.backend == "skew":
+                adjoints = [(partial(self._adjoint_by_products, gvec), gdeg)
+                            for gvec, gdeg in self.generators]
+            else:
+                adjoints = [(partial(self._adjoint, gen), gdeg)
+                            for gen, gdeg in self._adjoint_generators]
             # constraint rows, sparse over the slice, keyed (generator, target)
             rows = {}
-            for g, (gvec, gdeg) in enumerate(self.generators):
+            for g, (adjoint, gdeg) in enumerate(adjoints):
                 if d + gdeg not in slices:
                     # adjoint lands in a zero space: no constraint
                     continue
                 for col, m in enumerate(idxs):
-                    em = {m: ONE}
-                    diff = _axpy(self.multiply_vec(em, gvec),
-                                 self.multiply_vec(gvec, em), -ONE)
-                    for k, val in diff.items():
+                    for k, val in adjoint(m).items():
                         rows.setdefault((g, k), {})[col] = val
+            # sparsest rows first: the elimination then fills in far less,
+            # and a kernel does not depend on the order of its rows
+            rows = sorted(rows.values(), key=len)
             ech = echelon([{idxs[t]: c for t, c in enumerate(vec) if c}
-                           for vec in kernel_basis(list(rows.values()),
-                                                   len(idxs))], self.dim)
+                           for vec in kernel_basis(rows, len(idxs))], self.dim)
             self._center_slices[d] = ech
         return ech
+
+    def _adjoint_by_products(self, gvec, m):
+        """m g - g m through the product table."""
+        em = {m: ONE}
+        return _axpy(self.multiply_vec(em, gvec), self.multiply_vec(gvec, em),
+                     -ONE)
 
     def _center_basis(self, degrees):
         """RREF rows of the sum of the Z_d over ``degrees``, in pivot order,

@@ -112,11 +112,14 @@ def _suite_cm(seed, deep):
                     and str(part.blocks[0].distinguished) == "chi0")
             if spec == "Sn:3:reduced" and cname == "generic":
                 conditions["sn3_block_count"] = len(part.blocks) == 3
-            # c = 0 degeneration: the independent skew backend must agree
+            # c = 0 degeneration: the independent skew backend, whose centre
+            # comes from the product table, must give the same partition and
+            # the same Z_0
             if param.is_zero():
                 skew = build_restricted(group, param, backend="skew")
                 conditions["skew_agreement"] = _shape(part) == _shape(
-                    skew.cm_partition(seed=seed, verify=False))
+                    skew.cm_partition(seed=seed, verify=False)) and (
+                    rest.degree_zero_center() == skew.degree_zero_center())
             checks.append(_check(f"cm:{spec}:c={cname}", conditions,
                                  blocks=[list(map(str, b.labels))
                                          for b in part.blocks]))

@@ -8,6 +8,7 @@ import pytest
 
 import cherednik
 from cherednik.cli import build_parser, main, run_verification
+from cherednik.linalg import ONE
 from cherednik.pbw import Parameter
 
 
@@ -100,6 +101,24 @@ def test_cm_and_block_count_leave_sympy_unloaded():
         R = build_restricted(g, Parameter.constant(g, 1),
                              b_point=(Fraction(1),))
         assert R.block_count() == 2
+        assert "sympy" not in sys.modules
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_reduce_on_an_abelian_stabilizer_leaves_sympy_unloaded():
+    # the characters of the order-2 stabilizer come from roots of unity on
+    # its generators, with no split of its group algebra
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cherednik.__file__)))
+    code = """if True:
+        import contextlib, io, sys
+        from cherednik.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["reduce", "--group", "I2:4", "--point", "1,1",
+                         "--c", "generic:1", "--seed", "1"]) == 0
         assert "sympy" not in sys.modules
     """
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
@@ -444,6 +463,27 @@ def test_verify_inject_fault(tmp_path):
     assert report["suites"]["dimensions"] == clean["suites"]["dimensions"]
     assert [c["name"] for c in faulted["checks"]] == [
         c["name"] for c in clean["suites"]["characters"]["checks"]]
+
+
+def test_skew_agreement_reads_the_centre_of_the_product_table(monkeypatch):
+    # a direct kernel spoiled at c = 0 so that Z_0 shrinks to the scalars
+    # keeps the one block there and the block theorems: only the skew
+    # backend's centre, solved from the product table, sees it
+    from cherednik import verify
+    from cherednik.restricted import RestrictedCherednikAlgebra
+    monkeypatch.setattr(verify, "CM_GRID", ("Zm:3",))
+    adjoint = RestrictedCherednikAlgebra._adjoint
+
+    def spoiled(self, gen, m):
+        out = adjoint(self, gen, m)
+        if self.algebra.param.is_zero() and m not in self.unit:
+            out = {**out, ("spoiled", m): ONE}   # a row that asks z_m = 0
+        return out
+
+    monkeypatch.setattr(RestrictedCherednikAlgebra, "_adjoint", spoiled)
+    checks = run_verification(seed=1, suites=["cm"])["suites"]["cm"]["checks"]
+    assert [c["name"] for c in checks if c["pass"]] == ["cm:Zm:3:c=generic"]
+    assert checks[1]["failed"] == ["skew_agreement"]
 
 
 def test_verify_cm_check_names_the_failed_condition(monkeypatch):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import (CapExceeded, InvalidInput, NotFactorizable,
-                              UnsupportedGroup)
+from cherednik.cyclotomic import Cyc
+from cherednik.errors import (CapExceeded, FieldExtensionNeeded, InvalidInput,
+                              NotFactorizable, UnsupportedGroup)
 from cherednik.groups import (build_from_generators, build_i2, build_sn,
                               build_zm)
 from cherednik.linalg import ONE, ZERO, mat_mul, rank
@@ -291,6 +292,56 @@ def test_custom_group_from_generators():
     assert g.order == 2
     assert g.degrees == (2,)
     assert len(g.irreps) == 2
+
+
+def _split_characters(g):
+    """The characters of an abelian group by the old route: the primitive
+    idempotents of its group algebra, e = (1/|G|) sum chi(g^-1) g, sorted
+    as ``_abelian_irreps`` sorts them."""
+    from cherednik.comalg import idempotents_of_commutative_algebra
+    from cherednik.groups import _char_sort_key
+    n = g.order
+    prods = [[[ONE if k == g.mult(i, j) else ZERO for k in range(n)]
+              for j in range(n)] for i in range(n)]
+    unit = [ONE if k == g.identity else ZERO for k in range(n)]
+    chars = [tuple(n * e[g.inv(w)] for w in range(n))
+             for e in idempotents_of_commutative_algebra(prods, unit,
+                                                         g.conductor)]
+    return sorted(chars, key=lambda chi: (any(v != 1 for v in chi),
+                                          _char_sort_key(chi)))
+
+
+def _diagonal_klein():
+    return build_from_generators(1, [[[F(-1), F(0)], [F(0), F(1)]],
+                                     [[F(1), F(0)], [F(0), F(-1)]]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group("Sn:4:permutation").stabilizer((F(1), F(1), F(0), F(0))),
+    lambda: group("Sn:4:permutation").stabilizer((F(1), F(1), F(2), F(2))),
+    lambda: group("I2:4").stabilizer((F(1), F(1))),
+    _diagonal_klein, lambda: build_zm(5), lambda: build_zm(6),
+    lambda: build_from_generators(4, [[[Cyc.zeta(4)]], [[F(-1)]]]),
+    lambda: build_from_generators(3, [[[Cyc.zeta(3)]]])],
+    ids=["stab-Sn:4-1100", "stab-Sn:4-1122", "stab-I2:4-11", "klein",
+         "Zm:5", "Zm:6", "z4-two-generators", "z3-in-Q(zeta_3)"])
+def test_abelian_characters_match_the_group_algebra_split(make):
+    # the characters from the generators' roots of unity are those of the
+    # group algebra's primitive idempotents, in the same order
+    g = make()
+    reps = g._abelian_irreps()
+    assert [rep.label for rep in reps] == (
+        ["triv"] + [f"chi{j}" for j in range(1, g.order)])
+    assert [tuple(rep.char(w) for w in range(g.order))
+            for rep in reps] == _split_characters(g)
+
+
+def test_abelian_characters_outside_the_field_need_an_extension():
+    # Z_3 as a rational rotation of the plane: its characters need zeta_3
+    g = build_from_generators(1, [[[F(0), F(-1)], [F(1), F(-1)]]])
+    with pytest.raises(FieldExtensionNeeded) as exc:
+        g._abelian_irreps()
+    assert exc.value.required_conductor == 3
 
 
 @pytest.mark.parametrize("call", [

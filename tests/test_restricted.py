@@ -7,7 +7,8 @@ import pytest
 import cherednik
 from cherednik.errors import (CapExceeded, CherednikError, CompositionMismatch,
                               DimensionMismatch, TieDetected)
-from cherednik.groups import build_group, build_i2, build_sn, build_zm
+from cherednik.groups import (build_from_generators, build_group, build_i2,
+                              build_sn, build_zm)
 from cherednik.linalg import (_add_term, _axpy, echelon, kernel_basis,
                               mat_mul, mat_vec, rank, trace)
 from cherednik.parabolic import make_context
@@ -406,6 +407,54 @@ def test_center_rows_are_the_rref_of_the_whole_system(spec, ctag, seed):
     assert [list(z.items()) for z in R.center()] == _center_in_one_system(R)
 
 
+@pytest.mark.parametrize("spec,ctag,seed,point", [
+    ("Zm:3", "zero", 0, None), ("Zm:3", "generic", 1, None),
+    ("Sn:3:reduced", "zero", 0, None), ("Sn:3:reduced", "generic", 1, None),
+    ("I2:4", "zero", 0, None), ("I2:4", "generic", 1, None),
+    ("Sn:3:reduced", "generic", 1, (F(1), F(0)))], ids=[
+    "Zm:3-zero", "Zm:3-generic:1", "Sn:3:reduced-zero",
+    "Sn:3:reduced-generic:1", "I2:4-zero", "I2:4-generic:1",
+    "Sn:3:reduced-generic:1-b=(1,0)"])
+def test_direct_adjoint_is_the_product_table_commutator(spec, ctag, seed,
+                                                        point):
+    # [m, g] from the basis key equals m g - g m from the product table, for
+    # every generator, the ones the pick leaves out included
+    g = group(spec)
+    R = build_restricted(g, parameter(spec, ctag, seed), b_point=point)
+    names = ([(kind, i) for i in range(g.n) for kind in ("x", "y")]
+             + [("w", s) for s in g.generators.values()])
+    assert {gen for gen, _deg in R._adjoint_generators} <= set(names)
+    for gen, (gvec, _deg) in zip(names, R.generators, strict=True):
+        for m in range(R.dim):
+            em = {m: F(1)}
+            assert R._adjoint(gen, m) == _axpy(
+                R.multiply_vec(em, gvec), R.multiply_vec(gvec, em),
+                F(-1)), (gen, R.basis[m])
+
+
+@pytest.mark.parametrize("ctag", ["zero", "generic"])
+@pytest.mark.parametrize("make,kept", [
+    (lambda: build_from_generators(1, [[[F(-1), F(0)], [F(0), F(1)]],
+                                       [[F(1), F(0)], [F(0), F(-1)]]]),
+     [0, 1]),
+    (lambda: group("Sn:3:permutation"), [0])],
+    ids=["klein", "Sn:3:permutation"])
+def test_orbit_spanning_pick(make, kept, ctag):
+    # on the diagonal Z_2 x Z_2 each x_i spans only its own line; the
+    # symmetric group moves x_0 onto every coordinate
+    g = make()
+    par = Parameter.zero(g) if ctag == "zero" else Parameter.generic(g, 1)
+    R = build_restricted(g, par)
+    assert R._orbit_spanning("x") == R._orbit_spanning("y") == kept
+    assert [list(z.items()) for z in R.center()] == _center_in_one_system(R)
+
+
+def test_sn4_degree_zero_center_past_the_default_cap():
+    g = group("Sn:4:reduced")
+    R = build_restricted(g, Parameter.zero(g), cap=13824)
+    assert len(R.degree_zero_center()) == 21
+
+
 @pytest.mark.parametrize("spec,ctag,seed,sizes", [
     ("Sn:3:reduced", "zero", 0, (11, 7)), ("I2:3", "zero", 0, (11, 7)),
     ("I2:4", "zero", 0, (14, 12)), ("Sn:3:reduced", "generic", 1, (6, 4)),
@@ -565,11 +614,15 @@ def test_zero_parameter_is_one_block_led_by_b_zero(spec):
 
 
 def test_skew_backend_agrees_at_zero():
-    p1 = partition("Zm:3", "zero")
-    R2 = restricted("Zm:3", "zero", backend="skew")
-    p2 = R2.cm_partition(seed=0, verify=False)
+    # the skew backend's centre comes from the product table, the pbw one
+    # from the direct adjoint actions of fewer generators
     shape = lambda p: sorted(sorted(map(str, b.labels)) for b in p.blocks)
-    assert shape(p1) == shape(p2)
+    for spec in ("Zm:3", "Sn:3:reduced"):
+        p1 = partition(spec, "zero")
+        R2 = restricted(spec, "zero", backend="skew")
+        p2 = R2.cm_partition(seed=0, verify=False)
+        assert shape(p1) == shape(p2)
+        assert R2.center() == restricted(spec, "zero").center()
 
 
 def test_distinguished_rep_tie_detected():
