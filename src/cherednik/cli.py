@@ -232,7 +232,7 @@ def cmd_cm_partition(args):
     group = _load_group(args.group)
     param = _load_parameter(group, args.c, args.seed)
     rest = build_restricted(group, param, cap=args.cap)
-    part = rest.cm_partition(seed=args.seed, verify=not args.no_verify)
+    part = rest.cm_partition(verify=not args.no_verify)
     report = {"command": "cm-partition", "seed": args.seed}
     report.update(part.payload())
     checks_pass = part.route_agreement and (not part.verification

@@ -24,7 +24,8 @@ from operator import add
 
 from .comalg import CommutativeAlgebra
 from .errors import (CapExceeded, CherednikError, CompositionMismatch,
-                     DimensionMismatch, NotSimpleHead, TieDetected)
+                     DimensionMismatch, InvalidInput, NotSimpleHead,
+                     TieDetected)
 from .linalg import (MONE, ONE, ZERO, Echelon, _add_term, _axpy, echelon,
                      identity, kernel_basis, mat_mul, mat_vec, rank)
 from .pbw import CherednikAlgebra, PBWElement, _unit_exp
@@ -142,13 +143,12 @@ class Block:
 
 
 class BlockPartition:
-    def __init__(self, group, param, blocks, route_agreement, seed,
+    def __init__(self, group, param, blocks, route_agreement,
                  verification=None):
         self.group = group
         self.param = param
         self.blocks = blocks
         self.route_agreement = route_agreement
-        self.seed = seed
         self.verification = verification or {}
 
     def all_singletons(self):
@@ -174,7 +174,6 @@ class BlockPartition:
             "block_count": len(self.blocks),
             "generic_confirmed": self.all_singletons(),
             "route_agreement": self.route_agreement,
-            "seed": self.seed,
             "verified": self.verification,
         }
 
@@ -473,18 +472,12 @@ class RestrictedCherednikAlgebra(StandardModules):
     """H restricted at a fiber point b (default 0) as a concrete algebra: the
     |W|^3 basis, products, the center and the block partition, under a cap."""
 
-    def __init__(self, algebra, b_point=None, cap=RESTRICTED_CAP,
-                 backend="pbw"):
+    def __init__(self, algebra, b_point=None, cap=RESTRICTED_CAP):
         group = algebra.group
         dim = group.order ** 3
         if dim > cap:
             raise CapExceeded(f"|W|^3 = {dim} exceeds cap {cap}")
-        if backend not in ("pbw", "skew"):
-            raise ValueError("backend must be 'pbw' or 'skew'")
-        if backend == "skew" and not algebra.param.is_zero():
-            raise ValueError("the skew backend is only valid at c = 0")
         super().__init__(algebra, b_point)
-        self.backend = backend
         ity = group.invariant_theory("y")
         self._y_fiber = ity.fiber((ZERO,) * group.n)
         y_basis = ity.coinv_monomials()
@@ -494,16 +487,17 @@ class RestrictedCherednikAlgebra(StandardModules):
         self.index = {key: i for i, key in enumerate(self.basis)}
         self._pair_cache = {}
         self._center_slices = {}      # degree -> Echelon of Z_d, on demand
-        # (sparse vector, degree) of x_0, y_0, x_1, y_1, ... and then of the
-        # group generators; every degree is 0 off the graded fiber.  Only the
-        # skew backend's centre multiplies by them.
-        step = 1 if self.graded else 0
-        self.generators = [
-            (self.reduce_pbw(gen), deg) for i in range(group.n)
-            for gen, deg in ((algebra.x(i), step), (algebra.y(i), -step))]
-        self.generators += [(self.reduce_pbw(algebra.grp(w)), 0)
-                            for w in group.generators.values()]
         self.unit = self.reduce_pbw(algebra.one())
+
+    @cached_property
+    def generators(self):
+        """(sparse vector, degree) of x_0, y_0, x_1, y_1, ... and then of the
+        group generators; every degree is 0 off the graded fiber."""
+        algebra, step = self.algebra, 1 if self.graded else 0
+        gens = [(self.reduce_pbw(gen), deg) for i in range(self.group.n)
+                for gen, deg in ((algebra.x(i), step), (algebra.y(i), -step))]
+        return gens + [(self.reduce_pbw(algebra.grp(w)), 0)
+                       for w in self.group.generators.values()]
 
     # ---- reduction ----------------------------------------------------------
     def reduce_pbw(self, element):
@@ -529,11 +523,7 @@ class RestrictedCherednikAlgebra(StandardModules):
         if out is None:
             u = PBWElement(self.algebra, {self.basis[i]: ONE})
             v = PBWElement(self.algebra, {self.basis[j]: ONE})
-            if self.backend == "skew":
-                prod = self.algebra.skew_multiply(u, v)
-            else:
-                prod = self.algebra.multiply(u, v)
-            out = self.reduce_pbw(prod)
+            out = self.reduce_pbw(self.algebra.multiply(u, v))
             self._pair_cache[key] = out
         return out
 
@@ -629,43 +619,53 @@ class RestrictedCherednikAlgebra(StandardModules):
         return self._reduce_terms(terms)
 
     # ---- center -------------------------------------------------------------------
+    def _slice_kernel(self, d, adjoints):
+        """Echelon of the common kernel on slice d of the maps m -> [m, g]
+        over the (adjoint, degree of g) pairs in ``adjoints``."""
+        slices = self.degree_slices()
+        idxs = slices.get(d, [])
+        # constraint rows, sparse over the slice, keyed (generator, target)
+        rows = {}
+        for g, (adjoint, gdeg) in enumerate(adjoints):
+            if d + gdeg not in slices:
+                # adjoint lands in a zero space: no constraint
+                continue
+            for col, m in enumerate(idxs):
+                for k, val in adjoint(m).items():
+                    rows.setdefault((g, k), {})[col] = val
+        # sparsest rows first: the elimination then fills in far less, and a
+        # kernel does not depend on the order of its rows
+        rows = sorted(rows.values(), key=len)
+        return echelon([{idxs[t]: c for t, c in enumerate(vec) if c}
+                        for vec in kernel_basis(rows, len(idxs))], self.dim)
+
     def _center_slice(self, d):
         """Echelon of Z_d, the central elements of degree d, solved on first
-        use: the common kernel of the generators' adjoint maps on slice d.
-        The pbw backend forms each map from the basis keys (``_adjoint``);
-        the skew backend, the c = 0 oracle, multiplies by ``generators``."""
-        ech = self._center_slices.get(d)
-        if ech is None:
-            slices = self.degree_slices()
-            idxs = slices.get(d, [])
-            if self.backend == "skew":
-                adjoints = [(partial(self._adjoint_by_products, gvec), gdeg)
-                            for gvec, gdeg in self.generators]
-            else:
-                adjoints = [(partial(self._adjoint, gen), gdeg)
-                            for gen, gdeg in self._adjoint_generators]
-            # constraint rows, sparse over the slice, keyed (generator, target)
-            rows = {}
-            for g, (adjoint, gdeg) in enumerate(adjoints):
-                if d + gdeg not in slices:
-                    # adjoint lands in a zero space: no constraint
-                    continue
-                for col, m in enumerate(idxs):
-                    for k, val in adjoint(m).items():
-                        rows.setdefault((g, k), {})[col] = val
-            # sparsest rows first: the elimination then fills in far less,
-            # and a kernel does not depend on the order of its rows
-            rows = sorted(rows.values(), key=len)
-            ech = echelon([{idxs[t]: c for t, c in enumerate(vec) if c}
-                           for vec in kernel_basis(rows, len(idxs))], self.dim)
-            self._center_slices[d] = ech
-        return ech
+        use from the direct adjoint maps (``_adjoint``) of the
+        orbit-spanning generators."""
+        if d not in self._center_slices:
+            self._center_slices[d] = self._slice_kernel(d, [
+                (partial(self._adjoint, gen), gdeg)
+                for gen, gdeg in self._adjoint_generators])
+        return self._center_slices[d]
 
-    def _adjoint_by_products(self, gvec, m):
-        """m g - g m through the product table."""
-        em = {m: ONE}
-        return _axpy(self.multiply_vec(em, gvec), self.multiply_vec(gvec, em),
-                     -ONE)
+    def skew_center(self, d):
+        """RREF rows of Z_d solved from ``skew_multiply`` commutators with
+        every entry of ``generators``: the c = 0 oracle for the centre, with
+        no straightening and no direct adjoint map."""
+        algebra, basis = self.algebra, self.basis
+        if not algebra.param.is_zero():
+            raise InvalidInput("skew_center is the c = 0 oracle; c is not 0")
+
+        def commutator(gvec, m):
+            g = PBWElement(algebra, {basis[i]: c for i, c in gvec.items()})
+            em = PBWElement(algebra, {basis[m]: ONE})
+            return self.reduce_pbw(algebra.skew_multiply(em, g)
+                                   - algebra.skew_multiply(g, em))
+
+        rows = self._slice_kernel(d, [(partial(commutator, gvec), gdeg)
+                                      for gvec, gdeg in self.generators]).rows
+        return [dict(sorted(rows[p].items())) for p in sorted(rows)]
 
     def _center_basis(self, degrees):
         """RREF rows of the sum of the Z_d over ``degrees``, in pivot order,
@@ -745,11 +745,10 @@ class RestrictedCherednikAlgebra(StandardModules):
         return len(prods) - len(
             CommutativeAlgebra(prods, unit_coords).radical_basis())
 
-    def cm_partition(self, seed=0, verify=True):
-        """Blocks by linkage of graded decomposition numbers, cross-checked
-        by central characters: each Z_0 basis vector takes one value on
-        every baby Verma of a block (route 2), and the two routes must give
-        the same partition."""
+    def cm_partition(self, verify=True):
+        """Blocks by linkage of graded decomposition numbers; route 2, central
+        characters (each Z_0 basis vector takes one value on every baby
+        Verma of a block), cross-checks them in ``route_agreement``."""
         if not self.graded:
             raise CherednikError(
                 "the partition of the irreducibles is defined through the "
@@ -764,10 +763,6 @@ class RestrictedCherednikAlgebra(StandardModules):
         route2 = sorted([tuple(sorted(v, key=str)) for v in by_char.values()])
         route1 = sorted([tuple(sorted(v, key=str)) for v in linkage])
         agreement = route1 == route2
-        if not agreement:
-            raise CherednikError(
-                "linkage blocks disagree with central-character linking: "
-                f"{route1} vs {route2}")
         # assemble blocks
         blocks = []
         for labels in sorted(linkage, key=lambda v: str(sorted(v, key=str))):
@@ -788,7 +783,7 @@ class RestrictedCherednikAlgebra(StandardModules):
                 surj[str(blk.distinguished)] = rpt
             verification = {"e_dims": e_dims, "center_surjectivity": surj}
         return BlockPartition(group, self.algebra.param, blocks, agreement,
-                              seed, verification)
+                              verification)
 
     def center_surjectivity_on_baby_verma(self, rep):
         """Does the center surject onto End(Delta(0, rep, b))?
@@ -796,13 +791,25 @@ class RestrictedCherednikAlgebra(StandardModules):
         Only the degrees d >= 0 of the center are read.  A central element
         of degree d < 0 sends the lowest degree of Delta(rep) below degree
         0, where there is nothing; as it is central and the lowest degree
-        generates, it acts by 0 on all of Delta(rep).
+        generates, it acts by 0 on all of Delta(rep).  As a module map, z is
+        fixed by its value on the generator 1 (x) v_0 (v_0 the first basis
+        vector of rep), which y kills: x^a w y^b sends it to the basis vector
+        x^a (x) rep(w) v_0 when b = 0, and to 0 otherwise.
         """
         mod = self.baby_verma(rep)
         dim_end = self.endomorphism_dimension(mod)
         zbasis = self._center_basis(d for d in self.degree_slices() if d >= 0)
-        dim_image = rank([[v for row in mod.act_vector(z) for v in row]
-                          for z in zbasis], mod.dim * mod.dim)
+        slot = {a: k * rep.dim for k, a in enumerate(self.x_basis)}
+        images = []
+        for z in zbasis:
+            image = {}
+            for i, c in z.items():
+                a, w, b = self.basis[i]
+                if not any(b):
+                    for t, row in enumerate(rep.matrix(w)):
+                        _add_term(image, slot[a] + t, c * row[0])
+            images.append(image)
+        dim_image = rank(images, mod.dim)
         return {"dim_end": dim_end, "dim_center_image": dim_image,
                 "surjective": dim_image == dim_end}
 
@@ -823,12 +830,10 @@ def distinguished_rep(labels, b_invariants):
     return winners[0]
 
 
-def build_restricted(group, param, b_point=None, cap=RESTRICTED_CAP,
-                     backend="pbw"):
+def build_restricted(group, param, b_point=None, cap=RESTRICTED_CAP):
     """Construct the restricted algebra for (group, param) at fiber point b."""
     return RestrictedCherednikAlgebra(CherednikAlgebra(group, param),
-                                      b_point=b_point, cap=cap,
-                                      backend=backend)
+                                      b_point=b_point, cap=cap)
 
 
 def act_on_baby_verma(element, mod):

@@ -26,11 +26,10 @@ def algebra(spec, ctag, seed=0):
 
 
 @functools.lru_cache(maxsize=None)
-def restricted(spec, ctag, seed=0, backend="pbw"):
-    g = group(spec)
-    return build_restricted(g, parameter(spec, ctag, seed), backend=backend)
+def restricted(spec, ctag, seed=0):
+    return build_restricted(group(spec), parameter(spec, ctag, seed))
 
 
 @functools.lru_cache(maxsize=None)
 def partition(spec, ctag, seed=0, verify=True):
-    return restricted(spec, ctag, seed).cm_partition(seed=seed, verify=verify)
+    return restricted(spec, ctag, seed).cm_partition(verify=verify)

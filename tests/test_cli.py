@@ -467,8 +467,8 @@ def test_verify_inject_fault(tmp_path):
 
 def test_skew_agreement_reads_the_centre_of_the_product_table(monkeypatch):
     # a direct kernel spoiled at c = 0 so that Z_0 shrinks to the scalars
-    # keeps the one block there and the block theorems: only the skew
-    # backend's centre, solved from the product table, sees it
+    # keeps the one block there and the block theorems: only skew_center,
+    # solved from skew-group products, sees it
     from cherednik import verify
     from cherednik.restricted import RestrictedCherednikAlgebra
     monkeypatch.setattr(verify, "CM_GRID", ("Zm:3",))
@@ -503,6 +503,50 @@ def test_verify_cm_check_names_the_failed_condition(monkeypatch):
     for check, before in zip(checks, clean["checks"]):
         assert check["failed"] == ["theorems"] and not check["pass"]
         assert check["blocks"] == before["blocks"]
+
+
+def test_verify_cm_names_a_broken_skew_center(monkeypatch):
+    # a skew product that is always zero makes every element of slice 0
+    # commute: the cm suite still runs to the end, and each c = 0 check
+    # fails on skew agreement alone
+    from cherednik.pbw import CherednikAlgebra
+    monkeypatch.setattr(CherednikAlgebra, "skew_multiply",
+                        lambda self, u, v: self.zero())
+    checks = run_verification(seed=1, suites=["cm"])["suites"]["cm"]["checks"]
+    for check in checks:
+        if check["name"].endswith("c=zero"):
+            assert check["failed"] == ["skew_agreement"] and not check["pass"]
+        else:
+            assert check["pass"], check
+
+
+def test_a_route_disagreement_is_a_failed_check(tmp_path, monkeypatch):
+    # central characters spoiled at c = 0 to split every irreducible: `cm`
+    # reports the linkage block with route_agreement false and exits 1, and
+    # the verify check names route_agreement
+    from cherednik import verify
+    from cherednik.restricted import RestrictedCherednikAlgebra
+    character = RestrictedCherednikAlgebra._central_character
+
+    def spoiled(self, rep):
+        if self.algebra.param.is_zero():
+            return (rep.label,)
+        return character(self, rep)
+
+    monkeypatch.setattr(RestrictedCherednikAlgebra, "_central_character",
+                        spoiled)
+    rc, report = run_json(tmp_path, "cm", "--group", "Zm:3", "--c", "zero")
+    assert rc == 1
+    assert not report["route_agreement"] and not report["checks_pass"]
+    assert [b["labels"] for b in report["blocks"]] == [["chi0", "chi1",
+                                                        "chi2"]]
+    monkeypatch.setattr(verify, "CM_GRID", ("Zm:3",))
+    rc, report = run_json(tmp_path, "verify", "--suites", "cm")
+    assert rc == 1
+    generic, zero = report["suites"]["cm"]["checks"]
+    assert generic["pass"]
+    assert zero["name"] == "cm:Zm:3:c=zero"
+    assert zero["failed"] == ["route_agreement"]
 
 
 def test_verify_pbw_check_names_the_failed_condition(monkeypatch):

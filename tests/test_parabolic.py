@@ -111,7 +111,7 @@ def test_context_blocks_of_stabilizer():
     ctx = make_context(g, parameter("Sn:3:permutation", "1"),
                        (F(1), F(1), F(0)))
     part = build_restricted(ctx.stabilizer, ctx.restricted_param
-                            ).cm_partition(seed=0, verify=True)
+                            ).cm_partition(verify=True)
     # S_2 at c' = 1: two singleton blocks, theorem checks pass
     assert len(part.blocks) == 2
     assert part.all_singletons()

@@ -6,7 +6,7 @@ import pytest
 
 import cherednik
 from cherednik.errors import (CapExceeded, CherednikError, CompositionMismatch,
-                              DimensionMismatch, TieDetected)
+                              DimensionMismatch, InvalidInput, TieDetected)
 from cherednik.groups import (build_from_generators, build_group, build_i2,
                               build_sn, build_zm)
 from cherednik.linalg import (_add_term, _axpy, echelon, kernel_basis,
@@ -349,7 +349,7 @@ def test_center_surjectivity_fails_off_distinguished():
     {all three irreducibles} with the trivial rep distinguished, and the
     center does not surject onto End of the standard module at (2,1)."""
     R = restricted("Sn:3:reduced", "zero")
-    part = R.cm_partition(seed=0, verify=False)
+    part = R.cm_partition(verify=False)
     assert len(part.blocks) == 1
     assert str(part.blocks[0].distinguished) == "(3,)"
     good = R.center_surjectivity_on_baby_verma(R.group.irrep((3,)))
@@ -506,6 +506,26 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
     assert len(prods) == len(unit) == sizes[1]
 
 
+@pytest.mark.parametrize("spec,point", [
+    ("Sn:3:reduced", (1, 0)), ("I2:3", (1, 2))],
+    ids=["Sn:3:reduced-b=(1,0)", "I2:3-b=(1,2)"])
+def test_center_image_off_the_graded_fiber_is_the_full_matrix_rank(spec,
+                                                                   point):
+    # off the graded fiber there is one slice, Z = Z_0, and the image read
+    # on the generator 1 (x) v_0 still has the rank of the action matrices
+    g = group(spec)
+    R = build_restricted(g, parameter(spec, "generic", 1),
+                         b_point=tuple(map(F, point)))
+    assert not R.graded
+    zbasis = R.center()
+    for rep in g.irreps:
+        mod = R.baby_verma(rep)
+        full = rank([[v for row in mod.act_vector(z) for v in row]
+                     for z in zbasis], mod.dim ** 2)
+        rpt = R.center_surjectivity_on_baby_verma(rep)
+        assert rpt["dim_center_image"] == full, rep.label
+
+
 @pytest.mark.parametrize("spoil,message", [
     (lambda factors: factors[1:], "leave a remainder in degree 0"),
     (lambda factors: factors + factors[:1], "leave a remainder in degree 0"),
@@ -518,7 +538,7 @@ def test_linkage_route_rejects_a_spoiled_peel(spoil, message, monkeypatch):
     monkeypatch.setattr(R, "_decompose",
                         lambda chi: spoil(decompose(chi)))
     with pytest.raises(CompositionMismatch, match=message):
-        R.cm_partition(seed=1, verify=False)
+        R.cm_partition(verify=False)
 
 
 def test_linkage_route_rejects_a_head_past_the_top_degree(monkeypatch):
@@ -547,7 +567,7 @@ def test_cm_partition_never_splits_the_center(spec, ctag, seed, monkeypatch):
         raise AssertionError("cm_partition split the center")
 
     monkeypatch.setattr(R, "center_structure", refuse)
-    part = R.cm_partition(seed=seed, verify=True)
+    part = R.cm_partition(verify=True)
     assert part.route_agreement and part.theorems_hold()
 
 
@@ -561,7 +581,7 @@ def test_composition_factors_rebuild_the_baby_verma(spec, ctag, seed):
     R = restricted(spec, ctag, seed)
     heads = {rep.label: R._graded_character(R.simple_module(rep))
              for rep in R.group.irreps}
-    blocks = {lbl: blk for blk in R.cm_partition(seed=seed, verify=False).blocks
+    blocks = {lbl: blk for blk in R.cm_partition(verify=False).blocks
               for lbl in blk.labels}
     for rep in R.group.irreps:
         factors = R._composition_factors(rep, heads)
@@ -597,9 +617,9 @@ def test_a_non_scalar_central_character_is_an_error(monkeypatch):
 def test_center_is_solved_only_where_it_is_read(spec, ctag, seed):
     g = group(spec)
     R = build_restricted(g, parameter(spec, ctag, seed))
-    R.cm_partition(seed=seed, verify=False)
+    R.cm_partition(verify=False)
     assert list(R._center_slices) == [0]
-    R.cm_partition(seed=seed, verify=True)
+    R.cm_partition(verify=True)
     assert set(R._center_slices) == {
         d for d in R.degree_slices() if d >= 0}
 
@@ -613,16 +633,18 @@ def test_zero_parameter_is_one_block_led_by_b_zero(spec):
     assert R.group.b_invariant(R.group.irrep(blocks[0].distinguished)) == 0
 
 
-def test_skew_backend_agrees_at_zero():
-    # the skew backend's centre comes from the product table, the pbw one
-    # from the direct adjoint actions of fewer generators
-    shape = lambda p: sorted(sorted(map(str, b.labels)) for b in p.blocks)
-    for spec in ("Zm:3", "Sn:3:reduced"):
-        p1 = partition(spec, "zero")
-        R2 = restricted(spec, "zero", backend="skew")
-        p2 = R2.cm_partition(seed=0, verify=False)
-        assert shape(p1) == shape(p2)
-        assert R2.center() == restricted(spec, "zero").center()
+@pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced", "I2:4"])
+def test_skew_center_agrees_on_every_slice_at_zero(spec):
+    # skew_center solves Z_d from skew-group commutators with every
+    # generator, _center_slice from the direct adjoint actions of fewer
+    R = restricted(spec, "zero")
+    for d in R.degree_slices():
+        assert R.skew_center(d) == R._center_basis([d]), d
+
+
+def test_skew_center_refuses_a_nonzero_parameter():
+    with pytest.raises(InvalidInput, match="c = 0"):
+        restricted("Zm:3", "generic", 1).skew_center(0)
 
 
 def test_distinguished_rep_tie_detected():
@@ -839,7 +861,7 @@ def test_module_level_operations():
     assert mod.dim == 2
     head = mod.parent.simple_module(g.irrep("chi0"))
     assert head.dim == 2
-    part = build_restricted(g, par).cm_partition(seed=0, verify=False)
+    part = build_restricted(g, par).cm_partition(verify=False)
     assert len(part.blocks) == 2
     assert build_restricted(g, par).dim_e_simple(g.irrep("chi0")) == 1
 
