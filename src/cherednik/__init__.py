@@ -16,7 +16,6 @@ from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      NotFactorizable, NotRegularDetected, NotSimpleHead,
                      SideMismatch, TieDetected, UnsupportedGroup,
                      ZeroPolynomial)
-from .comalg import CommutativeAlgebra, idempotents_of_commutative_algebra
 from .series import GradedCharacter, b_invariant
 from .groups import (IrrRep, Reflection, ReflectionGroup, build_from_generators,
                      build_group, build_i2, build_sn, build_zm)

@@ -347,11 +347,13 @@ def cmd_bv_check(args):
 
 
 def cmd_verify(args):
-    suites = args.suites.split(",") if args.suites else None
-    if suites:
+    suites = None if args.suites is None else args.suites.split(",")
+    if suites is not None:
         unknown = [s for s in suites if s not in SUITES]
         if unknown:
             raise InvalidInput(f"unknown suites: {unknown}")
+        if len(set(suites)) < len(suites):
+            raise InvalidInput(f"a suite is named twice: {args.suites}")
     report = run_verification(seed=args.seed, deep=args.deep,
                               inject_fault=args.inject_fault, suites=suites)
     _emit(report, args)

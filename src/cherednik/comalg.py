@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, euler_phi
 from .errors import FieldExtensionNeeded, NotCommutative
+from .groups import _vec_sort_key
 from .linalg import (ZERO, ONE, Echelon, echelon, identity, kernel_basis,
                      rref, solve)
 
@@ -280,9 +281,3 @@ def idempotents_of_commutative_algebra(prods, unit, conductor=1, seed=0):
 
     idems.sort(key=_vec_sort_key)
     return idems
-
-
-def _vec_sort_key(vec):
-    """Each entry as its sorted (k, num, den) terms in zeta^k."""
-    return [tuple(map(tuple, v.literals())) if isinstance(v, Cyc)
-            else ((0, v.numerator, v.denominator),) for v in vec]

@@ -638,7 +638,7 @@ class ReflectionGroup:
             if phase is not None:
                 chars.append(tuple(zeta[phase[g]] for g in range(n)))
         chars.sort(key=lambda chi: (0 if all(v == 1 for v in chi) else 1,
-                                    _char_sort_key(chi)))
+                                    _vec_sort_key(chi)))
         reps = []
         for j, chi in enumerate(chars):
             label = "triv" if j == 0 else f"chi{j}"
@@ -674,9 +674,10 @@ class ReflectionGroup:
         return f"ReflectionGroup({self.name}, order={self.order}, n={self.n})"
 
 
-def _char_sort_key(chi):
-    from .comalg import _vec_sort_key
-    return _vec_sort_key(list(chi))
+def _vec_sort_key(vec):
+    """Each entry as its sorted (k, num, den) terms in zeta^k."""
+    return [tuple(map(tuple, v.literals())) if isinstance(v, Cyc)
+            else ((0, v.numerator, v.denominator),) for v in vec]
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,8 @@ the blocks are the linkage classes of the graded decomposition numbers
 (x-coinvariant monomial) x (group element) x (y-coinvariant monomial), each
 product straightened and reduced at b on the x side and at 0 on the y side on
 first use, and the center, one degree at a time where it is read.  Central
-characters cross-check the linkage blocks, and the trace form of Z_0 counts
-the blocks at any fiber point.
+characters cross-check the linkage blocks, and the trace form of Z_0 on the
+baby Vermas counts the blocks at any fiber point.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, partial
 from operator import add
 
-from .comalg import CommutativeAlgebra
 from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DimensionMismatch, InvalidInput, NotSimpleHead,
                      TieDetected)
@@ -278,14 +277,10 @@ class StandardModules:
         """Basis of the radical of the acting image: the kernel of its trace
         form tr(ab) = sum of a_ij b_ji (characteristic 0)."""
         dim = len(basis[0])
-        nonzero = [[(i * dim + j, v) for i, row in enumerate(a)
-                    for j, v in enumerate(row) if v] for a in basis]
-        flat_t = [[v for col in zip(*b) for v in col] for b in basis]
-        gram = [[sum((v * bt[k] for k, v in nz if bt[k]), ZERO)
-                 for bt in flat_t] for nz in nonzero]
         return [[[sum((c * a[i][j] for c, a in zip(vec, basis) if c), ZERO)
                   for j in range(dim)] for i in range(dim)]
-                for vec in kernel_basis(gram, len(basis))]
+                for vec in kernel_basis(_trace_gram([[a] for a in basis]),
+                                        len(basis))]
 
     def _image_radical(self, mod):
         """Echelon of J(A) M through the acting image's trace-form radical:
@@ -685,37 +680,12 @@ class RestrictedCherednikAlgebra(StandardModules):
         b != 0 that is the whole center."""
         return self._center_basis([0])
 
-    def center_structure(self):
-        """Structure constants of Z_0 over its RREF basis, and the
-        coordinates of the unit.
-
-        This is all ``block_count`` needs.  A homogeneous central element
-        of nonzero degree is nilpotent (its powers leave the finitely many
-        degrees), so it lies in the radical of the commutative algebra Z.
-        Hence Z = Z_0 + rad Z, Z_0 / rad Z_0 = Z / rad Z, and Z_0 counts
-        the blocks of Z.
-        """
-        zbasis = self.degree_zero_center()
-        ech = self._center_slice(0)
-        pivots = ech.pivots()
-
-        def coordinates(vec):
-            residual, coeffs = ech.reduce(vec)
-            if residual:
-                raise CherednikError("vector is not in the computed Z_0")
-            return [coeffs.get(p, ZERO) for p in pivots]
-
-        k = len(zbasis)
-        prods = [[None] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                coords = coordinates(self.multiply_vec(zbasis[i], zbasis[j]))
-                prods[i][j] = coords
-                prods[j][i] = coords
-        return prods, coordinates(self.unit)
-
-
     # ---- blocks -----------------------------------------------------------------
+    def _z0_actions(self, rep):
+        """Matrix of each Z_0 basis vector on Delta_b(rep)."""
+        mod = self.baby_verma(rep)
+        return [mod.act_vector(z) for z in self.degree_zero_center()]
+
     def _central_character(self, rep):
         """Scalar of each Z_0 basis vector on Delta(rep).
 
@@ -725,10 +695,8 @@ class RestrictedCherednikAlgebra(StandardModules):
         scalar is an error.  The rest of the center adds nothing: an element
         of nonzero degree is nilpotent.
         """
-        mod = self.baby_verma(rep)
         values = []
-        for z in self.degree_zero_center():
-            mat = mod.act_vector(z)
+        for mat in self._z0_actions(rep):
             value = mat[0][0]
             if any(v != (value if i == j else ZERO)
                    for i, row in enumerate(mat) for j, v in enumerate(row)):
@@ -739,11 +707,19 @@ class RestrictedCherednikAlgebra(StandardModules):
 
     def block_count(self):
         """Number of blocks over the algebraic closure, at any fiber point:
-        dim Z_0 / rad Z_0, the radical being the kernel of the trace form
-        (``center_structure``)."""
-        prods, unit_coords = self.center_structure()
-        return len(prods) - len(
-            CommutativeAlgebra(prods, unit_coords).radical_basis())
+        the rank of the trace form (z, z') -> sum over lambda of
+        tr(z z') on Delta_b(lambda), on Z_0.
+
+        A central element of nonzero degree is nilpotent, so Z_0 / rad Z_0
+        is Z / rad Z, one field (over the closure) per block.  Nilpotents
+        have trace 0.  On Z / rad Z the form is diagonal in the block
+        idempotents e_i, with entries dim e_i (sum of the Delta_b(lambda)),
+        and none is 0: each simple module is a quotient of some
+        Delta_b(lambda) (y acts nilpotently, so L^{y=0} is not 0, and
+        Frobenius reciprocity gives the map).
+        """
+        actions = [self._z0_actions(rep) for rep in self.group.irreps]
+        return rank(_trace_gram(list(zip(*actions))))
 
     def cm_partition(self, verify=True):
         """Blocks by linkage of graded decomposition numbers; route 2, central
@@ -816,6 +792,17 @@ class RestrictedCherednikAlgebra(StandardModules):
     def __repr__(self):
         return (f"RestrictedCherednikAlgebra({self.group.name}, dim={self.dim},"
                 f" b={'0' if self.graded else self.b_point})")
+
+
+def _trace_gram(elements):
+    """Gram matrix of the trace form (a, b) -> sum over k of tr(a_k b_k) on
+    ``elements``, each a list of square matrices a_k, one per module."""
+    flat = [[v for a in elt for row in a for v in row] for elt in elements]
+    flat_t = [[v for b in elt for col in zip(*b) for v in col]
+              for elt in elements]
+    nonzero = [[(k, v) for k, v in enumerate(f) if v] for f in flat]
+    return [[sum((v * bt[k] for k, v in nz if bt[k]), ZERO) for bt in flat_t]
+            for nz in nonzero]
 
 
 def distinguished_rep(labels, b_invariants):

@@ -83,7 +83,8 @@ def test_cm_dihedral_family_at_generic_one(capsys):
 
 def test_cm_and_block_count_leave_sympy_unloaded():
     # the blocks need no splitting of the center, and block_count off the
-    # graded fiber reads the trace form of Z_0, with no factoring
+    # graded fiber reads the trace form of Z_0 on the baby Vermas: no
+    # engine module imports the splitter
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(cherednik.__file__)))
     code = """if True:
@@ -96,12 +97,21 @@ def test_cm_and_block_count_leave_sympy_unloaded():
             for c in ("generic:1", "zero"):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main(["cm", "--group", spec, "--c", c]) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["characters", "--group", "I2:5",
+                         "--c", "generic:1"]) == 0
         assert "sympy" not in sys.modules
+        assert "cherednik.comalg" not in sys.modules
         g = build_group("Zm:2")
         R = build_restricted(g, Parameter.constant(g, 1),
                              b_point=(Fraction(1),))
         assert R.block_count() == 2
+        g = build_group("Sn:3:reduced")
+        R = build_restricted(g, Parameter.constant(g, 1),
+                             b_point=(Fraction(1), Fraction(0)))
+        assert R.block_count() == 4
         assert "sympy" not in sys.modules
+        assert "cherednik.comalg" not in sys.modules
     """
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
@@ -120,6 +130,7 @@ def test_reduce_on_an_abelian_stabilizer_leaves_sympy_unloaded():
             assert main(["reduce", "--group", "I2:4", "--point", "1,1",
                          "--c", "generic:1", "--seed", "1"]) == 0
         assert "sympy" not in sys.modules
+        assert "cherednik.comalg" not in sys.modules
     """
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
@@ -326,6 +337,9 @@ def test_reduce_point_validation(capsys):
     ["reduce", "--group", {"conductor": 4, "generators": [
         [[[[1, 1, 1]], [[0, 0, 1]]], [[[0, 0, 1]], [[1, 1, 1]]]]]},
      "--point", "1,0", "--c", "zero"],
+    # --suites that names no suite, or one suite twice
+    ["verify", "--suites", ""],
+    ["verify", "--suites", "cm,cm"],
 ])
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, argv):
     path = tmp_path / "group.json"

@@ -299,7 +299,7 @@ def _split_characters(g):
     idempotents of its group algebra, e = (1/|G|) sum chi(g^-1) g, sorted
     as ``_abelian_irreps`` sorts them."""
     from cherednik.comalg import idempotents_of_commutative_algebra
-    from cherednik.groups import _char_sort_key
+    from cherednik.groups import _vec_sort_key
     n = g.order
     prods = [[[ONE if k == g.mult(i, j) else ZERO for k in range(n)]
               for j in range(n)] for i in range(n)]
@@ -308,7 +308,7 @@ def _split_characters(g):
              for e in idempotents_of_commutative_algebra(prods, unit,
                                                          g.conductor)]
     return sorted(chars, key=lambda chi: (any(v != 1 for v in chi),
-                                          _char_sort_key(chi)))
+                                          _vec_sort_key(chi)))
 
 
 def _diagonal_klein():

@@ -9,8 +9,8 @@ from cherednik.errors import (CapExceeded, CherednikError, CompositionMismatch,
                               DimensionMismatch, InvalidInput, TieDetected)
 from cherednik.groups import (build_from_generators, build_group, build_i2,
                               build_sn, build_zm)
-from cherednik.linalg import (_add_term, _axpy, echelon, kernel_basis,
-                              mat_mul, mat_vec, rank, trace)
+from cherednik.linalg import (ZERO, _add_term, _axpy, echelon,
+                              kernel_basis, mat_mul, mat_vec, rank, trace)
 from cherednik.parabolic import make_context
 from cherednik.pbw import CherednikAlgebra, Parameter, PBWElement
 from cherednik.restricted import (FDModule, RestrictedCherednikAlgebra,
@@ -359,11 +359,34 @@ def test_center_surjectivity_fails_off_distinguished():
     assert bad["dim_end"] == 4 and bad["dim_center_image"] == 1
 
 
+def _center_structure(R):
+    """Structure constants of Z_0 over its RREF basis, and the coordinates
+    of the unit: products in the |W|^3 table, read back through the echelon
+    of Z_0.  The input of the idempotent splitter, the oracle for
+    ``block_count``."""
+    zbasis = R.degree_zero_center()
+    ech = R._center_slice(0)
+    pivots = ech.pivots()
+
+    def coordinates(vec):
+        residual, coeffs = ech.reduce(vec)
+        assert not residual, "a product left the computed Z_0"
+        return [coeffs.get(p, ZERO) for p in pivots]
+
+    k = len(zbasis)
+    prods = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            prods[i][j] = prods[j][i] = coordinates(
+                R.multiply_vec(zbasis[i], zbasis[j]))
+    return prods, coordinates(R.unit)
+
+
 @pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced"])
 def test_center_idempotent_identities(spec):
-    # the coordinates from center_structure are over the Z_0 basis
+    # the structure constants are over the Z_0 basis
     R = restricted(spec, "generic")
-    prods, unit = R.center_structure()
+    prods, unit = _center_structure(R)
     from cherednik.comalg import idempotents_of_commutative_algebra
     idems = idempotents_of_commutative_algebra(prods, unit,
                                                conductor=R.group.conductor)
@@ -461,7 +484,7 @@ def test_sn4_degree_zero_center_past_the_default_cap():
     ("I2:3", "generic", 1, (6, 4))], ids=[
     "Sn:3:reduced", "I2:3", "I2:4", "Sn:3:reduced-generic:1", "I2:3-generic:1"])
 def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
-                                                           sizes, monkeypatch):
+                                                           sizes):
     # the facts that let the blocks be read off Z_0 alone, and the
     # surjectivity check leave out the negative degrees
     R = restricted(spec, ctag, seed)
@@ -494,16 +517,6 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
                      for z in zbasis], mod.dim ** 2)
         rpt = R.center_surjectivity_on_baby_verma(rep)
         assert rpt["dim_center_image"] == full, rep.label
-    # and the structure constants multiply degree-0 vectors only
-    multiply = R.multiply_vec
-
-    def degree_zero_only(u, v):
-        assert all(R.basis_degree(i) == 0 for i in (*u, *v))
-        return multiply(u, v)
-
-    monkeypatch.setattr(R, "multiply_vec", degree_zero_only)
-    prods, unit = R.center_structure()
-    assert len(prods) == len(unit) == sizes[1]
 
 
 @pytest.mark.parametrize("spec,point", [
@@ -564,9 +577,9 @@ def test_cm_partition_never_splits_the_center(spec, ctag, seed, monkeypatch):
     R = restricted(spec, ctag, seed)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("cm_partition split the center")
+        raise AssertionError("cm_partition read the |W|^3 product table")
 
-    monkeypatch.setattr(R, "center_structure", refuse)
+    monkeypatch.setattr(R, "multiply_basis", refuse)
     part = R.cm_partition(verify=True)
     assert part.route_agreement and part.theorems_hold()
 
@@ -709,23 +722,46 @@ def test_block_count_is_the_number_of_linkage_classes(spec, ctag):
     assert R.block_count() == len(R._linkage_classes())
 
 
-def test_block_count_needs_no_split_field():
-    # S_3 at c = 1 over b = (1, 0): Z_0 does not split over Q(zeta_6), the
-    # field of the group; the trace form counts its blocks all the same
-    g = group("Sn:3:reduced")
-    point = (F(1), F(0))
-    R = build_restricted(g, Parameter.constant(g, 1), b_point=point)
-    assert R.block_count() == 4
-    # oracle: the same matrices over Q(zeta_12), where Z_0 splits into
-    # primitive idempotents
+@pytest.mark.parametrize("spec,ctag,seed,point,conductor,blocks", [
+    ("Sn:3:reduced", "1", 0, (1, 0), 12, 4),
+    ("I2:3", "generic", 2, (1, 2), 24, 4),
+    ("I2:4", "1", 0, (1, 0), 4, 3)],
+    ids=["Sn:3:reduced-b=(1,0)", "I2:3-generic:2-b=(1,2)", "I2:4-b=(1,0)"])
+def test_block_count_needs_no_split_field(spec, ctag, seed, point, conductor,
+                                          blocks):
+    # off the graded fiber Z_0 need not split over the field of the group
+    # (it does not for S_3 and I_2(3) here); the trace form counts its
+    # blocks all the same
+    g = group(spec)
+    par = parameter(spec, ctag, seed)
+    point = tuple(map(F, point))
+    assert build_restricted(g, par, b_point=point).block_count() == blocks
+    # oracle: the same matrices and (constant) parameter over
+    # Q(zeta_conductor), where Z_0 splits into primitive idempotents
     from cherednik.comalg import idempotents_of_commutative_algebra
-    from cherednik.groups import build_from_generators
-    g12 = build_from_generators(
-        12, [g.matrix(w) for w in g.generators.values()])
-    R12 = build_restricted(g12, Parameter.constant(g12, 1), b_point=point)
-    prods, unit = R12.center_structure()
-    assert len(idempotents_of_commutative_algebra(prods, unit,
-                                                  conductor=12)) == 4
+    (value,) = set(par.values.values())
+    gN = build_from_generators(
+        conductor, [g.matrix(w) for w in g.generators.values()])
+    RN = build_restricted(gN, Parameter.constant(gN, value), b_point=point)
+    prods, unit = _center_structure(RN)
+    assert len(idempotents_of_commutative_algebra(
+        prods, unit, conductor=conductor)) == blocks
+
+
+@pytest.mark.parametrize("spec,ctag,seed,point,blocks", [
+    ("I2:4", "generic", 1, None, 5), ("Zm:3", "zero", 0, None, 1),
+    ("Sn:3:reduced", "1", 0, (1, 0), 4)],
+    ids=["I2:4-generic:1", "Zm:3-zero", "Sn:3:reduced-b=(1,0)"])
+def test_block_count_reads_no_product_table(spec, ctag, seed, point, blocks,
+                                            monkeypatch):
+    R = build_restricted(group(spec), parameter(spec, ctag, seed),
+                         b_point=point and tuple(map(F, point)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("block_count read the |W|^3 product table")
+
+    monkeypatch.setattr(R, "multiply_basis", refuse)
+    assert R.block_count() == blocks
 
 
 def test_act_vector_refuses_what_it_cannot_index():
