@@ -130,8 +130,12 @@ def _emit(report, args):
     else:
         text = _to_table(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"--out: cannot write {args.out!r}: "
+                               f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -246,8 +250,10 @@ def cmd_characters(args):
     group = _load_group(args.group)
     param = _load_parameter(group, args.c, args.seed)
     trunc = _at_least("--trunc", args.trunc, 0)
-    labels = ([l.strip() for l in args.rep.split(";")] if args.rep
+    labels = ([l.strip() for l in args.rep.split(";")] if args.rep is not None
               else [str(r.label) for r in group.irreps])
+    if len(set(labels)) < len(labels):
+        raise InvalidInput(f"--rep names an irreducible twice: {args.rep}")
     by_label = {str(r.label): r for r in group.irreps}
     table = []
     for lbl in labels:

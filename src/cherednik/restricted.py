@@ -26,7 +26,7 @@ from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DimensionMismatch, InvalidInput, NotSimpleHead,
                      TieDetected)
 from .linalg import (MONE, ONE, ZERO, Echelon, _add_term, _axpy, echelon,
-                     identity, kernel_basis, mat_mul, mat_vec, rank)
+                     identity, kernel_basis, mat_mul, rank)
 from .pbw import CherednikAlgebra, PBWElement, _unit_exp
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
@@ -38,7 +38,7 @@ class FDModule:
     ``x`` and ``y`` list the matrices of x_i and y_i; ``w_action`` maps a
     group element index to its matrix, and ``w_matrix`` calls it once per
     element.  ``rep`` is the irreducible of W that the module is built
-    from, or None.
+    from, or None.  ``apply`` is the one action routine.
     """
 
     def __init__(self, parent, dim, x, y, w_action, weights=None, label=None,
@@ -52,9 +52,8 @@ class FDModule:
         self.rep = rep
         self._w_action = w_action
         self._w = {}                  # group element index -> matrix
-        self._xpow = {}
-        self._ypow = {}
-        self._mono = {}
+        self._cols = {}               # ("x"|"y"|"w", index) -> sparse columns
+        self._pow = {}                # (kind, exponent, k) -> x^a or y^b e_k
 
     def w_matrix(self, widx):
         mat = self._w.get(widx)
@@ -69,42 +68,54 @@ class FDModule:
         return mats + [self.w_matrix(w)
                        for w in self.parent.group.generators.values()]
 
-    def _power(self, cache, mats, expo):
-        """The product of the mats[i]^expo[i]; expo is not all zero."""
-        mat = cache.get(expo)
-        if mat is None:
-            for i, k in enumerate(expo):
-                for _ in range(k):
-                    mat = mats[i] if mat is None else mat_mul(mats[i], mat)
-            cache[expo] = mat
-        return mat
+    def _columns(self, gen):
+        """Sparse columns of the matrix of ("x", i), ("y", j) or ("w", w)."""
+        if gen not in self._cols:
+            kind, i = gen
+            mat = self.w_matrix(i) if kind == "w" else getattr(self, kind)[i]
+            self._cols[gen] = [{r: row[k] for r, row in enumerate(mat)
+                                if row[k]} for k in range(self.dim)]
+        return self._cols[gen]
 
-    def monomial_matrix(self, key):
-        """Action of the basis monomial x^a w y^b."""
-        mat = self._mono.get(key)
-        if mat is None:
-            a, w, b = key
-            mat = self.w_matrix(w)
-            if any(b):
-                mat = mat_mul(mat, self._power(self._ypow, self.y, b))
-            if any(a):
-                mat = mat_mul(self._power(self._xpow, self.x, a), mat)
-            self._mono[key] = mat
-        return mat
+    def _power_column(self, kind, expo, k):
+        """x^expo e_k (kind "x") or y^expo e_k (kind "y"), sparse."""
+        key = (kind, expo, k)
+        if key not in self._pow:
+            i = next((i for i, e in enumerate(expo) if e), None)
+            if i is None:
+                return {k: ONE}
+            lower = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
+            cols, vec = self._columns((kind, i)), {}
+            for j, c in self._power_column(kind, lower, k).items():
+                _axpy(vec, cols[j], c)
+            self._pow[key] = vec
+        return self._pow[key]
+
+    def apply(self, terms, vec):
+        """The sparse vector z v, for z the PBW terms {(a, w, b): c} of any
+        degree and v a sparse vector {index: coeff}: y^b on v first, then w
+        on the sum for each (a, w), then x^a on the sum for each a."""
+        by_b, by_aw, by_a, out = {}, {}, {}, {}
+        for (a, w, b), c in terms.items():
+            if b not in by_b:
+                by_b[b] = {}
+                for k, v in vec.items():
+                    _axpy(by_b[b], self._power_column("y", b, k), v)
+            _axpy(by_aw.setdefault((a, w), {}), by_b[b], c)
+        for (a, w), u in by_aw.items():
+            cols, acc = self._columns(("w", w)), by_a.setdefault(a, {})
+            for k, c in u.items():
+                _axpy(acc, cols[k], c)
+        for a, u in by_a.items():
+            for k, c in u.items():
+                _axpy(out, self._power_column("x", a, k), c)
+        return out
 
     def act_terms(self, terms):
-        """Action matrix of the sum of c * x^a w y^b over ``terms``, PBW keys
-        {(a, w, b): c} of any degree: the module's matrices reduce them."""
-        out = [[ZERO] * self.dim for _ in range(self.dim)]
-        for key, c in terms.items():
-            mat = self.monomial_matrix(key)
-            for i in range(self.dim):
-                row = mat[i]
-                orow = out[i]
-                for j in range(self.dim):
-                    if row[j]:
-                        orow[j] = orow[j] + c * row[j]
-        return out
+        """Action matrix of PBW terms {(a, w, b): c} of any degree: column k
+        is ``apply(terms, {k: 1})``."""
+        cols = [self.apply(terms, {k: ONE}) for k in range(self.dim)]
+        return [[col.get(i, ZERO) for col in cols] for i in range(self.dim)]
 
     def act_vector(self, vec):
         """Action matrix of a parent algebra element {basis index: coeff}."""
@@ -273,22 +284,15 @@ class StandardModules:
                 queue.extend(mat_mul(g, mat) for g in gens)
         return basis
 
-    def radical_of_image(self, basis):
-        """Basis of the radical of the acting image: the kernel of its trace
-        form tr(ab) = sum of a_ij b_ji (characteristic 0)."""
-        dim = len(basis[0])
-        return [[[sum((c * a[i][j] for c, a in zip(vec, basis) if c), ZERO)
-                  for j in range(dim)] for i in range(dim)]
-                for vec in kernel_basis(_trace_gram([[a] for a in basis]),
-                                        len(basis))]
-
     def _image_radical(self, mod):
-        """Echelon of J(A) M through the acting image's trace-form radical:
-        the route for modules without a grading (b != 0)."""
-        dim = mod.dim
-        rad = self.radical_of_image(self.acting_image(mod))
-        return echelon([[j[i][col] for i in range(dim)]
-                        for j in rad for col in range(dim)], dim)
+        """Echelon of J(A) M, spanned by the columns of the radical of the
+        acting image, the kernel of its trace form tr(ab) = sum of a_ij b_ji
+        (characteristic 0): the route for modules without a grading."""
+        basis, dim = self.acting_image(mod), mod.dim
+        rad = kernel_basis(_trace_gram([[a] for a in basis]), len(basis))
+        return echelon([[sum((c * a[i][col] for c, a in zip(vec, basis) if c),
+                             ZERO) for i in range(dim)]
+                        for vec in rad for col in range(dim)], dim)
 
     def _graded_radical(self, mod):
         """Echelon of the radical J of a graded module, degree by degree.
@@ -369,10 +373,10 @@ class StandardModules:
         group = self.group
         scale = Fraction(rep.dim, group.order)
         zero = (0,) * group.n
-        mat = mod.act_terms({(zero, w, zero): c for w in range(group.order)
-                             if (c := scale * rep.char(group.inv(w)))})
-        return rank([mat_vec(mat, v) for v in self.singular_vectors(mod)],
-                    mod.dim) // rep.dim
+        proj = {(zero, w, zero): c for w in range(group.order)
+                if (c := scale * rep.char(group.inv(w)))}
+        return rank([mod.apply(proj, {k: c for k, c in enumerate(v) if c})
+                     for v in self.singular_vectors(mod)], mod.dim) // rep.dim
 
     def simple_module(self, rep):
         if rep.label not in self._head_cache:
@@ -768,24 +772,13 @@ class RestrictedCherednikAlgebra(StandardModules):
         of degree d < 0 sends the lowest degree of Delta(rep) below degree
         0, where there is nothing; as it is central and the lowest degree
         generates, it acts by 0 on all of Delta(rep).  As a module map, z is
-        fixed by its value on the generator 1 (x) v_0 (v_0 the first basis
-        vector of rep), which y kills: x^a w y^b sends it to the basis vector
-        x^a (x) rep(w) v_0 when b = 0, and to 0 otherwise.
+        fixed by its value on the generator 1 (x) v_0, basis vector 0.
         """
         mod = self.baby_verma(rep)
         dim_end = self.endomorphism_dimension(mod)
         zbasis = self._center_basis(d for d in self.degree_slices() if d >= 0)
-        slot = {a: k * rep.dim for k, a in enumerate(self.x_basis)}
-        images = []
-        for z in zbasis:
-            image = {}
-            for i, c in z.items():
-                a, w, b = self.basis[i]
-                if not any(b):
-                    for t, row in enumerate(rep.matrix(w)):
-                        _add_term(image, slot[a] + t, c * row[0])
-            images.append(image)
-        dim_image = rank(images, mod.dim)
+        dim_image = rank([mod.apply({self.basis[i]: c for i, c in z.items()},
+                                    {0: ONE}) for z in zbasis], mod.dim)
         return {"dim_end": dim_end, "dim_center_image": dim_image,
                 "surjective": dim_image == dim_end}
 

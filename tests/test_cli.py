@@ -340,6 +340,12 @@ def test_reduce_point_validation(capsys):
     # --suites that names no suite, or one suite twice
     ["verify", "--suites", ""],
     ["verify", "--suites", "cm,cm"],
+    # --out into a directory that does not exist, or onto a directory
+    ["--out", "/nonexistent/dir/x.json", "group", "--group", "Zm:2"],
+    ["--out", ".", "group", "--group", "Zm:2"],
+    # --rep that names no irreducible, or one irreducible twice
+    ["characters", "--group", "Zm:2", "--rep", ""],
+    ["characters", "--group", "Zm:2", "--rep", "chi0;chi0"],
 ])
 def test_bad_input_exits_2_with_error_line(capsys, tmp_path, argv):
     path = tmp_path / "group.json"

@@ -605,23 +605,34 @@ def test_composition_factors_rebuild_the_baby_verma(spec, ctag, seed):
         assert all(mu in blocks[rep.label].labels for mu, _k in factors)
 
 
-def test_a_non_scalar_central_character_is_an_error(monkeypatch):
+def _spoil_column_one(monkeypatch, row):
+    """cm_partition on Zm:2 at c = 1, with column 1 of the first Z_0 vector
+    on Delta(chi1) given one more in ``row``: off the diagonal (row 0) or
+    on it, away from the scalar of column 0 (row 1)."""
     g = build_zm(2)
     R = build_restricted(g, Parameter.constant(g, 1))
-    z = R.degree_zero_center()[0]
+    terms = {R.basis[i]: c for i, c in R.degree_zero_center()[0].items()}
     mod = R.baby_verma(g.irrep("chi1"))
-    act = mod.act_vector
+    apply = mod.apply
 
-    def spoiled(vec):
-        mat = [row[:] for row in act(vec)]
-        if vec == z:
-            mat[0][1] += 1
-        return mat
+    def spoiled(zterms, vec):
+        col = apply(zterms, vec)
+        if zterms == terms and vec == {1: F(1)}:
+            _add_term(col, row, F(1))
+        return col
 
-    monkeypatch.setattr(mod, "act_vector", spoiled)
+    monkeypatch.setattr(mod, "apply", spoiled)
     with pytest.raises(CherednikError, match="not a scalar on the baby Verma "
                                              "'chi1'"):
         R.cm_partition(verify=False)
+
+
+def test_a_non_scalar_central_character_is_an_error(monkeypatch):
+    _spoil_column_one(monkeypatch, 0)
+
+
+def test_a_diagonal_off_the_central_character_is_an_error(monkeypatch):
+    _spoil_column_one(monkeypatch, 1)
 
 
 @pytest.mark.parametrize("spec,ctag,seed", [
@@ -807,6 +818,47 @@ def test_a_point_of_the_wrong_length_is_refused(spec, point, build):
     message = f"needs n = {g.n} coordinates, got {len(point)}"
     with pytest.raises(DimensionMismatch, match=message):
         build(g, parameter(spec, "1"), tuple(F(v) for v in point))
+
+
+def _dense_monomial(mod, key):
+    """X^a W_w Y^b for key (a, w, b), multiplied out from the module's own
+    matrices: the reference for ``act_terms`` and ``apply``."""
+    a, w, b = key
+    mat = mod.w_matrix(w)
+    for y, e in zip(mod.y, b):
+        for _ in range(e):
+            mat = mat_mul(mat, y)
+    for x, e in zip(mod.x, a):
+        for _ in range(e):
+            mat = mat_mul(x, mat)
+    return mat
+
+
+@pytest.mark.parametrize("spec,ctag,point", [
+    (spec, ctag, None) for spec in ("Zm:3", "Sn:3:reduced", "I2:3")
+    for ctag in ("zero", "generic")] + [("Sn:3:reduced", "1", (1, 0))],
+    ids=lambda v: "graded" if v is None else str(v))
+def test_the_module_action_is_the_monomial_product(spec, ctag, point):
+    # every basis key on every baby Verma and head, against X^a W_w Y^b;
+    # then apply on a random sparse vector against mat_vec of its matrix
+    g = group(spec)
+    b_point = None if point is None else tuple(map(F, point))
+    R = build_restricted(g, parameter(spec, ctag, 1), b_point=b_point)
+    rng = random.Random(3)
+    for rep in g.irreps:
+        verma = R.baby_verma(rep)
+        for mod in (verma, R.simple_head(verma)):
+            for key in R.basis:
+                assert mod.act_terms({key: F(1)}) == \
+                    _dense_monomial(mod, key), (rep.label, mod.dim, key)
+            terms = {key: F(rng.choice((-2, -1, 1, 3)))
+                     for key in rng.sample(R.basis, 5)}
+            vec = {k: F(rng.randint(1, 4)) for k in
+                   rng.sample(range(mod.dim), min(3, mod.dim))}
+            dense = mat_vec(mod.act_terms(terms),
+                            [vec.get(k, ZERO) for k in range(mod.dim)])
+            assert mod.apply(terms, vec) == \
+                {i: v for i, v in enumerate(dense) if v}, (rep.label, mod.dim)
 
 
 def _end_by_reduced_projector(R, mod):
