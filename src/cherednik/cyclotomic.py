@@ -108,6 +108,17 @@ def _fold(n, acc):
     return out
 
 
+def _product(n, a, b):
+    """Integer coordinates of (sum a[i] zeta_n^i) * (sum b[j] zeta_n^j) for
+    coordinate lists over zeta^0 .. zeta^(phi-1)."""
+    acc = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+    return _fold(n, acc)
+
+
 def _cyc(n, num, den):
     """The scalar sum(num[e] * zeta_n^e) / den, den > 0, in lowest terms:
     a Fraction when no coordinate above zeta^0 is nonzero, else a Cyc."""
@@ -152,6 +163,15 @@ class Cyc:
         """The nonzero coordinates as {exponent: Fraction}, in ascending
         exponent order."""
         return {e: Fraction(v, self.den) for e, v in enumerate(self.num) if v}
+
+    @property
+    def numerator(self):
+        """This value times its denominator, in Z[zeta_N], as an ``IntCyc``."""
+        return IntCyc(self.n, self.num)
+
+    @property
+    def denominator(self):
+        return self.den
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -218,12 +238,8 @@ class Cyc:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("mixed conductors")
-        acc = [0] * (2 * len(self.num) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num, i):
-                    acc[j] += a * b
-        return _cyc(self.n, _fold(self.n, acc), self.den * other.den)
+        return _cyc(self.n, _product(self.n, self.num, other.num),
+                    self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -316,6 +332,55 @@ class Cyc:
             k = int(k)
             coeffs[k] = coeffs.get(k, _ZERO) + Fraction(int(num), int(den))
         return cls(n, coeffs)
+
+
+class IntCyc:
+    """An element of Z[zeta_N]: integer coordinates ``num`` over zeta^0 ..
+    zeta^(phi(N)-1), never gcd-normalized.  It is the ``numerator`` of a
+    ``Cyc``, and it multiplies and adds with an ``int`` or an ``IntCyc`` of
+    its conductor through the plain operators, so fraction-free code can
+    carry a cyclotomic numerator over an integer denominator exactly as it
+    carries an ``int``, and canonicalize once with ``over``."""
+
+    __slots__ = ("n", "num")
+
+    def __init__(self, n, num):
+        self.n = n
+        self.num = num
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            return IntCyc(self.n, [v * other for v in self.num])
+        if not isinstance(other, IntCyc):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError("mixed conductors")
+        return IntCyc(self.n, _product(self.n, self.num, other.num))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            num = list(self.num)
+            num[0] += other
+            return IntCyc(self.n, num)
+        if not isinstance(other, IntCyc):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError("mixed conductors")
+        return IntCyc(self.n, [a + b for a, b in zip(self.num, other.num)])
+
+    __radd__ = __add__
+
+    def __bool__(self):
+        return any(self.num)
+
+    def over(self, den):
+        """The canonical scalar self / den for an integer den > 0: a
+        Fraction when it is rational, else a Cyc."""
+        return _cyc(self.n, self.num, den)
 
 
 def scalar_payload(value):

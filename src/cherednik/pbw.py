@@ -27,6 +27,8 @@ from .errors import DegreeCapExceeded, InvalidElement, InvalidInput
 from .linalg import MONE, ONE, ZERO, _add_term, _axpy
 
 DEFAULT_DEGREE_CAP = 12
+# what an element adds to, subtracts and compares with as algebra.scalar(c)
+_SCALARS = (int, Fraction, Cyc)
 
 
 class Parameter:
@@ -112,7 +114,7 @@ class PBWElement:
             raise ValueError("elements live over different (group, parameter)")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = self.algebra.scalar(other)
         self._check(other)
         return PBWElement(self.algebra,
@@ -124,7 +126,7 @@ class PBWElement:
         return PBWElement(self.algebra, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = self.algebra.scalar(other)
         return self + (-other)
 
@@ -132,7 +134,7 @@ class PBWElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or not isinstance(other, PBWElement):
+        if not isinstance(other, PBWElement):
             return PBWElement(self.algebra,
                               {k: v * other for k, v in self.terms.items()})
         self._check(other)
@@ -144,6 +146,9 @@ class PBWElement:
 
     def __pow__(self, k):
         # refused before any product, as k factors are multiplied in turn
+        if not isinstance(k, int):
+            raise InvalidElement(f"power {k!r} of an algebra element is not "
+                                 "an integer")
         top = 2 * self.algebra.degree_cap
         if not 0 <= k <= top:
             raise InvalidElement(f"power {k} of an algebra element is not in "
@@ -154,7 +159,7 @@ class PBWElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = self.algebra.scalar(other)
         if not isinstance(other, PBWElement):
             return NotImplemented
@@ -363,41 +368,50 @@ class CherednikAlgebra:
             if d > cap:
                 raise DegreeCapExceeded(
                     f"factor of total degree {d} exceeds cap {cap}")
+        # Each contribution is an integer numerator (an int, or an IntCyc
+        # over Q(zeta_N)) over a positive int denominator, multiplied with
+        # plain operators and never normalized; out[key] holds such a pair
+        # and each output coefficient is built once, at the end.
         out = {}
         get = out.get
         mult, inverse = self.group.mult, self.group._inverse
         act_x, act_y, yb_xc = self._act_x, self._act_y, self._yb_xc
-        # A coefficient that is the shared ONE or MONE is reused or negated,
-        # not multiplied: most group-action coefficients are +-1.
+        vterms = [(c, w2, d, inverse[w2], cv.numerator, cv.denominator)
+                  for (c, w2, d), cv in v.terms.items()]
         for (a, w, b), cu in u.terms.items():
-            for (c, w2, d), cv in v.terms.items():
-                cuv = cu if cv is ONE else -cu if cv is MONE else cu * cv
-                w2inv = inverse[w2]
+            nu, du = cu.numerator, cu.denominator
+            for c, w2, d, w2inv, nv, dv in vterms:
+                nuv, duv = nu * nv, du * dv
                 for (e, s, f), t in yb_xc(b, c).items():
-                    coeff = cuv if t is ONE else -cuv if t is MONE else cuv * t
+                    nt, dt = nuv * t.numerator, duv * t.denominator
                     # x^a (w . x^e) [w s w2] ((w2^{-1}) . y^f) y^d
                     g = mult(mult(w, s), w2)
-                    ys = [(tuple(map(add, d, ym)), cy)
+                    ys = [(tuple(map(add, d, ym)), cy.numerator,
+                           cy.denominator)
                           for ym, cy in act_y(w2inv, f).items()]
                     for xm, cx in act_x(w, e).items():
                         am = tuple(map(add, a, xm))
-                        cxx = (coeff if cx is ONE else -coeff if cx is MONE
-                               else coeff * cx)
-                        for bm, cy in ys:
-                            val = (cxx if cy is ONE else -cxx if cy is MONE
-                                   else cxx * cy)
-                            # out[key] += val, dropping a key that sums to 0;
-                            # a new key takes val as is (no 0 + val), as a
-                            # product of nonzero coefficients is nonzero
+                        nx, dx = nt * cx.numerator, dt * cx.denominator
+                        for bm, ny, dy in ys:
+                            num, den = nx * ny, dx * dy
+                            # out[key] += num / den, dropping a key that
+                            # sums to 0, as _add_term does
                             key = (am, g, bm)
                             old = get(key)
                             if old is not None:
-                                val = old + val
-                                if not val:
+                                onum, oden = old
+                                if oden == den:
+                                    num = onum + num
+                                else:
+                                    num = onum * den + num * oden
+                                    den *= oden
+                                if not num:
                                     del out[key]
                                     continue
-                            out[key] = val
-        return PBWElement(self, out)
+                            out[key] = (num, den)
+        return PBWElement(self, {
+            key: Fraction(num, den) if isinstance(num, int) else num.over(den)
+            for key, (num, den) in out.items()})
 
     def skew_multiply(self, u, v):
         """Product in C[h + h*] rtimes W (the c = 0 degeneration), computed

@@ -414,6 +414,32 @@ def test_cm_report_is_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+_SN4_PRODUCT = ("(y1+2*y2-1/3*y3)*(x1^2-x2*x3+1/2*s12)*(y2*x3+s23*x1)"
+                "*(y3-x1)")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["element", "--group", "Sn:4:reduced", "--c", "generic:1",
+      "--expr", _SN4_PRODUCT],
+     "f6c5c13437d35846b1590a1bd0d9dd581974da96228a27ee8a573630b2368886"),
+    (["element", "--group", "Sn:4:reduced", "--c", "zero",
+      "--expr", _SN4_PRODUCT],
+     "cf0d6b2d8bac555872fdf6071e8b4bf4136e83434086cebda8f3947ee77d6734"),
+    # conductor 10, denominators 2 and 3 next to cyclotomic coefficients
+    (["element", "--group", "I2:5", "--c", "generic:1",
+      "--expr", "(y1+z*y2)*(x1^2-z^3*x2)*(1/2*y2+x1)*(r*y1-1/3*x2)"],
+     "82b9981991018d34cb29acc7d22b7cb142adcc28046e88ad9dd44b04ad126a8b"),
+    (["element", "--group", "Zm:5", "--c", "generic:1",
+      "--expr", "(y1^2+z*g)*(x1^3-1/6*z^2)*(y1*x1+g)*(y1-1/2*x1)"],
+     "cb4e55e8df4683fffb1ec98555133fc297ee2f813949eb5ec0f8b5a3bf4d70b0"),
+], ids=["Sn:4-generic:1", "Sn:4-zero", "I2:5-generic:1", "Zm:5-generic:1"])
+def test_product_heavy_element_reports_are_pinned(capsys, argv, digest):
+    # the product kernel's coefficients and term order, byte for byte
+    assert main(argv) == 0
+    assert hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["group", "--group", "I2:6"],
      "8ff43bef60a10bdaed1996fda3537964bded9bebdb82bbc65db70d4a71d85230"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cherednik.cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
+from cherednik.cyclotomic import Cyc, IntCyc, cyclotomic_polynomial, euler_phi
 from cherednik.linalg import solve
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
@@ -67,6 +67,56 @@ def test_field_axioms(data, n):
         assert (b / a) * a == b
     for value in results:
         assert_canonical(value)
+
+
+def _over(num, den):
+    """num / den canonicalized, for an int or IntCyc numerator."""
+    return Fraction(num, den) if isinstance(num, int) else num.over(den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([3, 4, 5, 8, 10, 12]))
+def test_integral_numerators_agree_with_cyc_arithmetic(data, n):
+    a, b, c = (_rand_cyc(data.draw, n) for _ in range(3))
+    k = data.draw(st.integers(-6, 6))
+    (na, da), (nb, db), (nc, dc) = ((v.numerator, v.denominator)
+                                    for v in (a, b, c))
+    for v, num, den in ((a, na, da), (b, nb, db)):
+        assert type(den) is int and den > 0
+        if isinstance(v, Cyc):
+            assert type(num) is IntCyc and num.n == n
+            assert (tuple(num.num), den) == (v.num, v.den)
+        else:
+            assert type(num) is int
+    results = [
+        (_over(na * nb, da * db), a * b),
+        (_over(na * nb * nc, da * db * dc), (a * b) * c),
+        (_over(na * db + nb * da, da * db), a + b),
+        (_over(na * dc + nc * da, da * dc), a + c),
+        (_over(k * na, da), k * a),
+        (_over(na + k * da, da), a + k),
+        (_over(k * da + na, da), k + a),
+        (_over(na * nb * dc + nc * (da * db), da * db * dc), a * b + c),
+    ]
+    for got, want in results:
+        assert got == want
+        assert_canonical(got)
+    # the kernel's zero test reads the numerator alone
+    assert bool(na * nb) == bool(a * b)
+    assert bool(na * db + nb * da) == bool(a + b)
+
+
+def test_integral_numerators_refuse_other_scalars_and_conductors():
+    num = Cyc.zeta(5).numerator
+    assert num * 1 is num
+    with pytest.raises(ValueError):
+        num * Cyc.zeta(8).numerator
+    with pytest.raises(ValueError):
+        num + Cyc.zeta(8).numerator
+    with pytest.raises(TypeError):
+        num * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) + num
 
 
 @settings(max_examples=60, deadline=None)

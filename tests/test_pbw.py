@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tempfile
 from fractions import Fraction
 from functools import cache
@@ -221,6 +222,44 @@ def test_degree_cap():
         big * H.one()
 
 
+def test_cyclotomic_scalars_add_subtract_and_compare():
+    H = algebra("I2:5", "generic")
+    z = Cyc.zeta(H.group.conductor)
+    x1, zs = H.x(0), H.scalar(z)
+    assert x1 + z == z + x1 == x1 + zs
+    assert x1 - z == x1 + H.scalar(-z)
+    assert z - x1 == zs - x1 == -(x1 - z)
+    assert zs == z and z == zs and zs != 2 * z
+    assert (x1 + z) - z == x1
+
+
+@pytest.mark.parametrize("k", [1.5, "2", F(2), None])
+def test_power_refuses_a_non_integer_exponent(k):
+    H = algebra("I2:5", "generic")
+    with pytest.raises(InvalidElement, match=re.escape(
+            f"power {k!r} of an algebra element is not an integer")):
+        H.x(0) ** k
+
+
+def test_a_product_whose_irrational_parts_cancel_stores_a_fraction():
+    H = algebra("I2:5", "generic")
+    z = Cyc.zeta(H.group.conductor)
+    one, s = H.group._identity, H.group.generators["s"]
+    key = ((0, 0), one, (0, 0))
+    # z * z^-1, one numerator product
+    prod = H.scalar(z) * H.scalar(z.inverse())
+    assert list(prod.terms) == [key]
+    assert type(prod.terms[key]) is Fraction and prod.terms[key] == 1
+    # (z + s)(1 + (1 - z) s): z, then (1 - z) s^2, at the identity
+    u = H.scalar(z) + H.grp(s)
+    v = H.one() + (1 - z) * H.grp(s)
+    prod = u * v
+    assert list(prod.terms.items()) == list(
+        _reference_multiply(H, u, v).items())
+    assert type(prod.terms[key]) is Fraction and prod.terms[key] == 1
+    assert isinstance(prod.terms[((0, 0), s, (0, 0))], Cyc)
+
+
 # ---- parsing / printing -------------------------------------------------------------
 
 def test_parse_examples():
@@ -320,12 +359,39 @@ def test_symmetrizer_is_idempotent():
 
 # ---- the product kernel against its reference ------------------------------------
 
+def _scalars(H):
+    """Coefficients for the kernel tests: the shared ONE and MONE, integers,
+    denominators 2, 3 and 6 and, over a cyclotomic field, non-rational
+    values with denominators 1, 2, 3 and 6."""
+    out = [ONE, MONE, F(-3, 2), F(5), F(2, 3), F(-1, 6)]
+    N = H.group.conductor
+    if N > 2:
+        out += [Cyc.zeta(N), Cyc.zeta(N) + F(1, 3),
+                2 * Cyc.zeta(N, 2) - F(1, 2), F(5, 6) * Cyc.zeta(N, N - 1)]
+    return out
+
+
+def _reappearing_pair(H, a, d, g, h, alpha, beta, delta, gamma, zeta):
+    """u = x^a (alpha + beta g + gamma h) and v = (delta + eps g + zeta k)
+    y^d, with k = h^{-1} g and eps = -beta delta / alpha, for group elements
+    g and h with 1, g, h distinct.  In the kernel's order the key x^a g y^d
+    gets alpha eps and then beta delta, which sum to 0, so it is dropped;
+    the pair (h, k) brings it back last."""
+    group = H.group
+    one, mult = group._identity, group.mult
+    k = mult(group._inverse[h], g)
+    eps = -beta * delta / alpha
+    zero = (0,) * H.n
+    u = (H.monomial(a, one, zero, alpha) + H.monomial(a, g, zero, beta)
+         + H.monomial(a, h, zero, gamma))
+    v = (H.monomial(zero, one, d, delta) + H.monomial(zero, g, d, eps)
+         + H.monomial(zero, k, d, zeta))
+    return u, v, (tuple(a), g, tuple(d))
+
+
 def _kernel_element(H, rng, max_terms=3, max_deg=2):
-    """Like ``random_element``, with coefficients that include the shared
-    ONE and MONE and, over a cyclotomic field, a non-rational value."""
-    scalars = [ONE, MONE, F(-3, 2), F(5)]
-    if H.group.conductor > 2:
-        scalars.append(Cyc.zeta(H.group.conductor) + F(1, 3))
+    """Like ``random_element``, with the coefficients of ``_scalars``."""
+    scalars = _scalars(H)
     out = H.zero()
     for _ in range(rng.randrange(1, max_terms + 1)):
         a = tuple(rng.randrange(0, max_deg) for _ in range(H.n))
@@ -350,6 +416,17 @@ def test_multiply_matches_reference_kernel(case):
         u, v = _kernel_element(H, rng), _kernel_element(H, rng)
         assert list((u * v).terms.items()) == list(
             _reference_multiply(H, u, v).items())
+    scalars = _scalars(H)
+    others = [w for w in range(H.group.order) if w != H.group._identity]
+    for _ in range(6):
+        exps = [tuple(rng.randrange(0, 2) for _ in range(H.n))
+                for _ in range(2)]
+        u, v, key = _reappearing_pair(
+            H, *exps, *rng.sample(others, 2),
+            *(rng.choice(scalars) for _ in range(5)))
+        uv = list((u * v).terms.items())
+        assert uv == list(_reference_multiply(H, u, v).items())
+        assert uv[-1][0] == key
 
 
 @pytest.mark.parametrize("spec", CM_GRID + ("Sn:4:reduced",))
@@ -385,14 +462,25 @@ def test_group_action_shares_unit_coefficients(spec):
 # ---- properties over a custom JSON group and a built-in family ------------------
 
 def _element_strategy(H, max_exp=2):
-    N = H.group.conductor
-    scalar = st.sampled_from([ONE, MONE, F(2, 3), F(-5), Cyc.zeta(N),
-                              2 * Cyc.zeta(N, 2) - F(1, 2)])
+    scalar = st.sampled_from(_scalars(H))
     exps = st.tuples(*[st.integers(0, max_exp)] * H.n)
     term = st.tuples(exps, st.integers(0, H.group.order - 1), exps, scalar)
     return st.lists(term, min_size=1, max_size=3).map(
         lambda terms: sum((H.monomial(a, w, b, c) for a, w, b, c in terms),
                           H.zero()))
+
+
+def _pair_strategy(H):
+    """Two independent elements, or a ``_reappearing_pair``."""
+    scalar = st.sampled_from(_scalars(H))
+    exps = st.tuples(*[st.integers(0, 1)] * H.n)
+    others = [w for w in range(H.group.order) if w != H.group._identity]
+    reappearing = st.tuples(
+        exps, exps, st.permutations(others).map(lambda p: p[:2]),
+        st.tuples(*[scalar] * 5)).map(
+        lambda t: _reappearing_pair(H, t[0], t[1], *t[2], *t[3])[:2])
+    return st.one_of(st.tuples(_element_strategy(H), _element_strategy(H)),
+                     reappearing)
 
 
 def _property_algebras():
@@ -414,7 +502,7 @@ def test_property_associativity(case, data):
 @given(data=st.data())
 def test_property_reference_kernel(case, data):
     H = _property_algebras()[case]
-    u, v = (data.draw(_element_strategy(H)) for _ in range(2))
+    u, v = data.draw(_pair_strategy(H))
     assert list((u * v).terms.items()) == list(
         _reference_multiply(H, u, v).items())
 
