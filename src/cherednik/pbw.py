@@ -31,6 +31,18 @@ DEFAULT_DEGREE_CAP = 12
 _SCALARS = (int, Fraction, Cyc)
 
 
+def _in_field(c, n, error):
+    """The scalar c read in Q(zeta_n), the field of a group of conductor n:
+    an int as a Fraction, a Cyc through ``Cyc.of``; a Cyc whose conductor
+    does not divide n is ``error``."""
+    if not isinstance(c, Cyc):
+        return Fraction(c) if isinstance(c, int) else c
+    if n % c.n:
+        raise error(f"scalar {c} of Q(zeta_{c.n}) is not in Q(zeta_{n}): "
+                    f"conductor {c.n} does not divide the group's {n}")
+    return Cyc.of(c, n)
+
+
 class Parameter:
     """A W-equivariant function on reflections: class label -> scalar."""
 
@@ -42,7 +54,8 @@ class Parameter:
             raise InvalidInput(
                 f"parameter must assign exactly the reflection classes "
                 f"{sorted(labels)}, got {sorted(got)}")
-        self.values = dict(values)
+        self.values = {lbl: _in_field(v, group.conductor, InvalidInput)
+                       for lbl, v in values.items()}
 
     @classmethod
     def zero(cls, group):
@@ -134,15 +147,16 @@ class PBWElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            other = _in_field(other, self.algebra.group.conductor,
+                              InvalidElement)
         if not isinstance(other, PBWElement):
             return PBWElement(self.algebra,
                               {k: v * other for k, v in self.terms.items()})
         self._check(other)
         return self.algebra.multiply(self, other)
 
-    def __rmul__(self, scalar):
-        return PBWElement(self.algebra,
-                          {k: scalar * v for k, v in self.terms.items()})
+    __rmul__ = __mul__      # only for a scalar on the left, and scalars commute
 
     def __pow__(self, k):
         # refused before any product, as k factors are multiplied in turn
@@ -253,7 +267,7 @@ class CherednikAlgebra:
         return PBWElement(self, {})
 
     def scalar(self, c):
-        c = Fraction(c) if isinstance(c, int) else c
+        c = _in_field(c, self.group.conductor, InvalidElement)
         return PBWElement(
             self, {(self._zero_exp, self.group._identity, self._zero_exp): c})
 
@@ -276,7 +290,9 @@ class CherednikAlgebra:
         return PBWElement(self, {(self._zero_exp, widx, self._zero_exp): ONE})
 
     def monomial(self, a, widx, b, coeff=ONE):
-        return PBWElement(self, {(tuple(a), widx, tuple(b)): coeff})
+        return PBWElement(self, {(tuple(a), widx, tuple(b)):
+                                 _in_field(coeff, self.group.conductor,
+                                           InvalidElement)})
 
     def symmetrizer(self):
         """The averaging idempotent e = |W|^{-1} sum_w w."""

@@ -8,10 +8,10 @@ e L dimensions from group-algebra elements acting on modules, and at b = 0
 the blocks are the linkage classes of the graded decomposition numbers
 [Delta(lambda) : L(mu)[k]], peeled from W-characters alone.
 
-``RestrictedCherednikAlgebra`` adds the algebra, under a cap on |W|^3: basis
-(x-coinvariant monomial) x (group element) x (y-coinvariant monomial), each
-product straightened and reduced at b on the x side and at 0 on the y side on
-first use, and the center, one degree at a time where it is read.  Central
+``RestrictedCherednikAlgebra`` adds the algebra, under a cap on |W|^3: its
+vectors are PBW terms x^a w y^b with x^a and y^b coinvariant monomials,
+reduced at b on the x side and at 0 on the y side, and the center is solved
+one degree at a time where it is read.  Central
 characters cross-check the linkage blocks, and the trace form of Z_0 on the
 baby Vermas counts the blocks at any fiber point.
 """
@@ -116,16 +116,6 @@ class FDModule:
         is ``apply(terms, {k: 1})``."""
         cols = [self.apply(terms, {k: ONE}) for k in range(self.dim)]
         return [[col.get(i, ZERO) for col in cols] for i in range(self.dim)]
-
-    def act_vector(self, vec):
-        """Action matrix of a parent algebra element {basis index: coeff}."""
-        basis = getattr(self.parent, "basis", ())  # none on StandardModules
-        bad = [i for i in vec if not 0 <= i < len(basis)]
-        if bad:
-            raise DimensionMismatch(
-                f"{bad[0]} is not one of the {len(basis)} basis indices of "
-                "the |W|^3 algebra; act by PBW keys with act_terms")
-        return self.act_terms({basis[i]: c for i, c in vec.items()})
 
     def __repr__(self):
         lbl = f", label={self.label!r}" if self.label is not None else ""
@@ -468,8 +458,10 @@ class StandardModules:
 
 
 class RestrictedCherednikAlgebra(StandardModules):
-    """H restricted at a fiber point b (default 0) as a concrete algebra: the
-    |W|^3 basis, products, the center and the block partition, under a cap."""
+    """H restricted at a fiber point b (default 0) as a concrete algebra
+    under a cap on |W|^3: products, the center and the block partition.  A
+    vector is sparse PBW terms {(a, w, b): coeff} with x^a and y^b
+    coinvariant monomials, the terms ``FDModule.apply`` reads."""
 
     def __init__(self, algebra, b_point=None, cap=RESTRICTED_CAP):
         group = algebra.group
@@ -479,19 +471,15 @@ class RestrictedCherednikAlgebra(StandardModules):
         super().__init__(algebra, b_point)
         ity = group.invariant_theory("y")
         self._y_fiber = ity.fiber((ZERO,) * group.n)
-        y_basis = ity.coinv_monomials()
-        self.basis = [(a, w, b) for a in self.x_basis
-                      for w in range(group.order) for b in y_basis]
-        self.dim = len(self.basis)
-        self.index = {key: i for i, key in enumerate(self.basis)}
-        self._pair_cache = {}
-        self._center_slices = {}      # degree -> Echelon of Z_d, on demand
+        self.y_basis = ity.coinv_monomials()
+        self.dim = len(self.x_basis) * group.order * len(self.y_basis)
+        self._center_slices = {}      # degree -> RREF rows of Z_d, on demand
         self.unit = self.reduce_pbw(algebra.one())
 
     @cached_property
     def generators(self):
-        """(sparse vector, degree) of x_0, y_0, x_1, y_1, ... and then of the
-        group generators; every degree is 0 off the graded fiber."""
+        """(vector, degree) of x_0, y_0, x_1, y_1, ... and then of the group
+        generators; every degree is 0 off the graded fiber."""
         algebra, step = self.algebra, 1 if self.graded else 0
         gens = [(self.reduce_pbw(gen), deg) for i in range(self.group.n)
                 for gen, deg in ((algebra.x(i), step), (algebra.y(i), -step))]
@@ -500,7 +488,7 @@ class RestrictedCherednikAlgebra(StandardModules):
 
     # ---- reduction ----------------------------------------------------------
     def reduce_pbw(self, element):
-        """Image of a PBW element: sparse {basis index: coeff}."""
+        """Image of a PBW element: a vector {(a, w, b): coeff}."""
         return self._reduce_terms(element.terms)
 
     def _reduce_terms(self, terms):
@@ -512,40 +500,26 @@ class RestrictedCherednikAlgebra(StandardModules):
             for xm, cx in xred.items():
                 cvx = v * cx
                 for ym, cy in yred.items():
-                    _add_term(out, self.index[(xm, w, ym)], cvx * cy)
+                    _add_term(out, (xm, w, ym), cvx * cy)
         return out
 
-    # ---- multiplication -------------------------------------------------------
-    def multiply_basis(self, i, j):
-        key = (i, j)
-        out = self._pair_cache.get(key)
-        if out is None:
-            u = PBWElement(self.algebra, {self.basis[i]: ONE})
-            v = PBWElement(self.algebra, {self.basis[j]: ONE})
-            out = self.reduce_pbw(self.algebra.multiply(u, v))
-            self._pair_cache[key] = out
-        return out
-
-    def multiply_vec(self, u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                _axpy(out, self.multiply_basis(i, j), ci * cj)
-        return out
+    def multiply(self, u, v):
+        """The product of two vectors: ``CherednikAlgebra.multiply``, reduced."""
+        algebra = self.algebra
+        return self.reduce_pbw(algebra.multiply(PBWElement(algebra, u),
+                                                PBWElement(algebra, v)))
 
     # ---- grading ----------------------------------------------------------------
-    def basis_degree(self, i):
-        a, _w, b = self.basis[i]
-        return sum(a) - sum(b)
-
+    @cached_property
     def degree_slices(self):
-        """Basis indices by degree; off the graded fiber one slice 0 holds
-        them all."""
-        if not self.graded:
-            return {0: list(range(self.dim))}
+        """The keys (a, w, b) by degree |a| - |b|, each slice in x^a, w, y^b
+        order; off the graded fiber one slice 0 holds them all."""
         slices = {}
-        for i in range(self.dim):
-            slices.setdefault(self.basis_degree(i), []).append(i)
+        for a in self.x_basis:
+            for w in range(self.group.order):
+                for b in self.y_basis:
+                    d = sum(a) - sum(b) if self.graded else 0
+                    slices.setdefault(d, []).append((a, w, b))
         return dict(sorted(slices.items()))
 
     # ---- adjoint actions ----------------------------------------------------------
@@ -580,7 +554,7 @@ class RestrictedCherednikAlgebra(StandardModules):
                 + [(("y", j), -step) for j in self._orbit_spanning("y")])
 
     def _adjoint(self, gen, m):
-        """m g - g m, the basis element m = x^a u y^b times a generator
+        """m g - g m, the key m = (a, u, b), x^a u y^b, times a generator
         ("w", s), ("x", i) or ("y", j) on either side, formed from the key:
 
             m s = x^a (us) (s^-1 . y^b),  s m = (s . x^a) (su) y^b,
@@ -592,7 +566,7 @@ class RestrictedCherednikAlgebra(StandardModules):
         reduced through the two fibers."""
         algebra, group = self.algebra, self.group
         mult, inverse = group.mult, group._inverse
-        a, u, b = self.basis[m]
+        a, u, b = m
         kind, k = gen
         terms = {}
         if kind == "w":
@@ -619,28 +593,30 @@ class RestrictedCherednikAlgebra(StandardModules):
 
     # ---- center -------------------------------------------------------------------
     def _slice_kernel(self, d, adjoints):
-        """Echelon of the common kernel on slice d of the maps m -> [m, g]
-        over the (adjoint, degree of g) pairs in ``adjoints``."""
-        slices = self.degree_slices()
-        idxs = slices.get(d, [])
+        """RREF rows, in pivot order and keyed (a, w, b), of the common
+        kernel on slice d of the maps m -> [m, g] over the (adjoint, degree
+        of g) pairs in ``adjoints``; solved on slice positions."""
+        slices = self.degree_slices
+        keys = slices.get(d, [])
         # constraint rows, sparse over the slice, keyed (generator, target)
         rows = {}
         for g, (adjoint, gdeg) in enumerate(adjoints):
             if d + gdeg not in slices:
                 # adjoint lands in a zero space: no constraint
                 continue
-            for col, m in enumerate(idxs):
+            for col, m in enumerate(keys):
                 for k, val in adjoint(m).items():
                     rows.setdefault((g, k), {})[col] = val
         # sparsest rows first: the elimination then fills in far less, and a
         # kernel does not depend on the order of its rows
         rows = sorted(rows.values(), key=len)
-        return echelon([{idxs[t]: c for t, c in enumerate(vec) if c}
-                        for vec in kernel_basis(rows, len(idxs))], self.dim)
+        ech = echelon(kernel_basis(rows, len(keys)), len(keys))
+        return [{keys[t]: c for t, c in sorted(ech.rows[p].items())}
+                for p in ech.pivots()]
 
     def _center_slice(self, d):
-        """Echelon of Z_d, the central elements of degree d, solved on first
-        use from the direct adjoint maps (``_adjoint``) of the
+        """RREF rows of Z_d, the central elements of degree d, solved on
+        first use from the direct adjoint maps (``_adjoint``) of the
         orbit-spanning generators."""
         if d not in self._center_slices:
             self._center_slices[d] = self._slice_kernel(d, [
@@ -652,32 +628,37 @@ class RestrictedCherednikAlgebra(StandardModules):
         """RREF rows of Z_d solved from ``skew_multiply`` commutators with
         every entry of ``generators``: the c = 0 oracle for the centre, with
         no straightening and no direct adjoint map."""
-        algebra, basis = self.algebra, self.basis
+        algebra = self.algebra
         if not algebra.param.is_zero():
             raise InvalidInput("skew_center is the c = 0 oracle; c is not 0")
 
         def commutator(gvec, m):
-            g = PBWElement(algebra, {basis[i]: c for i, c in gvec.items()})
-            em = PBWElement(algebra, {basis[m]: ONE})
+            g = PBWElement(algebra, gvec)
+            em = PBWElement(algebra, {m: ONE})
             return self.reduce_pbw(algebra.skew_multiply(em, g)
                                    - algebra.skew_multiply(g, em))
 
-        rows = self._slice_kernel(d, [(partial(commutator, gvec), gdeg)
-                                      for gvec, gdeg in self.generators]).rows
-        return [dict(sorted(rows[p].items())) for p in sorted(rows)]
+        return self._slice_kernel(d, [(partial(commutator, gvec), gdeg)
+                                      for gvec, gdeg in self.generators])
 
     def _center_basis(self, degrees):
-        """RREF rows of the sum of the Z_d over ``degrees``, in pivot order,
-        each sorted by column.  Distinct degrees have disjoint supports, so
-        these are the rows of the echelon of that sum."""
-        rows = {}
-        for d in degrees:
-            rows.update(self._center_slice(d).rows)
-        return [dict(sorted(rows[p].items())) for p in sorted(rows)]
+        """RREF rows of the sum of the Z_d over ``degrees``, ordered by the
+        position of their pivot in x^a, w, y^b order.  Distinct degrees have
+        disjoint supports, so these are the rows of the echelon of that
+        sum."""
+        xpos = {m: i for i, m in enumerate(self.x_basis)}
+        ypos = {m: i for i, m in enumerate(self.y_basis)}
+
+        def position(row):
+            a, w, b = next(iter(row))      # the pivot: the row's first key
+            return xpos[a], w, ypos[b]
+
+        return sorted((row for d in degrees for row in self._center_slice(d)),
+                      key=position)
 
     def center(self):
-        """Basis of the center, as sparse vectors (RREF-normalized rows)."""
-        return self._center_basis(self.degree_slices())
+        """Basis of the center, as vectors (RREF-normalized rows)."""
+        return self._center_basis(self.degree_slices)
 
     def degree_zero_center(self):
         """Basis of Z_0, the degree-0 part of the center (RREF rows); at
@@ -688,7 +669,7 @@ class RestrictedCherednikAlgebra(StandardModules):
     def _z0_actions(self, rep):
         """Matrix of each Z_0 basis vector on Delta_b(rep)."""
         mod = self.baby_verma(rep)
-        return [mod.act_vector(z) for z in self.degree_zero_center()]
+        return [mod.act_terms(z) for z in self.degree_zero_center()]
 
     def _central_character(self, rep):
         """Scalar of each Z_0 basis vector on Delta(rep).
@@ -776,9 +757,8 @@ class RestrictedCherednikAlgebra(StandardModules):
         """
         mod = self.baby_verma(rep)
         dim_end = self.endomorphism_dimension(mod)
-        zbasis = self._center_basis(d for d in self.degree_slices() if d >= 0)
-        dim_image = rank([mod.apply({self.basis[i]: c for i, c in z.items()},
-                                    {0: ONE}) for z in zbasis], mod.dim)
+        zbasis = self._center_basis(d for d in self.degree_slices if d >= 0)
+        dim_image = rank([mod.apply(z, {0: ONE}) for z in zbasis], mod.dim)
         return {"dim_end": dim_end, "dim_center_image": dim_image,
                 "surjective": dim_image == dim_end}
 

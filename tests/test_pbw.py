@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cherednik.cli import _load_group
 from cherednik.cyclotomic import Cyc
-from cherednik.errors import DegreeCapExceeded, InvalidElement
+from cherednik.errors import DegreeCapExceeded, InvalidElement, InvalidInput
 from cherednik.groups import build_from_generators, build_group, build_zm
 from cherednik.linalg import MONE, ONE, ZERO, _add_term
 from cherednik.pbw import CherednikAlgebra, Parameter
@@ -231,6 +231,47 @@ def test_cyclotomic_scalars_add_subtract_and_compare():
     assert z - x1 == zs - x1 == -(x1 - z)
     assert zs == z and z == zs and zs != 2 * z
     assert (x1 + z) - z == x1
+
+
+@pytest.mark.parametrize("use", [
+    lambda H, c: H.x(0) + c, lambda H, c: c + H.x(0),
+    lambda H, c: H.x(0) - c, lambda H, c: c - H.x(0),
+    lambda H, c: H.x(0) * c, lambda H, c: c * H.x(0),
+    lambda H, c: H.x(0) == c, lambda H, c: H.scalar(c),
+    lambda H, c: H.monomial((1, 0), 0, (0, 0), coeff=c)],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul", "eq", "scalar",
+         "monomial"])
+def test_a_scalar_outside_the_field_of_the_group_is_refused(use):
+    # zeta_7 is not in Q(zeta_10); stored as it was, x1 + zeta_7 printed
+    # z*1+x1, which reads back as zeta_10
+    H = algebra("I2:5", "generic")
+    with pytest.raises(InvalidElement, match=re.escape(
+            "Q(zeta_7) is not in Q(zeta_10): conductor 7 does not divide "
+            "the group's 10")):
+        use(H, Cyc.zeta(7))
+
+
+def test_a_scalar_of_a_subfield_is_read_in_the_field_of_the_group():
+    # zeta_5 = zeta_10^2: stored as it was, it printed z*1
+    H = algebra("I2:5", "generic")
+    for elt in (H.scalar(Cyc.zeta(5)), H.one() * Cyc.zeta(5),
+                Cyc.zeta(5) * H.one(), H.zero() + Cyc.zeta(5),
+                H.monomial((0, 0), H.group._identity, (0, 0),
+                           coeff=Cyc.zeta(5))):
+        (value,) = elt.terms.values()
+        assert value.n == 10 and value == Cyc.zeta(10, 2)
+        assert str(elt) == "z^2*1" and H.parse(str(elt)) == elt
+
+
+def test_a_parameter_outside_the_field_of_the_group_is_refused():
+    g = build_group("I2:5")
+    labels = g.reflection_class_labels
+    with pytest.raises(InvalidInput, match=re.escape(
+            "Q(zeta_7) is not in Q(zeta_10)")):
+        Parameter(g, dict.fromkeys(labels, Cyc.zeta(7)))
+    par = Parameter(g, dict.fromkeys(labels, Cyc.zeta(5)))
+    assert all(v.n == 10 and v == Cyc.zeta(10, 2)
+               for v in par.values.values())
 
 
 @pytest.mark.parametrize("k", [1.5, "2", F(2), None])

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,6 +21,13 @@ from cherednik.verify import CM_GRID
 from conftest import algebra, group, parameter, partition, restricted
 
 F = Fraction
+
+
+def _basis(R):
+    """The keys (a, w, b) of R in x^a, w, y^b order: the sampling order of
+    the tests below."""
+    return [(a, w, b) for a in R.x_basis for w in range(R.group.order)
+            for b in R.y_basis]
 
 
 # ---- dimensions -----------------------------------------------------------------
@@ -44,19 +52,22 @@ def test_cap_exceeded():
 def test_associativity_sampled():
     import random
     R = restricted("Sn:3:reduced", "1")
+    basis = _basis(R)
     rng = random.Random(4)
     for _ in range(40):
-        i, j, k = (rng.randrange(R.dim) for _ in range(3))
-        lhs = R.multiply_vec(R.multiply_basis(i, j), {k: F(1)})
-        rhs = R.multiply_vec({i: F(1)}, R.multiply_basis(j, k))
+        i, j, k = (basis[rng.randrange(R.dim)] for _ in range(3))
+        lhs = R.multiply(R.multiply({i: F(1)}, {j: F(1)}), {k: F(1)})
+        rhs = R.multiply({i: F(1)}, R.multiply({j: F(1)}, {k: F(1)}))
         assert lhs == rhs
 
 
 def test_unit_law():
     R = restricted("Zm:3", "generic")
+    basis = _basis(R)
     for i in (0, R.dim // 2, R.dim - 1):
-        assert R.multiply_vec(R.unit, {i: F(1)}) == {i: F(1)}
-        assert R.multiply_vec({i: F(1)}, R.unit) == {i: F(1)}
+        key = basis[i]
+        assert R.multiply(R.unit, {key: F(1)}) == {key: F(1)}
+        assert R.multiply({key: F(1)}, R.unit) == {key: F(1)}
 
 
 # ---- baby Vermas ------------------------------------------------------------------
@@ -97,13 +108,15 @@ def test_baby_verma_y_action_scales_with_parameter():
 def test_baby_verma_is_a_module(spec, ctag, seed):
     # the action matrices respect the product of the restricted algebra
     R = restricted(spec, ctag, seed)
+    basis = _basis(R)
     rng = random.Random(5)
-    pairs = [(rng.randrange(R.dim), rng.randrange(R.dim)) for _ in range(10)]
+    pairs = [(basis[rng.randrange(R.dim)], basis[rng.randrange(R.dim)])
+             for _ in range(10)]
     for rep in R.group.irreps:
         mod = R.baby_verma(rep)
         for i, j in pairs:
-            assert mod.act_vector(R.multiply_basis(i, j)) == mat_mul(
-                mod.act_vector({i: F(1)}), mod.act_vector({j: F(1)})), \
+            assert mod.act_terms(R.multiply({i: F(1)}, {j: F(1)})) == mat_mul(
+                mod.act_terms({i: F(1)}), mod.act_terms({j: F(1)})), \
                 (rep.label, i, j)
 
 
@@ -361,24 +374,26 @@ def test_center_surjectivity_fails_off_distinguished():
 
 def _center_structure(R):
     """Structure constants of Z_0 over its RREF basis, and the coordinates
-    of the unit: products in the |W|^3 table, read back through the echelon
-    of Z_0.  The input of the idempotent splitter, the oracle for
-    ``block_count``."""
+    of the unit: products of the algebra, read back at the pivots of Z_0.
+    The input of the idempotent splitter, the oracle for ``block_count``."""
     zbasis = R.degree_zero_center()
-    ech = R._center_slice(0)
-    pivots = ech.pivots()
+    pivots = [next(iter(z)) for z in zbasis]
 
     def coordinates(vec):
-        residual, coeffs = ech.reduce(vec)
+        # an RREF row is 1 at its pivot and 0 at every other pivot
+        coords = [vec.get(p, ZERO) for p in pivots]
+        residual = dict(vec)
+        for c, z in zip(coords, zbasis):
+            _axpy(residual, z, -c)
         assert not residual, "a product left the computed Z_0"
-        return [coeffs.get(p, ZERO) for p in pivots]
+        return coords
 
     k = len(zbasis)
     prods = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             prods[i][j] = prods[j][i] = coordinates(
-                R.multiply_vec(zbasis[i], zbasis[j]))
+                R.multiply(zbasis[i], zbasis[j]))
     return prods, coordinates(R.unit)
 
 
@@ -390,7 +405,7 @@ def test_center_idempotent_identities(spec):
     from cherednik.comalg import idempotents_of_commutative_algebra
     idems = idempotents_of_commutative_algebra(prods, unit,
                                                conductor=R.group.conductor)
-    alg_mul = R.multiply_vec
+    alg_mul = R.multiply
     zbasis = R.degree_zero_center()
     vecs = []
     for coords in idems:
@@ -409,17 +424,34 @@ def test_center_idempotent_identities(spec):
 
 def _center_in_one_system(R):
     """The center as the kernel of every adjoint map at once, the grading
-    unused: RREF rows in pivot order, each as (column, value) pairs."""
+    unused: RREF rows in pivot order, each as (key, value) pairs."""
+    basis = _basis(R)
     rows = {}
     for g, (gvec, _deg) in enumerate(R.generators):
-        for m in range(R.dim):
-            diff = dict(R.multiply_vec({m: F(1)}, gvec))
-            for k, v in R.multiply_vec(gvec, {m: F(1)}).items():
+        for m, key in enumerate(basis):
+            diff = dict(R.multiply({key: F(1)}, gvec))
+            for k, v in R.multiply(gvec, {key: F(1)}).items():
                 _add_term(diff, k, -v)
             for k, v in diff.items():
                 rows.setdefault((g, k), {})[m] = v
     ech = echelon(kernel_basis(list(rows.values()), R.dim), R.dim)
-    return [sorted(ech.rows[p].items()) for p in ech.pivots()]
+    return [[(basis[i], v) for i, v in sorted(ech.rows[p].items())]
+            for p in ech.pivots()]
+
+
+@pytest.mark.parametrize("spec,ctag,seed,digest", [
+    ("Sn:3:reduced", "zero", 0,
+     "4a1758806961e4b7c3bcccca9d2fc0589b71e091c4da8c80cd4120d23ff1b2d7"),
+    ("I2:4", "generic", 1,
+     "b41341b49f10c53d613391143acc46aebf0119477b45f6fa8e48e6f79802610d")],
+    ids=["Sn:3:reduced-zero", "I2:4-generic:1"])
+def test_center_rows_are_pinned(spec, ctag, seed, digest):
+    # SHA-256 of every row as (key, coefficient text) pairs, taken when the
+    # rows were keyed by position in a |W|^3 basis list: the rows, their
+    # normalization and their order
+    rows = [[(k, str(c)) for k, c in z.items()]
+            for z in restricted(spec, ctag, seed).center()]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec,ctag,seed", [
@@ -448,11 +480,11 @@ def test_direct_adjoint_is_the_product_table_commutator(spec, ctag, seed,
              + [("w", s) for s in g.generators.values()])
     assert {gen for gen, _deg in R._adjoint_generators} <= set(names)
     for gen, (gvec, _deg) in zip(names, R.generators, strict=True):
-        for m in range(R.dim):
+        for m in _basis(R):
             em = {m: F(1)}
             assert R._adjoint(gen, m) == _axpy(
-                R.multiply_vec(em, gvec), R.multiply_vec(gvec, em),
-                F(-1)), (gen, R.basis[m])
+                R.multiply(em, gvec), R.multiply(gvec, em),
+                F(-1)), (gen, m)
 
 
 @pytest.mark.parametrize("ctag", ["zero", "generic"])
@@ -490,9 +522,9 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
     R = restricted(spec, ctag, seed)
     zbasis, zero = R.center(), R.degree_zero_center()
     assert (len(zbasis), len(zero)) == sizes
-    degrees = [{R.basis_degree(i) for i in z} for z in zbasis]
+    degrees = [{sum(a) - sum(b) for a, _w, b in z} for z in zbasis]
     assert zero == [z for z, ds in zip(zbasis, degrees) if ds == {0}]
-    steps = len(R.degree_slices())
+    steps = len(R.degree_slices)
     positive_acts = False
     for z, ds in zip(zbasis, degrees):
         if ds == {0}:
@@ -500,10 +532,10 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
         assert len(ds) == 1
         power = z
         for _ in range(steps):
-            power = R.multiply_vec(power, z)
+            power = R.multiply(power, z)
         assert not power
         for rep in R.group.irreps:
-            mat = R.baby_verma(rep).act_vector(z)
+            mat = R.baby_verma(rep).act_terms(z)
             assert trace(mat) == 0, rep.label
             acts = any(v for row in mat for v in row)
             # below degree 0: the lowest degree, which generates, is killed
@@ -513,7 +545,7 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
     assert positive_acts == (ctag == "generic")
     for rep in R.group.irreps:
         mod = R.baby_verma(rep)
-        full = rank([[v for row in mod.act_vector(z) for v in row]
+        full = rank([[v for row in mod.act_terms(z) for v in row]
                      for z in zbasis], mod.dim ** 2)
         rpt = R.center_surjectivity_on_baby_verma(rep)
         assert rpt["dim_center_image"] == full, rep.label
@@ -533,7 +565,7 @@ def test_center_image_off_the_graded_fiber_is_the_full_matrix_rank(spec,
     zbasis = R.center()
     for rep in g.irreps:
         mod = R.baby_verma(rep)
-        full = rank([[v for row in mod.act_vector(z) for v in row]
+        full = rank([[v for row in mod.act_terms(z) for v in row]
                      for z in zbasis], mod.dim ** 2)
         rpt = R.center_surjectivity_on_baby_verma(rep)
         assert rpt["dim_center_image"] == full, rep.label
@@ -577,9 +609,9 @@ def test_cm_partition_never_splits_the_center(spec, ctag, seed, monkeypatch):
     R = restricted(spec, ctag, seed)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("cm_partition read the |W|^3 product table")
+        raise AssertionError("cm_partition multiplied in the |W|^3 algebra")
 
-    monkeypatch.setattr(R, "multiply_basis", refuse)
+    monkeypatch.setattr(R, "multiply", refuse)
     part = R.cm_partition(verify=True)
     assert part.route_agreement and part.theorems_hold()
 
@@ -611,7 +643,7 @@ def _spoil_column_one(monkeypatch, row):
     on it, away from the scalar of column 0 (row 1)."""
     g = build_zm(2)
     R = build_restricted(g, Parameter.constant(g, 1))
-    terms = {R.basis[i]: c for i, c in R.degree_zero_center()[0].items()}
+    terms = R.degree_zero_center()[0]
     mod = R.baby_verma(g.irrep("chi1"))
     apply = mod.apply
 
@@ -645,7 +677,7 @@ def test_center_is_solved_only_where_it_is_read(spec, ctag, seed):
     assert list(R._center_slices) == [0]
     R.cm_partition(verify=True)
     assert set(R._center_slices) == {
-        d for d in R.degree_slices() if d >= 0}
+        d for d in R.degree_slices if d >= 0}
 
 
 @pytest.mark.parametrize("spec", CM_GRID)
@@ -662,7 +694,7 @@ def test_skew_center_agrees_on_every_slice_at_zero(spec):
     # skew_center solves Z_d from skew-group commutators with every
     # generator, _center_slice from the direct adjoint actions of fewer
     R = restricted(spec, "zero")
-    for d in R.degree_slices():
+    for d in R.degree_slices:
         assert R.skew_center(d) == R._center_basis([d]), d
 
 
@@ -715,11 +747,12 @@ def test_nonzero_fiber_point():
                                  (Parameter.constant(g, 1), 2)):
         R = build_restricted(g, par, b_point=(F(1),))
         assert R.dim == 8 and not R.graded
+        basis = _basis(R)
         rng = random.Random(2)
         for _ in range(40):
-            i, j, k = (rng.randrange(R.dim) for _ in range(3))
-            lhs = R.multiply_vec(R.multiply_basis(i, j), {k: F(1)})
-            rhs = R.multiply_vec({i: F(1)}, R.multiply_basis(j, k))
+            i, j, k = (basis[rng.randrange(R.dim)] for _ in range(3))
+            lhs = R.multiply(R.multiply({i: F(1)}, {j: F(1)}), {k: F(1)})
+            rhs = R.multiply({i: F(1)}, R.multiply({j: F(1)}, {k: F(1)}))
             assert lhs == rhs
         # at c = 0 the two fiber roots are exchanged by the group: one
         # point with nilpotents; at c = 1 the fiber splits into two
@@ -769,23 +802,10 @@ def test_block_count_reads_no_product_table(spec, ctag, seed, point, blocks,
                          b_point=point and tuple(map(F, point)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("block_count read the |W|^3 product table")
+        raise AssertionError("block_count multiplied in the |W|^3 algebra")
 
-    monkeypatch.setattr(R, "multiply_basis", refuse)
+    monkeypatch.setattr(R, "multiply", refuse)
     assert R.block_count() == blocks
-
-
-def test_act_vector_refuses_what_it_cannot_index():
-    g = group("Zm:2")
-    mod = cherednik.baby_verma(g, parameter("Zm:2", "generic", 1), "chi0")
-    with pytest.raises(DimensionMismatch, match="act_terms"):
-        mod.act_vector({0: F(1)})
-    R = restricted("Zm:2", "1")
-    mod = R.baby_verma(g.irrep("chi0"))
-    assert mod.act_vector({0: F(1)}) == mod.act_terms({R.basis[0]: F(1)})
-    for index in (R.dim, -1):
-        with pytest.raises(DimensionMismatch, match="act_terms"):
-            mod.act_vector({index: F(1)})
 
 
 def test_cm_partition_requires_graded_fiber():
@@ -848,11 +868,11 @@ def test_the_module_action_is_the_monomial_product(spec, ctag, point):
     for rep in g.irreps:
         verma = R.baby_verma(rep)
         for mod in (verma, R.simple_head(verma)):
-            for key in R.basis:
+            for key in _basis(R):
                 assert mod.act_terms({key: F(1)}) == \
                     _dense_monomial(mod, key), (rep.label, mod.dim, key)
             terms = {key: F(rng.choice((-2, -1, 1, 3)))
-                     for key in rng.sample(R.basis, 5)}
+                     for key in rng.sample(_basis(R), 5)}
             vec = {k: F(rng.randint(1, 4)) for k in
                    rng.sample(range(mod.dim), min(3, mod.dim))}
             dense = mat_vec(mod.act_terms(terms),
@@ -862,14 +882,14 @@ def test_the_module_action_is_the_monomial_product(spec, ctag, point):
 
 
 def _end_by_reduced_projector(R, mod):
-    """endomorphism_dimension through the |W|^3 index: the isotypic
-    projector reduced into the algebra, then acting by basis indices."""
+    """endomorphism_dimension through the |W|^3 algebra: the isotypic
+    projector reduced into it, then acting as a matrix."""
     rep, g = mod.rep, R.group
     proj = {}
     for w in range(g.order):
         _axpy(proj, R.reduce_pbw(R.algebra.grp(w)),
               F(rep.dim, g.order) * rep.char(g.inv(w)))
-    mat = mod.act_vector(proj)
+    mat = mod.act_terms(proj)
     return rank([mat_vec(mat, v) for v in R.singular_vectors(mod)],
                 mod.dim) // rep.dim
 
@@ -894,7 +914,7 @@ def _seeded_pbw(H, rng, top):
 @pytest.mark.parametrize("ctag,seed", [("zero", 0), ("generic", 1)])
 def test_module_actions_match_the_reduced_algebra(spec, ctag, seed):
     # the module layer acts by exponents; the oracle reduces into the
-    # |W|^3 basis first and acts by basis indices
+    # |W|^3 algebra first and acts by the reduced terms
     R = restricted(spec, ctag, seed)
     H = R.algebra
     e = R.reduce_pbw(H.symmetrizer())
@@ -902,14 +922,14 @@ def test_module_actions_match_the_reduced_algebra(spec, ctag, seed):
     rng = random.Random(11)
     for rep in R.group.irreps:
         mod, head = R.baby_verma(rep), R.simple_module(rep)
-        assert R.dim_e_simple(rep) == rank(head.act_vector(e), head.dim)
+        assert R.dim_e_simple(rep) == rank(head.act_terms(e), head.dim)
         for m in (mod, head):
             assert R.endomorphism_dimension(m) == \
                 _end_by_reduced_projector(R, m), (rep.label, m.dim)
         for _ in range(3):
             u = _seeded_pbw(H, rng, top)
             assert act_on_baby_verma(u, mod) == \
-                mod.act_vector(R.reduce_pbw(u)), (rep.label, u)
+                mod.act_terms(R.reduce_pbw(u)), (rep.label, u)
 
 
 def test_the_module_layer_builds_no_algebra(monkeypatch):
