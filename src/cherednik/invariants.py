@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotFactorizable
-from .linalg import MONE, ONE, ZERO, _add_term, _axpy, echelon, rref, trace
+from .linalg import ONE, ZERO, _add_term, _axpy, echelon, rref, trace
 from .polys import monomials_of_degree, pconst, pmul, pscale
 from .series import GradedCharacter, generator_degrees, product_of_binomials
 
@@ -155,14 +155,11 @@ class InvariantTheory:
 
     def _act_monomial(self, widx, mono):
         """w . (the monomial with exponents mono), cached; callers must not
-        mutate the returned polynomial.  A coefficient of +-1 is the shared
-        ``ONE`` or ``MONE``, so a caller may test it with ``is``."""
+        mutate the returned polynomial."""
         key = (widx, mono)
         out = self._act_monos.get(key)
         if out is None:
-            out = self._act_monos[key] = {
-                m: ONE if c == ONE else MONE if c == MONE else c
-                for m, c in self._monomial_image(widx, mono).items()}
+            out = self._act_monos[key] = self._monomial_image(widx, mono)
         return out
 
     def reynolds(self, poly):

@@ -2,12 +2,10 @@
 
 An entry is a Fraction exactly when it is rational and a Cyc only when it is
 not (``cyclotomic`` canonicalizes every result), so Fraction(0)/Fraction(1)
-are the only zero/one.  ``ONE`` and ``MONE`` are shared objects: a cached
-table may store its +-1 entries as them, so that a hot loop can test a
-coefficient with ``is`` and skip the product.  All elimination goes through one
-kernel, ``Echelon``: a sparse reduced row echelon form built one vector at a
-time.  ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are thin wrappers
-over it; results satisfy A.x = b on re-substitution, exactly.
+are the only zero/one.  All elimination goes through one kernel,
+``Echelon``: a sparse reduced row echelon form built one vector at a time.
+``rref``, ``rank``, ``kernel_basis`` and ``solve`` are thin wrappers over it;
+results satisfy A.x = b on re-substitution, exactly.
 
 Every sparse {key: coeff} map above the scalar layer accumulates through
 ``_add_term`` and ``_axpy``, which never store a zero.

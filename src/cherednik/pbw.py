@@ -24,19 +24,24 @@ from operator import add
 
 from .cyclotomic import Cyc, scalar_payload
 from .errors import DegreeCapExceeded, InvalidElement, InvalidInput
-from .linalg import MONE, ONE, ZERO, _add_term, _axpy
+from .linalg import ONE, ZERO, _add_term, _axpy
 
 DEFAULT_DEGREE_CAP = 12
-# what an element adds to, subtracts and compares with as algebra.scalar(c)
+# what an element compares with as algebra.scalar(c)
 _SCALARS = (int, Fraction, Cyc)
 
 
 def _in_field(c, n, error):
     """The scalar c read in Q(zeta_n), the field of a group of conductor n:
-    an int as a Fraction, a Cyc through ``Cyc.of``; a Cyc whose conductor
-    does not divide n is ``error``."""
+    an int as a Fraction, a Cyc through ``Cyc.of``.  A Cyc whose conductor
+    does not divide n, and any scalar that is not exact, is ``error``."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
     if not isinstance(c, Cyc):
-        return Fraction(c) if isinstance(c, int) else c
+        raise error(f"scalar {c!r} is not exact; use an int, a Fraction or "
+                    "a Cyc")
     if n % c.n:
         raise error(f"scalar {c} of Q(zeta_{c.n}) is not in Q(zeta_{n}): "
                     f"conductor {c.n} does not divide the group's {n}")
@@ -63,7 +68,6 @@ class Parameter:
 
     @classmethod
     def constant(cls, group, value):
-        value = Fraction(value)
         return cls(group, dict.fromkeys(group.reflection_class_labels, value))
 
     @classmethod
@@ -127,7 +131,7 @@ class PBWElement:
             raise ValueError("elements live over different (group, parameter)")
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
+        if not isinstance(other, PBWElement):
             other = self.algebra.scalar(other)
         self._check(other)
         return PBWElement(self.algebra,
@@ -139,7 +143,7 @@ class PBWElement:
         return PBWElement(self.algebra, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
+        if not isinstance(other, PBWElement):
             other = self.algebra.scalar(other)
         return self + (-other)
 
@@ -147,10 +151,9 @@ class PBWElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if not isinstance(other, PBWElement):
             other = _in_field(other, self.algebra.group.conductor,
                               InvalidElement)
-        if not isinstance(other, PBWElement):
             return PBWElement(self.algebra,
                               {k: v * other for k, v in self.terms.items()})
         self._check(other)
@@ -342,7 +345,7 @@ class CherednikAlgebra:
                 if not kappa:
                     continue
                 for e, ce in act_x(widx, rest).items():
-                    _add_term(out, (e, widx), _times(kappa, ce))
+                    _add_term(out, (e, widx), kappa * ce)
         self._comm_cache[key] = out
         return out
 
@@ -368,11 +371,11 @@ class CherednikAlgebra:
                 # y_j * x^e * w * y^f
                 # commutator part: [y_j, x^e] w y^f
                 for (e2, s), c2 in comm_mono(j, e).items():
-                    _add_term(out, (e2, mult(s, w), f), _times(coeff, c2))
+                    _add_term(out, (e2, mult(s, w), f), coeff * c2)
                 # straight part: x^e (y_j w) y^f = x^e w (w^{-1}.y_j) y^f
                 for ym, cy in act_y(inverse[w], yj).items():
                     _add_term(out, (e, w, tuple(map(add, f, ym))),
-                              _times(coeff, cy))
+                              coeff * cy)
         self._ybxc_cache[key] = out
         return out
 
@@ -455,11 +458,6 @@ class CherednikAlgebra:
     def __repr__(self):
         return (f"CherednikAlgebra({self.group.name}, "
                 f"c={dict(sorted(self.param.values.items()))})")
-
-
-def _times(c, t):
-    """c * t, with no product when t is the shared ONE or MONE."""
-    return c if t is ONE else -c if t is MONE else c * t
 
 
 def _unit_exp(n, j):

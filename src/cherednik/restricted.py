@@ -26,18 +26,20 @@ from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DimensionMismatch, InvalidInput, NotSimpleHead,
                      TieDetected)
 from .linalg import (MONE, ONE, ZERO, Echelon, _add_term, _axpy, echelon,
-                     identity, kernel_basis, mat_mul, rank)
+                     kernel_basis, rank)
 from .pbw import CherednikAlgebra, PBWElement, _unit_exp
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
 
 
 class FDModule:
-    """A module over a restricted algebra: explicit action matrices.
+    """A module over a restricted algebra: explicit action matrices, each
+    a list of sparse columns {row: coeff}, one per basis vector, with no
+    zero stored.
 
     ``x`` and ``y`` list the matrices of x_i and y_i; ``w_action`` maps a
-    group element index to its matrix, and ``w_matrix`` calls it once per
-    element.  ``rep`` is the irreducible of W that the module is built
+    group element index to its matrix, read once per element through
+    ``_columns``.  ``rep`` is the irreducible of W that the module is built
     from, or None.  ``apply`` is the one action routine.
     """
 
@@ -51,31 +53,24 @@ class FDModule:
         self.label = label
         self.rep = rep
         self._w_action = w_action
-        self._w = {}                  # group element index -> matrix
-        self._cols = {}               # ("x"|"y"|"w", index) -> sparse columns
+        self._cols = {}               # group element index -> sparse columns
         self._pow = {}                # (kind, exponent, k) -> x^a or y^b e_k
-
-    def w_matrix(self, widx):
-        mat = self._w.get(widx)
-        if mat is None:
-            mat = self._w_action(widx)
-            self._w[widx] = mat
-        return mat
 
     def generators(self):
         """Matrix of each of the parent's ``generators``, in order."""
         mats = [m for xy in zip(self.x, self.y) for m in xy]
-        return mats + [self.w_matrix(w)
+        return mats + [self._columns(("w", w))
                        for w in self.parent.group.generators.values()]
 
     def _columns(self, gen):
-        """Sparse columns of the matrix of ("x", i), ("y", j) or ("w", w)."""
-        if gen not in self._cols:
-            kind, i = gen
-            mat = self.w_matrix(i) if kind == "w" else getattr(self, kind)[i]
-            self._cols[gen] = [{r: row[k] for r, row in enumerate(mat)
-                                if row[k]} for k in range(self.dim)]
-        return self._cols[gen]
+        """The matrix of ("x", i), ("y", j) or ("w", w); each w's is built
+        on first use."""
+        kind, i = gen
+        if kind != "w":
+            return getattr(self, kind)[i]
+        if i not in self._cols:
+            self._cols[i] = self._w_action(i)
+        return self._cols[i]
 
     def _power_column(self, kind, expo, k):
         """x^expo e_k (kind "x") or y^expo e_k (kind "y"), sparse."""
@@ -95,27 +90,23 @@ class FDModule:
         """The sparse vector z v, for z the PBW terms {(a, w, b): c} of any
         degree and v a sparse vector {index: coeff}: y^b on v first, then w
         on the sum for each (a, w), then x^a on the sum for each a."""
-        by_b, by_aw, by_a, out = {}, {}, {}, {}
+        by_b, by_aw, by_a = {}, {}, {}
         for (a, w, b), c in terms.items():
             if b not in by_b:
-                by_b[b] = {}
-                for k, v in vec.items():
-                    _axpy(by_b[b], self._power_column("y", b, k), v)
+                by_b[b] = _combination((v, self._power_column("y", b, k))
+                                       for k, v in vec.items())
             _axpy(by_aw.setdefault((a, w), {}), by_b[b], c)
         for (a, w), u in by_aw.items():
             cols, acc = self._columns(("w", w)), by_a.setdefault(a, {})
             for k, c in u.items():
                 _axpy(acc, cols[k], c)
-        for a, u in by_a.items():
-            for k, c in u.items():
-                _axpy(out, self._power_column("x", a, k), c)
-        return out
+        return _combination((c, self._power_column("x", a, k))
+                            for a, u in by_a.items() for k, c in u.items())
 
-    def act_terms(self, terms):
+    def act_columns(self, terms):
         """Action matrix of PBW terms {(a, w, b): c} of any degree: column k
         is ``apply(terms, {k: 1})``."""
-        cols = [self.apply(terms, {k: ONE}) for k in range(self.dim)]
-        return [[col.get(i, ZERO) for col in cols] for i in range(self.dim)]
+        return [self.apply(terms, {k: ONE}) for k in range(self.dim)]
 
     def __repr__(self):
         lbl = f", label={self.label!r}" if self.label is not None else ""
@@ -245,18 +236,16 @@ class StandardModules:
         """Matrix on (coinvariant monomials) (x) rep of m (x) v -> sum of
         c * m2 (x) rep(s) v over the ((m2, s), c) that ``image(m)`` yields."""
         r = rep.dim
-        dim = len(self.x_basis) * r
         slot = {m: k * r for k, m in enumerate(self.x_basis)}
-        mat = [[ZERO] * dim for _ in range(dim)]
-        for m in self.x_basis:
-            col = slot[m]
+        cols = [{} for _ in range(len(slot) * r)]
+        for m, col in slot.items():
             for (m2, s), c in image(m):
                 rho, row = rep.matrix(s), slot[m2]
                 for t in range(r):
                     for t2 in range(r):
                         if rho[t2][t]:
-                            mat[row + t2][col + t] += c * rho[t2][t]
-        return mat
+                            _add_term(cols[col + t], row + t2, c * rho[t2][t])
+        return cols
 
     # ---- simple heads ---------------------------------------------------------------
     def acting_image(self, mod):
@@ -266,12 +255,14 @@ class StandardModules:
         dim = mod.dim
         basis = []
         span = Echelon(dim * dim)
-        queue = [identity(dim)]
+        queue = [[{k: ONE} for k in range(dim)]]
         while queue:
             mat = queue.pop()
-            if span.add([v for row in mat for v in row]):
+            if span.add({i * dim + k: v for k, col in enumerate(mat)
+                         for i, v in col.items()}):
                 basis.append(mat)
-                queue.extend(mat_mul(g, mat) for g in gens)
+                queue.extend([_combination((c, g[j]) for j, c in col.items())
+                              for col in mat] for g in gens)
         return basis
 
     def _image_radical(self, mod):
@@ -280,9 +271,8 @@ class StandardModules:
         (characteristic 0): the route for modules without a grading."""
         basis, dim = self.acting_image(mod), mod.dim
         rad = kernel_basis(_trace_gram([[a] for a in basis]), len(basis))
-        return echelon([[sum((c * a[i][col] for c, a in zip(vec, basis) if c),
-                             ZERO) for i in range(dim)]
-                        for vec in rad for col in range(dim)], dim)
+        return echelon([_combination(zip(vec, (a[k] for a in basis)))
+                        for vec in rad for k in range(dim)], dim)
 
     def _graded_radical(self, mod):
         """Echelon of the radical J of a graded module, degree by degree.
@@ -306,7 +296,7 @@ class StandardModules:
             rows = {}
             for col, k in enumerate(idxs):
                 for j, y in enumerate(mod.y):
-                    residual, _ = jm.reduce([row[k] for row in y])
+                    residual, _ = jm.reduce(y[k])
                     for i, val in residual.items():
                         rows.setdefault((j, i), {})[col] = val
             for vec in kernel_basis(list(rows.values()), len(idxs)):
@@ -319,22 +309,29 @@ class StandardModules:
         jm = (self._image_radical(mod) if mod.weights is None
               else self._graded_radical(mod))
         keep = [i for i in range(mod.dim) if i not in jm.rows]
+        pos = {i: t for t, i in enumerate(keep)}
 
         def induce(mat):
-            # the columns of the kept basis vectors, reduced modulo J(A) M
-            cols = [jm.reduce([row[i] for row in mat])[0] for i in keep]
-            return [[col.get(i, ZERO) for col in cols] for i in keep]
+            # the columns of the kept basis vectors, reduced modulo J(A) M:
+            # a residual vanishes at every pivot, so its rows are kept
+            return [{pos[i]: c for i, c in jm.reduce(mat[k])[0].items()}
+                    for k in keep]
 
         return FDModule(self, len(keep), [induce(m) for m in mod.x],
                         [induce(m) for m in mod.y],
-                        lambda widx: induce(mod.w_matrix(widx)),
+                        lambda widx: induce(mod._columns(("w", widx))),
                         weights=([mod.weights[i] for i in keep]
                                  if mod.weights is not None else None),
                         label=mod.label, rep=mod.rep)
 
     def singular_vectors(self, mod):
         """Basis of M^{y=0}, the vectors every y_j kills."""
-        return kernel_basis([row for y in mod.y for row in y], mod.dim)
+        rows = {}                     # keyed (j, row of y_j)
+        for j, y in enumerate(mod.y):
+            for k, col in enumerate(y):
+                for i, v in col.items():
+                    rows.setdefault((j, i), {})[k] = v
+        return kernel_basis(list(rows.values()), mod.dim)
 
     def is_simple(self, mod):
         """Is M simple (over the splitting field)?  A graded module built
@@ -380,18 +377,20 @@ class StandardModules:
     def dim_e_simple(self, rep):
         """Rank of the averaging idempotent on the simple head L(rep)."""
         head = self.simple_module(rep)
-        return rank(head.act_terms(self.algebra.symmetrizer().terms), head.dim)
+        return rank(head.act_columns(self.algebra.symmetrizer().terms),
+                    head.dim)
 
     # ---- linkage ------------------------------------------------------------------
     def _graded_character(self, mod):
         """Trace of each class representative on each degree of a graded
         module: {degree: [trace per class]}."""
-        mats = [mod.w_matrix(w) for w in self.group.class_representatives]
+        mats = [mod._columns(("w", w))
+                for w in self.group.class_representatives]
         out = {}
         for k, d in enumerate(mod.weights):
             row = out.setdefault(d, [ZERO] * len(mats))
             for c, mat in enumerate(mats):
-                row[c] += mat[k][k]
+                row[c] += mat[k].get(k, ZERO)
         return out
 
     def _decompose(self, chi):
@@ -669,7 +668,7 @@ class RestrictedCherednikAlgebra(StandardModules):
     def _z0_actions(self, rep):
         """Matrix of each Z_0 basis vector on Delta_b(rep)."""
         mod = self.baby_verma(rep)
-        return [mod.act_terms(z) for z in self.degree_zero_center()]
+        return [mod.act_columns(z) for z in self.degree_zero_center()]
 
     def _central_character(self, rep):
         """Scalar of each Z_0 basis vector on Delta(rep).
@@ -682,9 +681,9 @@ class RestrictedCherednikAlgebra(StandardModules):
         """
         values = []
         for mat in self._z0_actions(rep):
-            value = mat[0][0]
-            if any(v != (value if i == j else ZERO)
-                   for i, row in enumerate(mat) for j, v in enumerate(row)):
+            value = mat[0].get(0, ZERO)
+            if any(col != ({k: value} if value else {})
+                   for k, col in enumerate(mat)):
                 raise CherednikError(f"a Z_0 basis vector is not a scalar "
                                      f"on the baby Verma {rep.label!r}")
             values.append(value)
@@ -767,15 +766,22 @@ class RestrictedCherednikAlgebra(StandardModules):
                 f" b={'0' if self.graded else self.b_point})")
 
 
+def _combination(pairs):
+    """The sparse vector sum of c * vec over the (c, vec) pairs."""
+    out = {}
+    for c, vec in pairs:
+        if c:
+            _axpy(out, vec, c)
+    return out
+
+
 def _trace_gram(elements):
     """Gram matrix of the trace form (a, b) -> sum over k of tr(a_k b_k) on
-    ``elements``, each a list of square matrices a_k, one per module."""
-    flat = [[v for a in elt for row in a for v in row] for elt in elements]
-    flat_t = [[v for b in elt for col in zip(*b) for v in col]
-              for elt in elements]
-    nonzero = [[(k, v) for k, v in enumerate(f) if v] for f in flat]
-    return [[sum((v * bt[k] for k, v in nz if bt[k]), ZERO) for bt in flat_t]
-            for nz in nonzero]
+    ``elements``, each a list of square matrices a_k, one per module: the
+    sum of a_k[i][j] b_k[j][i] over the entries both store."""
+    return [[sum((v * bk[i][j] for ak, bk in zip(u, w)
+                  for j, col in enumerate(ak) for i, v in col.items()
+                  if j in bk[i]), ZERO) for w in elements] for u in elements]
 
 
 def distinguished_rep(labels, b_invariants):
@@ -797,11 +803,12 @@ def build_restricted(group, param, b_point=None, cap=RESTRICTED_CAP):
 
 
 def act_on_baby_verma(element, mod):
-    """Matrix of a PBW element on a baby Verma module."""
+    """Matrix of a PBW element on a baby Verma module, as dense rows."""
     if element.algebra is not mod.parent.algebra:
         raise DimensionMismatch(
             "element and module live over different algebras")
-    return mod.act_terms(element.terms)
+    cols = mod.act_columns(element.terms)
+    return [[col.get(i, ZERO) for col in cols] for i in range(mod.dim)]
 
 
 def baby_verma(group, param, rep_label, p=None, b_point=None):

@@ -105,7 +105,7 @@ def test_fundamental_invariants_leave_the_action_cache_to_the_modules(spec):
     for rep in g.irreps:
         mod = R.baby_verma(rep)
         for w in range(g.order):
-            mod.w_matrix(w)
+            mod._columns(("w", w))
     coinv = set(it.coinv_monomials())
     assert len(it._act_monos) == g.order * len(coinv)
     assert {m for _w, m in it._act_monos} == coinv

@@ -15,7 +15,6 @@ from cherednik.errors import DegreeCapExceeded, InvalidElement, InvalidInput
 from cherednik.groups import build_from_generators, build_group, build_zm
 from cherednik.linalg import MONE, ONE, ZERO, _add_term
 from cherednik.pbw import CherednikAlgebra, Parameter
-from cherednik.polys import monomials_of_degree
 from cherednik.verify import CM_GRID
 from conftest import algebra
 
@@ -274,6 +273,47 @@ def test_a_parameter_outside_the_field_of_the_group_is_refused():
                for v in par.values.values())
 
 
+def test_a_constant_parameter_reads_its_value_in_the_field_of_the_group():
+    # Parameter.constant once ran every value through Fraction, so a Cyc
+    # raised a bare TypeError
+    g = build_group("I2:5")
+    for value, power in ((Cyc.zeta(10), 1), (Cyc.zeta(5), 2)):
+        par = Parameter.constant(g, value)
+        assert all(v.n == 10 and v == Cyc.zeta(10, power)
+                   for v in par.values.values())
+    assert Parameter.constant(g, 3).values == dict.fromkeys(
+        g.reflection_class_labels, F(3))
+    with pytest.raises(InvalidInput, match=re.escape(
+            "Q(zeta_7) is not in Q(zeta_10)")):
+        Parameter.constant(g, Cyc.zeta(7))
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: Parameter(g, dict.fromkeys(g.reflection_class_labels, 0.5)),
+    lambda g: Parameter.constant(g, 0.5)], ids=["init", "constant"])
+def test_a_parameter_that_is_not_exact_is_refused(make):
+    with pytest.raises(InvalidInput, match=re.escape(
+            "scalar 0.5 is not exact")):
+        make(build_group("I2:5"))
+
+
+@pytest.mark.parametrize("use", [
+    lambda H, c: H.x(0) + c, lambda H, c: c + H.x(0),
+    lambda H, c: H.x(0) - c, lambda H, c: c - H.x(0),
+    lambda H, c: H.x(0) * c, lambda H, c: c * H.x(0),
+    lambda H, c: H.scalar(c),
+    lambda H, c: H.monomial((1, 0), 0, (0, 0), coeff=c)],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul", "scalar", "monomial"])
+def test_a_scalar_that_is_not_exact_is_refused(use):
+    # a float once became a float coefficient, and x1 + 0.5 raised a stray
+    # AttributeError
+    H = algebra("I2:5", "generic")
+    with pytest.raises(InvalidElement, match=re.escape(
+            "scalar 0.5 is not exact")):
+        use(H, 0.5)
+    assert H.x(0) != 0.5
+
+
 @pytest.mark.parametrize("k", [1.5, "2", F(2), None])
 def test_power_refuses_a_non_integer_exponent(k):
     H = algebra("I2:5", "generic")
@@ -480,24 +520,6 @@ def test_memoized_group_law(spec):
         for i, j in pairs:
             assert group.mult(i, j) == group._meta_index[group._mult_fn(
                 group.metas[i], group.metas[j])]
-
-
-@pytest.mark.parametrize("spec", ["Zm:5", "Sn:4:reduced", "I2:5", "custom"])
-def test_group_action_shares_unit_coefficients(spec):
-    group = _custom_group() if spec == "custom" else build_group(spec)
-    signs = 0   # the -1 entries met, so the test is not vacuous
-    for side in ("x", "y"):
-        act = group.invariant_theory(side)._act_monomial
-        for w in range(group.order):
-            for d in range(3):
-                for mono in monomials_of_degree(group.n, d):
-                    for c in act(w, mono).values():
-                        if c == 1:
-                            assert c is ONE
-                        elif c == -1:
-                            assert c is MONE
-                            signs += 1
-    assert signs or spec != "Sn:4:reduced"
 
 
 # ---- properties over a custom JSON group and a built-in family ------------------

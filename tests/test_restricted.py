@@ -30,6 +30,11 @@ def _basis(R):
             for b in R.y_basis]
 
 
+def _dense(cols):
+    """A square matrix stored as sparse columns, as a dense list of rows."""
+    return [[col.get(i, ZERO) for col in cols] for i in range(len(cols))]
+
+
 # ---- dimensions -----------------------------------------------------------------
 
 @pytest.mark.parametrize("spec,expected", [
@@ -115,8 +120,9 @@ def test_baby_verma_is_a_module(spec, ctag, seed):
     for rep in R.group.irreps:
         mod = R.baby_verma(rep)
         for i, j in pairs:
-            assert mod.act_terms(R.multiply({i: F(1)}, {j: F(1)})) == mat_mul(
-                mod.act_terms({i: F(1)}), mod.act_terms({j: F(1)})), \
+            assert _dense(mod.act_columns(R.multiply({i: F(1)}, {j: F(1)}))) \
+                == mat_mul(_dense(mod.act_columns({i: F(1)})),
+                           _dense(mod.act_columns({j: F(1)}))), \
                 (rep.label, i, j)
 
 
@@ -184,7 +190,7 @@ def _commutant_dimension(mod):
     for every generator g, with the dim^2 entries of phi unknown."""
     dim = mod.dim
     rows = []
-    for g in mod.generators():
+    for g in map(_dense, mod.generators()):
         for i in range(dim):
             for j in range(dim):
                 row = {}
@@ -262,8 +268,8 @@ def test_endomorphisms_of_s4_baby_vermas():
 def test_endomorphism_dimension_needs_the_irreducible():
     R = restricted("Zm:2", "1")
     mod = R.baby_verma(R.group.irrep("chi0"))
-    bare = FDModule(R, mod.dim, mod.x, mod.y, mod.w_matrix,
-                    weights=mod.weights)
+    bare = FDModule(R, mod.dim, mod.x, mod.y,
+                    lambda w: mod._columns(("w", w)), weights=mod.weights)
     with pytest.raises(CherednikError):
         R.endomorphism_dimension(bare)
 
@@ -535,7 +541,7 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
             power = R.multiply(power, z)
         assert not power
         for rep in R.group.irreps:
-            mat = R.baby_verma(rep).act_terms(z)
+            mat = _dense(R.baby_verma(rep).act_columns(z))
             assert trace(mat) == 0, rep.label
             acts = any(v for row in mat for v in row)
             # below degree 0: the lowest degree, which generates, is killed
@@ -545,7 +551,7 @@ def test_center_off_degree_zero_is_nilpotent_and_traceless(spec, ctag, seed,
     assert positive_acts == (ctag == "generic")
     for rep in R.group.irreps:
         mod = R.baby_verma(rep)
-        full = rank([[v for row in mod.act_terms(z) for v in row]
+        full = rank([[v for row in _dense(mod.act_columns(z)) for v in row]
                      for z in zbasis], mod.dim ** 2)
         rpt = R.center_surjectivity_on_baby_verma(rep)
         assert rpt["dim_center_image"] == full, rep.label
@@ -565,7 +571,7 @@ def test_center_image_off_the_graded_fiber_is_the_full_matrix_rank(spec,
     zbasis = R.center()
     for rep in g.irreps:
         mod = R.baby_verma(rep)
-        full = rank([[v for row in mod.act_terms(z) for v in row]
+        full = rank([[v for row in _dense(mod.act_columns(z)) for v in row]
                      for z in zbasis], mod.dim ** 2)
         rpt = R.center_surjectivity_on_baby_verma(rep)
         assert rpt["dim_center_image"] == full, rep.label
@@ -842,13 +848,13 @@ def test_a_point_of_the_wrong_length_is_refused(spec, point, build):
 
 def _dense_monomial(mod, key):
     """X^a W_w Y^b for key (a, w, b), multiplied out from the module's own
-    matrices: the reference for ``act_terms`` and ``apply``."""
+    matrices: the reference for ``act_columns`` and ``apply``."""
     a, w, b = key
-    mat = mod.w_matrix(w)
-    for y, e in zip(mod.y, b):
+    mat = _dense(mod._columns(("w", w)))
+    for y, e in zip(map(_dense, mod.y), b):
         for _ in range(e):
             mat = mat_mul(mat, y)
-    for x, e in zip(mod.x, a):
+    for x, e in zip(map(_dense, mod.x), a):
         for _ in range(e):
             mat = mat_mul(x, mat)
     return mat
@@ -869,16 +875,40 @@ def test_the_module_action_is_the_monomial_product(spec, ctag, point):
         verma = R.baby_verma(rep)
         for mod in (verma, R.simple_head(verma)):
             for key in _basis(R):
-                assert mod.act_terms({key: F(1)}) == \
+                assert _dense(mod.act_columns({key: F(1)})) == \
                     _dense_monomial(mod, key), (rep.label, mod.dim, key)
             terms = {key: F(rng.choice((-2, -1, 1, 3)))
                      for key in rng.sample(_basis(R), 5)}
             vec = {k: F(rng.randint(1, 4)) for k in
                    rng.sample(range(mod.dim), min(3, mod.dim))}
-            dense = mat_vec(mod.act_terms(terms),
+            dense = mat_vec(_dense(mod.act_columns(terms)),
                             [vec.get(k, ZERO) for k in range(mod.dim)])
             assert mod.apply(terms, vec) == \
                 {i: v for i, v in enumerate(dense) if v}, (rep.label, mod.dim)
+
+
+@pytest.mark.parametrize("spec,ctag,point", [
+    (spec, ctag, None) for spec in CM_GRID for ctag in ("zero", "generic")]
+    + [("Sn:3:reduced", "1", (1, 0))],
+    ids=lambda v: "graded" if v is None else str(v))
+def test_module_actions_are_stored_as_sparse_columns(spec, ctag, point):
+    # every stored x, y and class-representative w matrix, on every baby
+    # Verma and head: dim columns, each a dict from a basis index to a
+    # nonzero coefficient
+    g = group(spec)
+    M = StandardModules(CherednikAlgebra(g, parameter(spec, ctag, 1)),
+                        None if point is None else tuple(map(F, point)))
+    for rep in g.irreps:
+        verma = M.baby_verma(rep)
+        for mod in (verma, M.simple_head(verma)):
+            mats = mod.x + mod.y + [mod._columns(("w", w))
+                                    for w in g.class_representatives]
+            for mat in mats:
+                assert len(mat) == mod.dim, (rep.label, mod.dim)
+                for col in mat:
+                    assert type(col) is dict, (rep.label, mod.dim)
+                    assert all(type(i) is int and 0 <= i < mod.dim and v
+                               for i, v in col.items()), (rep.label, col)
 
 
 def _end_by_reduced_projector(R, mod):
@@ -889,7 +919,7 @@ def _end_by_reduced_projector(R, mod):
     for w in range(g.order):
         _axpy(proj, R.reduce_pbw(R.algebra.grp(w)),
               F(rep.dim, g.order) * rep.char(g.inv(w)))
-    mat = mod.act_terms(proj)
+    mat = _dense(mod.act_columns(proj))
     return rank([mat_vec(mat, v) for v in R.singular_vectors(mod)],
                 mod.dim) // rep.dim
 
@@ -922,14 +952,15 @@ def test_module_actions_match_the_reduced_algebra(spec, ctag, seed):
     rng = random.Random(11)
     for rep in R.group.irreps:
         mod, head = R.baby_verma(rep), R.simple_module(rep)
-        assert R.dim_e_simple(rep) == rank(head.act_terms(e), head.dim)
+        assert R.dim_e_simple(rep) == rank(_dense(head.act_columns(e)),
+                                           head.dim)
         for m in (mod, head):
             assert R.endomorphism_dimension(m) == \
                 _end_by_reduced_projector(R, m), (rep.label, m.dim)
         for _ in range(3):
             u = _seeded_pbw(H, rng, top)
             assert act_on_baby_verma(u, mod) == \
-                mod.act_terms(R.reduce_pbw(u)), (rep.label, u)
+                _dense(mod.act_columns(R.reduce_pbw(u))), (rep.label, u)
 
 
 def test_the_module_layer_builds_no_algebra(monkeypatch):
