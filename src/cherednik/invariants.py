@@ -1,12 +1,12 @@
 """Invariant theory of a reflection group: Molien series, invariant degrees,
 fake polynomials, fundamental invariants, and coinvariant-ring reductions.
 
-The reduction machinery rests on the freeness of C[h] over C[h]^W: once a
-monomial basis of the coinvariant ring is fixed, every homogeneous piece
-C[h]_d decomposes as the direct sum of m_i * C[h]^W_{d - deg m_i}, so a
-single exact linear solve per degree rewrites any polynomial as
-sum_i m_i * g_i(f_1, .., f_n) and evaluating the invariants at a point of
-h/W reduces modulo any fiber ideal, graded or not.
+The reductions rest on one echelon per degree d: the span of the products
+f_i * m of degree d.  Its non-pivot monomials are the coinvariant monomial
+basis, and as C[h] is free over C[h]^W they stay a basis of C[h]/(f_i - v_i)
+at every point v of h/W.  There each row f_i * m carries -v_i times the
+image of m, already reduced, in augmented columns, so the reduced row at a
+pivot monomial writes it modulo the fiber ideal, graded or not.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import NotFactorizable
-from .linalg import ONE, ZERO, _add_term, _axpy, echelon, rref, trace
-from .polys import monomials_of_degree, pconst, pmul, pscale
+from .errors import DimensionMismatch, NotFactorizable
+from .linalg import (ONE, ZERO, _add_term, _axpy, _interned, echelon, rref,
+                     trace)
+from .polys import monomials_of_degree, pconst, pevaluate, pmul, pscale
 from .series import GradedCharacter, generator_degrees, product_of_binomials
 
 
@@ -120,7 +121,8 @@ class InvariantTheory:
         self.n = group.n
         self._act_images = {}
         self._act_monos = {}
-        self._decomp = {}
+        self._act_coeffs = {}
+        self._ideals = {}
         self._fibers = {}
 
     # ---- group action on polynomials -------------------------------------
@@ -159,7 +161,8 @@ class InvariantTheory:
         key = (widx, mono)
         out = self._act_monos.get(key)
         if out is None:
-            out = self._act_monos[key] = self._monomial_image(widx, mono)
+            out = self._act_monos[key] = _interned(
+                self._monomial_image(widx, mono), self._act_coeffs)
         return out
 
     def reynolds(self, poly):
@@ -210,29 +213,47 @@ class InvariantTheory:
             chosen.extend((p, d) for p in new)
         return [p for p, _d in chosen]
 
+    # ---- the fiber ideals, degree by degree -------------------------------------
+    def _ideal(self, d, values):
+        """(echelon, monomials, {monomial: column}) of the fiber ideal
+        (f_i - v_i) in degree d: a row f_i * m per f_i of degree <= d and
+        monomial m of degree d - deg f_i, with -v_i * image(m) in the
+        augmented column size + k of the k-th coinvariant monomial."""
+        key = (d, values)
+        out = self._ideals.get(key)
+        if out is None:
+            monos = monomials_of_degree(self.n, d)
+            index = {m: i for i, m in enumerate(monos)}
+            size = len(monos)
+            rows, fib = [], self.fiber(values)
+            funds = self.fundamental_invariants
+            for f, fd, v in zip(funds, sorted(self.group.degrees), values):
+                if fd > d:
+                    continue
+                for m in monomials_of_degree(self.n, d - fd):
+                    row = {index[mm]: c for mm, c in pmul(f, {m: ONE}).items()}
+                    if v:
+                        position = self._coinv_columns[1]
+                        for mm, c in fib[m].items():
+                            row[size + position[mm]] = -v * c
+                    rows.append(row)
+            # latest leading column first: each new pivot then has little
+            # to clear from the rows already in (the RREF is the same)
+            rows.sort(key=min, reverse=True)
+            out = self._ideals[key] = (echelon(rows, size), monos, index)
+        return out
+
     # ---- coinvariant monomial basis --------------------------------------------
     @cached_property
     def coinvariant_basis(self):
-        """Monomial basis of C[vars]/(f_1,..,f_n), grouped by degree."""
-        funds = self.fundamental_invariants
-        degrees = self.group.degrees
-        topdeg = sum(d - 1 for d in degrees)
+        """Monomial basis of C[vars]/(f_1,..,f_n), grouped by degree: the
+        non-pivots of each degree of the graded ideal."""
+        zero = (ZERO,) * self.n
         basis = []
-        total = 0
-        for d in range(topdeg + 1):
-            monos = monomials_of_degree(self.n, d)
-            mono_index = {m: i for i, m in enumerate(monos)}
-            rows = []
-            for f, fd in zip(funds, degrees_of(funds)):
-                if fd > d or fd == 0:
-                    continue
-                for m in monomials_of_degree(self.n, d - fd):
-                    prod = pmul(f, {m: ONE})
-                    rows.append([prod.get(mm, ZERO) for mm in monos])
-            pivots = echelon(rows, len(monos)).rows
-            layer = [monos[i] for i in range(len(monos)) if i not in pivots]
-            basis.append(layer)
-            total += len(layer)
+        for d in range(sum(d - 1 for d in self.group.degrees) + 1):
+            ech, monos, _ = self._ideal(d, zero)
+            basis.append([m for i, m in enumerate(monos) if i not in ech.rows])
+        total = sum(map(len, basis))
         if total != self.group.order:
             raise NotFactorizable(
                 f"coinvariant dimension {total} != |W| = {self.group.order}")
@@ -241,49 +262,24 @@ class InvariantTheory:
     def coinv_monomials(self):
         return [m for layer in self.coinvariant_basis for m in layer]
 
-    # ---- decomposition over invariants --------------------------------------
-    def _decomposition(self, d):
-        """Solve data for C[h]_d = sum m_i * (monomials in f's).
+    @cached_property
+    def _coinv_columns(self):
+        """(coinvariant monomials, {monomial: its position in them})."""
+        basis = self.coinv_monomials()
+        return basis, {m: k for k, m in enumerate(basis)}
 
-        Product j = m * f^combo is the row of its monomial coefficients with
-        a unit in column size + j; in the reduced echelon form the row at a
-        monomial's pivot writes that monomial over the products.  Returns
-        (echelon rows, [(m, combo) per product], {monomial: column})."""
-        if d not in self._decomp:
-            funds = self.fundamental_invariants
-            fdegs = degrees_of(funds)
-            mono_index = {m: i for i, m in
-                          enumerate(monomials_of_degree(self.n, d))}
-            size = len(mono_index)
-            rows = []
-            col_info = []
-            for li, layer in enumerate(self.coinvariant_basis):
-                if li > d:
-                    break
-                for m in layer:
-                    for combo in _weighted_exponents(fdegs, d - li):
-                        prod = {m: ONE}
-                        for f, k in zip(funds, combo):
-                            for _ in range(k):
-                                prod = pmul(prod, f)
-                        row = {mono_index[mm]: c for mm, c in prod.items()}
-                        row[size + len(rows)] = ONE
-                        rows.append(row)
-                        col_info.append((m, combo))
-            if len(rows) != size:
-                raise NotFactorizable(
-                    f"freeness decomposition is not square in degree {d}")
-            ech = echelon(rows, size)
-            if len(ech) != size:
-                raise NotFactorizable(
-                    f"freeness decomposition is singular in degree {d}")
-            self._decomp[d] = (ech.rows, col_info, mono_index)
-        return self._decomp[d]
+    # ---- reduction modulo a fiber ideal ---------------------------------------
+    def _check_length(self, seq, what):
+        if len(seq) != self.n:
+            raise DimensionMismatch(
+                f"{what} of {self.group.name} needs n = {self.n} "
+                f"coordinates, got {len(seq)}")
 
     def fiber(self, values):
         """The memo {monomial: image in C[vars]/(f_i - values_i) over the
         coinvariant basis} of one fiber; index it by monomial."""
         values = tuple(values)
+        self._check_length(values, "a fiber")
         fib = self._fibers.get(values)
         if fib is None:
             fib = self._fibers[values] = _Fiber(self, values)
@@ -299,7 +295,7 @@ class InvariantTheory:
 
     def invariant_values_at(self, point):
         """Values of the fundamental invariants at a point (of h for side x)."""
-        from .polys import pevaluate
+        self._check_length(point, "a point")
         return tuple(pevaluate(f, point) for f in self.fundamental_invariants)
 
     # ---- coinvariant ring as a graded W-module ---------------------------------
@@ -327,7 +323,8 @@ class InvariantTheory:
 
 
 class _Fiber(dict):
-    """Monomial -> its image modulo one fiber ideal, computed on first use."""
+    """Monomial -> its image modulo one fiber ideal, read on first use from
+    the echelon of its degree."""
 
     def __init__(self, theory, values):
         super().__init__()
@@ -335,27 +332,27 @@ class _Fiber(dict):
         self.values = values
 
     def __missing__(self, mono):
-        rows, col_info, mono_index = self.theory._decomposition(sum(mono))
-        size = len(mono_index)
-        out = {}
-        for j, c in sorted(rows[mono_index[mono]].items()):
-            if j < size:
-                continue
-            m, combo = col_info[j - size]
-            v = c
-            for val, k in zip(self.values, combo):
-                if k:
-                    if not val:
-                        v = ZERO
-                        break
-                    v = v * val ** k
-            _add_term(out, m, v)
+        ech, monos, index = self.theory._ideal(sum(mono), self.values)
+        basis, position = self.theory._coinv_columns
+        p = index.get(mono)
+        row = ech.rows.get(p)
+        if row is None:
+            # off the pivots: a coinvariant monomial is its own image
+            if mono not in position:
+                raise NotFactorizable(
+                    f"{mono} is neither in the ideal of the fundamental "
+                    "invariants nor a coinvariant monomial")
+            out = {mono: ONE}
+        else:
+            # mono = -(the rest of its row) modulo the fiber ideal; lower
+            # degrees first, so the keys follow the coinvariant basis
+            size = len(monos)
+            out = {basis[j - size] if j >= size else monos[j]: -c
+                   for j, c in sorted(row.items(),
+                                      key=lambda t: (t[0] < size, t[0]))
+                   if j != p}
         self[mono] = out
         return out
-
-
-def degrees_of(polys):
-    return [max(sum(e) for e in p) if p else 0 for p in polys]
 
 
 def _weighted_exponents(weights, target):

@@ -36,6 +36,11 @@ def _axpy(out, vec, c):
     return out
 
 
+def _interned(vec, pool):
+    """vec with each coefficient swapped for the equal one kept in pool."""
+    return {k: pool.setdefault(c, c) for k, c in vec.items()}
+
+
 def zeros(rows, cols):
     return [[ZERO] * cols for _ in range(rows)]
 

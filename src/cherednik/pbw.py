@@ -24,7 +24,7 @@ from operator import add
 
 from .cyclotomic import Cyc, scalar_payload
 from .errors import DegreeCapExceeded, InvalidElement, InvalidInput
-from .linalg import ONE, ZERO, _add_term, _axpy
+from .linalg import ONE, ZERO, _add_term, _axpy, _interned
 
 DEFAULT_DEGREE_CAP = 12
 # what an element compares with as algebra.scalar(c)
@@ -259,8 +259,8 @@ class CherednikAlgebra:
         self.refl_data = [(r.element, r.alpha, r.alpha_vee, r.pairing(),
                            param.value(r.class_label))
                           for r in group.reflections]
-        self._comm_cache = {}
-        self._ybxc_cache = {}
+        self._comm_cache, self._comm_coeffs = {}, {}
+        self._ybxc_cache, self._ybxc_coeffs = {}, {}
         # w . x^a and w . y^b, cached per group
         self._act_x = group.invariant_theory("x")._act_monomial
         self._act_y = group.invariant_theory("y")._act_monomial
@@ -346,7 +346,7 @@ class CherednikAlgebra:
                     continue
                 for e, ce in act_x(widx, rest).items():
                     _add_term(out, (e, widx), kappa * ce)
-        self._comm_cache[key] = out
+        out = self._comm_cache[key] = _interned(out, self._comm_coeffs)
         return out
 
     def _yb_xc(self, b, c):
@@ -376,7 +376,7 @@ class CherednikAlgebra:
                 for ym, cy in act_y(inverse[w], yj).items():
                     _add_term(out, (e, w, tuple(map(add, f, ym))),
                               coeff * cy)
-        self._ybxc_cache[key] = out
+        out = self._ybxc_cache[key] = _interned(out, self._ybxc_coeffs)
         return out
 
     # ---- multiplication -----------------------------------------------------------

@@ -181,10 +181,6 @@ class StandardModules:
         group = algebra.group
         if b_point is None:
             b_point = (ZERO,) * group.n
-        elif len(b_point) != group.n:
-            raise DimensionMismatch(
-                f"a fiber point of {group.name} needs n = {group.n} "
-                f"coordinates, got {len(b_point)}")
         self.algebra = algebra
         self.group = group
         self.itx = group.invariant_theory("x")

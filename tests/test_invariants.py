@@ -11,13 +11,15 @@ import pytest
 
 from cherednik.cli import _load_group, main
 from cherednik.cyclotomic import Cyc
+from cherednik.errors import DimensionMismatch, NotFactorizable
 from cherednik.invariants import _h_series, molien_series
 from cherednik.linalg import trace
+from cherednik.pbw import CherednikAlgebra
 from cherednik.polys import monomials_of_degree, pconst, pmul
 from cherednik.series import (GradedCharacter, generator_degrees,
                               product_of_geometric)
 
-from conftest import group
+from conftest import group, parameter
 
 
 @pytest.mark.parametrize("argv,digest", [
@@ -69,7 +71,8 @@ def _fiber_values(it, at_origin):
     return it.invariant_values_at(tuple(F(i + 2, i + 1) for i in range(it.n)))
 
 
-@pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced", "I2:4"])
+@pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced", "I2:4", "I2:5",
+                                  "Sn:4:reduced"])
 @pytest.mark.parametrize("at_origin", [True, False], ids=["b=0", "b!=0"])
 def test_fiber_reduction_is_a_ring_map(spec, at_origin):
     it = group(spec).invariant_theory("x")
@@ -81,6 +84,85 @@ def test_fiber_reduction_is_a_ring_map(spec, at_origin):
         assert it.reduce(pmul(p, q), values) == it.reduce(pmul(rp, rq), values)
     for f, value in zip(it.fundamental_invariants, values):
         assert it.reduce(f, values) == pconst(it.n, value)
+
+
+@pytest.mark.parametrize("spec", ["Zm:3", "Zm:4", "Sn:3:reduced", "I2:4",
+                                  "I2:5", "Sn:4:reduced"])
+@pytest.mark.parametrize("at_origin", [True, False], ids=["b=0", "b!=0"])
+def test_fiber_image_is_characterized_by_two_identities(spec, at_origin):
+    # the image is the unique map to the span of the coinvariant monomials
+    # that fixes each of them and is linear over the invariants, with f_i
+    # acting by v_i: check both on every monomial up to degree N + 2
+    it = group(spec).invariant_theory("x")
+    values = _fiber_values(it, at_origin)
+    fib = it.fiber(values)
+    for m in it.coinv_monomials():
+        assert fib[m] == {m: F(1)}
+    top = sum(d - 1 for d in it.group.degrees)
+    for f, v in zip(it.fundamental_invariants, values):
+        fd = max(map(sum, f))
+        for d in range(top + 3 - fd):
+            for m in monomials_of_degree(it.n, d):
+                expected = {k: v * c for k, c in fib[m].items() if v}
+                assert it.reduce(pmul(f, {m: F(1)}), values) == expected
+
+
+def _fiber_text(it, values):
+    """The x-fiber images of every monomial of degree 0..N+1, one line per
+    monomial with its image's terms sorted."""
+    fib = it.fiber(values)
+    top = sum(d - 1 for d in it.group.degrees)
+    return "\n".join(
+        f"{m} " + " ".join(f"{k}:{v}" for k, v in sorted(fib[m].items()))
+        for d in range(top + 2) for m in monomials_of_degree(it.n, d))
+
+
+@pytest.mark.parametrize("at_origin,digest", [
+    (True, "76a7580a9ef2ed77fa943d309d15f29a260c19d990c49f01f27e4a147934789d"),
+    (False, "f22d37450348d623e9d73de73a009a154400c66fe4410267009b89f20fa23141"),
+], ids=["b=0", "b!=0"])
+def test_fiber_images_are_pinned(at_origin, digest):
+    # SHA-256 of every image, taken when the images came from a separate
+    # freeness solve: the fiber ideal's echelon must reproduce them
+    it = group("Sn:4:reduced").invariant_theory("x")
+    text = _fiber_text(it, _fiber_values(it, at_origin))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_a_fiber_of_the_wrong_length_is_refused(length):
+    it = group("Sn:3:reduced").invariant_theory("x")
+    values = (F(1), F(0), F(5))[:length]
+    message = f"needs n = 2 coordinates, got {length}"
+    with pytest.raises(DimensionMismatch, match=message):
+        it.reduce({(2, 0): F(1)}, values)
+    with pytest.raises(DimensionMismatch, match=message):
+        it.fiber(values)
+    with pytest.raises(DimensionMismatch, match=message):
+        it.invariant_values_at(values)
+
+
+def test_a_monomial_off_the_coinvariant_basis_is_refused():
+    # a tuple of the wrong length lies off every pivot and off the basis
+    fib = group("Sn:3:reduced").invariant_theory("x").fiber((F(0), F(0)))
+    with pytest.raises(NotFactorizable, match="coinvariant monomial"):
+        fib[(1, 0, 0)]
+
+
+@pytest.mark.parametrize("spec", ["Sn:3:reduced", "I2:5"])
+def test_cached_coefficients_are_stored_once(spec):
+    # each straightening and action cache keeps one object per value
+    g = group(spec)
+    H = CherednikAlgebra(g, parameter(spec, "generic", 1))
+    for w in range(g.order):
+        for i in range(g.n):
+            H.multiply(H.multiply(H.y(i, 2), H.grp(w)), H.x(g.n - 1 - i, 3))
+    caches = {"comm": H._comm_cache, "ybxc": H._ybxc_cache,
+              "act": g.invariant_theory("x")._act_monos}
+    for name, cache in caches.items():
+        coeffs = [c for entry in cache.values() for c in entry.values()]
+        assert len(coeffs) > len(set(coeffs)), name
+        assert len({id(c) for c in coeffs}) == len(set(coeffs)), name
 
 
 @pytest.mark.parametrize("spec", ["Zm:3", "Sn:3:reduced", "I2:4", "I2:5"])

@@ -1023,15 +1023,24 @@ def test_baby_verma_routes_through_stabilizer():
 
 
 def test_graded_character_of_baby_verma():
-    """Module weights reproduce dim(rep) * coinvariant Hilbert series."""
-    R = restricted("Sn:3:reduced", "1")
-    g = R.group
-    rep = g.irrep((2, 1))
-    mod = R.baby_verma(rep)
-    from collections import Counter
-    got = Counter(mod.weights)
-    expected = Counter()
-    for d, layer in enumerate(R.itx.coinvariant_basis):
-        if layer:
-            expected[d] = len(layer) * rep.dim
-    assert got == expected
+    """As graded W-modules Delta(rep) = C[h]^coW (x) rep, so degree d of the
+    module's trace at w is chi_rep(w) times the q^d coefficient of
+    prod_i (1 - q^{d_i}) / det(1 - q w^{-1}|_h): a second route for the w
+    action that ``_induced`` builds."""
+    from cherednik.invariants import _h_series
+    from cherednik.series import product_of_binomials
+    for spec in CM_GRID + ("I2:5", "Sn:4:reduced"):
+        g = group(spec)
+        top = sum(d - 1 for d in g.degrees)
+        binomials = product_of_binomials(g.degrees).coeffs
+        modules = StandardModules(algebra(spec, "1"))
+        for rep in g.irreps:
+            traces = modules._graded_character(modules.baby_verma(rep))
+            assert set(traces) <= set(range(top + 1))
+            for c, w in enumerate(g.class_representatives):
+                h = _h_series(g, g.inv(w), top)
+                for d in range(top + 1):
+                    coinv = sum((v * h[d - e] for e, v in binomials.items()
+                                 if e <= d), ZERO)
+                    got = traces.get(d, [ZERO] * len(g.conjugacy_classes))[c]
+                    assert got == rep.char(w) * coinv, (spec, rep.label, w, d)
