@@ -111,7 +111,9 @@ class CommutativeAlgebra:
         """Basis of the nilradical: kernel of the trace form."""
         gram = [[self.trace_of_mult(self.prods[i][j]) for j in range(self.dim)]
                 for i in range(self.dim)]
-        return kernel_basis(gram, self.dim)
+        return [[vec.get(j, ZERO) for j in range(self.dim)]
+                for vec in kernel_basis(range(self.dim), lambda j: {
+                    i: row[j] for i, row in enumerate(gram) if row[j]})]
 
 
 def _minimal_polynomial(mul, unit, u):

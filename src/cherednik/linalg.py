@@ -4,8 +4,10 @@ An entry is a Fraction exactly when it is rational and a Cyc only when it is
 not (``cyclotomic`` canonicalizes every result), so Fraction(0)/Fraction(1)
 are the only zero/one.  All elimination goes through one kernel,
 ``Echelon``: a sparse reduced row echelon form built one vector at a time.
-``rref``, ``rank``, ``kernel_basis`` and ``solve`` are thin wrappers over it;
-results satisfy A.x = b on re-substitution, exactly.
+``kernel_basis`` poses and solves every homogeneous system: the caller's keys
+and each key's sparse image in, the kernel's keyed RREF rows out.  ``rref``,
+``rank`` and ``solve`` are thin wrappers over ``Echelon``; results satisfy
+A.x = b on re-substitution, exactly.
 
 Every sparse {key: coeff} map above the scalar layer accumulates through
 ``_add_term`` and ``_axpy``, which never store a zero.
@@ -149,9 +151,16 @@ def echelon(rows, ncols):
     return ech
 
 
+def _width(rows):
+    """Columns the rows span: a dense row's length, or a sparse row's
+    largest column + 1."""
+    return max((max(r, default=-1) + 1 if isinstance(r, dict) else len(r)
+                for r in rows), default=0)
+
+
 def rref(rows, ncols=None):
     """Reduced row echelon form. Returns (new rows, pivot column list)."""
-    width = len(rows[0]) if rows else 0
+    width = max(_width(rows), ncols or 0)
     ech = echelon(rows, width if ncols is None else ncols)
     pivots = ech.pivots()
     red = []
@@ -164,29 +173,37 @@ def rref(rows, ncols=None):
 
 
 def rank(rows, ncols=None):
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return len(echelon(rows, ncols))
+    return len(echelon(rows, _width(rows) if ncols is None else ncols))
 
 
-def kernel_basis(rows, ncols):
-    """Basis of {v : A v = 0}; empty list for full column rank."""
-    ech = echelon(rows, ncols)
-    free = [c for c in range(ncols) if c not in ech.rows]
-    basis = {f: [ZERO] * ncols for f in free}
-    for f in free:
-        basis[f][f] = ONE
+def kernel_basis(keys, image):
+    """RREF rows of the kernel of the linear map that sends each of ``keys``
+    to ``image(key)``, a sparse {target: coeff}: each row a sparse
+    {key: coeff}, pivots in the order of ``keys``; [] when the map is
+    injective."""
+    keys = list(keys)
+    rows = {}                     # constraint row per target, over positions
+    for col, key in enumerate(keys):
+        for target, c in image(key).items():
+            rows.setdefault(target, {})[col] = c
+    # sparsest rows first: the elimination then fills in far less, and a
+    # kernel does not depend on the order of its rows
+    ech = echelon(sorted(rows.values(), key=len), len(keys))
+    free = {f: {f: ONE} for f in range(len(keys)) if f not in ech.rows}
     for p, row in ech.rows.items():
         for j, x in row.items():
-            if j in basis:
-                basis[j][p] = -x
-    return list(basis.values())
+            if j in free:
+                free[j][p] = -x
+    ker = echelon(free.values(), len(keys))
+    return [{keys[t]: c for t, c in sorted(ker.rows[p].items())}
+            for p in ker.pivots()]
 
 
 def solve(rows, rhs):
     """One exact solution of A x = b, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    ech = echelon([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    ncols = _width(rows)
+    ech = echelon([dict(r.items() if isinstance(r, dict) else enumerate(r))
+                   | {ncols: b} for r, b in zip(rows, rhs)], ncols + 1)
     if ncols in ech.rows:
         return None
     x = [ZERO] * ncols

@@ -266,8 +266,10 @@ class StandardModules:
         acting image, the kernel of its trace form tr(ab) = sum of a_ij b_ji
         (characteristic 0): the route for modules without a grading."""
         basis, dim = self.acting_image(mod), mod.dim
-        rad = kernel_basis(_trace_gram([[a] for a in basis]), len(basis))
-        return echelon([_combination(zip(vec, (a[k] for a in basis)))
+        gram = _trace_gram([[a] for a in basis])
+        rad = kernel_basis(range(len(basis)), lambda i: {
+            j: row[i] for j, row in enumerate(gram) if row[i]})
+        return echelon([_combination((c, basis[i][k]) for i, c in vec.items())
                         for vec in rad for k in range(dim)], dim)
 
     def _graded_radical(self, mod):
@@ -286,17 +288,12 @@ class StandardModules:
             by_degree.setdefault(d, []).append(k)
         jm = Echelon(mod.dim)
         for d in sorted(by_degree)[1:]:
-            idxs = by_degree[d]
-            # constraint rows, sparse over the degree, keyed (j, coordinate):
-            # y_j e_k reduced against the rows of J found so far
-            rows = {}
-            for col, k in enumerate(idxs):
-                for j, y in enumerate(mod.y):
-                    residual, _ = jm.reduce(y[k])
-                    for i, val in residual.items():
-                        rows.setdefault((j, i), {})[col] = val
-            for vec in kernel_basis(list(rows.values()), len(idxs)):
-                jm.add({idxs[t]: c for t, c in enumerate(vec) if c})
+            # y_j e_k reduced against the rows of J found so far, keyed
+            # (j, coordinate)
+            for vec in kernel_basis(by_degree[d], lambda k: {
+                    (j, i): val for j, y in enumerate(mod.y)
+                    for i, val in jm.reduce(y[k])[0].items()}):
+                jm.add(vec)
         return jm
 
     def simple_head(self, mod):
@@ -321,13 +318,10 @@ class StandardModules:
                         label=mod.label, rep=mod.rep)
 
     def singular_vectors(self, mod):
-        """Basis of M^{y=0}, the vectors every y_j kills."""
-        rows = {}                     # keyed (j, row of y_j)
-        for j, y in enumerate(mod.y):
-            for k, col in enumerate(y):
-                for i, v in col.items():
-                    rows.setdefault((j, i), {})[k] = v
-        return kernel_basis(list(rows.values()), mod.dim)
+        """Basis of M^{y=0}, the vectors every y_j kills: sparse RREF
+        rows."""
+        return kernel_basis(range(mod.dim), lambda k: {
+            (j, i): v for j, y in enumerate(mod.y) for i, v in y[k].items()})
 
     def is_simple(self, mod):
         """Is M simple (over the splitting field)?  A graded module built
@@ -358,8 +352,8 @@ class StandardModules:
         zero = (0,) * group.n
         proj = {(zero, w, zero): c for w in range(group.order)
                 if (c := scale * rep.char(group.inv(w)))}
-        return rank([mod.apply(proj, {k: c for k, c in enumerate(v) if c})
-                     for v in self.singular_vectors(mod)], mod.dim) // rep.dim
+        return rank([mod.apply(proj, v) for v in self.singular_vectors(mod)],
+                    mod.dim) // rep.dim
 
     def simple_module(self, rep):
         if rep.label not in self._head_cache:
@@ -590,24 +584,14 @@ class RestrictedCherednikAlgebra(StandardModules):
     def _slice_kernel(self, d, adjoints):
         """RREF rows, in pivot order and keyed (a, w, b), of the common
         kernel on slice d of the maps m -> [m, g] over the (adjoint, degree
-        of g) pairs in ``adjoints``; solved on slice positions."""
+        of g) pairs in ``adjoints``, each image tagged by its generator."""
         slices = self.degree_slices
-        keys = slices.get(d, [])
-        # constraint rows, sparse over the slice, keyed (generator, target)
-        rows = {}
-        for g, (adjoint, gdeg) in enumerate(adjoints):
-            if d + gdeg not in slices:
-                # adjoint lands in a zero space: no constraint
-                continue
-            for col, m in enumerate(keys):
-                for k, val in adjoint(m).items():
-                    rows.setdefault((g, k), {})[col] = val
-        # sparsest rows first: the elimination then fills in far less, and a
-        # kernel does not depend on the order of its rows
-        rows = sorted(rows.values(), key=len)
-        ech = echelon(kernel_basis(rows, len(keys)), len(keys))
-        return [{keys[t]: c for t, c in sorted(ech.rows[p].items())}
-                for p in ech.pivots()]
+        # an adjoint that lands in a zero space poses no constraint
+        live = [(g, adjoint) for g, (adjoint, gdeg) in enumerate(adjoints)
+                if d + gdeg in slices]
+        return kernel_basis(slices.get(d, []), lambda m: {
+            (g, k): val for g, adjoint in live
+            for k, val in adjoint(m).items()})
 
     def _center_slice(self, d):
         """RREF rows of Z_d, the central elements of degree d, solved on
@@ -636,11 +620,11 @@ class RestrictedCherednikAlgebra(StandardModules):
         return self._slice_kernel(d, [(partial(commutator, gvec), gdeg)
                                       for gvec, gdeg in self.generators])
 
-    def _center_basis(self, degrees):
-        """RREF rows of the sum of the Z_d over ``degrees``, ordered by the
-        position of their pivot in x^a, w, y^b order.  Distinct degrees have
-        disjoint supports, so these are the rows of the echelon of that
-        sum."""
+    def center(self):
+        """Basis of the center, as vectors: the RREF rows of every Z_d,
+        ordered by the position of their pivot in x^a, w, y^b order.
+        Distinct degrees have disjoint supports, so these are the rows of
+        the echelon of the center."""
         xpos = {m: i for i, m in enumerate(self.x_basis)}
         ypos = {m: i for i, m in enumerate(self.y_basis)}
 
@@ -648,17 +632,13 @@ class RestrictedCherednikAlgebra(StandardModules):
             a, w, b = next(iter(row))      # the pivot: the row's first key
             return xpos[a], w, ypos[b]
 
-        return sorted((row for d in degrees for row in self._center_slice(d)),
-                      key=position)
-
-    def center(self):
-        """Basis of the center, as vectors (RREF-normalized rows)."""
-        return self._center_basis(self.degree_slices)
+        return sorted((row for d in self.degree_slices
+                       for row in self._center_slice(d)), key=position)
 
     def degree_zero_center(self):
-        """Basis of Z_0, the degree-0 part of the center (RREF rows); at
-        b != 0 that is the whole center."""
-        return self._center_basis([0])
+        """Basis of Z_0, the degree-0 part of the center (RREF rows in pivot
+        order); at b != 0 that is the whole center."""
+        return self._center_slice(0)
 
     # ---- blocks -----------------------------------------------------------------
     def _z0_actions(self, rep):
@@ -752,8 +732,8 @@ class RestrictedCherednikAlgebra(StandardModules):
         """
         mod = self.baby_verma(rep)
         dim_end = self.endomorphism_dimension(mod)
-        zbasis = self._center_basis(d for d in self.degree_slices if d >= 0)
-        dim_image = rank([mod.apply(z, {0: ONE}) for z in zbasis], mod.dim)
+        dim_image = rank([mod.apply(z, {0: ONE}) for d in self.degree_slices
+                          if d >= 0 for z in self._center_slice(d)], mod.dim)
         return {"dim_end": dim_end, "dim_center_image": dim_image,
                 "surjective": dim_image == dim_end}
 

@@ -11,13 +11,13 @@ F = Fraction
 
 
 def _scalar(draw, n):
-    """A small exact scalar of Q (n = 1) or Q(zeta_5) (n = 5); often 0."""
+    """A small exact scalar of Q (n = 1) or Q(zeta_n); often 0."""
     if draw(st.booleans()):
         return ZERO
     if n == 1:
         return F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
     exps = draw(st.sets(st.integers(0, 3), min_size=1, max_size=2))
-    return Cyc(5, {e: F(draw(st.integers(-2, 2))) for e in exps})
+    return Cyc(n, {e: F(draw(st.integers(-2, 2))) for e in exps})
 
 
 @st.composite
@@ -31,6 +31,52 @@ def matrices(draw, max_rows=5, max_cols=5):
         c = _scalar(draw, n)
         rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
     return rows, ncols
+
+
+@st.composite
+def keyed_systems(draw):
+    """(keys, images) over Q or Q(zeta_4): distinct tuple keys in shuffled
+    order, each with a sparse image {target tuple: coeff}; sometimes one
+    image is a combination of two others."""
+    n = draw(st.sampled_from([1, 4]))
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         unique=True, max_size=7))
+    keys = draw(st.permutations(keys))
+    targets = [("t", i) for i in range(draw(st.integers(0, 5)))]
+    images = {}
+    for key in keys:
+        vec = {t: _scalar(draw, n) for t in targets}
+        images[key] = {t: x for t, x in vec.items() if x}
+    if len(keys) >= 3 and draw(st.booleans()):
+        images[keys[2]] = _axpy(dict(images[keys[1]]), images[keys[0]],
+                                _scalar(draw, n))
+    return keys, images
+
+
+def _nullspace(mat, ncols):
+    """A basis of {v : mat v = 0} by textbook Gauss-Jordan on dense rows,
+    one vector per free column."""
+    rows, pivots = [list(r) for r in mat], []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for i, p in enumerate(pivots):
+            vec[p] = -rows[i][f]
+        basis.append(vec)
+    return basis
 
 
 @st.composite
@@ -58,16 +104,24 @@ def _combination(coeffs, rows, ncols):
     return out
 
 
+def _dense_kernel(rows, ncols):
+    """The kernel of the dense rows through ``kernel_basis``, as dense
+    vectors."""
+    ker = kernel_basis(range(ncols), lambda j: {
+        i: row[j] for i, row in enumerate(rows) if row[j]})
+    return [[vec.get(j, ZERO) for j in range(ncols)] for vec in ker]
+
+
 def test_kernel_identity_is_trivial():
-    assert kernel_basis(identity(3), 3) == []
+    assert _dense_kernel(identity(3), 3) == []
 
 
 def test_kernel_zero_map():
-    assert len(kernel_basis([[ZERO] * 3, [ZERO] * 3], 3)) == 3
+    assert len(_dense_kernel([[ZERO] * 3, [ZERO] * 3], 3)) == 3
 
 
 def test_kernel_rank_one():
-    ker = kernel_basis([[ONE, ONE], [ONE, ONE]], 2)
+    ker = _dense_kernel([[ONE, ONE], [ONE, ONE]], 2)
     assert len(ker) == 1
     v = ker[0]
     # proportional to (1, -1)
@@ -81,7 +135,7 @@ def test_kernel_rank_one():
 def test_kernel_count_matches_rank(mat):
     rows, ncols = mat
     r = rank(rows, ncols)
-    ker = kernel_basis(rows, ncols)
+    ker = _dense_kernel(rows, ncols)
     assert r + len(ker) == ncols
     for v in ker:
         assert all(not x for x in mat_vec(rows, v))
@@ -170,6 +224,45 @@ def test_add_term_sums_without_zeros(data):
     assert out == {k: x for k, x in dense.items() if x}
 
 
+@settings(max_examples=120, deadline=None)
+@given(keyed_systems())
+@example(([(0, 1), (3, 0), (1, 1)],
+          {(0, 1): {("t", 0): F(1)}, (3, 0): {("t", 0): F(2)}, (1, 1): {}}))
+def test_kernel_rows_are_the_keyed_rref_of_the_kernel(system):
+    keys, images = system
+    rows = kernel_basis(keys, images.__getitem__)
+    pos = {key: t for t, key in enumerate(keys)}
+    targets = sorted({t for img in images.values() for t in img})
+    dense = [[images[key].get(t, ZERO) for key in keys] for t in targets]
+    # every row is sent to 0
+    for row in rows:
+        sent = {}
+        for key, c in row.items():
+            _axpy(sent, images[key], c)
+        assert sent == {}, row
+    # RREF over the key order: entries in key order, a leading 1 at each
+    # pivot, pivots increasing and absent from every other row
+    leads = [pos[next(iter(row))] for row in rows]
+    assert leads == sorted(set(leads))
+    for row, lead in zip(rows, leads):
+        assert [pos[key] for key in row] == sorted(pos[key] for key in row)
+        assert row[keys[lead]] == ONE and all(row.values())
+        assert sum(keys[lead] in other for other in rows) == 1
+    assert len(rows) == len(keys) - rank(dense, len(keys))
+    # the echelon of a kernel basis solved by plain Gauss-Jordan
+    ech = echelon(_nullspace(dense, len(keys)), len(keys))
+    assert [list(row.items()) for row in rows] == [
+        [(keys[t], c) for t, c in sorted(ech.rows[p].items())]
+        for p in ech.pivots()]
+
+
+def test_rank_rref_and_solve_read_a_sparse_row_to_its_largest_column():
+    # a sparse row's width is its largest column + 1, not its entry count
+    assert rank([{5: F(1)}]) == 1
+    assert rref([{0: F(1), 3: F(2)}]) == ([[F(1), F(0), F(0), F(2)]], [0])
+    assert solve([{1: F(2)}], [F(1)]) == [F(0), F(1, 2)]
+
+
 def test_solve_inconsistent_returns_none():
     assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)]) is None
 
@@ -178,7 +271,7 @@ def test_cyclotomic_entries():
     z = Cyc.zeta(4)
     rows = [[z, ONE], [ONE, -z]]
     # determinant = -z^2 - 1 = 0, so a kernel vector exists
-    ker = kernel_basis(rows, 2)
+    ker = _dense_kernel(rows, 2)
     assert len(ker) == 1
     assert all(not v for v in mat_vec(rows, ker[0]))
 
@@ -192,6 +285,6 @@ def test_rref_pivots():
 def test_exact_matrix_api():
     m = [[F(1), F(2)], [F(3), F(4)]]
     assert rank(m) == 2
-    assert kernel_basis(m, 2) == []
+    assert _dense_kernel(m, 2) == []
     sol = solve(m, [F(5), F(11)])
     assert mat_vec(m, sol) == [F(5), F(11)]
