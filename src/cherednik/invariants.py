@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, NotFactorizable
-from .linalg import (ONE, ZERO, _add_term, _axpy, _interned, echelon, rref,
-                     trace)
+from .linalg import ONE, ZERO, _add_term, _axpy, _interned, echelon, trace
 from .polys import monomials_of_degree, pconst, pevaluate, pmul, pscale
 from .series import GradedCharacter, generator_degrees, product_of_binomials
 
@@ -176,42 +175,44 @@ class InvariantTheory:
     # ---- fundamental invariants ----------------------------------------------
     @cached_property
     def fundamental_invariants(self):
-        degrees = list(self.group.degrees)
-        chosen = []   # list of (poly, degree)
+        """Reynolds images of monomials, degree by degree: in degree d, walk
+        the monomials in order and keep each image that the echelon of the
+        products f * m (f an invariant found so far) does not yet contain,
+        until the Molien count of degree d is reached.  An invariant lies in
+        the ideal of the lower invariants exactly when it is a polynomial in
+        them (apply Reynolds to sum f_i h_i), so each kept image is a new
+        generator."""
+        degrees = sorted(self.group.degrees)
+        found = []
         for d in sorted(set(degrees)):
-            mult = degrees.count(d)
             monos = monomials_of_degree(self.n, d)
-            mono_index = {m: i for i, m in enumerate(monos)}
-            # invariant subspace of degree d via the Reynolds operator
-            inv_rows = []
+            index = {m: i for i, m in enumerate(monos)}
+            ech = echelon(sorted((row for _k, _m, row in
+                                  self._products(found, d, index)),
+                                 key=min, reverse=True), len(monos))
+            want = len(found) + degrees.count(d)
             for m in monos:
-                r = self.reynolds({m: ONE})
-                if r:
-                    inv_rows.append([r.get(mm, ZERO) for mm in monos])
-            inv_basis, _ = rref(inv_rows, len(monos))
-            # span of degree-d products of already-chosen invariants
-            old_rows = []
-            for combo in _weighted_exponents([dg for _p, dg in chosen], d):
-                prod = pconst(self.n, ONE)
-                for (p, _dg), k in zip(chosen, combo):
-                    for _ in range(k):
-                        prod = pmul(prod, p)
-                old_rows.append([prod.get(mm, ZERO) for mm in monos])
-            span = echelon(old_rows, len(monos))
-            new = []
-            for row in inv_basis:
-                if span.add(row):
-                    poly = {m: row[mono_index[m]] for m in monos
-                            if row[mono_index[m]]}
-                    new.append(poly)
-                if len(new) == mult:
+                if len(found) == want:
                     break
-            if len(new) != mult:
+                image = self.reynolds({m: ONE})
+                if ech.add({index[mm]: c for mm, c in image.items()}):
+                    found.append(image)
+            if len(found) != want:
                 raise NotFactorizable(
-                    f"could not extract {mult} new fundamental invariants "
-                    f"in degree {d} for {self.group.name}")
-            chosen.extend((p, d) for p in new)
-        return [p for p, _d in chosen]
+                    f"could not extract {degrees.count(d)} new fundamental "
+                    f"invariants in degree {d} for {self.group.name}")
+        return found
+
+    def _products(self, funds, d, index):
+        """(k, m, funds[k] * m as a row {index[monomial]: coeff}) for each
+        monomial m of degree d - deg funds[k], where funds[k] has the k-th
+        Molien degree and that degree is at most d."""
+        for k, (f, fd) in enumerate(zip(funds, sorted(self.group.degrees))):
+            if fd > d:
+                continue
+            for m in monomials_of_degree(self.n, d - fd):
+                yield k, m, {index[mm]: c
+                             for mm, c in pmul(f, {m: ONE}).items()}
 
     # ---- the fiber ideals, degree by degree -------------------------------------
     def _ideal(self, d, values):
@@ -226,17 +227,13 @@ class InvariantTheory:
             index = {m: i for i, m in enumerate(monos)}
             size = len(monos)
             rows, fib = [], self.fiber(values)
-            funds = self.fundamental_invariants
-            for f, fd, v in zip(funds, sorted(self.group.degrees), values):
-                if fd > d:
-                    continue
-                for m in monomials_of_degree(self.n, d - fd):
-                    row = {index[mm]: c for mm, c in pmul(f, {m: ONE}).items()}
-                    if v:
-                        position = self._coinv_columns[1]
-                        for mm, c in fib[m].items():
-                            row[size + position[mm]] = -v * c
-                    rows.append(row)
+            for k, m, row in self._products(self.fundamental_invariants, d,
+                                            index):
+                if values[k]:
+                    position = self._coinv_columns[1]
+                    for mm, c in fib[m].items():
+                        row[size + position[mm]] = -values[k] * c
+                rows.append(row)
             # latest leading column first: each new pivot then has little
             # to clear from the rows already in (the RREF is the same)
             rows.sort(key=min, reverse=True)
@@ -299,23 +296,17 @@ class InvariantTheory:
         return tuple(pevaluate(f, point) for f in self.fundamental_invariants)
 
     # ---- coinvariant ring as a graded W-module ---------------------------------
-    def coinv_action_matrix(self, widx, degree):
-        layer = self.coinvariant_basis[degree]
-        cols = []
-        for m in layer:
-            red = self.reduce(self._act_monomial(widx, m))
-            cols.append([red.get(mm, ZERO) for mm in layer])
-        return [[cols[j][i] for j in range(len(layer))]
-                for i in range(len(layer))]
-
     def graded_multiplicity(self, rep):
-        """Independent oracle for the fake polynomial: decompose degreewise."""
+        """Independent oracle for the fake polynomial: decompose degreewise.
+        The trace of w on a layer sums, over its monomials m, the coefficient
+        of m in the image of w . m."""
         out = {}
         for d, layer in enumerate(self.coinvariant_basis):
             if not layer:
                 continue
             total = self.group.multiplicity(rep, [
-                trace(self.coinv_action_matrix(w, d))
+                sum((self.reduce(self._act_monomial(w, m)).get(m, ZERO)
+                     for m in layer), ZERO)
                 for w in self.group.class_representatives])
             if total:
                 out[d] = total
@@ -354,20 +345,3 @@ class _Fiber(dict):
         self[mono] = out
         return out
 
-
-def _weighted_exponents(weights, target):
-    """Exponent vectors a with sum a_i * weights_i = target."""
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == len(weights):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[i]
-        top = remaining // w if w > 0 else 0
-        for k in range(top + 1):
-            rec(i + 1, remaining - k * w, prefix + [k])
-
-    rec(0, target, [])
-    return out

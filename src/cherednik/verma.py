@@ -106,7 +106,8 @@ class EisFactorization:
         return self.exponents is not None
 
     def payload(self):
-        return {"exponents": list(self.exponents) if self.exponents else None,
+        return {"exponents": (None if self.exponents is None
+                              else list(self.exponents)),
                 "solvable": self.is_solution(),
                 "orientation": ORIENTATION_NOTE}
 
@@ -130,9 +131,22 @@ def solve_eis_from_character(ch, n, truncation=DEFAULT_TRUNCATION):
 
 
 def solve_eis(group, rep, truncation=DEFAULT_TRUNCATION):
-    """Generator degrees of End(Delta(rep)) for a distinguished singleton rep."""
-    ch = endo_character(group, rep, truncation)
-    return solve_eis_from_character(ch, group.n, truncation)
+    """Generator degrees of End(Delta(rep)) for a distinguished singleton rep,
+    whatever the truncation.
+
+    End(Delta) = P / prod_i (1 - q^{d_i}) with deg P <= N = sum_i (d_i - 1),
+    so P prod_i (1 - q^{e_i}) = prod_i (1 - q^{d_i}) forces
+    sum e_i <= sum d_i, and then two sides that agree up to q^(N + sum d_i)
+    are equal.  The peel reads End that far (or to the truncation, if
+    higher) and accepts only such a factorization.
+    """
+    top = sum(group.degrees)
+    order = max(truncation, top + sum(d - 1 for d in group.degrees))
+    eis = solve_eis_from_character(endo_character(group, rep, order),
+                                   group.n, order)
+    if eis.is_solution() and sum(eis.exponents) > top:
+        return EisFactorization.no_solution()
+    return eis
 
 
 def _exterior_slices(group, rep, eis, sign, truncation):

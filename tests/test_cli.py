@@ -171,6 +171,29 @@ def test_characters_at_zero_mark_the_undistinguished(tmp_path, spec):
         assert "distinguished" not in at_generic
 
 
+@pytest.mark.parametrize("argv,exponents", [
+    (["--group", "Zm:25", "--rep", "chi0"], [25]),
+    (["--group", "I2:30", "--rep", "triv"], [2, 30]),
+    (["--group", "Zm:3", "--rep", "chi0", "--trunc", "2"], [3]),
+], ids=["Zm:25", "I2:30", "Zm:3-trunc-2"])
+def test_generator_degrees_above_the_truncation(tmp_path, argv, exponents):
+    # a generator degree above --trunc is still found, with no note
+    rc, report = run_json(tmp_path, "characters", *argv)
+    (entry,) = report["characters"]
+    assert rc == 0 and "note" not in entry
+    assert entry["generator_degrees"]["solvable"]
+    assert entry["generator_degrees"]["exponents"] == exponents
+
+
+def test_an_empty_factorization_lists_no_exponents(tmp_path):
+    # n = 0: End(Delta) is the ground field, the product of no factors
+    rc, report = run_json(tmp_path, "characters", "--group", "Sn:1:reduced")
+    (entry,) = report["characters"]
+    assert rc == 0
+    assert entry["generator_degrees"]["solvable"]
+    assert entry["generator_degrees"]["exponents"] == []
+
+
 def test_characters_csv_format(tmp_path):
     out = tmp_path / "chars.csv"
     rc = main(["--format", "csv", "--out", str(out), "characters",

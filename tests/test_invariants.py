@@ -12,7 +12,8 @@ import pytest
 from cherednik.cli import _load_group, main
 from cherednik.cyclotomic import Cyc
 from cherednik.errors import DimensionMismatch, NotFactorizable
-from cherednik.invariants import _h_series, molien_series
+from cherednik.groups import build_from_generators
+from cherednik.invariants import InvariantTheory, _h_series, molien_series
 from cherednik.linalg import trace
 from cherednik.pbw import CherednikAlgebra
 from cherednik.polys import monomials_of_degree, pconst, pmul
@@ -171,6 +172,36 @@ def test_reynolds_fixes_each_fundamental_invariant(spec, side):
     it = group(spec).invariant_theory(side)
     for f in it.fundamental_invariants:
         assert it.reynolds(f) == f
+
+
+@pytest.mark.parametrize("spec", ["Sn:4:reduced", "Sn:5:reduced"])
+def test_fundamental_invariants_stop_at_the_last_new_generator(spec):
+    # one homogeneous invariant per Molien degree, in order, and no Reynolds
+    # image past the last one each degree needs
+    g = group(spec)
+    it = InvariantTheory(g, "x")
+    calls = []
+    reynolds = it.reynolds
+    it.reynolds = lambda poly: calls.append(poly) or reynolds(poly)
+    degrees = [{sum(m) for m in f} for f in it.fundamental_invariants]
+    assert degrees == [{d} for d in sorted(g.degrees)]
+    monomials = sum(len(monomials_of_degree(g.n, d)) for d in set(g.degrees))
+    assert len(calls) < monomials
+
+
+def test_an_image_in_the_ideal_of_the_lower_invariants_is_passed_over():
+    # S_3 on C + its reflection representation: x1 is invariant, so the
+    # first image of degree 2, that of x1^2, is x1^2 = f_1^2 and no generator
+    s3 = group("Sn:3:reduced")
+    g = build_from_generators(1, [
+        [[F(1), F(0), F(0)]] + [[F(0)] + list(row) for row in s3.matrix(w)]
+        for w in s3.generators.values()])
+    it = g.invariant_theory("x")
+    assert it.fundamental_invariants == [
+        {(1, 0, 0): F(1)},
+        {(0, 2, 0): F(2, 3), (0, 1, 1): F(-2, 3), (0, 0, 2): F(2, 3)},
+        {(0, 2, 1): F(1), (0, 1, 2): F(-1)}]
+    assert len(it.coinv_monomials()) == g.order
 
 
 @pytest.mark.parametrize("spec", ["Sn:3:reduced", "I2:4", "I2:5"])

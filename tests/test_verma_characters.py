@@ -103,6 +103,25 @@ def test_solve_eis_synthetic_no_solution():
     assert out.exponents is None
 
 
+@pytest.mark.parametrize("spec", ["Zm:5", "Sn:3:permutation", "I2:5",
+                                  "Sn:4:reduced"])
+def test_solve_eis_does_not_depend_on_the_truncation(spec):
+    # End(Delta) read to q^(N + sum d_i) decides the factorization exactly
+    g = group(spec)
+    for rep in g.irreps:
+        wide = solve_eis(g, rep, 40)
+        assert all(solve_eis(g, rep, t) == wide for t in (0, 1, 3, 24))
+
+
+def test_a_factorization_true_only_to_the_truncation_is_refused():
+    # on I2:25, End(Delta(rho1)) = (1 + q^23) / ((1 - q^2)(1 - q^25)) agrees
+    # with 1/((1 - q^2)(1 - q^23)) up to q^24 but is no such product; for
+    # rho12, (1 + q) / ((1 - q^2)(1 - q^25)) is 1/((1 - q)(1 - q^25))
+    g = group("I2:25")
+    assert not solve_eis(g, g.irrep("rho1"), T).is_solution()
+    assert solve_eis(g, g.irrep("rho12"), T).exponents == (1, 25)
+
+
 def test_eis_payload_carries_orientation():
     g = group("Zm:3")
     payload = solve_eis(g, g.irrep("chi1"), T).payload()
