@@ -9,20 +9,24 @@ contraction is i_P = sum_l i_{d/dx_l} o i_{d/dy_l}, so i_P(dx_i ^ dy_j) =
 -delta_ij; the Schouten bracket gives [P, f theta_I] =
 -sum_l (df/dx_l) theta_{y_l} ^ theta_I for x-only coefficients.
 
-Everything is exact over Q; truncation is by total polynomial degree D and
-both differentials lower the coefficient degree, so the truncated complex is
-a genuine subcomplex and only the top polynomial degree carries boundary
-artifacts (excluded from homology totals).
+Everything is exact over Q: the models' structure constants (derivative
+exponents, signs, seeded coefficients) are ints, so their boundaries reach
+the elimination as integer rows, and a Fraction enters only through a
+rational scalar or coefficient given by the caller.  Truncation is by total
+polynomial degree D and both differentials lower the coefficient degree, so
+the truncated complex is a genuine subcomplex and only the top polynomial
+degree carries boundary artifacts (excluded from homology totals).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import InvalidInput, NotRegularDetected, SideMismatch
-from .linalg import ONE, _add_term, _axpy, rank
+from .linalg import _add_term, _axpy, rank
 from .polys import monomials_of_degree
 
 CONORMAL = "conormal"
@@ -42,15 +46,45 @@ class TruncatedPolyModel:
         self.trunc = trunc
 
     def element(self, side, terms):
+        """The element sum of c * x^m * (wedge of the generators in subset)
+        over the items ((m, subset), c) of ``terms``: m has n non-negative
+        exponents, subset is a strictly increasing tuple in range(n), and c
+        is rational."""
+        for (m, subset), c in terms.items():
+            self._check_term(m, c)
+            for i in subset:
+                self._check_index(i)
+            if any(a >= b for a, b in zip(subset, subset[1:])):
+                raise InvalidInput(
+                    f"generator indices {tuple(subset)} are not strictly "
+                    "increasing: list each index once, in increasing order")
         return ExteriorElement(self, side, terms)
 
     def function(self, side, poly):
+        """The function sum of c * x^m over the items (m, c) of ``poly``."""
+        for m, c in poly.items():
+            self._check_term(m, c)
         return ExteriorElement(self, side,
                                {(m, ()): c for m, c in poly.items()})
 
     def generator(self, side, i):
         """dy_i (conormal) or d/dy_i (normal) with constant coefficient."""
-        return ExteriorElement(self, side, {((0,) * self.n, (i,)): ONE})
+        self._check_index(i)
+        return ExteriorElement(self, side, {((0,) * self.n, (i,)): 1})
+
+    def _check_term(self, m, c):
+        if (len(m) != self.n
+                or not all(isinstance(k, int) and k >= 0 for k in m)):
+            raise InvalidInput(
+                f"exponent tuple {tuple(m)} is not {self.n} non-negative "
+                "integers")
+        if not isinstance(c, (int, Fraction)):
+            raise InvalidInput(f"coefficient {c!r} is not rational")
+
+    def _check_index(self, i):
+        if not (isinstance(i, int) and 0 <= i < self.n):
+            raise InvalidInput(
+                f"generator index {i!r} is not in 0..{self.n - 1}")
 
     def random_element(self, side, rng, exterior_degree=None,
                        max_poly_degree=None):
@@ -65,7 +99,7 @@ class TruncatedPolyModel:
             d = rng.randrange(0, max_poly_degree + 1)
             monos = monomials_of_degree(self.n, d)
             m = monos[rng.randrange(len(monos))]
-            _add_term(terms, (m, subset), Fraction(rng.randrange(-4, 5)))
+            _add_term(terms, (m, subset), rng.randrange(-4, 5))
         return ExteriorElement(self, side, terms)
 
     def __repr__(self):
@@ -76,8 +110,10 @@ class ExteriorElement:
     """Sum of terms f(x) * wedge of generators, on one side of the pairing.
 
     Keys are (x-exponent tuple, strictly increasing index tuple); values are
-    rationals.  Terms beyond the truncation degree are dropped by ring
-    operations (the quotient by high degrees).
+    ints, or Fractions once a rational scalar entered.  Terms beyond the
+    truncation degree are dropped by ring operations (the quotient by high
+    degrees).  The constructor trusts its keys; ``TruncatedPolyModel.element``
+    and ``function`` check them.
     """
 
     __slots__ = ("model", "side", "terms")
@@ -101,7 +137,7 @@ class ExteriorElement:
     def __add__(self, other):
         self._check(other)
         return ExteriorElement(self.model, self.side,
-                               _axpy(dict(self.terms), other.terms, ONE))
+                               _axpy(dict(self.terms), other.terms, 1))
 
     def __neg__(self):
         return ExteriorElement(self.model, self.side,
@@ -112,6 +148,8 @@ class ExteriorElement:
 
     def scale(self, c):
         c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
         return ExteriorElement(self.model, self.side,
                                {k: v * c for k, v in self.terms.items()})
 
@@ -180,17 +218,7 @@ def _merge_sign(s1, s2):
         for b in s2:
             if a > b:
                 inversions += 1
-    return (ONE if inversions % 2 == 0 else -ONE,
-            tuple(sorted(s1 + s2)))
-
-
-def _diff_mono(m, i):
-    """d/dx_i of x^m: (coefficient, exponent) or None."""
-    if not m[i]:
-        return None
-    e = list(m)
-    e[i] -= 1
-    return Fraction(m[i]), tuple(e)
+    return -1 if inversions % 2 else 1, tuple(sorted(s1 + s2))
 
 
 def bv_delta_conormal(model, elt):
@@ -203,19 +231,16 @@ def bv_delta_conormal(model, elt):
     # the ordered factor list (dx first, then dy ascending).
     out = {}
     for (m, subset), c in elt.terms.items():
-        for i in range(model.n):
-            d = _diff_mono(m, i)
-            if d is None:
+        for pos, i in enumerate(subset):
+            k = m[i]
+            if not k:
                 continue
-            cd, m2 = d
-            # term: cd * c * dx_i ^ dy_subset ; contract i_{dx_l} i_{dy_l}
-            if i not in subset:
-                continue
-            pos = 1 + subset.index(i)      # position of dy_i after dx_i
-            sign_y = -ONE if pos % 2 else ONE
-            # after removing dy_i, dx_i sits at position 0: sign +1
-            rest = tuple(t for t in subset if t != i)
-            _add_term(out, (m2, rest), sign_y * cd * c)
+            # term: k * c * dx_i ^ dy_subset; contracting dy_i at position
+            # pos + 1 after dx_i gives (-1)^(pos + 1), after which dx_i sits
+            # at position 0: sign +1
+            _add_term(out, (m[:i] + (k - 1,) + m[i + 1:],
+                            subset[:pos] + subset[pos + 1:]),
+                      -k * c if pos % 2 == 0 else k * c)
     return ExteriorElement(model, CONORMAL, out)
 
 
@@ -228,14 +253,12 @@ def bv_delta_normal(model, elt):
     out = {}
     for (m, subset), c in elt.terms.items():
         for l in range(model.n):
-            if l in subset:
+            k = m[l]
+            if not k or l in subset:
                 continue
-            d = _diff_mono(m, l)
-            if d is None:
-                continue
-            cd, m2 = d
             sign, merged = _merge_sign((l,), subset)
-            _add_term(out, (m2, merged), -sign * cd * c)
+            _add_term(out, (m[:l] + (k - 1,) + m[l + 1:], merged),
+                      -sign * k * c)
     return ExteriorElement(model, NORMAL, out)
 
 
@@ -276,10 +299,10 @@ def check_bv_seven_term(model, a, b, c, delta=None):
         raise SideMismatch("seven-term operands live on different sides")
     delta = delta or (lambda e: bv_delta(model, e))
     da, db = a.exterior_degree(), b.exterior_degree()
-    s_a = -ONE if da % 2 else ONE
-    s_ab = -ONE if (da + db) % 2 else ONE
-    s_a1b = -ONE if ((da + 1) * db) % 2 else ONE
-    one = model.function(a.side, {(0,) * model.n: ONE})
+    s_a = -1 if da % 2 else 1
+    s_ab = -1 if (da + db) % 2 else 1
+    s_a1b = -1 if ((da + 1) * db) % 2 else 1
+    one = model.function(a.side, {(0,) * model.n: 1})
     lhs = delta(a * b * c)
     rhs = (delta(a * b) * c
            + (a * delta(b * c)).scale(s_a)
@@ -303,13 +326,13 @@ def check_bracket_axioms(model, a, b, c):
         return gerstenhaber_bracket(model, u, v)
 
     # antisymmetry: [a,b] = -(-1)^{(da-1)(db-1)} [b,a]
-    sign = ONE if ((da - 1) * (db - 1)) % 2 else -ONE
+    sign = 1 if ((da - 1) * (db - 1)) % 2 else -1
     ok = br(a, b) == br(b, a).scale(sign)
     # Leibniz: [a, bc] = [a,b] c + (-1)^{(da-1) db} b [a,c]
-    s = -ONE if ((da - 1) * db) % 2 else ONE
+    s = -1 if ((da - 1) * db) % 2 else 1
     ok = ok and (br(a, b * c) == br(a, b) * c + (b * br(a, c)).scale(s))
     # Jacobi: [a,[b,c]] = [[a,b],c] + (-1)^{(da-1)(db-1)} [b,[a,c]]
-    s = -ONE if ((da - 1) * (db - 1)) % 2 else ONE
+    s = -1 if ((da - 1) * (db - 1)) % 2 else 1
     ok = ok and (br(a, br(b, c))
                  == br(br(a, b), c) + br(b, br(a, c)).scale(s))
     return ok
@@ -372,7 +395,7 @@ def virtual_homology(model, side):
              for j in range(n + 1) for d in range(D + 1)}
 
     def boundary(key):
-        return bv_delta(model, ExteriorElement(model, side, {key: ONE})).terms
+        return bv_delta(model, ExteriorElement(model, side, {key: 1})).terms
 
     ker_dim, out_rank = _piece_ranks(basis, boundary)
     # delta lowers exterior degree on the conormal side, raises it on the
@@ -399,7 +422,7 @@ def coordinate_sequence(n):
     """The coordinates y_1..y_n as polynomials in the 2n variables
     (x_1..x_n first): the Koszul sequence of the transverse coordinate
     Lagrangian y = 0."""
-    return [{tuple(int(k == n + i) for k in range(2 * n)): ONE}
+    return [{tuple(int(k == n + i) for k in range(2 * n)): 1}
             for i in range(n)]
 
 
@@ -426,9 +449,19 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
     def on_subspace(m):
         return all(m[i] == 0 for i in vanish)
 
+    free = [i for i in range(2 * n) if i not in vanish]
+
+    @cache
     def module_monos(d):
-        return ([m for m in monomials_of_degree(2 * n, d) if on_subspace(m)]
-                if d >= 0 else [])
+        """The monomials of degree d in the variables that do not vanish,
+        as exponent tuples over all 2n variables."""
+        out = []
+        for e in monomials_of_degree(len(free), d) if d >= 0 else ():
+            m = [0] * (2 * n)
+            for i, k in zip(free, e):
+                m[i] = k
+            out.append(tuple(m))
+        return out
 
     # chain spaces per (homological degree r, total degree t)
     basis = {(r, t): [(m, subset) for subset in combinations(range(k), r)
@@ -441,11 +474,10 @@ def koszul_homology(n, trunc, sequence, vanishing_vars, claimed_regular=False):
         out = {}
         for pos, i in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1:]
-            sign = ONE if pos % 2 == 0 else -ONE
             for e, c in sequence[i].items():
                 m2 = tuple(a + b for a, b in zip(e, m))
                 if on_subspace(m2):
-                    _add_term(out, (m2, rest), sign * c)
+                    _add_term(out, (m2, rest), c if pos % 2 == 0 else -c)
         return out
 
     kerd, out_rank = _piece_ranks(basis, boundary)

@@ -1,34 +1,44 @@
 """Exact linear algebra over Q and Q(zeta_N).
 
-An entry is a Fraction exactly when it is rational and a Cyc only when it is
-not (``cyclotomic`` canonicalizes every result), so Fraction(0)/Fraction(1)
-are the only zero/one.  All elimination goes through one kernel,
+An entry handed out is a Fraction exactly when it is rational and a Cyc only
+when it is not (``cyclotomic`` canonicalizes every result), so
+Fraction(0)/Fraction(1) are the only zero/one; an input entry may also be
+an int.  All elimination goes through one kernel,
 ``Echelon``: a sparse reduced row echelon form built one vector at a time.
 ``kernel_basis`` poses and solves every homogeneous system: the caller's keys
 and each key's sparse image in, the kernel's keyed RREF rows out.  ``rref``,
 ``rank`` and ``solve`` are thin wrappers over ``Echelon``; results satisfy
-A.x = b on re-substitution, exactly.
+A.x = b on re-substitution, exactly.  Over Q the echelon computes on Python
+ints (fraction-free rows over one denominator each) and builds a Fraction
+only for what it hands out.
 
 Every sparse {key: coeff} map above the scalar layer accumulates through
-``_add_term`` and ``_axpy``, which never store a zero.
+``_add_term`` and ``_axpy``, which never store a zero and keep a key's first
+value as given: the map is canonical when its inputs are.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MONE = Fraction(-1)
+_RATIONAL = frozenset((int, Fraction))
 
 
 def _add_term(out, key, value):
-    """out[key] += value, dropping the key when the sum is zero."""
-    v = out.get(key, ZERO) + value
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
+    """out[key] += value, dropping the key when the sum is zero; a key's
+    first value is stored as given."""
+    v = out.get(key)
+    if v is not None:
+        value = v + value
+    if value:
+        out[key] = value
+    elif v is not None:
+        del out[key]
 
 
 def _axpy(out, vec, c):
@@ -95,52 +105,162 @@ def transpose(a):
 class Echelon:
     """Reduced row echelon form of the span of the vectors added so far.
 
-    ``rows`` maps each pivot column to its row, stored sparse as
+    ``rows`` maps each pivot column to its row, read sparse as
     {column: value}: 1 at its own pivot and absent at every other pivot.
     Pivots fall only in the first ``ncols`` columns; entries beyond them are
     augmented columns, carried along by every row operation.  Vectors are
-    dense lists or sparse {column: value} dicts.
+    dense lists or sparse {column: value} dicts of ints, Fractions and Cycs.
+
+    Over Q a row is stored as primitive int numerators over one positive
+    denominator, its numerator at the pivot equal to the denominator, and
+    rows are combined fraction-free (``_eliminate``).  The first entry that
+    is a Cyc turns the stored rows into field scalars for good, and the
+    elimination goes on in field arithmetic, the path for Q(zeta_N).
     """
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("ncols", "_rows", "_dens")
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = {}
+        self._rows = {}     # pivot -> {column: int numerator, or scalar}
+        self._dens = {}     # pivot -> its row's denominator; None over a field
+
+    @property
+    def rows(self):
+        return _Rows(self)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self):
-        return sorted(self.rows)
+        return sorted(self._rows)
+
+    def _read(self, vec):
+        """(entries, den): vec's nonzero entries as int numerators over den
+        while the echelon and vec are rational, else as canonical scalars
+        with den None."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        res = {j: c for j, c in items if c}
+        dens = self._dens
+        if dens is not None:
+            if _RATIONAL.issuperset(map(type, res.values())):
+                den = lcm(*[c.denominator for c in res.values()])
+                if den == 1:
+                    return {j: c.numerator for j, c in res.items()}, 1
+                return {j: c.numerator * (den // c.denominator)
+                        for j, c in res.items()}, den
+            self._rows.update([(p, _scalars(row, dens[p]))
+                               for p, row in self._rows.items()])
+            self._dens = None
+        return {j: Fraction(c) if type(c) is int else c
+                for j, c in res.items()}, None
+
+    def _clear(self, res, den):
+        """Subtract from res, as read by ``_read``, its multiple of every
+        row whose pivot it touches, in place; returns its new den."""
+        rows, dens = self._rows, self._dens
+        for p in [p for p in res if p in rows]:
+            if den is None:
+                _axpy(res, rows[p], -res[p])
+            else:
+                den = _eliminate(res, den, rows[p], dens[p], p)
+        return den
 
     def reduce(self, vec):
         """``(residual, coeffs)`` with vec = residual + sum of
         coeffs[p] * rows[p]; the residual is sparse and vanishes at every
         pivot, and coeffs maps the pivots that vec touches to their
         coefficients."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        res = {j: c for j, c in items if c}
-        rows = self.rows
-        coeffs = {p: c for p, c in res.items() if p in rows}
-        for p, c in coeffs.items():
-            _axpy(res, rows[p], -c)
-        return res, coeffs
+        res, den = self._read(vec)
+        rows = self._rows
+        coeffs = {p: c if den is None else Fraction(c, den)
+                  for p, c in res.items() if p in rows}
+        return _scalars(res, self._clear(res, den)), coeffs
 
     def add(self, vec):
         """Extend the span by vec; True when it gave a new pivot."""
-        res, _ = self.reduce(vec)
+        res, den = self._read(vec)
+        self._clear(res, den)
         p = min((j for j in res if j < self.ncols), default=None)
         if p is None:
             return False
-        inv = ONE / res[p]
-        new = {j: x * inv for j, x in res.items()}
-        for row in self.rows.values():
-            c = row.get(p)
-            if c:
-                _axpy(row, new, -c)
-        self.rows[p] = new
+        rows, dens = self._rows, self._dens
+        if dens is None:
+            inv = ONE / res[p]
+            new = {j: x * inv for j, x in res.items()}
+            for row in rows.values():
+                c = row.get(p)
+                if c:
+                    _axpy(row, new, -c)
+        else:
+            g = gcd(*res.values())
+            if res[p] < 0:
+                g = -g
+            new = {j: x // g for j, x in res.items()} if g != 1 else res
+            for q, row in rows.items():
+                if p in row:
+                    dens[q] = _eliminate(row, dens[q], new, new[p], p)
+            dens[p] = new[p]
+        rows[p] = new
         return True
+
+
+def _scalars(row, den):
+    """The canonical scalars of row / den; row itself when den is None."""
+    if den is None:
+        return row
+    if den == 1:
+        return {j: Fraction(x) for j, x in row.items()}
+    return {j: Fraction(x, den) for j, x in row.items()}
+
+
+def _eliminate(target, tden, row, rden, p):
+    """target / tden minus its multiple of row / rden that clears column p,
+    in place, for int rows with row[p] = rden: cross-multiply, then one gcd
+    pass.  Returns the new denominator of target."""
+    g = gcd(target[p], rden)
+    c, m = target[p] // g, rden // g
+    if m != 1:
+        for j in target:
+            target[j] *= m
+        tden *= m
+    for j, x in row.items():
+        v = target.get(j, 0) - c * x
+        if v:
+            target[j] = v
+        else:
+            del target[j]
+    if tden != 1:
+        g = gcd(tden, *target.values())
+        if g != 1:
+            for j in target:
+                target[j] //= g
+            tden //= g
+    return tden
+
+
+class _Rows(Mapping):
+    """The rows of an Echelon, {pivot: row}, each read as canonical
+    scalars on access."""
+
+    __slots__ = ("_ech",)
+
+    def __init__(self, ech):
+        self._ech = ech
+
+    def __getitem__(self, p):
+        ech = self._ech
+        row = ech._rows[p]
+        return row if ech._dens is None else _scalars(row, ech._dens[p])
+
+    def __contains__(self, p):
+        return p in self._ech._rows
+
+    def __iter__(self):
+        return iter(self._ech._rows)
+
+    def __len__(self):
+        return len(self._ech._rows)
 
 
 def echelon(rows, ncols):

@@ -8,6 +8,7 @@ unpacked constantly.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 
 from .linalg import _add_term
@@ -45,14 +46,16 @@ def pevaluate(p, point):
     return total
 
 
+@cache
 def monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree d, in a fixed deterministic order."""
+    """All exponent tuples of total degree d, in a fixed deterministic order
+    (reverse lexicographic); one shared tuple per (nvars, d)."""
     if nvars == 0:
-        return [()] if d == 0 else []
+        return ((),) if d == 0 else ()
     out = []
     for combo in combinations_with_replacement(range(nvars), d):
         e = [0] * nvars
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return sorted(out, reverse=True)
+    return tuple(sorted(out, reverse=True))

@@ -310,3 +310,55 @@ def test_bv_check_fails_on_a_zero_delta(monkeypatch):
     assert [report["virtual_homology"][side]["total"]
             for side in (CONORMAL, NORMAL)] == [40, 40]
     assert not report["checks_pass"]
+
+
+# ---- integer structure constants and checked input ---------------------------------
+
+def test_boundaries_products_and_samples_keep_int_coefficients():
+    m = TruncatedPolyModel(3, 8)
+    rng = random.Random(4)
+    for i in range(20):
+        side = CONORMAL if i % 2 == 0 else NORMAL
+        a, b = (m.random_element(side, rng,
+                                 exterior_degree=rng.randrange(0, 4))
+                for _ in range(2))
+        for elt in (a, b, a * b, bv_delta(m, a), bv_delta(m, a * b),
+                    gerstenhaber_bracket(m, a, b), a - b.scale(-2)):
+            assert all(type(c) is int for c in elt.terms.values()), elt
+        # the same element with Fraction coefficients is equal, and so are
+        # its boundary and products
+        twin = a.scale(F(3, 3))
+        halved = a.scale(F(1, 2))
+        assert twin == a and bv_delta(m, twin) == bv_delta(m, a)
+        assert halved.scale(2) == a and halved * b == (a * b).scale(F(1, 2))
+        assert bv_delta(m, halved) == bv_delta(m, a).scale(F(1, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: m.element(CONORMAL, {((1, 0), (1, 0)): 1}),
+    lambda m: m.element(CONORMAL, {((0, 0), (0, 0)): 1}),
+    lambda m: m.element(NORMAL, {((1,), (0,)): 1}),
+    lambda m: m.element(CONORMAL, {((-1, 2), ()): 1}),
+    lambda m: m.element(NORMAL, {((0, 0), (2,)): 1}),
+    lambda m: m.element(CONORMAL, {((0, 0), (-1,)): 1}),
+    lambda m: m.element(CONORMAL, {((0, 0), (0,)): 0.5}),
+    lambda m: m.function(NORMAL, {(1, 0, 0): 1}),
+    lambda m: m.function(CONORMAL, {(0, -1): 1}),
+    lambda m: m.generator(CONORMAL, 2),
+], ids=["unsorted-indices", "repeated-index", "short-exponents",
+        "negative-exponent", "index-past-n", "negative-index",
+        "float-coefficient", "long-exponents", "function-negative",
+        "generator-past-n"])
+def test_malformed_terms_are_refused(build):
+    with pytest.raises(InvalidInput):
+        build(TruncatedPolyModel(2, 6))
+
+
+def test_sorted_terms_still_cancel():
+    m = TruncatedPolyModel(2, 6)
+    x1 = m.function(CONORMAL, {(1, 0): 1})
+    dy1, dy2 = m.generator(CONORMAL, 0), m.generator(CONORMAL, 1)
+    assert not x1 * dy2 * dy1 + x1 * dy1 * dy2
+    assert not dy1 * dy1
+    assert m.element(CONORMAL, {((1, 0), (0, 1)): F(1, 2)}) == \
+        (x1 * dy1 * dy2).scale(F(1, 2))

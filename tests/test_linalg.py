@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -288,3 +289,116 @@ def test_exact_matrix_api():
     assert _dense_kernel(m, 2) == []
     sol = solve(m, [F(5), F(11)])
     assert mat_vec(m, sol) == [F(5), F(11)]
+
+
+def _sequential_rref(rows, ncols, width):
+    """{pivot: dense row} by textbook Gauss-Jordan over the scalars as
+    given, one row at a time: each row is reduced by the rows kept so far
+    and kept, scaled to a leading 1, when it is nonzero in the first ncols
+    columns (the columns past ncols are augmented)."""
+    kept = {}
+    for row in rows:
+        r = [row.get(j, ZERO) if isinstance(row, dict) else row[j]
+             for j in range(width)]
+        r = [x if isinstance(x, Cyc) else F(x) for x in r]
+        for p, k in kept.items():
+            if r[p]:
+                c = r[p]
+                r = [a - c * b for a, b in zip(r, k)]
+        p = next((j for j in range(ncols) if r[j]), None)
+        if p is None:
+            continue
+        r = [a / r[p] for a in r]
+        for q, k in kept.items():
+            if k[p]:
+                c = k[p]
+                kept[q] = [a - c * b for a, b in zip(k, r)]
+        kept[p] = r
+    return kept
+
+
+def _rational(draw):
+    """0, a large int, or a Fraction with a large numerator and
+    denominator."""
+    kind = draw(st.sampled_from(["zero", "zero", "int", "fraction"]))
+    if kind == "zero":
+        return 0
+    if kind == "int":
+        return draw(st.integers(-10 ** 12, 10 ** 12))
+    return F(draw(st.integers(-10 ** 18, 10 ** 18)),
+             draw(st.integers(1, 10 ** 15)))
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, ncols, width, vecs): rows of int and Fraction entries, dense
+    or sparse, over ncols pivot columns and up to two augmented ones; some
+    rows are combinations of earlier ones; vecs to reduce, some in the
+    span."""
+    ncols = draw(st.integers(1, 6))
+    width = ncols + draw(st.integers(0, 2))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = _rational(draw), _rational(draw)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [_rational(draw) for _ in range(width)]
+        rows.append(row)
+    vecs = [[_rational(draw) for _ in range(width)] for _ in range(3)]
+    if rows:
+        s = _rational(draw)
+        vecs.append([s * x for x in draw(st.sampled_from(rows))])
+    sparse = draw(st.booleans())
+    as_given = [{j: x for j, x in enumerate(r) if x} if sparse else r
+                for r in rows]
+    return as_given, ncols, width, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_integer_rows_match_a_fraction_gauss_jordan(system):
+    rows, ncols, width, vecs = system
+    ech = echelon(rows, ncols)
+    kept = _sequential_rref(rows, ncols, width)
+    assert ech.pivots() == sorted(kept)
+    for p, row in kept.items():
+        got = ech.rows[p]
+        assert got == {j: x for j, x in enumerate(row) if x}
+        assert all(type(x) is Fraction for x in got.values())
+        # stored as primitive ints over a positive denominator, which is
+        # the numerator at the pivot
+        nums, den = ech._rows[p], ech._dens[p]
+        assert all(type(x) is int for x in nums.values())
+        assert nums[p] == den > 0 and gcd(*nums.values()) == 1
+    for vec in vecs:
+        residual, coeffs = ech.reduce(vec)
+        expected = list(vec)
+        for p, row in kept.items():
+            if vec[p]:
+                expected = [a - vec[p] * b for a, b in zip(expected, row)]
+        assert residual == {j: x for j, x in enumerate(expected) if x}
+        assert coeffs == {p: vec[p] for p in kept if vec[p]}
+        assert all(type(x) is Fraction
+                   for x in (*residual.values(), *coeffs.values()))
+
+
+def test_a_cyc_row_after_rational_rows_goes_on_in_the_field():
+    z = Cyc.zeta(5)
+    rows = [[3, F(10 ** 15, 7), 0, 5],
+            [F(-2, 3), 1, F(4, 10 ** 12), 0],
+            [1, z, 0, z * z],
+            [0, 2, F(1, 3), 1]]
+    ech = echelon(rows, 3)
+    kept = _sequential_rref(rows, 3, 4)
+    assert ech.pivots() == sorted(kept) == [0, 1, 2]
+    for p, row in kept.items():
+        got = ech.rows[p]
+        assert got == {j: x for j, x in enumerate(row) if x}
+        assert all(type(x) in (Fraction, Cyc) for x in got.values())
+    residual, coeffs = ech.reduce([F(1, 2), 0, 0, 7])
+    assert coeffs == {0: F(1, 2)}
+    assert residual == {3: 7 - kept[0][3] / 2}
+    assert all(type(x) in (Fraction, Cyc)
+               for x in (*residual.values(), *coeffs.values()))

@@ -577,3 +577,19 @@ def test_property_parse_round_trip(case, data):
     H = _property_algebras()[case]
     u = data.draw(_element_strategy(H))
     assert H.parse(str(u)) == u
+
+
+@pytest.mark.parametrize("spec", ["Sn:3:reduced", "I2:5"])
+def test_elements_built_from_ints_keep_canonical_coefficients(spec):
+    # sparse maps store a key's first value as given, so every entry point
+    # must hand them canonical scalars: a Fraction, or a Cyc when irrational
+    H = algebra(spec, "generic")
+    w = H.group.order - 1
+    built = [H.monomial((1,) + (0,) * (H.n - 1), w, (0,) * H.n, coeff=3),
+             H.grp(w), H.grp(w) * 2, 2 * H.x(0) + 1,
+             H.parse("2*x1*y1 - 3*w1 + 4"), H.parse("y1*x1^2 + 2")]
+    built.append(built[0] * built[-1] + built[4] - 5)
+    for elt in built:
+        assert elt.terms
+        assert all(type(c) in (Fraction, Cyc) for c in elt.terms.values()), \
+            elt.terms
