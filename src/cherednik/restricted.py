@@ -10,16 +10,17 @@ the blocks are the linkage classes of the graded decomposition numbers
 
 ``RestrictedCherednikAlgebra`` adds the algebra, under a cap on |W|^3: its
 vectors are PBW terms x^a w y^b with x^a and y^b coinvariant monomials,
-reduced at b on the x side and at 0 on the y side, and the center is solved
-one degree at a time where it is read.  Central
-characters cross-check the linkage blocks, and the trace form of Z_0 on the
-baby Vermas counts the blocks at any fiber point.
+reduced at b on the x side and at 0 on the y side.  The center is solved
+one degree at a time where it is read and certified through the product;
+central characters cross-check the linkage blocks, and the trace form of
+Z_0 on the baby Vermas counts the blocks at any fiber point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import product
 from operator import add
 
 from .errors import (CapExceeded, CherednikError, CompositionMismatch,
@@ -27,7 +28,7 @@ from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      TieDetected)
 from .linalg import (MONE, ONE, ZERO, Echelon, _add_term, _axpy, echelon,
                      kernel_basis, rank)
-from .pbw import CherednikAlgebra, PBWElement, _unit_exp
+from .pbw import DEFAULT_DEGREE_CAP, CherednikAlgebra, PBWElement, _unit_exp
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
 
@@ -595,12 +596,23 @@ class RestrictedCherednikAlgebra(StandardModules):
 
     def _center_slice(self, d):
         """RREF rows of Z_d, the central elements of degree d, solved on
-        first use from the direct adjoint maps (``_adjoint``) of the
-        orbit-spanning generators."""
+        first use from ``_adjoint`` and certified through ``multiply``: each
+        commutes with the W generators and the orbit-spanning x_i, y_j."""
         if d not in self._center_slices:
-            self._center_slices[d] = self._slice_kernel(d, [
+            rows = self._slice_kernel(d, [
                 (partial(self._adjoint, gen), gdeg)
                 for gen, gdeg in self._adjoint_generators])
+            n, gens = self.group.n, self.generators
+            named = [(s, gens[2 * n + k][0])
+                     for k, s in enumerate(self.group.generators)]
+            named += [(f"{side}{i + 1}", gens[2 * i + t][0])
+                      for t, side in enumerate("xy")
+                      for i in self._orbit_spanning(side)]
+            for z, (name, g) in product(rows, named):
+                if self.multiply(z, g) != self.multiply(g, z):
+                    raise CherednikError(f"a vector of Z_{d} does not commute "
+                                         f"with the generator {name}")
+            self._center_slices[d] = rows
         return self._center_slices[d]
 
     def skew_center(self, d):
@@ -622,18 +634,14 @@ class RestrictedCherednikAlgebra(StandardModules):
 
     def center(self):
         """Basis of the center, as vectors: the RREF rows of every Z_d,
-        ordered by the position of their pivot in x^a, w, y^b order.
+        ordered by their pivot, a row's first key, in x^a, w, y^b order.
         Distinct degrees have disjoint supports, so these are the rows of
         the echelon of the center."""
-        xpos = {m: i for i, m in enumerate(self.x_basis)}
-        ypos = {m: i for i, m in enumerate(self.y_basis)}
-
-        def position(row):
-            a, w, b = next(iter(row))      # the pivot: the row's first key
-            return xpos[a], w, ypos[b]
-
-        return sorted((row for d in self.degree_slices
-                       for row in self._center_slice(d)), key=position)
+        by_pivot = {next(iter(row)): row for d in self.degree_slices
+                    for row in self._center_slice(d)}
+        return [by_pivot[key] for key in product(
+            self.x_basis, range(self.group.order), self.y_basis)
+            if key in by_pivot]
 
     def degree_zero_center(self):
         """Basis of Z_0, the degree-0 part of the center (RREF rows in pivot
@@ -641,29 +649,21 @@ class RestrictedCherednikAlgebra(StandardModules):
         return self._center_slice(0)
 
     # ---- blocks -----------------------------------------------------------------
-    def _z0_actions(self, rep):
-        """Matrix of each Z_0 basis vector on Delta_b(rep)."""
-        mod = self.baby_verma(rep)
-        return [mod.act_columns(z) for z in self.degree_zero_center()]
-
     def _central_character(self, rep):
         """Scalar of each Z_0 basis vector on Delta(rep).
 
-        Each is central of degree 0, so it acts on the lowest degree, the
-        irreducible rep, by a scalar (Schur), and by the same scalar on all
-        of Delta(rep), which that degree generates; a matrix that is not a
-        scalar is an error.  The rest of the center adds nothing: an element
-        of nonzero degree is nilpotent.
+        Each is certified central of degree 0, so it acts on the lowest
+        degree, the irreducible rep, by a scalar s (Schur), and by s on all
+        of Delta(rep), which that degree generates: it sends basis vector 0,
+        1 (x) v_0, to s e_0, and anything else is an error.  An element of
+        nonzero degree is nilpotent and adds nothing.
         """
-        values = []
-        for mat in self._z0_actions(rep):
-            value = mat[0].get(0, ZERO)
-            if any(col != ({k: value} if value else {})
-                   for k, col in enumerate(mat)):
-                raise CherednikError(f"a Z_0 basis vector is not a scalar "
-                                     f"on the baby Verma {rep.label!r}")
-            values.append(value)
-        return tuple(values)
+        mod = self.baby_verma(rep)
+        cols = [mod.apply(z, {0: ONE}) for z in self.degree_zero_center()]
+        if any(set(col) - {0} for col in cols):
+            raise CherednikError(f"a Z_0 basis vector is not a scalar on the "
+                                 f"baby Verma {rep.label!r}")
+        return tuple(col.get(0, ZERO) for col in cols)
 
     def block_count(self):
         """Number of blocks over the algebraic closure, at any fiber point:
@@ -678,7 +678,9 @@ class RestrictedCherednikAlgebra(StandardModules):
         Delta_b(lambda) (y acts nilpotently, so L^{y=0} is not 0, and
         Frobenius reciprocity gives the map).
         """
-        actions = [self._z0_actions(rep) for rep in self.group.irreps]
+        zero = self.degree_zero_center()
+        actions = [[self.baby_verma(rep).act_columns(z) for z in zero]
+                   for rep in self.group.irreps]
         return rank(_trace_gram(list(zip(*actions))))
 
     def cm_partition(self, verify=True):
@@ -701,23 +703,19 @@ class RestrictedCherednikAlgebra(StandardModules):
         agreement = route1 == route2
         # assemble blocks
         blocks = []
-        for labels in sorted(linkage, key=lambda v: str(sorted(v, key=str))):
-            labels = sorted(labels, key=str)
+        for labels in sorted((sorted(v, key=str) for v in linkage), key=str):
             b_inv = {lbl: group.b_invariant(group.irrep(lbl))
                      for lbl in labels}
             blocks.append(Block(labels, b_inv,
                                 distinguished_rep(labels, b_inv)))
         verification = {}
         if verify:
-            e_dims = {}
-            surj = {}
-            for blk in blocks:
-                for lbl in blk.labels:
-                    e_dims[str(lbl)] = self.dim_e_simple(group.irrep(lbl))
-                rpt = self.center_surjectivity_on_baby_verma(
-                    group.irrep(blk.distinguished))
-                surj[str(blk.distinguished)] = rpt
-            verification = {"e_dims": e_dims, "center_surjectivity": surj}
+            surj = self.center_surjectivity_on_baby_verma
+            verification = {
+                "e_dims": {str(lbl): self.dim_e_simple(group.irrep(lbl))
+                           for blk in blocks for lbl in blk.labels},
+                "center_surjectivity": {str(blk.distinguished): surj(
+                    group.irrep(blk.distinguished)) for blk in blocks}}
         return BlockPartition(group, self.algebra.param, blocks, agreement,
                               verification)
 
@@ -773,9 +771,11 @@ def distinguished_rep(labels, b_invariants):
 
 
 def build_restricted(group, param, b_point=None, cap=RESTRICTED_CAP):
-    """Construct the restricted algebra for (group, param) at fiber point b."""
-    return RestrictedCherednikAlgebra(CherednikAlgebra(group, param),
-                                      b_point=b_point, cap=cap)
+    """Construct the restricted algebra for (group, param) at fiber point b,
+    degree cap 2N or more: |a|, |b| <= N, the reflections, in x^a w y^b."""
+    algebra = CherednikAlgebra(
+        group, param, max(DEFAULT_DEGREE_CAP, 2 * len(group.reflections)))
+    return RestrictedCherednikAlgebra(algebra, b_point=b_point, cap=cap)
 
 
 def act_on_baby_verma(element, mod):

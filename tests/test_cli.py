@@ -425,8 +425,11 @@ def test_bv_check_report_is_pinned(tmp_path):
      "327cd1e118153203cd20510dab9d7c9b6e16b7f488b5c965a334b39d272b4d13"),
     (["cm", "--group", "Sn:3:reduced", "--c", "generic:1", "--seed", "1"],
      "d8cb4ce2528da9941c7a59abd9dd0d68f19b8bad8b5334879f3186ea3d29b2c8"),
+    # Z_0 has terms of degree 14, past the default degree cap of 12
+    (["cm", "--group", "Zm:8", "--c", "generic:1", "--seed", "1"],
+     "ac77d757664a3603a8fb42e258d1a1d8ca5b1cfc82122037ebc933dcd1e53846"),
 ], ids=["I2:3-generic:1", "I2:4-zero", "Zm:5-generic:4", "element-I2:5",
-        "element-Zm:7", "Sn:3-zero", "Sn:3-generic:1"])
+        "element-Zm:7", "Sn:3-zero", "Sn:3-generic:1", "Zm:8-generic:1"])
 def test_cm_report_is_pinned(capsys, tmp_path, argv, digest):
     # e_dims, dim_end and dim_center_image, which the verify report omits
     assert main(argv) == 0

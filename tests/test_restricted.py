@@ -2,6 +2,7 @@ import copy
 import hashlib
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -606,18 +607,38 @@ def test_linkage_route_rejects_a_head_past_the_top_degree(monkeypatch):
         R.cm_partition(verify=False)
 
 
+def _count_products(R, monkeypatch):
+    """Count R.multiply calls from here on: returns the list of calls."""
+    calls, multiply = [], R.multiply
+
+    def counted(u, v):
+        calls.append(None)
+        return multiply(u, v)
+
+    monkeypatch.setattr(R, "multiply", counted)
+    return calls
+
+
+def _certificate_products(R):
+    """The products the centrality certificate may make on the slices solved
+    so far: z g and g z for each certified row z and each g of the
+    generating set (the W generators and the orbit-spanning x_i, y_j)."""
+    gens = (len(R.group.generators) + len(R._orbit_spanning("x"))
+            + len(R._orbit_spanning("y")))
+    return 2 * gens * sum(map(len, R._center_slices.values()))
+
+
 @pytest.mark.parametrize("spec,ctag,seed", [
     ("Sn:3:reduced", "zero", 0), ("Sn:3:reduced", "generic", 1),
     ("I2:4", "zero", 0), ("Zm:3", "generic", 2)])
 def test_cm_partition_never_splits_the_center(spec, ctag, seed, monkeypatch):
-    R = restricted(spec, ctag, seed)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("cm_partition multiplied in the |W|^3 algebra")
-
-    monkeypatch.setattr(R, "multiply", refuse)
+    # no |W|^3 product table: the only products are the certificate's,
+    # on a fresh algebra that solves every slice it reads here
+    R = build_restricted(group(spec), parameter(spec, ctag, seed))
+    calls = _count_products(R, monkeypatch)
     part = R.cm_partition(verify=True)
     assert part.route_agreement and part.theorems_hold()
+    assert 0 < len(calls) <= _certificate_products(R)
 
 
 @pytest.mark.parametrize("spec,ctag,seed", [
@@ -641,10 +662,9 @@ def test_composition_factors_rebuild_the_baby_verma(spec, ctag, seed):
         assert all(mu in blocks[rep.label].labels for mu, _k in factors)
 
 
-def _spoil_column_one(monkeypatch, row):
-    """cm_partition on Zm:2 at c = 1, with column 1 of the first Z_0 vector
-    on Delta(chi1) given one more in ``row``: off the diagonal (row 0) or
-    on it, away from the scalar of column 0 (row 1)."""
+def test_a_non_scalar_central_character_is_an_error(monkeypatch):
+    # cm_partition on Zm:2 at c = 1, with z e_0 of the first Z_0 vector on
+    # Delta(chi1) given an entry off e_0
     g = build_zm(2)
     R = build_restricted(g, Parameter.constant(g, 1))
     terms = R.degree_zero_center()[0]
@@ -653,8 +673,8 @@ def _spoil_column_one(monkeypatch, row):
 
     def spoiled(zterms, vec):
         col = apply(zterms, vec)
-        if zterms == terms and vec == {1: F(1)}:
-            _add_term(col, row, F(1))
+        if zterms == terms and vec == {0: F(1)}:
+            _add_term(col, 1, F(1))
         return col
 
     monkeypatch.setattr(mod, "apply", spoiled)
@@ -663,12 +683,78 @@ def _spoil_column_one(monkeypatch, row):
         R.cm_partition(verify=False)
 
 
-def test_a_non_scalar_central_character_is_an_error(monkeypatch):
-    _spoil_column_one(monkeypatch, 0)
+@pytest.mark.parametrize("spec,ctag,sizes", [
+    ("I2:4", "zero", (12, 34)), ("I2:4", "generic", (6, 15)),
+    ("Sn:3:reduced", "zero", (7, 21))])
+def test_certificate_refuses_a_center_solved_without_w(spec, ctag, sizes,
+                                                      monkeypatch):
+    # with the W rows dropped from the solve, Z_0 takes in vectors that are
+    # not central; the certificate, which reads its generators off
+    # ``generators``, refuses them at a W generator
+    g = group(spec)
+    true = build_restricted(g, parameter(spec, ctag, 1)).degree_zero_center()
+    R = build_restricted(g, parameter(spec, ctag, 1))
+    monkeypatch.setitem(R.__dict__, "_adjoint_generators", [
+        (gen, gdeg) for gen, gdeg in R._adjoint_generators if gen[0] != "w"])
+    grown = R._slice_kernel(0, [(partial(R._adjoint, gen), gdeg)
+                                for gen, gdeg in R._adjoint_generators])
+    assert (len(true), len(grown)) == sizes
+    names = "|".join(g.generators)
+    with pytest.raises(CherednikError, match=rf"^a vector of Z_0 does not "
+                                             rf"commute with the generator "
+                                             rf"({names})$"):
+        R.degree_zero_center()
+    assert 0 not in R._center_slices
 
 
-def test_a_diagonal_off_the_central_character_is_an_error(monkeypatch):
-    _spoil_column_one(monkeypatch, 1)
+def _flip_y_commutator_term(R, monkeypatch):
+    """``_adjoint`` with the sign of its [y_j, x^a] u y^b term flipped."""
+    adjoint, mult = R._adjoint, R.group.mult
+
+    def flipped(gen, m):
+        out = adjoint(gen, m)
+        if gen[0] == "y":
+            a, u, b = m
+            _axpy(out, R._reduce_terms({
+                (e, mult(s, u), b): c
+                for (e, s), c in R.algebra._comm_mono(gen[1], a).items()}),
+                F(2))
+        return out
+
+    monkeypatch.setattr(R, "_adjoint", flipped)
+
+
+@pytest.mark.parametrize("spec", ["I2:4", "Sn:3:reduced"])
+def test_a_flipped_y_term_at_zero_leaves_the_true_center(spec, monkeypatch):
+    # at c = 0, [y_j, x^a] is 0, so the flip changes no constraint
+    true = restricted(spec, "zero")
+    R = build_restricted(group(spec), parameter(spec, "zero"))
+    _flip_y_commutator_term(R, monkeypatch)
+    for d in R.degree_slices:
+        assert R._center_slice(d) == true._center_slice(d), d
+
+
+def test_a_flipped_y_term_at_generic_c_shrinks_the_center(monkeypatch):
+    # at generic c the flip imposes a constraint that central vectors break:
+    # Z_0 shrinks to central vectors that the certificate accepts, as it
+    # checks only that what is solved is central, and route 2 then
+    # disagrees with linkage
+    R = build_restricted(group("I2:4"), parameter("I2:4", "generic", 1))
+    _flip_y_commutator_term(R, monkeypatch)
+    assert len(R.degree_zero_center()) == 1
+    assert not R.cm_partition(verify=False).route_agreement
+
+
+@pytest.mark.parametrize("spec,ctag,top", [
+    ("Zm:8", "zero", 14), ("Zm:8", "generic", 14), ("Zm:10", "zero", 18),
+    ("Zm:10", "generic", 18)])
+def test_degree_cap_covers_every_restricted_vector(spec, ctag, top):
+    # a vector x^a w y^b has |a|, |b| <= N, the number of reflections; Z_d
+    # reaches past the default degree cap, and the certificate multiplies it
+    g = group(spec)
+    R = build_restricted(g, parameter(spec, ctag, 1))
+    assert R.algebra.degree_cap == 2 * len(g.reflections) >= top
+    assert max(sum(a) + sum(b) for z in R.center() for a, _w, b in z) == top
 
 
 @pytest.mark.parametrize("spec,ctag,seed", [
@@ -802,14 +888,13 @@ def test_block_count_needs_no_split_field(spec, ctag, seed, point, conductor,
     ids=["I2:4-generic:1", "Zm:3-zero", "Sn:3:reduced-b=(1,0)"])
 def test_block_count_reads_no_product_table(spec, ctag, seed, point, blocks,
                                             monkeypatch):
+    # the only products are the certificate's on Z_0
     R = build_restricted(group(spec), parameter(spec, ctag, seed),
                          b_point=point and tuple(map(F, point)))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("block_count multiplied in the |W|^3 algebra")
-
-    monkeypatch.setattr(R, "multiply", refuse)
+    calls = _count_products(R, monkeypatch)
     assert R.block_count() == blocks
+    assert list(R._center_slices) == [0]
+    assert 0 < len(calls) <= _certificate_products(R)
 
 
 def test_cm_partition_requires_graded_fiber():
