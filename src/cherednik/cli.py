@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .bv import bv_check
 from .cyclotomic import Cyc, scalar_payload
@@ -370,7 +371,10 @@ def cmd_verify(args):
 # entry point
 # --------------------------------------------------------------------------
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing reads it and
+    leaves it as it was."""
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "table"),

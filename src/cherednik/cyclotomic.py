@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -119,6 +119,29 @@ def _product(n, a, b):
     return _fold(n, acc)
 
 
+def _conjugate(n, num, k):
+    """Integer coordinates of the image of sum(num[e] * zeta_n^e) under
+    zeta -> zeta_n^k."""
+    acc = [0] * n
+    for e, v in enumerate(num):
+        acc[e * k % n] += v
+    return _fold(n, acc)
+
+
+def _cofactor(n, num):
+    """(cofactor, norm) for a nonzero x = sum(num[e] * zeta_n^e) in
+    Z[zeta_n]: the integer coordinates of the product of the Galois
+    conjugates of x other than x itself, and the norm of x, the nonzero
+    integer x * cofactor."""
+    cof = [1] + [0] * (len(num) - 1)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            cof = _product(n, cof, _conjugate(n, num, k))
+    norm = _product(n, num, cof)
+    assert not any(norm[1:]), "the norm of a cyclotomic integer is rational"
+    return cof, norm[0]
+
+
 def _cyc(n, num, den):
     """The scalar sum(num[e] * zeta_n^e) / den, den > 0, in lowest terms:
     a Fraction when no coordinate above zeta^0 is nonzero, else a Cyc."""
@@ -189,10 +212,7 @@ class Cyc:
 
     def _at(self, n, k):
         """This value with zeta replaced by zeta_n^k, read in Q(zeta_n)."""
-        acc = [0] * n
-        for e, v in enumerate(self.num):
-            acc[e * k % n] += v
-        return _cyc(n, _fold(n, acc), self.den)
+        return _cyc(n, _conjugate(n, self.num, k), self.den)
 
     # ---- arithmetic ----------------------------------------------------
     def _plus(self, other, sign):
@@ -244,13 +264,11 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self):
-        # the product of the other Galois conjugates is N(self) / self, and
-        # the norm N(self) is a nonzero rational
-        n = self.n
-        others = prod(self._at(n, k) for k in range(2, n) if gcd(k, n) == 1)
-        norm = self * others
-        assert isinstance(norm, Fraction), "the norm of a Cyc is rational"
-        return others / norm
+        # num * cof = norm, so (num / den)^-1 = den * cof / norm
+        cof, norm = _cofactor(self.n, self.num)
+        if norm < 0:
+            cof, norm = [-v for v in cof], -norm
+        return _cyc(self.n, [v * self.den for v in cof], norm)
 
     def __truediv__(self, other):
         if isinstance(other, Cyc):
@@ -338,9 +356,10 @@ class IntCyc:
     """An element of Z[zeta_N]: integer coordinates ``num`` over zeta^0 ..
     zeta^(phi(N)-1), never gcd-normalized.  It is the ``numerator`` of a
     ``Cyc``, and it multiplies and adds with an ``int`` or an ``IntCyc`` of
-    its conductor through the plain operators, so fraction-free code can
-    carry a cyclotomic numerator over an integer denominator exactly as it
-    carries an ``int``, and canonicalize once with ``over``."""
+    its conductor through the plain operators (``-`` too, and ``//`` by an
+    int that divides every coordinate), so fraction-free code can carry a
+    cyclotomic numerator over an integer denominator exactly as it carries
+    an ``int``, and canonicalize once with ``over``."""
 
     __slots__ = ("n", "num")
 
@@ -374,8 +393,38 @@ class IntCyc:
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return IntCyc(self.n, [-v for v in self.num])
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            num = list(self.num)
+            num[0] -= other
+            return IntCyc(self.n, num)
+        if not isinstance(other, IntCyc):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValueError("mixed conductors")
+        return IntCyc(self.n, [a - b for a, b in zip(self.num, other.num)])
+
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        num = [-v for v in self.num]
+        num[0] += other
+        return IntCyc(self.n, num)
+
+    def __floordiv__(self, k):
+        return IntCyc(self.n, [v // k for v in self.num])
+
     def __bool__(self):
         return any(self.num)
+
+    def cofactor(self):
+        """(c, norm): c in Z[zeta_N], the product of the Galois conjugates
+        of this nonzero value other than itself, and the int self * c."""
+        cof, norm = _cofactor(self.n, self.num)
+        return IntCyc(self.n, cof), norm
 
     def over(self, den):
         """The canonical scalar self / den for an integer den > 0: a

@@ -8,9 +8,10 @@ an int.  All elimination goes through one kernel,
 ``kernel_basis`` poses and solves every homogeneous system: the caller's keys
 and each key's sparse image in, the kernel's keyed RREF rows out.  ``rref``,
 ``rank`` and ``solve`` are thin wrappers over ``Echelon``; results satisfy
-A.x = b on re-substitution, exactly.  Over Q the echelon computes on Python
-ints (fraction-free rows over one denominator each) and builds a Fraction
-only for what it hands out.
+A.x = b on re-substitution, exactly.  Over Q and over Q(zeta_N) alike the
+echelon computes on integers, with one row form: ints and ``IntCyc``s in
+Z[zeta_N] over one int denominator per row, combined fraction-free.  It
+builds a Fraction or a Cyc only for what it hands out.
 
 Every sparse {key: coeff} map above the scalar layer accumulates through
 ``_add_term`` and ``_axpy``, which never store a zero and keep a key's first
@@ -26,7 +27,6 @@ from math import gcd, lcm
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MONE = Fraction(-1)
-_RATIONAL = frozenset((int, Fraction))
 
 
 def _add_term(out, key, value):
@@ -111,19 +111,21 @@ class Echelon:
     augmented columns, carried along by every row operation.  Vectors are
     dense lists or sparse {column: value} dicts of ints, Fractions and Cycs.
 
-    Over Q a row is stored as primitive int numerators over one positive
-    denominator, its numerator at the pivot equal to the denominator, and
-    rows are combined fraction-free (``_eliminate``).  The first entry that
-    is a Cyc turns the stored rows into field scalars for good, and the
-    elimination goes on in field arithmetic, the path for Q(zeta_N).
+    A row is stored as integer numerators over one positive int
+    denominator: ints, and over Q(zeta_N) an ``IntCyc`` in Z[zeta_N] where
+    the entry is not rational.  Its numerator at the pivot equals the
+    denominator and the integer content of the row is 1, so a stored row is
+    canonical.  A new pivot that is not rational is first multiplied by the
+    product of its other Galois conjugates, which turns it into its integer
+    norm; rows are then combined fraction-free (``_eliminate``).
     """
 
     __slots__ = ("ncols", "_rows", "_dens")
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self._rows = {}     # pivot -> {column: int numerator, or scalar}
-        self._dens = {}     # pivot -> its row's denominator; None over a field
+        self._rows = {}     # pivot -> {column: int or IntCyc numerator}
+        self._dens = {}     # pivot -> its row's denominator
 
     @property
     def rows(self):
@@ -135,35 +137,12 @@ class Echelon:
     def pivots(self):
         return sorted(self._rows)
 
-    def _read(self, vec):
-        """(entries, den): vec's nonzero entries as int numerators over den
-        while the echelon and vec are rational, else as canonical scalars
-        with den None."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        res = {j: c for j, c in items if c}
-        dens = self._dens
-        if dens is not None:
-            if _RATIONAL.issuperset(map(type, res.values())):
-                den = lcm(*[c.denominator for c in res.values()])
-                if den == 1:
-                    return {j: c.numerator for j, c in res.items()}, 1
-                return {j: c.numerator * (den // c.denominator)
-                        for j, c in res.items()}, den
-            self._rows.update([(p, _scalars(row, dens[p]))
-                               for p, row in self._rows.items()])
-            self._dens = None
-        return {j: Fraction(c) if type(c) is int else c
-                for j, c in res.items()}, None
-
     def _clear(self, res, den):
-        """Subtract from res, as read by ``_read``, its multiple of every
-        row whose pivot it touches, in place; returns its new den."""
+        """Subtract from res / den, read by ``_numerators``, its multiple of
+        every row whose pivot it touches, in place; returns its new den."""
         rows, dens = self._rows, self._dens
         for p in [p for p in res if p in rows]:
-            if den is None:
-                _axpy(res, rows[p], -res[p])
-            else:
-                den = _eliminate(res, den, rows[p], dens[p], p)
+            den = _eliminate(res, den, rows[p], dens[p], p)
         return den
 
     def reduce(self, vec):
@@ -171,55 +150,77 @@ class Echelon:
         coeffs[p] * rows[p]; the residual is sparse and vanishes at every
         pivot, and coeffs maps the pivots that vec touches to their
         coefficients."""
-        res, den = self._read(vec)
+        res, den = _numerators(vec)
         rows = self._rows
-        coeffs = {p: c if den is None else Fraction(c, den)
-                  for p, c in res.items() if p in rows}
+        coeffs = _scalars({p: c for p, c in res.items() if p in rows}, den)
         return _scalars(res, self._clear(res, den)), coeffs
 
     def add(self, vec):
         """Extend the span by vec; True when it gave a new pivot."""
-        res, den = self._read(vec)
+        res, den = _numerators(vec)
         self._clear(res, den)
         p = min((j for j in res if j < self.ncols), default=None)
         if p is None:
             return False
+        x = res[p]
+        if type(x) is not int:
+            # times the other Galois conjugates of x, the pivot is its norm
+            cof, norm = x.cofactor()
+            res = {j: y * cof for j, y in res.items()}
+            res[p] = norm
+        g = _content(0, res.values())
+        if res[p] < 0:
+            g = -g
+        new = {j: y // g for j, y in res.items()} if g != 1 else res
         rows, dens = self._rows, self._dens
-        if dens is None:
-            inv = ONE / res[p]
-            new = {j: x * inv for j, x in res.items()}
-            for row in rows.values():
-                c = row.get(p)
-                if c:
-                    _axpy(row, new, -c)
-        else:
-            g = gcd(*res.values())
-            if res[p] < 0:
-                g = -g
-            new = {j: x // g for j, x in res.items()} if g != 1 else res
-            for q, row in rows.items():
-                if p in row:
-                    dens[q] = _eliminate(row, dens[q], new, new[p], p)
-            dens[p] = new[p]
+        for q, row in rows.items():
+            if p in row:
+                dens[q] = _eliminate(row, dens[q], new, new[p], p)
         rows[p] = new
+        dens[p] = new[p]
         return True
 
 
-def _scalars(row, den):
-    """The canonical scalars of row / den; row itself when den is None."""
-    if den is None:
-        return row
+def _numerators(vec):
+    """(entries, den): the nonzero entries of vec, a dense list or a sparse
+    dict of ints, Fractions and Cycs, as integer numerators (ints, and
+    IntCycs for Cycs) over one positive int den."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    res = {j: c for j, c in items if c}
+    den = lcm(*[c.denominator for c in res.values()])
     if den == 1:
-        return {j: Fraction(x) for j, x in row.items()}
-    return {j: Fraction(x, den) for j, x in row.items()}
+        return {j: c.numerator for j, c in res.items()}, 1
+    return {j: c.numerator * (den // c.denominator)
+            for j, c in res.items()}, den
+
+
+def _scalars(row, den):
+    """The canonical scalars of the integer numerators row over den."""
+    if den == 1:
+        return {j: Fraction(x) if type(x) is int else x.over(1)
+                for j, x in row.items()}
+    return {j: Fraction(x, den) if type(x) is int else x.over(den)
+            for j, x in row.items()}
+
+
+def _content(g, values):
+    """gcd of g and the integer coordinates of values, ints and IntCycs."""
+    try:
+        return gcd(g, *values)
+    except TypeError:       # an IntCyc among them
+        for x in values:
+            g = gcd(g, x) if type(x) is int else gcd(g, *x.num)
+        return g
 
 
 def _eliminate(target, tden, row, rden, p):
     """target / tden minus its multiple of row / rden that clears column p,
-    in place, for int rows with row[p] = rden: cross-multiply, then one gcd
-    pass.  Returns the new denominator of target."""
-    g = gcd(target[p], rden)
-    c, m = target[p] // g, rden // g
+    in place, for integer rows with row[p] = rden: cross-multiply, then one
+    pass dividing by the integer content.  Returns the new denominator of
+    target."""
+    t = target[p]
+    g = gcd(t, rden) if type(t) is int else gcd(rden, *t.num)
+    c, m = t // g, rden // g
     if m != 1:
         for j in target:
             target[j] *= m
@@ -231,7 +232,7 @@ def _eliminate(target, tden, row, rden, p):
         else:
             del target[j]
     if tden != 1:
-        g = gcd(tden, *target.values())
+        g = _content(tden, target.values())
         if g != 1:
             for j in target:
                 target[j] //= g
@@ -250,8 +251,7 @@ class _Rows(Mapping):
 
     def __getitem__(self, p):
         ech = self._ech
-        row = ech._rows[p]
-        return row if ech._dens is None else _scalars(row, ech._dens[p])
+        return _scalars(ech._rows[p], ech._dens[p])
 
     def __contains__(self, p):
         return p in self._ech._rows

@@ -26,8 +26,8 @@ from operator import add
 from .errors import (CapExceeded, CherednikError, CompositionMismatch,
                      DimensionMismatch, InvalidInput, NotSimpleHead,
                      TieDetected)
-from .linalg import (MONE, ONE, ZERO, Echelon, _add_term, _axpy, echelon,
-                     kernel_basis, rank)
+from .linalg import (ONE, ZERO, Echelon, _add_term, _axpy, _numerators,
+                     echelon, kernel_basis, rank)
 from .pbw import DEFAULT_DEGREE_CAP, CherednikAlgebra, PBWElement, _unit_exp
 
 RESTRICTED_CAP = 1000   # default largest |W|^3; `cm --cap` overrides it
@@ -458,9 +458,18 @@ class RestrictedCherednikAlgebra(StandardModules):
         dim = group.order ** 3
         if dim > cap:
             raise CapExceeded(f"|W|^3 = {dim} exceeds cap {cap}")
+        # the certificate multiplies terms with |a|, |b| <= N, the reflections
+        need = 2 * len(group.reflections)
+        if algebra.degree_cap < need:
+            raise InvalidInput(
+                f"the algebra's degree cap {algebra.degree_cap} is below "
+                f"2N = {need} for the N = {need // 2} reflections of "
+                f"{group.name}; build_restricted raises the cap to 2N")
         super().__init__(algebra, b_point)
         ity = group.invariant_theory("y")
         self._y_fiber = ity.fiber((ZERO,) * group.n)
+        self._x_nums = _Numerators(self._x_fiber)
+        self._y_nums = _Numerators(self._y_fiber)
         self.y_basis = ity.coinv_monomials()
         self.dim = len(self.x_basis) * group.order * len(self.y_basis)
         self._center_slices = {}      # degree -> RREF rows of Z_d, on demand
@@ -483,15 +492,42 @@ class RestrictedCherednikAlgebra(StandardModules):
 
     def _reduce_terms(self, terms):
         """Image of PBW terms {(a, w, b): coeff} of any degree."""
+        return self._reduce_pairs((key, (c.numerator, c.denominator))
+                                  for key, c in terms.items())
+
+    def _reduce_pairs(self, terms):
+        """Image of PBW terms given as ((a, w, b), (num, den)) items, an int
+        or IntCyc numerator over a positive int den, a key possibly more
+        than once: x^a and y^b are read through the fibers as integer
+        numerators, each output key sums its contributions as a (num, den)
+        pair, as ``CherednikAlgebra.multiply`` does, dropping a key whose
+        sum is 0, and each output coefficient is one canonical Fraction or
+        Cyc at the end."""
+        xnums, ynums = self._x_nums, self._y_nums
         out = {}
-        for (a, w, b), v in terms.items():
-            xred = self._x_fiber[a]
-            yred = self._y_fiber[b]
-            for xm, cx in xred.items():
-                cvx = v * cx
-                for ym, cy in yred.items():
-                    _add_term(out, (xm, w, ym), cvx * cy)
-        return out
+        get = out.get
+        for (a, w, b), (nv, dv) in terms:
+            dx, xs = xnums[a]
+            dy, ys = ynums[b]
+            dv *= dx * dy
+            for xm, nx in xs:
+                nvx = nv * nx
+                for ym, ny in ys:
+                    num, den, key = nvx * ny, dv, (xm, w, ym)
+                    old = get(key)
+                    if old is not None:
+                        onum, oden = old
+                        if oden == den:
+                            num = onum + num
+                        else:
+                            num = onum * den + num * oden
+                            den *= oden
+                        if not num:
+                            del out[key]
+                            continue
+                    out[key] = (num, den)
+        return {key: Fraction(num, den) if type(num) is int else num.over(den)
+                for key, (num, den) in out.items()}
 
     def multiply(self, u, v):
         """The product of two vectors: ``CherednikAlgebra.multiply``, reduced."""
@@ -558,28 +594,32 @@ class RestrictedCherednikAlgebra(StandardModules):
         mult, inverse = group.mult, group._inverse
         a, u, b = m
         kind, k = gen
-        terms = {}
+        terms = []      # ((a, w, b), (numerator, den)), as _reduce_pairs reads
+        put = terms.append
         if kind == "w":
             us, su = mult(u, k), mult(k, u)
             for f, c in algebra._act_y(inverse[k], b).items():
-                _add_term(terms, (a, us, f), c)
+                put(((a, us, f), (c.numerator, c.denominator)))
             for e, c in algebra._act_x(k, a).items():
-                _add_term(terms, (e, su, b), -c)
+                put(((e, su, b), (-c.numerator, c.denominator)))
         elif kind == "x":
             unit = _unit_exp(group.n, k)
             for (e, s, f), t in algebra._yb_xc(b, unit).items():
                 us = mult(u, s)
+                nt, dt = t.numerator, t.denominator
                 for xm, c in algebra._act_x(u, e).items():
-                    _add_term(terms, (tuple(map(add, a, xm)), us, f), t * c)
-            _add_term(terms, (tuple(map(add, a, unit)), u, b), MONE)
+                    put(((tuple(map(add, a, xm)), us, f),
+                         (nt * c.numerator, dt * c.denominator)))
+            put(((tuple(map(add, a, unit)), u, b), (-1, 1)))
         else:
             unit = _unit_exp(group.n, k)
-            _add_term(terms, (a, u, tuple(map(add, b, unit))), ONE)
+            put(((a, u, tuple(map(add, b, unit))), (1, 1)))
             for (e, s), c in algebra._comm_mono(k, a).items():
-                _add_term(terms, (e, mult(s, u), b), -c)
+                put(((e, mult(s, u), b), (-c.numerator, c.denominator)))
             for f, c in algebra._act_y(inverse[u], unit).items():
-                _add_term(terms, (a, u, tuple(map(add, b, f))), -c)
-        return self._reduce_terms(terms)
+                put(((a, u, tuple(map(add, b, f))), (-c.numerator,
+                                                     c.denominator)))
+        return self._reduce_pairs(terms)
 
     # ---- center -------------------------------------------------------------------
     def _slice_kernel(self, d, adjoints):
@@ -738,6 +778,20 @@ class RestrictedCherednikAlgebra(StandardModules):
     def __repr__(self):
         return (f"RestrictedCherednikAlgebra({self.group.name}, dim={self.dim},"
                 f" b={'0' if self.graded else self.b_point})")
+
+
+class _Numerators(dict):
+    """Monomial -> its image in one fiber as (den, ((monomial, integer
+    numerator), ...)) over one positive int den, read once from the fiber."""
+
+    def __init__(self, fiber):
+        super().__init__()
+        self.fiber = fiber
+
+    def __missing__(self, mono):
+        nums, den = _numerators(self.fiber[mono])
+        out = self[mono] = (den, tuple(nums.items()))
+        return out
 
 
 def _combination(pairs):

@@ -702,6 +702,29 @@ def test_parser_help_exists():
     assert parser.prog == "cherednik"
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once per process; flags of one call (--format,
+    # --seed before and after the subcommand) must not leak into the next
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cherednik.__file__)))
+    calls = [["--seed", "2", "--format", "csv", "cm", "--group", "Zm:2",
+              "--c", "generic"],
+             ["group", "--group", "Sn:3:reduced", "--format", "table"],
+             ["cm", "--group", "Zm:2", "--c", "generic", "--seed", "3"],
+             ["cm", "--group", "Zm:2", "--c", "generic"]]
+    outs = []
+    for argv in calls:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        fresh = subprocess.run([sys.executable, "-m", "cherednik.cli", *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert outs[-1] == fresh.stdout, argv
+    assert len(set(outs)) == len(outs)
+    assert build_parser() is build_parser()
+
+
 def test_run_verification_reports_every_suite():
     report = run_verification(seed=1, suites=["bv"])
     assert report["suites"]["bv"]["pass"]

@@ -3,7 +3,7 @@ from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
-from cherednik.cyclotomic import Cyc
+from cherednik.cyclotomic import Cyc, IntCyc
 from cherednik.linalg import (ONE, ZERO, Echelon, _add_term, _axpy, echelon,
                               identity, kernel_basis, mat_vec, rank, rref,
                               solve)
@@ -367,11 +367,8 @@ def test_integer_rows_match_a_fraction_gauss_jordan(system):
         got = ech.rows[p]
         assert got == {j: x for j, x in enumerate(row) if x}
         assert all(type(x) is Fraction for x in got.values())
-        # stored as primitive ints over a positive denominator, which is
-        # the numerator at the pivot
-        nums, den = ech._rows[p], ech._dens[p]
-        assert all(type(x) is int for x in nums.values())
-        assert nums[p] == den > 0 and gcd(*nums.values()) == 1
+        assert all(type(x) is int for x in ech._rows[p].values())
+    _assert_canonical_storage(ech)
     for vec in vecs:
         residual, coeffs = ech.reduce(vec)
         expected = list(vec)
@@ -384,7 +381,20 @@ def test_integer_rows_match_a_fraction_gauss_jordan(system):
                    for x in (*residual.values(), *coeffs.values()))
 
 
-def test_a_cyc_row_after_rational_rows_goes_on_in_the_field():
+def _assert_canonical_storage(ech):
+    """Every stored row is int and IntCyc numerators over a positive int
+    denominator, which is the (int) numerator at the pivot, with integer
+    content 1."""
+    for p, nums in ech._rows.items():
+        den = ech._dens[p]
+        assert type(den) is int and den > 0
+        assert all(type(x) in (int, IntCyc) for x in nums.values())
+        assert type(nums[p]) is int and nums[p] == den
+        assert gcd(*(c for x in nums.values()
+                     for c in ((x,) if type(x) is int else x.num))) == 1
+
+
+def test_a_cyc_row_after_rational_rows_joins_the_integer_rows():
     z = Cyc.zeta(5)
     rows = [[3, F(10 ** 15, 7), 0, 5],
             [F(-2, 3), 1, F(4, 10 ** 12), 0],
@@ -402,3 +412,74 @@ def test_a_cyc_row_after_rational_rows_goes_on_in_the_field():
     assert residual == {3: 7 - kept[0][3] / 2}
     assert all(type(x) in (Fraction, Cyc)
                for x in (*residual.values(), *coeffs.values()))
+    _assert_canonical_storage(ech)
+
+
+def _cyclotomic(draw, n):
+    """0, a small rational, or a Cyc of Q(zeta_n) with up to three terms
+    of exponent below n and small rational coefficients."""
+    kind = draw(st.sampled_from(["zero", "rational", "cyc", "cyc"]))
+    if kind == "zero":
+        return 0
+    if kind == "rational":
+        return F(draw(st.integers(-20, 20)), draw(st.integers(1, 6)))
+    exps = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    return Cyc(n, {e: F(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+                   for e in exps})
+
+
+@st.composite
+def cyclotomic_systems(draw):
+    """(rows, ncols, width, vecs) over Q(zeta_N), N in {3, 4, 5, 8, 12}:
+    rows with Cyc entries mixed with rational rows, dense or sparse, over
+    ncols pivot columns and up to two augmented ones; some rows are
+    combinations of earlier ones with cyclotomic scalars; vecs to reduce,
+    some in the span."""
+    n = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    ncols = draw(st.integers(1, 5))
+    width = ncols + draw(st.integers(0, 2))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["cyc", "rational", "combination"]))
+        if kind == "combination" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = _cyclotomic(draw, n), _cyclotomic(draw, n)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        elif kind == "rational":
+            row = [_rational(draw) for _ in range(width)]
+        else:
+            row = [_cyclotomic(draw, n) for _ in range(width)]
+        rows.append(row)
+    vecs = [[_cyclotomic(draw, n) for _ in range(width)] for _ in range(2)]
+    if rows:
+        s = _cyclotomic(draw, n)
+        vecs.append([s * x for x in draw(st.sampled_from(rows))])
+    sparse = draw(st.booleans())
+    as_given = [{j: x for j, x in enumerate(r) if x} if sparse else r
+                for r in rows]
+    return as_given, ncols, width, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomic_systems())
+def test_integer_rows_over_cyclotomic_fields_match_a_field_gauss_jordan(
+        system):
+    rows, ncols, width, vecs = system
+    ech = echelon(rows, ncols)
+    kept = _sequential_rref(rows, ncols, width)
+    assert ech.pivots() == sorted(kept)
+    for p, row in kept.items():
+        got = ech.rows[p]
+        assert got == {j: x for j, x in enumerate(row) if x}
+        assert all(type(x) in (Fraction, Cyc) for x in got.values())
+    _assert_canonical_storage(ech)
+    for vec in vecs:
+        residual, coeffs = ech.reduce(vec)
+        expected = [x if isinstance(x, Cyc) else F(x) for x in vec]
+        for p, row in kept.items():
+            if vec[p]:
+                expected = [a - vec[p] * b for a, b in zip(expected, row)]
+        assert residual == {j: x for j, x in enumerate(expected) if x}
+        assert coeffs == {p: vec[p] for p in kept if vec[p]}
+        assert all(type(x) in (Fraction, Cyc)
+                   for x in (*residual.values(), *coeffs.values()))

@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 import cherednik
+from cherednik.cyclotomic import Cyc
 from cherednik.errors import (CapExceeded, CherednikError, CompositionMismatch,
                               DimensionMismatch, InvalidInput, TieDetected)
 from cherednik.groups import (build_from_generators, build_group, build_i2,
@@ -492,6 +493,57 @@ def test_direct_adjoint_is_the_product_table_commutator(spec, ctag, seed,
                 F(-1)), (gen, m)
 
 
+def _fiber_sum(R, terms):
+    """The plain reduction of PBW terms: the sum of v * cx * cy over the
+    images cx of x^a and cy of y^b in the two fibers, in field
+    arithmetic."""
+    out = {}
+    for (a, w, b), v in terms.items():
+        for xm, cx in R._x_fiber[a].items():
+            _axpy(out, {(xm, w, ym): cx * cy
+                        for ym, cy in R._y_fiber[b].items()}, v)
+    return out
+
+
+@pytest.mark.parametrize("spec,ctag,point", [
+    ("Zm:3", "generic", None), ("I2:5", "generic", None),
+    ("Sn:3:reduced", "generic", None), ("I2:4", "1", (F(1), F(0))),
+    ("I2:4", "1", (F(1, 2), F(1, 3)))],
+    ids=["Zm:3", "I2:5", "Sn:3:reduced", "I2:4-b=(1,0)", "I2:4-b=(1/2,1/3)"])
+def test_fraction_free_reduction_is_the_plain_fiber_sum(spec, ctag, point):
+    # seeded terms of degree up to two past the coinvariant top, with
+    # Fraction and Cyc coefficients; the output keeps the oracle's order.
+    # Off b = 0 with a fractional point the x images have denominators.
+    g = group(spec)
+    R = build_restricted(g, parameter(spec, ctag, 1), b_point=point)
+    top = sum(d - 1 for d in g.degrees)
+    rng = random.Random(31)
+
+    def scalar():
+        v = F(rng.choice((-7, -2, -1, 1, 3, 5)), rng.choice((1, 2, 3, 10)))
+        if rng.random() < 0.5:
+            return v
+        return Cyc(g.conductor, {rng.randrange(g.conductor): v,
+                                 rng.randrange(g.conductor): F(1, 6)})
+
+    for _ in range(25):
+        terms = {}
+        for _ in range(4):
+            a = tuple(rng.randrange(top + 3) for _ in range(g.n))
+            b = tuple(rng.randrange(top + 3) for _ in range(g.n))
+            terms[(a, rng.randrange(g.order), b)] = scalar()
+        terms = {k: v for k, v in terms.items() if v}
+        got = R._reduce_terms(terms)
+        assert list(got.items()) == list(_fiber_sum(R, terms).items())
+        assert all(type(c) in (Fraction, Cyc) for c in got.values())
+        # a contribution and its negative over another denominator cancel,
+        # and the key is dropped
+        (key, v), = rng.sample(sorted(terms.items(), key=str), 1)
+        assert R._reduce_pairs([(key, (v.numerator, v.denominator)),
+                                (key, (-3 * v.numerator,
+                                       3 * v.denominator))]) == {}
+
+
 @pytest.mark.parametrize("ctag", ["zero", "generic"])
 @pytest.mark.parametrize("make,kept", [
     (lambda: build_from_generators(1, [[[F(-1), F(0)], [F(0), F(1)]],
@@ -755,6 +807,19 @@ def test_degree_cap_covers_every_restricted_vector(spec, ctag, top):
     R = build_restricted(g, parameter(spec, ctag, 1))
     assert R.algebra.degree_cap == 2 * len(g.reflections) >= top
     assert max(sum(a) + sum(b) for z in R.center() for a, _w, b in z) == top
+
+
+def test_a_short_degree_cap_is_refused_up_front():
+    # Zm:8 has N = 7 reflections: the certificate multiplies terms of total
+    # degree 14, past the default cap of 12
+    g = group("Zm:8")
+    par = Parameter.generic(g, 1)
+    with pytest.raises(InvalidInput, match=r"cap 12 .* 2N = 14 .*"
+                                           r"build_restricted"):
+        RestrictedCherednikAlgebra(CherednikAlgebra(g, par))
+    R = RestrictedCherednikAlgebra(CherednikAlgebra(g, par, degree_cap=14))
+    assert R.degree_zero_center() == \
+        build_restricted(g, par).degree_zero_center()
 
 
 @pytest.mark.parametrize("spec,ctag,seed", [
