@@ -113,7 +113,9 @@ class ExteriorElement:
     ints, or Fractions once a rational scalar entered.  Terms beyond the
     truncation degree are dropped by ring operations (the quotient by high
     degrees).  The constructor trusts its keys; ``TruncatedPolyModel.element``
-    and ``function`` check them.
+    and ``function`` check them.  The ring operations and the differentials
+    build canonical terms (tuple keys within the truncation, nonzero
+    coefficients) and store them through ``_of`` as they are.
     """
 
     __slots__ = ("model", "side", "terms")
@@ -130,18 +132,25 @@ class ExteriorElement:
                     t[(tuple(m), tuple(subset))] = c
         self.terms = t
 
+    @classmethod
+    def _of(cls, model, side, terms):
+        """The element over canonical terms, stored without a copy."""
+        out = cls.__new__(cls)
+        out.model, out.side, out.terms = model, side, terms
+        return out
+
     def _check(self, other):
         if self.model is not other.model or self.side != other.side:
             raise SideMismatch("operands live on different sides or models")
 
     def __add__(self, other):
         self._check(other)
-        return ExteriorElement(self.model, self.side,
-                               _axpy(dict(self.terms), other.terms, 1))
+        return ExteriorElement._of(self.model, self.side,
+                                   _axpy(dict(self.terms), other.terms, 1))
 
     def __neg__(self):
-        return ExteriorElement(self.model, self.side,
-                               {k: -c for k, c in self.terms.items()})
+        return ExteriorElement._of(self.model, self.side,
+                                   {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -150,8 +159,9 @@ class ExteriorElement:
         c = Fraction(c)
         if c.denominator == 1:
             c = c.numerator
-        return ExteriorElement(self.model, self.side,
-                               {k: v * c for k, v in self.terms.items()})
+        return ExteriorElement._of(self.model, self.side,
+                                   {k: v * c for k, v in self.terms.items()}
+                                   if c else {})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -168,7 +178,7 @@ class ExteriorElement:
                     continue
                 sign, merged = _merge_sign(s1, s2)
                 _add_term(out, (m, merged), sign * c1 * c2)
-        return ExteriorElement(self.model, self.side, out)
+        return ExteriorElement._of(self.model, self.side, out)
 
     __rmul__ = __mul__
 
@@ -241,7 +251,7 @@ def bv_delta_conormal(model, elt):
             _add_term(out, (m[:i] + (k - 1,) + m[i + 1:],
                             subset[:pos] + subset[pos + 1:]),
                       -k * c if pos % 2 == 0 else k * c)
-    return ExteriorElement(model, CONORMAL, out)
+    return ExteriorElement._of(model, CONORMAL, out)
 
 
 def bv_delta_normal(model, elt):
@@ -259,7 +269,7 @@ def bv_delta_normal(model, elt):
             sign, merged = _merge_sign((l,), subset)
             _add_term(out, (m[:l] + (k - 1,) + m[l + 1:], merged),
                       -sign * k * c)
-    return ExteriorElement(model, NORMAL, out)
+    return ExteriorElement._of(model, NORMAL, out)
 
 
 def bv_delta(model, elt):
@@ -395,7 +405,8 @@ def virtual_homology(model, side):
              for j in range(n + 1) for d in range(D + 1)}
 
     def boundary(key):
-        return bv_delta(model, ExteriorElement(model, side, {key: 1})).terms
+        return bv_delta(model, ExteriorElement._of(model, side,
+                                                   {key: 1})).terms
 
     ker_dim, out_rank = _piece_ranks(basis, boundary)
     # delta lowers exterior degree on the conormal side, raises it on the

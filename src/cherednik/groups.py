@@ -24,7 +24,7 @@ from math import factorial, gcd, lcm
 from .cyclotomic import Cyc
 from .errors import (CapExceeded, CherednikError, FieldExtensionNeeded,
                      InvalidInput, UnsupportedGroup)
-from .linalg import (ONE, ZERO, identity, mat_mul, mat_vec, rank, trace,
+from .linalg import (ONE, ZERO, identity, mat_mul, mat_vec, trace,
                      transpose)
 
 ORDER_CAP = 720     # largest |W| a group builder accepts
@@ -165,13 +165,24 @@ def kron(a, b):
 
 
 def _root(a):
-    """A nonzero column of A - 1 when A - 1 has rank 1, else None."""
+    """A nonzero column of A - 1 when A - 1 has rank 1, else None: its first
+    nonzero column u, when every column is a multiple of u (column j is
+    (col_j[p] / u[p]) u at the first nonzero entry p of u; checked by
+    cross-multiplying)."""
     n = len(a)
-    diff = [[a[r][c] - (ONE if r == c else ZERO) for c in range(n)]
-            for r in range(n)]
-    if rank(diff, n) != 1:
-        return None
-    return next(col for col in zip(*diff) if any(col))
+    u = None
+    for c in range(n):
+        col = [a[r][c] - ONE if r == c else a[r][c] for r in range(n)]
+        if u is not None:
+            s = col[p]
+            for r in range(n):
+                if col[r] * up != s * u[r]:
+                    return None
+        elif any(col):
+            u = col
+            p = next(r for r, v in enumerate(u) if v)
+            up = u[p]
+    return None if u is None else tuple(u)
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +282,9 @@ class ReflectionGroup:
         self._hstar_mats = {}
         self._inv_theory = {}
         self._fake_cache = {}
+        # per-class characters data, filled by invariants.py
+        self._class_dets = {}
+        self._class_polys = None
 
     def _inverse_table(self):
         """inverse[i] for every i: the powers i, i^2, .., i^k = 1 of one

@@ -16,18 +16,16 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, NotFactorizable
-from .linalg import ONE, ZERO, _add_term, _axpy, _interned, echelon, trace
+from .linalg import ONE, ZERO, Echelon, _axpy, _interned, echelon, trace
 from .polys import monomials_of_degree, pconst, pevaluate, pmul, pscale
-from .series import GradedCharacter, generator_degrees, product_of_binomials
+from .series import (GradedCharacter, _divide_by_binomials, _times_binomials,
+                     generator_degrees)
 
 
-def _h_series(group, idx, order):
-    """Coefficients h_k of 1/det(1 - q * A_w|_h) up to the given order.
-
-    The coefficients c_1..c_n of det(1 - q A) come from the first n power
-    traces (Newton: k c_k = -sum_{i<=k} tr(A^i) c_{k-i}); then
-    h_k = -sum_{i<=min(k,n)} c_i h_{k-i}.
-    """
+def _det_coefficients(group, idx):
+    """c_0..c_n of det(1 - q * A_w|_h), from the first n power traces
+    (Newton: k c_k = -sum_{i<=k} tr(A^i) c_{k-i}).  w has finite order, so
+    a rational c_k is an integer and is kept as an int."""
     n = group.n
     traces = []
     j = idx
@@ -40,34 +38,55 @@ def _h_series(group, idx, order):
         for i in range(1, k + 1):
             s = s + traces[i - 1] * c[k - i]
         c.append(-s * Fraction(1, k))
-    h = [ONE]
+    return [v.numerator if isinstance(v, Fraction) and v.denominator == 1
+            else v for v in c]
+
+
+def _class_series(group, ci, order):
+    """h_0..h_order of 1/det(1 - q * A_w|_h) for w in the class ci:
+    h_k = -sum_{i<=min(k,n)} c_i h_{k-i}, on ints where the c_i are.  The
+    c_i are computed once per class and kept on the group; the O(order * n)
+    recurrence runs per read, as a group reads each order once (the Molien
+    series for the degrees, then the class polynomials)."""
+    c = group._class_dets.get(ci)
+    if c is None:
+        c = group._class_dets[ci] = _det_coefficients(
+            group, group.conjugacy_classes[ci][0])
+    n = len(c) - 1
+    h = [1]
     for k in range(1, order + 1):
-        s = ZERO
+        s = 0
         for i in range(1, min(k, n) + 1):
-            s = s + c[i] * h[k - i]
+            s += c[i] * h[k - i]
         h.append(-s)
     return h
 
 
-def molien_series(group, order, weights=None):
-    """(1/|W|) sum_w chi(w) / det(1 - q w|_h), truncated at ``order``.
+def _h_series(group, idx, order):
+    """Coefficients h_k of 1/det(1 - q * A_w|_h) up to the given order, for
+    the element idx (a class function, read through its class)."""
+    return _class_series(group, group.class_of[idx], order)
 
-    ``weights`` maps class index -> scalar weight chi on that class
-    (defaults to the trivial character, giving the invariant Hilbert series).
-    The sum must be rational; an irrational coefficient raises
-    ArithmeticError.
-    """
-    total = {}
-    for ci, cls in enumerate(group.conjugacy_classes):
-        w = ONE if weights is None else weights[ci]
-        if w:
-            for k, h in enumerate(_h_series(group, cls[0], order)):
-                _add_term(total, k, len(cls) * w * h)
-    for k, v in total.items():
-        if not isinstance(v, Fraction):
+
+def _check_rational(coeffs, what):
+    for k, v in enumerate(coeffs):
+        if not isinstance(v, (int, Fraction)):
             raise ArithmeticError(
-                f"Molien series has an irrational coefficient {v} at q^{k}")
-    return GradedCharacter(total, order).scale(Fraction(1, group.order))
+                f"{what} has an irrational coefficient {v} at q^{k}")
+
+
+def molien_series(group, order):
+    """(1/|W|) sum_w 1 / det(1 - q w|_h), the invariant Hilbert series,
+    truncated at ``order``.  The sum must be rational; an irrational
+    coefficient raises ArithmeticError."""
+    total = [0] * (order + 1)
+    for ci, cls in enumerate(group.conjugacy_classes):
+        h = _class_series(group, ci, order)
+        for k in range(order + 1):
+            total[k] += len(cls) * h[k]
+    _check_rational(total, "Molien series")
+    return GradedCharacter({k: Fraction(v, group.order)
+                            for k, v in enumerate(total)}, order)
 
 
 def molien_degrees(group):
@@ -86,19 +105,42 @@ def molien_degrees(group):
     return tuple(degrees)
 
 
+def _class_polynomials(group):
+    """Per class C, P_C = prod_i (1 - q^{d_i}) / det(1 - q w_C|_h) cut at
+    q^N, N = sum_i (d_i - 1): computed once per group."""
+    polys = group._class_polys
+    if polys is None:
+        degrees = group.degrees
+        top = sum(d - 1 for d in degrees)
+        polys = group._class_polys = [
+            _times_binomials(_class_series(group, ci, top), degrees)
+            for ci in range(len(group.conjugacy_classes))]
+    return polys
+
+
 def fake_polynomial(group, rep):
-    """Graded multiplicity of rep in the coinvariant ring, as a polynomial."""
-    degrees = group.degrees
-    topdeg = sum(d - 1 for d in degrees)
-    weights = [rep.char(r) for r in group.class_representatives]
-    # the fake polynomial has degree at most topdeg, so the product
-    # truncated there is exact
-    f = GradedCharacter((molien_series(group, topdeg, weights)
-                         * product_of_binomials(degrees)).coeffs)
-    for e, v in sorted(f.coeffs.items()):
+    """Graded multiplicity of rep in the coinvariant ring, as a polynomial:
+    (1/|W|) sum_C |C| chi(C) P_C.  The graded multiplicity is the weighted
+    Molien series times prod_i (1 - q^{d_i}), a polynomial of degree at
+    most N, and cutting at q^N is linear, so the sum is exact."""
+    polys = _class_polynomials(group)
+    total = [0] * len(polys[0])
+    for cls, p in zip(group.conjugacy_classes, polys):
+        w = len(cls) * rep.char(cls[0])
+        if isinstance(w, Fraction) and w.denominator == 1:
+            w = w.numerator
+        if w:
+            for k, v in enumerate(p):
+                total[k] += w * v
+    _check_rational(total, "fake polynomial")
+    f = {}
+    for k, v in enumerate(total):
+        v = Fraction(v, group.order)
         if v.denominator != 1 or v < 0:
             raise ArithmeticError(
-                f"fake polynomial has a bad coefficient {v} at q^{e}")
+                f"fake polynomial has a bad coefficient {v} at q^{k}")
+        f[k] = v
+    f = GradedCharacter(f)
     if f.value_at_one() != rep.dim:
         raise ArithmeticError("fake polynomial does not sum to dim(rep)")
     return f
@@ -226,19 +268,37 @@ class InvariantTheory:
             monos = monomials_of_degree(self.n, d)
             index = {m: i for i, m in enumerate(monos)}
             size = len(monos)
-            rows, fib = [], self.fiber(values)
-            for k, m, row in self._products(self.fundamental_invariants, d,
-                                            index):
+            # latest leading column first: each new pivot then has little
+            # to clear from the rows already in (the RREF is the same)
+            products = sorted(self._products(self.fundamental_invariants, d,
+                                             index),
+                              key=lambda t: min(t[2]), reverse=True)
+            counts = self._coinvariant_counts
+            want = size - (counts[d] if d < len(counts) else 0)
+            ech, fib = Echelon(size), self.fiber(values)
+            for k, m, row in products:
+                # the ideal has codimension counts[d]: once its pivots are
+                # all in, every further row reduces to 0, as the system is
+                # consistent
+                if len(ech) == want:
+                    break
                 if values[k]:
                     position = self._coinv_columns[1]
                     for mm, c in fib[m].items():
                         row[size + position[mm]] = -values[k] * c
-                rows.append(row)
-            # latest leading column first: each new pivot then has little
-            # to clear from the rows already in (the RREF is the same)
-            rows.sort(key=min, reverse=True)
-            out = self._ideals[key] = (echelon(rows, size), monos, index)
+                ech.add(row)
+            out = self._ideals[key] = (ech, monos, index)
         return out
+
+    @cached_property
+    def _coinvariant_counts(self):
+        """dim of each degree of the coinvariant ring: the coefficients of
+        prod_i (1 + q + .. + q^{d_i - 1}) = prod_i (1 - q^{d_i}) / (1 - q)^n,
+        a polynomial of degree N = sum_i (d_i - 1)."""
+        degrees = self.group.degrees
+        top = sum(d - 1 for d in degrees)
+        return _divide_by_binomials(
+            _times_binomials([1] + [0] * top, degrees), [1] * self.n)
 
     # ---- coinvariant monomial basis --------------------------------------------
     @cached_property

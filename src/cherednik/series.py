@@ -5,6 +5,11 @@ A GradedCharacter with ``truncation=None`` is an exact Laurent polynomial;
 otherwise its coefficients are trusted only for exponents <= truncation, and
 every comparison says so.  A character bigraded by t is the list of its
 t-slices, slice k the coefficient of t^k; ``payload`` is the one wire form.
+
+The products and quotients by 1 - q^d that the character formulas need run
+on integer coefficient lists, q^0 .. q^T: dividing is the running sum
+``_divide_by_binomials`` and multiplying the running difference
+``_times_binomials``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
-from .linalg import MONE, ONE, _add_term, _axpy
+from .linalg import ONE, _add_term, _axpy
 
 DEFAULT_TRUNCATION = 24
 
@@ -26,7 +31,8 @@ class GradedCharacter:
         cs = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = Fraction(v)
+                if not isinstance(v, Fraction):
+                    v = Fraction(v)
                 if v and (truncation is None or e <= truncation):
                     cs[int(e)] = v
         self.coeffs = cs
@@ -201,39 +207,64 @@ def payload(slices):
     return {"truncation": min(ts) if ts else "exact", "terms": terms}
 
 
-def product_of_geometric(degrees, truncation):
-    """Series of prod_i 1/(1-q^{d_i}): dividing by 1 - q^d is the running
-    sum c[e] += c[e - d], on integers."""
-    coeffs = [1] + [0] * truncation
+def _divide_by_binomials(coeffs, degrees):
+    """The series coeffs (q^0 .. q^T, in place) divided by each 1 - q^d: the
+    running sum c[e] += c[e - d]; returns coeffs."""
+    top = len(coeffs)
     for d in degrees:
         if d <= 0:
             raise ValueError("geometric factor needs d > 0")
-        for e in range(d, truncation + 1):
+        for e in range(d, top):
             coeffs[e] += coeffs[e - d]
-    return GradedCharacter(dict(enumerate(coeffs)), truncation)
+    return coeffs
+
+
+def _times_binomials(coeffs, es):
+    """The series coeffs (q^0 .. q^T, in place) times each 1 - q^e, cut at
+    q^T: the running difference c[k] -= c[k - e], from the top down;
+    returns coeffs."""
+    for e in es:
+        for k in range(len(coeffs) - 1, e - 1, -1):
+            coeffs[k] -= coeffs[k - e]
+    return coeffs
+
+
+def product_of_geometric(degrees, truncation):
+    """Series of prod_i 1/(1-q^{d_i}), on integers."""
+    return GradedCharacter(dict(enumerate(
+        _divide_by_binomials([1] + [0] * truncation, degrees))), truncation)
 
 
 def product_of_binomials(es):
     """The exact polynomial prod_i (1 - q^{e_i})."""
-    out = GradedCharacter.one()
-    for e in es:
-        out = out * GradedCharacter({0: ONE, e: MONE})
-    return out
+    return GradedCharacter(dict(enumerate(
+        _times_binomials([1] + [0] * sum(es), es))))
 
 
 def generator_degrees(series, n):
     """Sorted e_1 <= ... <= e_n with series = prod_i 1/(1 - q^{e_i}) up to
     its truncation, or None.  Each step peels the lowest nonconstant
     exponent, whose coefficient must be a positive integer; after n peels
-    the remainder must be exactly 1."""
+    the remainder must be exactly 1.  Such a product has integer
+    coefficients from q^0 on, and so has its remainder after any peel, so
+    the peel runs on integers and any other series is refused up front."""
+    t = series.truncation
+    if t is None:
+        # a polynomial times n >= 1 binomials is never 1
+        return [] if n == 0 and series.coeffs == {0: ONE} else None
+    c = [0] * (t + 1)
+    for e, v in series.coeffs.items():
+        if e < 0 or v.denominator != 1:
+            return None
+        c[e] = v.numerator
     exponents = []
     for _ in range(n):
-        e = min((k for k in series.coeffs if k >= 1), default=None)
-        if e is None or series[e].denominator != 1 or series[e] < 1:
+        e = next((k for k in range(1, t + 1) if c[k]), None)
+        if e is None or c[e] < 1:
             return None
         exponents.append(e)
-        series = series * product_of_binomials([e])
-    if series.coeffs != {0: ONE}:
+        _times_binomials(c, (e,))
+    if c[0] != 1 or any(c[1:]):
         return None
     return sorted(exponents)
 

@@ -12,11 +12,35 @@ note.
 from __future__ import annotations
 
 from .errors import InvalidInput, MissingEis, NegativeExponentPresent
-from .series import (DEFAULT_TRUNCATION, generator_degrees,
-                     product_of_binomials, product_of_geometric)
+from .series import (DEFAULT_TRUNCATION, GradedCharacter, _divide_by_binomials,
+                     generator_degrees, product_of_binomials,
+                     product_of_geometric)
 
 ORIENTATION_NOTE = ("e_i are generator degrees of the endomorphism ring: "
                     "prod 1/(1-q^e_i) reconstructs its graded character")
+
+
+def _endo_coefficients(group, rep, truncation):
+    """Integer coefficients of q^0 .. q^truncation of End(Delta(rep)): those
+    of the fake polynomial shifted down by its lowest exponent b, then
+    divided by each 1 - q^{d_i} with running sums.  NegativeExponentPresent unless the
+    series is N-graded with constant term 1."""
+    if truncation < 0:
+        raise InvalidInput(f"truncation must be at least 0, got {truncation}")
+    f = group.fake_polynomial(group.dual_of(rep))
+    b = f.min_exponent()
+    coeffs = [0] * (truncation + 1)
+    for e, v in f.coeffs.items():
+        if e < b:
+            raise NegativeExponentPresent(
+                f"character of End(Delta({rep.label!r})) has negative "
+                "exponents; the representation is not distinguished")
+        if e - b <= truncation:
+            coeffs[e - b] = v.numerator
+    if coeffs[0] != 1:
+        raise NegativeExponentPresent(
+            f"character of End(Delta({rep.label!r})) does not start at 1")
+    return _divide_by_binomials(coeffs, group.degrees)
 
 
 def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
@@ -27,19 +51,8 @@ def endo_character(group, rep, truncation=DEFAULT_TRUNCATION):
     be an N-graded series with constant term 1; otherwise the input was not
     a distinguished representative and NegativeExponentPresent is raised.
     """
-    if truncation < 0:
-        raise InvalidInput(f"truncation must be at least 0, got {truncation}")
-    f = group.fake_polynomial(group.dual_of(rep))
-    ch = f.shift(-f.min_exponent()).truncate(truncation) * \
-        product_of_geometric(group.degrees, truncation)
-    if any(e < 0 for e in ch.coeffs):
-        raise NegativeExponentPresent(
-            f"character of End(Delta({rep.label!r})) has negative exponents; "
-            "the representation is not distinguished")
-    if ch[0] != 1:
-        raise NegativeExponentPresent(
-            f"character of End(Delta({rep.label!r})) does not start at 1")
-    return ch
+    return GradedCharacter(dict(enumerate(
+        _endo_coefficients(group, rep, truncation))), truncation)
 
 
 def undistinguished_note(group, param, rep):
@@ -152,15 +165,26 @@ def solve_eis(group, rep, truncation=DEFAULT_TRUNCATION):
 def _exterior_slices(group, rep, eis, sign, truncation):
     """t-slices of End(Delta(rep)) * prod_i (1 + t q^{sign * e_i}), each to
     the truncation order.  End is taken sum e_i further, so that the slices
-    shifted down by q^{-e_i} still reach it."""
+    shifted down by q^{-e_i} still reach it.  Slice k is an integer list
+    over the exponents low .. truncation + sum e_i, and each factor adds
+    slice k - 1, shifted by sign * e_i, to slice k."""
     if eis is None or not eis.is_solution():
         raise MissingEis("no generator-degree factorization available")
-    slices = [endo_character(group, rep, truncation + sum(eis.exponents))]
+    reach = sum(eis.exponents)
+    low = -reach if sign < 0 else 0
+    endo = _endo_coefficients(group, rep, truncation + reach)
+    size = len(endo) - low
+    slices = [[0] * -low + endo]
     for e in eis.exponents:
-        shifted = [s.shift(sign * e) for s in slices]
-        slices = ([slices[0]] + [a + b for a, b in zip(slices[1:], shifted)]
-                  + [shifted[-1]])
-    return [s.truncate(truncation) for s in slices]
+        shift = sign * e
+        slices.append([0] * size)
+        for k in range(len(slices) - 1, 0, -1):
+            dst, src = slices[k], slices[k - 1]
+            for i in range(max(0, shift), min(size, size + shift)):
+                dst[i] += src[i - shift]
+    top = truncation - low + 1
+    return [GradedCharacter({i + low: v for i, v in enumerate(s[:top]) if v},
+                            truncation) for s in slices]
 
 
 def tor_character(group, rep, eis, truncation=DEFAULT_TRUNCATION):

@@ -362,3 +362,22 @@ def test_sorted_terms_still_cancel():
     assert not dy1 * dy1
     assert m.element(CONORMAL, {((1, 0), (0, 1)): F(1, 2)}) == \
         (x1 * dy1 * dy2).scale(F(1, 2))
+
+
+def test_ring_operations_store_canonical_terms():
+    # results are stored as built, so each must already be what the
+    # constructor would keep: tuple keys within the truncation, no zeros
+    m = TruncatedPolyModel(3, 6)
+    rng = random.Random(7)
+    for i in range(30):
+        side = CONORMAL if i % 2 == 0 else NORMAL
+        a, b = (m.random_element(side, rng, max_poly_degree=4)
+                for _ in range(2))
+        for elt in (a + b, a - b, -a, a.scale(3), a.scale(F(1, 2)),
+                    a.scale(0), a * b, bv_delta(m, a), bv_delta(m, a * b),
+                    a - a):
+            assert ExteriorElement(m, side, elt.terms).terms == elt.terms
+            assert all(type(k) is tuple and type(e) is tuple
+                       and type(s) is tuple and sum(e) <= m.trunc and c
+                       for k, c in elt.terms.items() for e, s in (k,))
+    assert not a.scale(0).terms and not (a - a).terms

@@ -6,7 +6,7 @@ import pytest
 from cherednik.cyclotomic import Cyc
 from cherednik.errors import (CapExceeded, FieldExtensionNeeded, InvalidInput,
                               NotFactorizable, UnsupportedGroup)
-from cherednik.groups import (build_from_generators, build_i2, build_sn,
+from cherednik.groups import (_root, build_from_generators, build_i2, build_sn,
                               build_zm)
 from cherednik.linalg import ONE, ZERO, mat_mul, rank
 from cherednik.parabolic import make_context, reduced_endo_character
@@ -120,6 +120,48 @@ def test_degrees_not_factorizable():
     with pytest.raises(NotFactorizable):
         g.degrees
 
+
+
+def _rank_root(a):
+    """A nonzero column of A - 1 when A - 1 has rank 1, else None, read off
+    the rank of the whole difference matrix."""
+    n = len(a)
+    diff = [[a[r][c] - (ONE if r == c else ZERO) for c in range(n)]
+            for r in range(n)]
+    if rank(diff, n) != 1:
+        return None
+    return next(col for col in zip(*diff) if any(col))
+
+
+def _g42():
+    # G(4, 1, 2): reflections of order 2 and 4, roots over Q(zeta_4)
+    swap = [[ZERO, ONE], [ONE, ZERO]]
+    turn = [[Cyc.zeta(4), ZERO], [ZERO, ONE]]
+    return build_from_generators(4, [swap, turn], name="G(4,1,2)")
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda m=m: build_zm(m) for m in range(2, 9)),
+    *(lambda n=n, r=r: build_sn(n, r) for n in range(2, 6)
+      for r in ("permutation", "reduced")),
+    *(lambda m=m: build_i2(m) for m in range(3, 9)),
+    _quaternion_group, _g42,
+], ids=[*(f"Zm:{m}" for m in range(2, 9)),
+        *(f"Sn:{n}:{r}" for n in range(2, 6)
+          for r in ("permutation", "reduced")),
+        *(f"I2:{m}" for m in range(3, 9)), "quat8", "G(4,1,2)"])
+def test_root_agrees_with_the_rank_of_the_difference(make):
+    g = make()
+    found = 0
+    for i in range(g.order):
+        for a in (g.matrix(i), g.hstar_matrix(i)):
+            root, oracle = _root(a), _rank_root(a)
+            assert root == oracle, (g.name, i)
+            assert root is None or (type(root) is tuple and list(
+                map(type, root)) == list(map(type, oracle)))
+            found += root is not None
+    # each reflection gives a root and a coroot
+    assert found == 2 * len(g.reflections)
 
 # ---- irreducibles --------------------------------------------------------------
 

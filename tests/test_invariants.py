@@ -13,12 +13,13 @@ from cherednik.cli import _load_group, main
 from cherednik.cyclotomic import Cyc
 from cherednik.errors import DimensionMismatch, NotFactorizable
 from cherednik.groups import build_from_generators
-from cherednik.invariants import InvariantTheory, _h_series, molien_series
-from cherednik.linalg import trace
+from cherednik.invariants import (InvariantTheory, _h_series, fake_polynomial,
+                                  molien_series)
+from cherednik.linalg import Echelon, _add_term, echelon, trace
 from cherednik.pbw import CherednikAlgebra
 from cherednik.polys import monomials_of_degree, pconst, pmul
 from cherednik.series import (GradedCharacter, generator_degrees,
-                              product_of_geometric)
+                              product_of_binomials, product_of_geometric)
 
 from conftest import group, parameter
 
@@ -285,7 +286,108 @@ def test_molien_series_is_a_truncated_character_with_rational_coefficients():
     g = group("Zm:3")
     hilbert = molien_series(g, 7)
     assert hilbert == GradedCharacter({0: F(1), 3: F(1), 6: F(1)}, 7)
-    # a weight that is not a class function of a character: the sum is not
-    # rational
+    # a weight that is not a class function of a character: the weighted
+    # sum of the fake polynomial is not rational
     with pytest.raises(ArithmeticError, match="irrational"):
-        molien_series(g, 4, [F(0), Cyc.zeta(3), F(0)])
+        fake_polynomial(g, _Weights(g, [F(0), Cyc.zeta(3), F(0)]))
+
+
+# ---- fake polynomials from per-class polynomials, fibers by codimension ------------
+
+GRID = ([f"Zm:{m}" for m in range(2, 9)]
+        + [f"Sn:{n}:{r}" for n in range(2, 6)
+           for r in ("permutation", "reduced")]
+        + [f"I2:{m}" for m in range(3, 9)])
+
+
+class _Weights:
+    """A stand-in irreducible: the given weight on each class, dim 1."""
+
+    dim = 1
+
+    def __init__(self, group, weights):
+        self._weights = dict(zip(group.class_representatives, weights))
+
+    def char(self, idx):
+        return self._weights[idx]
+
+
+def _weighted_molien_fake_polynomial(g, rep):
+    """The route of a fake polynomial that reads no class polynomial: the
+    Molien series weighted by the character, from Newton's identities, to
+    q^N, times prod_i (1 - q^{d_i}) and cut at q^N."""
+    top = sum(d - 1 for d in g.degrees)
+    total = {}
+    for cls in g.conjugacy_classes:
+        w = rep.char(cls[0])
+        for k, h in enumerate(_newton_h_series(g, cls[0], top)):
+            _add_term(total, k, len(cls) * w * h)
+    assert all(isinstance(v, F) for v in total.values())
+    molien = GradedCharacter(total, top).scale(F(1, g.order))
+    return GradedCharacter((molien * product_of_binomials(g.degrees)).coeffs)
+
+
+@pytest.mark.parametrize("spec", GRID)
+def test_fake_polynomial_is_the_weighted_molien_route(spec):
+    g = group(spec)
+    for rep in g.irreps:
+        f = fake_polynomial(g, rep)
+        assert f == _weighted_molien_fake_polynomial(g, rep), rep.label
+        assert f.truncation is None and f.value_at_one() == rep.dim
+    # the class polynomials reach q^N and no further
+    top = sum(d - 1 for d in g.degrees)
+    assert all(len(p) == top + 1 for p in g._class_polys)
+
+
+@pytest.mark.parametrize("spec", GRID)
+def test_molien_series_is_the_newton_class_sum(spec):
+    from cherednik.groups import build_group
+    g = build_group(spec)
+    order = g.order + 1
+    total = {}
+    for cls in g.conjugacy_classes:
+        for k, h in enumerate(_newton_h_series(g, cls[0], order)):
+            _add_term(total, k, len(cls) * h)
+    expected = GradedCharacter(total, order).scale(F(1, g.order))
+    assert molien_series(g, order) == expected
+    # a shorter read runs the same recurrence on the kept det(1 - q w)
+    assert molien_series(g, 2) == expected.truncate(2)
+    assert sorted(g._class_dets) == list(range(len(g.conjugacy_classes)))
+    assert all(len(c) == g.n + 1 for c in g._class_dets.values())
+
+
+def _full_ideal(it, d, values):
+    """The echelon of every product row f_i * m of degree d, augmented by
+    -v_i times the image of m: the build that never stops early."""
+    monos = monomials_of_degree(it.n, d)
+    index = {m: i for i, m in enumerate(monos)}
+    size = len(monos)
+    rows, fib = [], it.fiber(values)
+    for k, m, row in it._products(it.fundamental_invariants, d, index):
+        if values[k]:
+            position = it._coinv_columns[1]
+            for mm, c in fib[m].items():
+                row[size + position[mm]] = -values[k] * c
+        rows.append(row)
+    rows.sort(key=min, reverse=True)
+    return echelon(rows, size)
+
+
+@pytest.mark.parametrize("point", [None, (F(1), F(2), F(-1, 3))],
+                         ids=["b=0", "b!=0"])
+def test_ideal_stopped_at_the_codimension_equals_the_full_build(point):
+    g = group("Sn:4:reduced")
+    it = InvariantTheory(g, "x")
+    values = ((F(0),) * g.n if point is None
+              else it.invariant_values_at(point))
+    if point is not None:
+        assert all(values)
+    top = sum(d - 1 for d in g.degrees)
+    assert it._coinvariant_counts == [1, 3, 5, 6, 5, 3, 1]
+    for d in range(top + 3):
+        ech, monos, _index = it._ideal(d, values)
+        full = _full_ideal(it, d, values)
+        assert isinstance(ech, Echelon)
+        assert dict(ech.rows) == dict(full.rows), d
+        assert len(monos) - len(ech) == (it._coinvariant_counts[d]
+                                         if d <= top else 0)

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.errors import InvalidInput, MissingEis
-from cherednik.series import (GradedCharacter, payload,
+from cherednik.errors import InvalidInput, MissingEis, NegativeExponentPresent
+from cherednik.series import (GradedCharacter, generator_degrees, payload,
                               product_of_geometric)
 from cherednik.verma import (EisFactorization, dual_verma_pairing_expected,
                              endo_character, ext_character, hook_identity_check,
@@ -301,3 +301,85 @@ def test_dual_verma_pairing_expected():
                                               "ext": [(2, 1)]}
     assert dual_verma_pairing_expected(0) == {"tor": [(0, 1)],
                                               "ext": [(0, 1)]}
+
+
+# ---- running sums against GradedCharacter products ---------------------------------
+
+GRID = ([f"Zm:{m}" for m in range(2, 9)]
+        + [f"Sn:{n}:{r}" for n in range(2, 6)
+           for r in ("permutation", "reduced")]
+        + [f"I2:{m}" for m in range(3, 9)])
+
+
+def _product_endo(g, rep, t):
+    """q^{-b} f(q) prod_i 1/(1 - q^{d_i}) as a product of GradedCharacters,
+    or None where it does not start at 1."""
+    f = g.fake_polynomial(g.dual_of(rep))
+    ch = f.shift(-f.min_exponent()).truncate(t)
+    for d in g.degrees:
+        ch = ch * GradedCharacter.geometric(d, t)
+    return ch if ch[0] == 1 else None
+
+
+def _product_slices(g, rep, eis, sign, t):
+    """The t-slices of End * prod_i (1 + t q^{sign e_i}), by shifting and
+    adding GradedCharacters."""
+    slices = [_product_endo(g, rep, t + sum(eis.exponents))]
+    for e in eis.exponents:
+        shifted = [s.shift(sign * e) for s in slices]
+        slices = ([slices[0]] + [a + b for a, b in zip(slices[1:], shifted)]
+                  + [shifted[-1]])
+    return [s.truncate(t) for s in slices]
+
+
+def _product_peel(series, n):
+    """Peel n factors 1/(1 - q^e), multiplying by each 1 - q^e."""
+    exponents = []
+    for _ in range(n):
+        e = min((k for k in series.coeffs if k >= 1), default=None)
+        if e is None or series[e].denominator != 1 or series[e] < 1:
+            return None
+        exponents.append(e)
+        series = series * GradedCharacter({0: F(1), e: F(-1)})
+    return sorted(exponents) if series.coeffs == {0: F(1)} else None
+
+
+@pytest.mark.parametrize("spec", GRID)
+def test_running_sums_equal_graded_character_products(spec):
+    g = group(spec)
+    for rep in g.irreps:
+        eis = solve_eis(g, rep, T)
+        for t in (0, 1, 12, 24):
+            expected = _product_endo(g, rep, t)
+            if expected is None:
+                with pytest.raises(NegativeExponentPresent):
+                    endo_character(g, rep, t)
+                continue
+            ch = endo_character(g, rep, t)
+            assert ch == expected, (rep.label, t)
+            for n in (g.n - 1, g.n, g.n + 1):
+                assert generator_degrees(ch, n) == _product_peel(ch, n)
+            if not eis.is_solution():
+                continue
+            for character, sign in ((tor_character, -1), (ext_character, 1)):
+                assert character(g, rep, eis, t) == \
+                    _product_slices(g, rep, eis, sign, t), (rep.label, t)
+    wide = g.order + 1
+    molien = GradedCharacter({0: F(1)}, wide)
+    for d in g.degrees:
+        molien = molien * GradedCharacter.geometric(d, wide)
+    assert generator_degrees(molien, g.n) == _product_peel(molien, g.n) \
+        == sorted(g.degrees)
+
+
+def test_a_series_that_does_not_start_at_one_is_refused():
+    # a fake polynomial 2q + q^2 of the dual: End(Delta) would start at 2
+    from cherednik.groups import build_group
+    g = build_group("Sn:3:permutation")
+    rep = g.irrep((2, 1))
+    g._fake_cache[g.dual_of(rep).label] = GradedCharacter({1: 2, 2: 1})
+    for t in (0, 24):
+        with pytest.raises(NegativeExponentPresent, match="does not start"):
+            endo_character(g, rep, t)
+        with pytest.raises(NegativeExponentPresent, match="does not start"):
+            tor_character(g, rep, EisFactorization((1, 1, 3)), t)
