@@ -3,10 +3,10 @@ quotient as an explicit |W|^3-dimensional algebra on top of them.
 
 ``StandardModules`` builds Delta_b(lambda) = (x-coinvariants at a fiber point
 b of h/W, default 0) (x) lambda from the x side alone, with no cap.  Heads
-come from the grading (off the graded fiber, from the acting image), End and
-e L dimensions from group-algebra elements acting on modules, and at b = 0
-the blocks are the linkage classes of the graded decomposition numbers
-[Delta(lambda) : L(mu)[k]], peeled from W-characters alone.
+come from the grading (off the graded fiber, from the acting image).  One
+W-character route, traces of class representatives and the character inner
+product, gives End and e L dimensions and, at b = 0, the blocks: the linkage
+classes of the graded decomposition numbers [Delta(lambda) : L(mu)[k]].
 
 ``RestrictedCherednikAlgebra`` adds the algebra, under a cap on |W|^3: its
 vectors are PBW terms x^a w y^b with x^a and y^b coinvariant monomials,
@@ -339,8 +339,8 @@ class StandardModules:
 
     def endomorphism_dimension(self, mod):
         """dim Hom(Delta(rep), M) = multiplicity of rep in M^{y=0}
-        (Frobenius reciprocity): the rank of the isotypic idempotent
-        (dim rep / |W|) sum_w chi(w^-1) w on M^{y=0}, over dim rep.  That
+        (Frobenius reciprocity), by class traces: on the RREF rows v of that
+        W-stable space, tr(w) sums the coordinate of w v at v's pivot.  That
         is dim End(M) for the only modules the library builds, Delta_b(rep)
         at any fiber and its head: the head is semisimple, so every map from
         Delta_b(rep) to it factors through it."""
@@ -348,13 +348,14 @@ class StandardModules:
         if rep is None:
             raise CherednikError(f"module {mod.label!r} has no irreducible "
                                  "to count endomorphisms through")
-        group = self.group
-        scale = Fraction(rep.dim, group.order)
-        zero = (0,) * group.n
-        proj = {(zero, w, zero): c for w in range(group.order)
-                if (c := scale * rep.char(group.inv(w)))}
-        return rank([mod.apply(proj, v) for v in self.singular_vectors(mod)],
-                    mod.dim) // rep.dim
+        rows = [(next(iter(v)), v) for v in self.singular_vectors(mod)]
+        chi = []
+        for w in self.group.class_representatives:
+            cols = mod._columns(("w", w))
+            chi.append(sum((c * cols[k][p] for p, v in rows
+                            for k, c in v.items() if p in cols[k]), ZERO))
+        return dict(self._factors(
+            chi, f"the singular vectors of {mod.label!r}")).get(rep, 0)
 
     def simple_module(self, rep):
         if rep.label not in self._head_cache:
@@ -366,19 +367,20 @@ class StandardModules:
         return self._head_cache[rep.label]
 
     def dim_e_simple(self, rep):
-        """Rank of the averaging idempotent on the simple head L(rep)."""
-        head = self.simple_module(rep)
-        return rank(head.act_columns(self.algebra.symmetrizer().terms),
-                    head.dim)
+        """dim e L(rep): the multiplicity of the trivial irreducible in L."""
+        chi = [sum(t, ZERO) for t in zip(
+            *self._graded_character(self.simple_module(rep)).values())]
+        return dict(self._factors(chi, f"L({rep.label!r})")).get(
+            self.group.trivial_irrep(), 0)
 
     # ---- linkage ------------------------------------------------------------------
     def _graded_character(self, mod):
-        """Trace of each class representative on each degree of a graded
-        module: {degree: [trace per class]}."""
+        """Trace of each class representative on each degree of a module:
+        {degree: [trace per class]}, all in degree 0 if it has no grading."""
         mats = [mod._columns(("w", w))
                 for w in self.group.class_representatives]
         out = {}
-        for k, d in enumerate(mod.weights):
+        for k, d in enumerate(mod.weights or [0] * mod.dim):
             row = out.setdefault(d, [ZERO] * len(mats))
             for c, mat in enumerate(mats):
                 row[c] += mat[k].get(k, ZERO)
@@ -395,6 +397,16 @@ class StandardModules:
                 out.append((rep, m))
         return out
 
+    def _factors(self, chi, where):
+        """``_decompose(chi)``, chi the character of ``where``, each
+        multiplicity as an int; a CompositionMismatch if one is no such int."""
+        for mu, m in self._decompose(chi):
+            if not (isinstance(m, Fraction) and m.denominator == 1 and m > 0):
+                raise CompositionMismatch(
+                    f"multiplicity {m} of {mu.label!r} in {where} is not a "
+                    "non-negative integer")
+            yield mu, m.numerator
+
     def _composition_factors(self, rep, heads):
         """[Delta(rep) : L(mu)[k]] as {(mu label, k): multiplicity}.
 
@@ -409,13 +421,8 @@ class StandardModules:
         top = max(left)
         factors = {}
         for k in sorted(left):
-            for mu, m in self._decompose(left[k]):
-                if not (isinstance(m, Fraction) and m.denominator == 1
-                        and m > 0):
-                    raise CompositionMismatch(
-                        f"multiplicity {m} of L({mu.label!r})[{k}] in the "
-                        f"baby Verma {rep.label!r} is not a non-negative "
-                        "integer")
+            for mu, m in self._factors(left[k], f"degree {k} of the baby "
+                                       f"Verma {rep.label!r}"):
                 for d, chi in heads[mu.label].items():
                     if d + k > top:
                         raise CompositionMismatch(
@@ -579,6 +586,16 @@ class RestrictedCherednikAlgebra(StandardModules):
                 + [(("x", i), step) for i in self._orbit_spanning("x")]
                 + [(("y", j), -step) for j in self._orbit_spanning("y")])
 
+    @cached_property
+    def _certificate_generators(self):
+        """(name, vector) of the W generators and of the x_i, y_j of
+        ``_adjoint_generators``, read off ``generators``."""
+        vecs = [vec for vec, _deg in self.generators]
+        xy = dict(zip(product(range(self.group.n), "xy"), vecs))
+        return list(zip(self.group.generators, vecs[len(xy):])) + [
+            (f"{side}{i + 1}", xy[i, side])
+            for (side, i), _deg in self._adjoint_generators if side != "w"]
+
     def _adjoint(self, gen, m):
         """m g - g m, the key m = (a, u, b), x^a u y^b, times a generator
         ("w", s), ("x", i) or ("y", j) on either side, formed from the key:
@@ -642,13 +659,7 @@ class RestrictedCherednikAlgebra(StandardModules):
             rows = self._slice_kernel(d, [
                 (partial(self._adjoint, gen), gdeg)
                 for gen, gdeg in self._adjoint_generators])
-            n, gens = self.group.n, self.generators
-            named = [(s, gens[2 * n + k][0])
-                     for k, s in enumerate(self.group.generators)]
-            named += [(f"{side}{i + 1}", gens[2 * i + t][0])
-                      for t, side in enumerate("xy")
-                      for i in self._orbit_spanning(side)]
-            for z, (name, g) in product(rows, named):
+            for z, (name, g) in product(rows, self._certificate_generators):
                 if self.multiply(z, g) != self.multiply(g, z):
                     raise CherednikError(f"a vector of Z_{d} does not commute "
                                          f"with the generator {name}")

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -9,7 +10,8 @@ import pytest
 import cherednik
 from cherednik.cyclotomic import Cyc
 from cherednik.errors import (CapExceeded, CherednikError, CompositionMismatch,
-                              DimensionMismatch, InvalidInput, TieDetected)
+                              DimensionMismatch, InvalidInput, NotSimpleHead,
+                              TieDetected)
 from cherednik.groups import (build_from_generators, build_group, build_i2,
                               build_sn, build_zm)
 from cherednik.linalg import (ZERO, _add_term, _axpy, kernel_basis, mat_mul,
@@ -288,6 +290,76 @@ def test_dim_e_simple_z2_zero():
 def test_dim_e_simple_trivial_group():
     R = restricted("Zm:1", "zero")
     assert R.dim_e_simple(R.group.irrep("triv")) == 1
+
+
+@pytest.mark.parametrize("spec", ["Sn:3:reduced", "I2:4"])
+@pytest.mark.parametrize("ctag", ["zero", "generic"])
+def test_end_and_e_dims_read_class_representatives_only(spec, ctag,
+                                                       monkeypatch):
+    # both multiplicities are read off class traces: no group-algebra
+    # element with a term per element of W acts, so no other w's matrix
+    # is built
+    g = group(spec)
+    M = StandardModules(CherednikAlgebra(g, parameter(spec, ctag, 1)))
+    built, columns = [], FDModule._columns
+
+    def recorded(mod, gen):
+        if gen[0] == "w":
+            built.append(gen[1])
+        return columns(mod, gen)
+
+    monkeypatch.setattr(FDModule, "_columns", recorded)
+    for rep in g.irreps:
+        mod = M.baby_verma(rep)
+        for m in (mod, M.simple_head(mod)):
+            M.endomorphism_dimension(m)
+        M.dim_e_simple(rep)
+    assert built and set(built) <= set(g.class_representatives), \
+        sorted(set(built) - set(g.class_representatives))
+
+
+@pytest.mark.parametrize("spoil", [F(1, 2), Cyc.zeta(4)], ids=["half", "cyc"])
+def test_end_and_e_dims_refuse_a_spoiled_multiplicity(spoil, monkeypatch):
+    R = build_restricted(group("Sn:3:reduced"),
+                         parameter("Sn:3:reduced", "generic", 1))
+    g, multiplicity = R.group, R.group.multiplicity
+    rep, trivial = g.irrep((2, 1)), g.trivial_irrep()
+    mod = R.baby_verma(rep)
+    for target, compute in ((rep, lambda: R.endomorphism_dimension(mod)),
+                            (trivial, lambda: R.dim_e_simple(rep))):
+        monkeypatch.setattr(g, "multiplicity", lambda r, chi, target=target:
+                            spoil if r is target else multiplicity(r, chi))
+        with pytest.raises(CompositionMismatch,
+                           match=rf"multiplicity {re.escape(str(spoil))} of "
+                                 rf"{re.escape(repr(target.label))} in .* is "
+                                 "not a non-negative integer"):
+            compute()
+
+
+@pytest.mark.parametrize("build,c,b_point,dims", [
+    (lambda: build_zm(2), 0, (F(1),), [1, 1]),
+    (lambda: build_zm(2), 1, (F(1),), [1, 1]),
+    (lambda: build_zm(3), 0, (F(1),), [1, 1, 1]),
+    (lambda: build_i2(4), 1, (F(1), F(0)), [1] * 5),
+], ids=["Zm:2-c0", "Zm:2-c1", "Zm:3-c0", "I2:4-c1"])
+def test_dim_e_simple_off_the_graded_fiber(build, c, b_point, dims):
+    # the trivial multiplicity in L against the rank of the symmetrizer,
+    # reduced into the |W|^3 algebra, on the head from the acting image
+    g = build()
+    R = build_restricted(g, Parameter.constant(g, c), b_point=b_point)
+    assert not R.graded
+    e = R.reduce_pbw(R.algebra.symmetrizer())
+    heads = [R.simple_module(rep) for rep in g.irreps]
+    assert [R.dim_e_simple(rep) for rep in g.irreps] == dims
+    assert [rank(_dense(L.act_columns(e)), L.dim) for L in heads] == dims
+
+
+def test_dim_e_simple_off_the_graded_fiber_needs_a_simple_head():
+    g = group("Sn:3:reduced")
+    R = build_restricted(g, Parameter.constant(g, 1),
+                         b_point=(F(1), F(0)))
+    with pytest.raises(NotSimpleHead, match=r"\(2, 1\) is not simple"):
+        R.dim_e_simple(g.irrep((2, 1)))
 
 
 # ---- block partitions ----------------------------------------------------------------
@@ -757,6 +829,28 @@ def test_certificate_refuses_a_center_solved_without_w(spec, ctag, sizes,
                                              rf"({names})$"):
         R.degree_zero_center()
     assert 0 not in R._center_slices
+
+
+@pytest.mark.parametrize("spec,ctag", [("I2:4", "generic"),
+                                       ("Sn:3:reduced", "zero")])
+def test_certificate_generators_are_named_once(spec, ctag, monkeypatch):
+    # every slice reads one generating set: the orbit-spanning indices are
+    # found once per side, and the certificate multiplies by the W
+    # generators and the kept x_i, y_j under their own names
+    R = build_restricted(group(spec), parameter(spec, ctag, 1))
+    calls, spanning = [], R._orbit_spanning
+    monkeypatch.setattr(R, "_orbit_spanning",
+                        lambda side: calls.append(side) or spanning(side))
+    R.center()
+    assert sorted(calls) == ["x", "y"]
+    # ``generators`` lists x_0, y_0, x_1, y_1, ... and then the W generators
+    vec = dict(zip([(side, i) for i in range(R.group.n) for side in "xy"]
+                   + list(R.group.generators),
+                   (v for v, _deg in R.generators)))
+    assert R._certificate_generators == (
+        [(s, vec[s]) for s in R.group.generators]
+        + [(f"{side}{i + 1}", vec[side, i])
+           for side in "xy" for i in spanning(side)])
 
 
 def _flip_y_commutator_term(R, monkeypatch):
